@@ -11,17 +11,12 @@ Subcommands
 All CSV files carry a header row, UTF-8 text, '.' decimals and floats at 17
 significant digits so a write/read round trip is lossless. Exit codes: 0 on
 success, 1 on validation or usage errors, 2 on I/O failures.
-
-The environment variable ``MMD_THREADS`` caps internal parallelism; the
-current implementation evaluates everything on one thread, so any positive
-value is accepted and recorded in reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -60,26 +55,10 @@ __all__ = [
     "write_shape_csv",
     "write_decomposition",
     "write_report",
-    "max_threads",
     "main",
 ]
 
 _FLOAT_FMT = "{:.17g}"
-
-
-def max_threads() -> int:
-    """Thread cap from MMD_THREADS; the implementation is single-threaded,
-    so this only validates and records the setting."""
-    raw = os.environ.get("MMD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DecompositionError(f"MMD_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DecompositionError("MMD_THREADS must be at least 1")
-    return value
 
 
 @dataclass(frozen=True)
@@ -167,13 +146,35 @@ def write_phases_csv(path, times: np.ndarray, priors: list[PhasePrior],
     _write_table(Path(path), header, cols)
 
 
+def _numbered_columns(path, header: list[str], prefix: str) -> list[int]:
+    """Column positions of ``<prefix>1..<prefix>K``, ordered by number."""
+    found: dict[int, int] = {}
+    for col, name in enumerate(header):
+        if not name.startswith(prefix):
+            continue
+        suffix = name[len(prefix):]
+        if not (suffix.isascii() and suffix.isdigit() and suffix[0] != "0"):
+            raise ParseError(f"{path}: unknown column {name!r}")
+        if int(suffix) in found:
+            raise ParseError(f"{path}: duplicate column {name!r}")
+        found[int(suffix)] = col
+    missing = sorted(set(range(1, len(found) + 1)) - set(found))
+    if missing:
+        raise ParseError(f"{path}: missing column {prefix}{missing[0]}")
+    return [found[k] for k in range(1, len(found) + 1)]
+
+
 def read_phases_csv(path) -> tuple[np.ndarray, list[PhasePrior]]:
-    """Parse a phase-prior file: column t, then p1..pK, optionally q1..qK."""
+    """Parse a phase-prior file: column t, then p1..pK, optionally q1..qK.
+
+    Columns are matched by name, so ``qK`` is the amplitude of ``pK``
+    wherever either column sits.
+    """
     header, data = _read_table(Path(path))
     if not header or header[0] != "t":
         raise ParseError(f"{path}: first column must be 't'")
-    p_cols = [i for i, name in enumerate(header) if name.startswith("p")]
-    q_cols = [i for i, name in enumerate(header) if name.startswith("q")]
+    p_cols = _numbered_columns(path, header, "p")
+    q_cols = _numbered_columns(path, header, "q")
     if not p_cols:
         raise ParseError(f"{path}: no phase columns (p1, p2, ...)")
     if q_cols and len(q_cols) != len(p_cols):
@@ -228,18 +229,24 @@ def _report_payload(report, stats: WellDiffStats | None,
         "seed": config.seed,
         "config": recorded,
         "rng": RNG_IDENTITY,
-        "threads": max_threads(),
     }
 
 
 def write_report(directory, report, stats: WellDiffStats | None = None,
                  config: RunConfig | None = None) -> Path:
-    """Serialize the run report as canonical JSON; returns the file path."""
+    """Serialize the run report as canonical JSON; returns the file path.
+
+    Raises :class:`DecompositionError` rather than write a non-finite
+    number, which JSON cannot represent.
+    """
     path = Path(directory) / "report.json"
     payload = _report_payload(report, stats, config or RunConfig())
     try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DecompositionError(f"report for {path} is not finite: {exc}") from exc
+    try:
+        path.write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -552,7 +559,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help lands here with code 0
         return int(exc.code or 0)
     try:
-        max_threads()  # validate the environment cap early
         if args.command == "synth":
             return _cmd_synth(args)
         if args.command == "gmd":

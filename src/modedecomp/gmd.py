@@ -18,22 +18,20 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DecompositionError, InvalidPartition, OutOfDomain
 from .fold_regress import (
+    PhasePlan,
     RegressionBackend,
-    center_shape,
-    fold,
+    as_plans,
+    check_amplitude,
     partition_regress,
-    unwarp_samples,
+    sweep,
 )
 from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
     add_shapes,
-    eval_shape,
     signal_norm,
     sort_components,
     with_fundamental,
@@ -90,7 +88,16 @@ def _check_scheme(scheme: str) -> None:
         raise DecompositionError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
-def rdbr_sweep(residual: SampledSignal, priors: Sequence[PhasePrior],
+def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
+    """Undo :func:`sort_components`: ``items[i]`` belongs to input ``order[i]``."""
+    out = [None] * len(items)
+    for pos, src in enumerate(order):
+        out[src] = items[pos]
+    return out
+
+
+def rdbr_sweep(residual: SampledSignal,
+               priors: Sequence[PhasePrior | PhasePlan],
                bins: int, scheme: str = "gauss_seidel",
                backend: RegressionBackend = partition_regress):
     """One regression sweep over all components (priors already sorted).
@@ -99,26 +106,19 @@ def rdbr_sweep(residual: SampledSignal, priors: Sequence[PhasePrior],
     subtractions. With identical phases the first component absorbs the
     common structure; the result is order-dependent by design. ``backend``
     swaps the regression estimator; the partitioning estimate is the
-    canonical default.
+    canonical default. ``priors`` may hold the :class:`PhasePlan` objects
+    :func:`gmd_decompose` prepares once per run, whose amplitudes it has
+    already checked.
     """
     _check_scheme(scheme)
-    cur = residual
-    increments: list[ShapeTable] = []
-    pending: list[np.ndarray] = []
-    for prior in priors:
-        source = cur if scheme == "gauss_seidel" else residual
-        vs, ys = unwarp_samples(source, prior)
-        inc = center_shape(backend(fold(vs, ys), bins))
-        increments.append(inc)
-        sub = prior.amplitude * eval_shape(inc, prior.phase)
-        if scheme == "gauss_seidel":
-            cur = SampledSignal(cur.times, cur.values - sub)
-        else:
-            pending.append(sub)
-    if scheme == "jacobi":
-        cur = SampledSignal(residual.times,
-                            residual.values - np.sum(pending, axis=0))
-    return increments, cur
+    plans = as_plans(priors, len(residual), bins)
+    for p in priors:
+        if not isinstance(p, PhasePlan):
+            check_amplitude(p)
+    amplitudes = [plan.prior.amplitude for plan in plans]
+    increments, _, r = sweep(residual.values, plans, bins, scheme, backend,
+                             amplitudes, amplitudes, divide=True)
+    return increments, SampledSignal(residual.times, r)
 
 
 def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
@@ -148,6 +148,9 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     denom = scale if scale > 0.0 else 1.0
 
     shapes = [zero_shape(bins) for _ in sorted_priors]
+    plans = as_plans(sorted_priors, len(signal), bins)
+    for prior in sorted_priors:
+        check_amplitude(prior)
     r = signal
     eps0, eps1, eps2 = 2.0, 1.0, 1.0
     norms_r: list[float] = []
@@ -155,7 +158,7 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     j = 0
     while (j < max_iters and eps1 > eps and eps2 > eps
            and abs(eps1 - eps0) > eps):
-        incs, r = rdbr_sweep(r, sorted_priors, bins, scheme, backend)
+        incs, r = rdbr_sweep(r, plans, bins, scheme, backend)
         shapes = [add_shapes(s, inc) for s, inc in zip(shapes, incs)]
         eps0 = eps1
         eps1 = signal_norm(r.values) / denom
@@ -175,20 +178,12 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j)
 
-    modes_sorted = [
-        SampledSignal(t, p.amplitude * eval_shape(s, p.phase))
-        for p, s in zip(sorted_priors, shapes)
-    ]
-    # map back to the caller's component order
-    k_total = len(priors)
-    shapes_out: list[ShapeTable] = [None] * k_total  # type: ignore[list-item]
-    modes_out: list[SampledSignal] = [None] * k_total  # type: ignore[list-item]
-    fundamentals: list[int] = [0] * k_total
-    for pos, src in enumerate(order):
-        shapes_out[src] = shapes[pos]
-        modes_out[src] = modes_sorted[pos]
-        fundamentals[src] = int(sorted_priors[pos].fundamental)
-    return GmdResult(shapes_out, modes_out, r, report, fundamentals)
+    modes = [SampledSignal(t, plan.prior.amplitude * plan.evaluate(s))
+             for plan, s in zip(plans, shapes)]
+    fundamentals = [int(p.fundamental) for p in sorted_priors]
+    return GmdResult(to_caller_order(shapes, order),
+                     to_caller_order(modes, order), r, report,
+                     to_caller_order(fundamentals, order))
 
 
 def group_sum_shapes(result: GmdResult,

@@ -9,8 +9,9 @@ unit shape. Normalization at the end splits each accumulator into a
 nonnegative coefficient (its L2 norm) and a unit-norm shape.
 
 Relative to a plain generalized-mode run, the multiresolution loop costs a
-factor of order ``J2 * M0`` more regressions; no attempt is made to optimize
-that away.
+factor of order ``J2 * M0`` more regressions; each one reuses its prior's
+:class:`~modedecomp.fold_regress.PhasePlan`, built once per run, and each
+band pass evaluates its carriers once.
 """
 
 from __future__ import annotations
@@ -28,20 +29,19 @@ from .errors import (
     SinZeroBand,
 )
 from .fold_regress import (
+    PhasePlan,
     RegressionBackend,
+    as_plans,
     carrier,
-    center_shape,
-    demodulate,
-    fold,
     partition_regress,
+    sweep,
 )
-from .gmd import DecompositionReport, StopReason, _check_scheme
+from .gmd import DecompositionReport, StopReason, _check_scheme, to_caller_order
 from .signal_model import (
     MimfEstimate,
     PhasePrior,
     SampledSignal,
     add_shapes,
-    eval_shape,
     make_estimate,
     reconstruct_mimf,
     scale_shape,
@@ -107,7 +107,8 @@ def band_order(m0: int) -> list[int]:
     return order
 
 
-def modified_rdbr(residual: SampledSignal, priors: Sequence[PhasePrior],
+def modified_rdbr(residual: SampledSignal,
+                  priors: Sequence[PhasePrior | PhasePlan],
                   n: int, kind: str, eps2: float = 1e-6, max_iters: int = 10,
                   bins: int = 200, scheme: str = "gauss_seidel",
                   backend: RegressionBackend = partition_regress):
@@ -116,7 +117,8 @@ def modified_rdbr(residual: SampledSignal, priors: Sequence[PhasePrior],
     For band 0 the regressed increment itself is the mode increment; for
     |n| > 0 the mode increment is ``2 * carrier * increment`` and the stored
     shape increment is doubled, so the accumulator tracks the full product
-    of coefficient and shape.
+    of coefficient and shape. ``priors`` may hold the :class:`PhasePlan`
+    objects :func:`mmd_decompose` prepares once per run.
 
     Returns ``(shape_increments, mode_increments, residual)`` where the shape
     increments are per-component tables accumulated over the inner sweeps and
@@ -125,51 +127,44 @@ def modified_rdbr(residual: SampledSignal, priors: Sequence[PhasePrior],
     _check_scheme(scheme)
     if kind == "sin" and n == 0:
         raise SinZeroBand("sine demodulation is undefined at band 0")
+    plans = as_plans(priors, len(residual), bins)
+    if n == 0:
+        # the band-0 carrier is exactly 1: regress the residual itself
+        if kind != "cos":
+            raise DecompositionError(f"unknown carrier kind {kind!r}")
+        if any(plan.prior.fundamental is None for plan in plans):
+            raise DecompositionError(
+                "prior fundamental required for demodulation")
+        pre = post = [None] * len(plans)
+    else:
+        pre = [carrier(plan.prior, n, kind) for plan in plans]
+        post = [2.0 * g for g in pre]
 
     t = residual.times
-    L = len(residual)
-    k_total = len(priors)
     scale = signal_norm(residual.values)
     denom = scale if scale > 0.0 else 1.0
 
-    shape_acc = [zero_shape(bins) for _ in range(k_total)]
-    mode_acc = [np.zeros(L) for _ in range(k_total)]
-    r = residual
+    shape_acc = [zero_shape(bins) for _ in plans]
+    mode_acc = [np.zeros(len(residual)) for _ in plans]
+    r = residual.values
     eps0, eps1v, eps2v = 2.0, 1.0, 1.0
     j = 0
     while (j < max_iters and eps1v > eps2 and eps2v > eps2
            and abs(eps1v - eps0) > eps2):
-        cur = r
-        pending: list[np.ndarray] = []
+        raws, f_incs, r = sweep(r, plans, bins, scheme, backend, pre, post)
         inc_norms: list[float] = []
-        for k, prior in enumerate(priors):
-            source = cur if scheme == "gauss_seidel" else r
-            vs, ys = demodulate(source, prior, n, kind)
-            raw = center_shape(backend(fold(vs, ys), bins))
-            if n == 0:
-                f_inc = eval_shape(raw, prior.phase)
-                stored = raw
-            else:
-                g = carrier(prior, n, kind)
-                f_inc = 2.0 * g * eval_shape(raw, prior.phase)
-                stored = scale_shape(raw, 2.0)
+        for k, (raw, f_inc) in enumerate(zip(raws, f_incs)):
+            stored = raw if n == 0 else scale_shape(raw, 2.0)
             shape_acc[k] = add_shapes(shape_acc[k], stored)
-            mode_acc[k] = mode_acc[k] + f_inc
+            mode_acc[k] += f_inc
             inc_norms.append(stored.l2norm)
-            if scheme == "gauss_seidel":
-                cur = SampledSignal(t, cur.values - f_inc)
-            else:
-                pending.append(f_inc)
-        if scheme == "jacobi":
-            cur = SampledSignal(t, r.values - np.sum(pending, axis=0))
-        r = cur
         eps0 = eps1v
-        eps1v = signal_norm(r.values) / denom
+        eps1v = signal_norm(r) / denom
         eps2v = max(inc_norms) / denom
         j += 1
 
     modes = [SampledSignal(t, acc) for acc in mode_acc]
-    return shape_acc, modes, r
+    return shape_acc, modes, SampledSignal(t, r)
 
 
 def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
@@ -190,17 +185,18 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     resolved = [p if p.fundamental is not None else with_fundamental(p, t)
                 for p in priors]
     sorted_priors, order = sort_components(resolved)
-    k_total = len(sorted_priors)
-    L = len(signal)
+    plans = as_plans(sorted_priors, len(signal), cfg.bins)
 
     scale = signal.l2norm
     denom = scale if scale > 0.0 else 1.0
 
     bands = band_order(cfg.m0)
-    cos_acc = [{b: zero_shape(cfg.bins) for b in bands} for _ in range(k_total)]
-    sin_acc = [{b: zero_shape(cfg.bins) for b in bands if b != 0}
-               for _ in range(k_total)]
-    mode_acc = [np.zeros(L) for _ in range(k_total)]
+    accumulators = {
+        "cos": [{b: zero_shape(cfg.bins) for b in bands} for _ in plans],
+        "sin": [{b: zero_shape(cfg.bins) for b in bands if b != 0}
+                for _ in plans],
+    }
+    mode_acc = [np.zeros(len(signal)) for _ in plans]
 
     r = signal
     best = 1.0
@@ -211,19 +207,12 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     for _ in range(cfg.j1):
         sweep_inc = 0.0
         for b in bands:
-            shapes, modes, r = modified_rdbr(
-                r, sorted_priors, b, "cos", cfg.eps2, cfg.j2, cfg.bins,
-                cfg.scheme, backend)
-            for k in range(k_total):
-                cos_acc[k][b] = add_shapes(cos_acc[k][b], shapes[k])
-                mode_acc[k] += modes[k].values
-                sweep_inc = max(sweep_inc, shapes[k].l2norm / denom)
-            if abs(b) > 0:
+            for kind in ("cos", "sin") if b != 0 else ("cos",):
                 shapes, modes, r = modified_rdbr(
-                    r, sorted_priors, b, "sin", cfg.eps2, cfg.j2, cfg.bins,
+                    r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins,
                     cfg.scheme, backend)
-                for k in range(k_total):
-                    sin_acc[k][b] = add_shapes(sin_acc[k][b], shapes[k])
+                for k, acc in enumerate(accumulators[kind]):
+                    acc[b] = add_shapes(acc[b], shapes[k])
                     mode_acc[k] += modes[k].values
                     sweep_inc = max(sweep_inc, shapes[k].l2norm / denom)
         iterations += 1
@@ -241,22 +230,15 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,
                                  iterations)
 
-    estimates_sorted = []
-    for k, prior in enumerate(sorted_priors):
-        est = make_estimate(
-            cfg.m0,
-            cos_shapes=cos_acc[k],
-            sin_shapes=sin_acc[k],
-            mode=SampledSignal(t, mode_acc[k]),
-        )
-        estimates_sorted.append(est)
-
-    estimates: list[MimfEstimate] = [None] * k_total  # type: ignore[list-item]
-    fundamentals = [0] * k_total
-    for pos, src in enumerate(order):
-        estimates[src] = estimates_sorted[pos]
-        fundamentals[src] = int(sorted_priors[pos].fundamental)
-    return MmdResult(estimates, r, report, fundamentals)
+    estimates = [
+        make_estimate(cfg.m0, cos_shapes=cos_acc, sin_shapes=sin_acc,
+                      mode=SampledSignal(t, acc))
+        for cos_acc, sin_acc, acc in zip(accumulators["cos"],
+                                         accumulators["sin"], mode_acc)
+    ]
+    fundamentals = [int(p.fundamental) for p in sorted_priors]
+    return MmdResult(to_caller_order(estimates, order), r, report,
+                     to_caller_order(fundamentals, order))
 
 
 def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,

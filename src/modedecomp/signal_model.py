@@ -63,6 +63,15 @@ def _readonly(a, dtype=float):
     return out
 
 
+def _freeze(obj, *fields) -> None:
+    """Replace array fields of a frozen dataclass by read-only views, leaving
+    the caller's arrays writeable."""
+    for name in fields:
+        view = np.asarray(getattr(obj, name)).view()
+        view.setflags(write=False)
+        object.__setattr__(obj, name, view)
+
+
 def signal_norm(values) -> float:
     """Discrete L2 norm: root-mean-square over samples (uniform weight 1/L)."""
     v = np.asarray(values, dtype=float)
@@ -77,16 +86,15 @@ class SampledSignal:
 
     Use :func:`make_signal` to construct validated instances; the raw
     constructor is reserved for internal fast paths that already guarantee
-    the invariants. Arrays become read-only on construction so instances
-    are safe to share.
+    the invariants. The instance holds read-only views of the arrays, so it
+    is safe to share; the arrays passed in stay writeable.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
+        _freeze(self, "times", "values")
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -137,8 +145,7 @@ class PhasePrior:
     fundamental: int | None = None
 
     def __post_init__(self):
-        self.phase.setflags(write=False)
-        self.amplitude.setflags(write=False)
+        _freeze(self, "phase", "amplitude")
 
     def __len__(self) -> int:
         return int(self.phase.size)
@@ -217,7 +224,7 @@ class ShapeTable:
     l2norm: float
 
     def __post_init__(self):
-        self.bins.setflags(write=False)
+        _freeze(self, "bins")
 
     @property
     def size(self) -> int:
@@ -258,17 +265,29 @@ def eval_shape(shape: ShapeTable, v):
     values at bin centers. Accepts scalars or arrays.
     """
     bins = shape.bins
-    nb = bins.size
+    j0, j1, w = interpolation(unit_position(v), bins.size)
+    out = (1.0 - w) * bins[j0] + w * bins[j1]
+    return float(out) if out.ndim == 0 else out
+
+
+def unit_position(v) -> np.ndarray:
+    """Fractional position ``mod(v, 1)`` in ``[0, 1)``."""
     x = np.mod(np.asarray(v, dtype=float), 1.0)
     # mod can round up to exactly 1.0 for tiny negative inputs
-    x = np.where(x >= 1.0, x - 1.0, x)
+    return np.where(x >= 1.0, x - 1.0, x)
+
+
+def interpolation(x, nb: int):
+    """Bin-center interpolation data for positions ``x`` in ``[0, 1)``.
+
+    Returns ``(j0, j1, w)``: a ``nb``-bin table evaluates at ``x`` as
+    ``(1 - w) * table[j0] + w * table[j1]``, wrapping periodically.
+    """
     u = x * nb - 0.5
     j = np.floor(u)
     w = u - j
     j0 = np.mod(j.astype(np.int64), nb)
-    j1 = (j0 + 1) % nb
-    out = (1.0 - w) * bins[j0] + w * bins[j1]
-    return float(out) if out.ndim == 0 else out
+    return j0, (j0 + 1) % nb, w
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from modedecomp.cli import (
     read_report,
     read_signal_csv,
     write_phases_csv,
+    write_report,
     write_signal_csv,
 )
-from modedecomp.errors import NonMonotonePhase, ParseError
+from modedecomp.errors import DecompositionError, NonMonotonePhase, ParseError
 
 
 def run_synth(out, samples=2048, noise="0", seed="7", extra=()):
@@ -220,23 +221,6 @@ class TestIidGrid:
         assert not np.allclose(np.diff(sig.times), 1.0 / 1024)
 
 
-class TestThreadCap:
-    def test_invalid_value_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MMD_THREADS", "zero")
-        assert main(["diagnose", "--residual", "x", "--out",
-                     str(tmp_path)]) == 1
-
-    def test_valid_value_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MMD_THREADS", "4")
-        data = tmp_path / "data"
-        run_synth(data, samples=512)
-        out = tmp_path / "fit"
-        main(["gmd", "--signal", str(data / "signal.csv"),
-              "--phases", str(data / "phases.csv"),
-              "--max-iter", "2", "--bins", "32", "--out", str(out)])
-        assert read_report(out / "report.json")["threads"] == 4
-
-
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert main(["mmd", "--bogus"]) == 1
@@ -290,3 +274,77 @@ class TestReportSchema:
                     (fit / "coefficients.csv").read_bytes())
 
         assert run(1) == run(2)
+
+
+class TestPhaseColumnsByName:
+    ROWS = "0,1,10,2,3\n0.5,2,20,4,5\n"
+
+    def test_swapped_amplitude_columns(self, tmp_path):
+        path = tmp_path / "phases.csv"
+        path.write_text("t,p1,p2,q2,q1\n" + self.ROWS)
+        _, priors = read_phases_csv(path)
+        assert np.array_equal(priors[0].phase, [1.0, 2.0])
+        assert np.array_equal(priors[0].amplitude, [3.0, 5.0])
+        assert np.array_equal(priors[1].phase, [10.0, 20.0])
+        assert np.array_equal(priors[1].amplitude, [2.0, 4.0])
+
+    def test_phase_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "phases.csv"
+        path.write_text("t,p2,p1\n0,10,1\n0.5,20,2\n")
+        _, priors = read_phases_csv(path)
+        assert np.array_equal(priors[0].phase, [1.0, 2.0])
+        assert np.array_equal(priors[1].phase, [10.0, 20.0])
+
+    @pytest.mark.parametrize("header", [
+        "t,p1,p3,q1,q3",      # p2/q2 missing
+        "t,p1,p1,q1,q2",      # duplicate phase column
+        "t,p1,p2,q1,q1",      # duplicate amplitude column
+        "t,p1,p2,q1,qx",      # unknown amplitude column
+        "t,p1,p02,q1,q2",     # unknown phase column
+        "t,p1,phase,q1,q2",   # unknown phase column
+    ])
+    def test_bad_names_rejected(self, tmp_path, header):
+        path = tmp_path / "phases.csv"
+        path.write_text(header + "\n" + self.ROWS)
+        with pytest.raises(ParseError):
+            read_phases_csv(path)
+
+
+class TestReportIsValidJson:
+    def test_non_finite_norm_rejected(self, tmp_path):
+        report = md.DecompositionReport((0.5, float("nan")), (0.1, 0.1),
+                                        md.StopReason.MAX_ITER, 2)
+        with pytest.raises(DecompositionError):
+            write_report(tmp_path, report)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_overflowing_signal_fails_command(self, tmp_path):
+        # norms of a signal near the float range overflow to inf/nan
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+        sig = read_signal_csv(data / "signal.csv")
+        write_signal_csv(data / "signal.csv",
+                         md.make_signal(sig.times, sig.values * 1e160))
+        out = tmp_path / "fit"
+        with np.errstate(all="ignore"):
+            code = main(["gmd", "--signal", str(data / "signal.csv"),
+                         "--phases", str(data / "phases.csv"),
+                         "--max-iter", "2", "--bins", "32",
+                         "--out", str(out)])
+        assert code == 1
+        assert not (out / "report.json").exists()
+
+    def test_report_parses_as_strict_json(self, tmp_path):
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+        out = tmp_path / "fit"
+        assert main(["gmd", "--signal", str(data / "signal.csv"),
+                     "--phases", str(data / "phases.csv"),
+                     "--max-iter", "2", "--bins", "32",
+                     "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+        text = (out / "report.json").read_text(encoding="utf-8")
+        payload = json.loads(text, parse_constant=reject)
+        assert "threads" not in payload

@@ -10,7 +10,13 @@ from modedecomp.errors import (
     GridMismatch,
     SinZeroBand,
 )
-from modedecomp.fold_regress import FoldedSamples
+from modedecomp.fold_regress import (
+    FoldedSamples,
+    bin_layout,
+    carrier,
+    plan_phase,
+    sweep,
+)
 
 
 def brute_force_bin_means(xs, ys, bins):
@@ -134,6 +140,17 @@ class TestPartitionRegress:
         # single occupied bin: periodic interpolation yields a constant table
         assert np.allclose(table.bins, 2.0, atol=1e-12)
 
+    def test_empty_bins_interpolate_periodically(self):
+        # bins 1 and 5 of 10 hold 0 and 4; the others lie on the periodic
+        # line through the two bin centres
+        xs, ys = np.array([0.15, 0.55]), np.array([0.0, 4.0])
+        want = [4 - 4 * 0.5 / 0.6, 0, 1, 2, 3, 4,
+                4 - 4 * 0.1 / 0.6, 4 - 4 * 0.2 / 0.6, 4 - 4 * 0.3 / 0.6,
+                4 - 4 * 0.4 / 0.6]
+        for layout in (None, bin_layout(xs, 10)):
+            table = md.partition_regress(FoldedSamples(xs, ys, layout), 10)
+            assert np.allclose(table.bins, want, rtol=0, atol=1e-12)
+
     def test_zero_responses(self):
         rng = np.random.default_rng(0)
         samples = md.fold(rng.random(100), np.zeros(100))
@@ -208,3 +225,143 @@ class TestCenterShape:
         once = md.center_shape(md.make_shape(rng.normal(2.0, 1.0, 33)))
         twice = md.center_shape(once)
         assert np.max(np.abs(once.bins - twice.bins)) <= 1e-15
+
+
+def _reference_pass(residual, priors, bins, scheme, n=None, kind="cos"):
+    """Sample-space reference for one sweep: unwarp (gmd, ``n is None``) or
+    demodulate, then fold -> partition_regress -> center_shape ->
+    eval_shape, with every step recomputed per regression."""
+    cur = residual
+    incs, subs = [], []
+    for prior in priors:
+        source = cur if scheme == "gauss_seidel" else residual
+        if n is None:
+            vs, ys = md.unwarp_samples(source, prior)
+        else:
+            vs, ys = md.demodulate(source, prior, n, kind)
+        inc = md.center_shape(md.partition_regress(md.fold(vs, ys), bins))
+        e = md.eval_shape(inc, prior.phase)
+        if n is None:
+            sub = prior.amplitude * e
+        elif n == 0:
+            sub = e
+        else:
+            sub = 2.0 * carrier(prior, n, kind) * e
+        incs.append(inc)
+        subs.append(sub)
+        if scheme == "gauss_seidel":
+            cur = md.SampledSignal(cur.times, cur.values - sub)
+    if scheme == "jacobi":
+        cur = md.SampledSignal(residual.times,
+                               residual.values - np.sum(subs, axis=0))
+    return incs, subs, cur
+
+
+def _random_problem(seed, length, grid, components):
+    rng = np.random.default_rng(seed)
+    t = md.sample_grid(length, grid, seed)
+    priors = []
+    for k in range(components):
+        rate = 3.0 + 5.0 * k + rng.random()
+        wiggle = 0.3 * rng.random() / (2 * np.pi)
+        phase = rate * (t + wiggle * np.sin(2 * np.pi * t)) - rng.random()
+        amplitude = 1.0 + 0.3 * np.cos(2 * np.pi * t + rng.random())
+        priors.append(md.with_fundamental(md.make_prior(phase, amplitude), t))
+    return md.make_signal(t, rng.normal(size=length)), priors
+
+
+SWEEP_CASES = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 16),
+    "length": st.integers(16, 600),
+    "grid": st.sampled_from(["uniform", "iid_uniform"]),
+    "components": st.integers(1, 3),
+    "bins": st.integers(2, 300),
+    "scheme": st.sampled_from(["gauss_seidel", "jacobi"]),
+    "band": st.sampled_from([None, (0, "cos"), (1, "cos"), (1, "sin"),
+                             (-2, "cos"), (-2, "sin"), (3, "sin")]),
+})
+
+
+class TestSweepMatchesReference:
+    """The planned sweep reproduces the sample-space kernel bit for bit."""
+
+    def _check(self, seed, length, grid, components, bins, scheme, band):
+        sig, priors = _random_problem(seed, length, grid, components)
+        n, kind = band if band is not None else (None, "cos")
+        plans = [plan_phase(p, length, bins) for p in priors]
+        if n is None:
+            pre = post = [p.amplitude for p in priors]
+        elif n == 0:
+            pre = post = [None] * components
+        else:
+            pre = [carrier(p, n, kind) for p in priors]
+            post = [2.0 * g for g in pre]
+        incs, subs, r = sweep(sig.values, plans, bins, scheme,
+                              md.partition_regress, pre, post,
+                              divide=n is None)
+        want_incs, want_subs, want_r = _reference_pass(
+            sig, priors, bins, scheme, n, kind)
+        for got, want in zip(incs, want_incs):
+            assert np.array_equal(got.bins, want.bins)
+            assert got.l2norm == want.l2norm
+        for got, want in zip(subs, want_subs):
+            assert np.array_equal(got, want)
+        assert np.array_equal(r, want_r.values)
+
+        # the public sweeps route through the same kernel
+        if n is None:
+            got_incs, got_r = md.rdbr_sweep(sig, priors, bins, scheme)
+            stored = want_incs
+        else:
+            got_incs, modes, got_r = md.modified_rdbr(
+                sig, priors, n, kind, max_iters=1, bins=bins, scheme=scheme)
+            stored = want_incs if n == 0 else [
+                md.scale_shape(inc, 2.0) for inc in want_incs]
+            for mode, want in zip(modes, want_subs):
+                assert np.array_equal(mode.values, want)
+        for got, want in zip(got_incs, stored):
+            assert np.array_equal(got.bins, want.bins)
+        assert np.array_equal(got_r.values, want_r.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=SWEEP_CASES)
+    def test_property(self, case):
+        self._check(**case)
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("band", [None, (0, "cos"), (1, "cos"), (1, "sin")])
+    def test_empty_bins(self, scheme, band):
+        # 64 samples over 200 bins leave most bins empty and interpolated
+        self._check(5, 64, "iid_uniform", 2, 200, scheme, band)
+
+    def test_custom_backend_sees_folded_samples(self):
+        sig, priors = _random_problem(1, 128, "iid_uniform", 2)
+        seen = []
+
+        def backend(samples, bins):
+            seen.append((samples.xs, samples.ys))
+            return md.partition_regress(FoldedSamples(samples.xs, samples.ys),
+                                        bins)
+
+        md.rdbr_sweep(sig, priors, 16, "jacobi", backend)
+        for (xs, ys), prior in zip(seen, priors):
+            want = md.fold(*md.unwarp_samples(sig, prior))
+            assert np.array_equal(xs, want.xs)
+            assert np.array_equal(ys, want.ys)
+
+    def test_plan_for_other_bin_count_still_exact(self):
+        sig, priors = _random_problem(2, 300, "uniform", 2)
+        plans = [plan_phase(p, 300, 50) for p in priors]
+        got, r = md.rdbr_sweep(sig, plans, 40)
+        want, _, want_r = _reference_pass(sig, priors, 40, "gauss_seidel")
+        for a, b in zip(got, want):
+            assert np.array_equal(a.bins, b.bins)
+        assert np.array_equal(r.values, want_r.values)
+
+    def test_plan_checks_grid(self):
+        _, priors = _random_problem(3, 64, "uniform", 1)
+        with pytest.raises(GridMismatch):
+            plan_phase(priors[0], 65, 16)
+        sig, _ = _random_problem(3, 65, "uniform", 1)
+        with pytest.raises(GridMismatch):
+            md.rdbr_sweep(sig, [plan_phase(priors[0], 64, 16)], 16)

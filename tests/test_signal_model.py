@@ -51,6 +51,32 @@ class TestMakeSignal:
             sig.values[0] = 9.0
 
 
+class TestConstructorsLeaveCallerArrays:
+    """Raw constructors store read-only views; the caller's arrays stay
+    writeable."""
+
+    def test_sampled_signal(self):
+        t, v = np.linspace(0.0, 1.0, 8), np.ones(8)
+        sig = md.SampledSignal(t, v)
+        assert t.flags.writeable and v.flags.writeable
+        assert not sig.times.flags.writeable
+        assert not sig.values.flags.writeable
+
+    def test_phase_prior(self):
+        p, q = np.arange(8.0), np.ones(8)
+        prior = md.PhasePrior(p, q)
+        assert p.flags.writeable and q.flags.writeable
+        assert not prior.phase.flags.writeable
+        assert not prior.amplitude.flags.writeable
+
+    def test_shape_table(self):
+        b = np.zeros(4)
+        table = md.ShapeTable(b, 0.0)
+        assert b.flags.writeable
+        with pytest.raises(ValueError):
+            table.bins[0] = 1.0
+
+
 class TestRoundFundamental:
     def test_warped_phase_150(self):
         # cycle rate 150 with a +/-0.006 sinusoidal warp still rounds to 150
