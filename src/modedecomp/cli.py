@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .signal_model import (
     make_prior,
     make_shape,
     make_signal,
+    normalize_estimate,
     scale_shape,
 )
 from .synth import (
@@ -48,7 +49,6 @@ from .synth import (
 )
 
 __all__ = [
-    "RunConfig",
     "read_signal_csv",
     "read_phases_csv",
     "write_signal_csv",
@@ -59,28 +59,6 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "{:.17g}"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run parameters recorded in every JSON report.
-
-    The path fields describe where a run read and wrote; they are excluded
-    from the serialized config so reports stay byte-identical across reruns
-    into different directories.
-    """
-
-    m0: int = 10
-    eps1: float = 1e-6
-    eps2: float = 1e-6
-    j1: int = 200
-    j2: int = 10
-    bins: int = 200
-    scheme: str = "gauss_seidel"
-    grid: str = "uniform"
-    seed: int | None = None
-    input_path: str | None = None
-    output_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +191,16 @@ def read_coefficients_csv(path) -> dict:
     return {(int(row[0]), int(row[1])): (row[2], row[3]) for row in data}
 
 
-def _report_payload(report, stats: WellDiffStats | None,
-                    config: RunConfig) -> dict:
-    recorded = asdict(config)
-    recorded.pop("input_path")
-    recorded.pop("output_path")
-    return {
+def write_report(directory, report, stats: WellDiffStats | None = None,
+                 config: dict | None = None) -> Path:
+    """Serialize the run report as canonical JSON; returns the file path.
+
+    ``config`` is recorded as given: the parameters the solver ran with.
+    Raises :class:`DecompositionError` rather than write a non-finite
+    number, which JSON cannot represent.
+    """
+    path = Path(directory) / "report.json"
+    payload = {
         "residual_norms": list(report.residual_norms),
         "shape_increment_norms": list(report.shape_increment_norms),
         "stop_reason": report.stop_reason.value,
@@ -226,21 +208,8 @@ def _report_payload(report, stats: WellDiffStats | None,
         "gamma": None if stats is None else stats.gamma,
         "beta": None if stats is None else stats.beta,
         "contraction_bound": None if stats is None else stats.contraction_bound,
-        "seed": config.seed,
-        "config": recorded,
-        "rng": RNG_IDENTITY,
+        "config": config,
     }
-
-
-def write_report(directory, report, stats: WellDiffStats | None = None,
-                 config: RunConfig | None = None) -> Path:
-    """Serialize the run report as canonical JSON; returns the file path.
-
-    Raises :class:`DecompositionError` rather than write a non-finite
-    number, which JSON cannot represent.
-    """
-    path = Path(directory) / "report.json"
-    payload = _report_payload(report, stats, config or RunConfig())
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -264,14 +233,17 @@ def read_report(path) -> dict:
 
 
 def write_decomposition(directory, result, stats: WellDiffStats | None = None,
-                        config: RunConfig | None = None) -> None:
-    """Write modes, shapes, coefficients, residual and the JSON report."""
+                        config: dict | None = None) -> None:
+    """Write modes, shapes, coefficients, residual and the JSON report.
+
+    The mmd shape files hold unit-norm shapes, so ``a_n`` and ``b_n`` from
+    ``coefficients.csv`` times them rebuild each ``mode_k.csv``.
+    """
     out = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out}: {exc}") from exc
-    config = config or RunConfig()
 
     if isinstance(result, GmdResult):
         for k, (mode, shape) in enumerate(zip(result.modes, result.shapes), 1):
@@ -279,7 +251,7 @@ def write_decomposition(directory, result, stats: WellDiffStats | None = None,
             write_shape_csv(out / f"shape_{k}.csv", shape)
     elif isinstance(result, MmdResult):
         rows_k, rows_n, rows_a, rows_b = [], [], [], []
-        for k, est in enumerate(result.estimates, 1):
+        for k, est in enumerate(map(normalize_estimate, result.estimates), 1):
             write_signal_csv(out / f"mode_{k}.csv", est.mode)
             for n in range(-est.bandwidth, est.bandwidth + 1):
                 if n in est.cos_shapes:
@@ -406,7 +378,7 @@ def _build_parser() -> _Parser:
     p_gmd.add_argument("--signal", required=True)
     p_gmd.add_argument("--phases", required=True)
     p_gmd.add_argument("--eps", type=float, default=1e-6)
-    p_gmd.add_argument("--max-iter", type=int, default=200)
+    p_gmd.add_argument("--max-iter", dest="max_iters", type=int, default=200)
     p_gmd.add_argument("--bins", type=int, default=200)
     p_gmd.add_argument("--scheme", choices=["gauss_seidel", "jacobi"],
                        default="gauss_seidel")
@@ -415,15 +387,15 @@ def _build_parser() -> _Parser:
     p_mmd = sub.add_parser("mmd", help="multiresolution decomposition")
     p_mmd.add_argument("--signal", required=True)
     p_mmd.add_argument("--phases", required=True)
-    p_mmd.add_argument("--m0", type=int, default=10)
-    p_mmd.add_argument("--eps1", type=float, default=1e-6)
-    p_mmd.add_argument("--eps2", type=float, default=1e-6)
-    p_mmd.add_argument("--j1", type=int, default=200)
-    p_mmd.add_argument("--j2", type=int, default=10)
-    p_mmd.add_argument("--bins", type=int, default=200)
-    p_mmd.add_argument("--scheme", choices=["gauss_seidel", "jacobi"],
-                       default="gauss_seidel")
+    p_mmd.add_argument("--m0", type=int)
+    p_mmd.add_argument("--eps1", type=float)
+    p_mmd.add_argument("--eps2", type=float)
+    p_mmd.add_argument("--j1", type=int)
+    p_mmd.add_argument("--j2", type=int)
+    p_mmd.add_argument("--bins", type=int)
+    p_mmd.add_argument("--scheme", choices=["gauss_seidel", "jacobi"])
     p_mmd.add_argument("--out", required=True)
+    p_mmd.set_defaults(**asdict(MmdConfig()))
 
     p_diag = sub.add_parser("diagnose", help="phase or residual diagnostics")
     p_diag.add_argument("--phases")
@@ -445,10 +417,9 @@ def _load_inputs(signal_path, phases_path):
     return signal, priors
 
 
-def _phase_stats(priors, times, step: float = 0.05,
-                 m_bound: float = 1.0) -> WellDiffStats | None:
+def _phase_stats(priors, times) -> WellDiffStats | None:
     try:
-        return well_diff_stats(partition_counts(priors, times, step), m_bound)
+        return well_diff_stats(partition_counts(priors, times, 0.05), 1.0)
     except DecompositionError:
         return None
 
@@ -459,6 +430,8 @@ def _cmd_synth(args) -> int:
     truth_dir = out / "truth"
     truth_dir.mkdir(exist_ok=True)
     grid_mode = "iid_uniform" if args.grid == "iid" else "uniform"
+    meta = {"samples": args.samples, "noise_var": args.noise_var,
+            "seed": args.seed, "grid": args.grid, "rng": RNG_IDENTITY}
     if args.example == "ex4_1":
         ex = gen_example_4_1(args.samples, args.noise_var, args.seed, grid_mode)
         write_signal_csv(out / "signal.csv", ex.signal)
@@ -470,9 +443,7 @@ def _cmd_synth(args) -> int:
                 write_shape_csv(truth_dir / f"shape_c{n}_k{k}.csv", table)
             for n, table in sorted(est.sin_shapes.items()):
                 write_shape_csv(truth_dir / f"shape_s{n}_k{k}.csv", table)
-        meta = {"example": "ex4_1", "samples": args.samples,
-                "noise_var": args.noise_var, "seed": args.seed,
-                "grid": args.grid, "rng": RNG_IDENTITY}
+        meta["example"] = "ex4_1"
     else:
         t, total, modes, priors = _synth_from_spec(
             args.spec, args.samples, grid_mode, args.seed)
@@ -482,35 +453,23 @@ def _cmd_synth(args) -> int:
         write_signal_csv(truth_dir / "clean.csv", total)
         for k, mode in enumerate(modes, 1):
             write_signal_csv(truth_dir / f"mode_{k}.csv", mode)
-        meta = {"spec": str(args.spec), "samples": args.samples,
-                "noise_var": args.noise_var, "seed": args.seed,
-                "grid": args.grid, "rng": RNG_IDENTITY}
+        meta["spec"] = str(args.spec)
     (out / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
-def _cmd_gmd(args) -> int:
+def _cmd_decompose(args) -> int:
     signal, priors = _load_inputs(args.signal, args.phases)
-    result = gmd_decompose(signal, priors, eps=args.eps,
-                           max_iters=args.max_iter, bins=args.bins,
-                           scheme=args.scheme)
-    config = RunConfig(m0=0, eps1=args.eps, eps2=args.eps, j1=args.max_iter,
-                       j2=1, bins=args.bins, scheme=args.scheme,
-                       input_path=args.signal, output_path=args.out)
-    stats = _phase_stats(priors, signal.times)
-    write_decomposition(args.out, result, stats, config)
-    return 0
-
-
-def _cmd_mmd(args) -> int:
-    signal, priors = _load_inputs(args.signal, args.phases)
-    cfg = MmdConfig(m0=args.m0, eps1=args.eps1, eps2=args.eps2, j1=args.j1,
-                    j2=args.j2, bins=args.bins, scheme=args.scheme)
-    result = mmd_decompose(signal, priors, cfg)
-    config = RunConfig(m0=args.m0, eps1=args.eps1, eps2=args.eps2, j1=args.j1,
-                       j2=args.j2, bins=args.bins, scheme=args.scheme,
-                       input_path=args.signal, output_path=args.out)
+    if args.command == "gmd":
+        config = {name: getattr(args, name)
+                  for name in ("eps", "max_iters", "bins", "scheme")}
+        result = gmd_decompose(signal, priors, **config)
+    else:
+        cfg = MmdConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(MmdConfig)})
+        result = mmd_decompose(signal, priors, cfg)
+        config = asdict(cfg)
     stats = _phase_stats(priors, signal.times)
     write_decomposition(args.out, result, stats, config)
     return 0
@@ -561,17 +520,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             return _cmd_synth(args)
-        if args.command == "gmd":
-            return _cmd_gmd(args)
-        if args.command == "mmd":
-            return _cmd_mmd(args)
+        if args.command in ("gmd", "mmd"):
+            return _cmd_decompose(args)
         if args.command == "diagnose":
             return _cmd_diagnose(args)
         raise DecompositionError(f"unknown command {args.command!r}")
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DecompositionError as exc:

@@ -23,7 +23,8 @@ from .errors import (
     OutOfDomain,
     TraceTooShort,
 )
-from .signal_model import PhasePrior, SampledSignal
+from .fold_regress import bin_layout
+from .signal_model import PhasePrior, SampledSignal, unit_position
 
 __all__ = [
     "PartitionCounts",
@@ -57,12 +58,6 @@ class WellDiffStats:
     well_differentiated: bool
 
 
-def _cell_index(phase: np.ndarray, cells: int) -> np.ndarray:
-    x = np.mod(phase, 1.0)
-    x = np.where(x >= 1.0, x - 1.0, x)
-    return np.clip((x * cells).astype(np.int64), 0, cells - 1)
-
-
 def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
                      step: float) -> PartitionCounts:
     """Exact occupancy counts of the folded phase (pairs and marginals).
@@ -83,8 +78,9 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     for prior in priors:
         if len(prior) != t.size:
             raise GridMismatch("prior and grid lengths differ")
-    idx = [_cell_index(p.phase, cells) for p in priors]
-    marginals = np.stack([np.bincount(ix, minlength=cells) for ix in idx])
+    layouts = [bin_layout(unit_position(p.phase), cells) for p in priors]
+    idx = [layout.index for layout in layouts]
+    marginals = np.stack([layout.counts for layout in layouts])
     pairs: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k_total):
         for j in range(k_total):

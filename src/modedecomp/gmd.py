@@ -32,6 +32,9 @@ from .signal_model import (
     SampledSignal,
     ShapeTable,
     add_shapes,
+    ldexp_shape,
+    ldexp_signal,
+    scale_into_range,
     signal_norm,
     sort_components,
     with_fundamental,
@@ -138,20 +141,21 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         raise OutOfDomain("eps must lie in (0, 1)")
     if max_iters < 1:
         raise OutOfDomain("max_iters must be at least 1")
+    if bins < 2:
+        raise OutOfDomain("bins must be at least 2")
 
     t = signal.times
     resolved = [p if p.fundamental is not None else with_fundamental(p, t)
                 for p in priors]
     sorted_priors, order = sort_components(resolved)
 
-    scale = signal.l2norm
-    denom = scale if scale > 0.0 else 1.0
+    r, pow2 = scale_into_range(signal)
+    denom = r.l2norm or 1.0
 
     shapes = [zero_shape(bins) for _ in sorted_priors]
     plans = as_plans(sorted_priors, len(signal), bins)
     for prior in sorted_priors:
         check_amplitude(prior)
-    r = signal
     eps0, eps1, eps2 = 2.0, 1.0, 1.0
     norms_r: list[float] = []
     norms_s: list[float] = []
@@ -178,6 +182,8 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j)
 
+    shapes = [ldexp_shape(s, pow2) for s in shapes]
+    r = ldexp_signal(r, pow2)
     modes = [SampledSignal(t, plan.prior.amplitude * plan.evaluate(s))
              for plan, s in zip(plans, shapes)]
     fundamentals = [int(p.fundamental) for p in sorted_priors]

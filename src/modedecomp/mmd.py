@@ -5,8 +5,8 @@ The outer loop visits bands in the interleaved order 0, +1, -1, ..., +M0,
 sine carrier only for |n| > 0) estimates the band's shape increment per
 component, updates that component's accumulator and mode, and chains the
 residual. Band accumulators are the identifiable products: coefficient times
-unit shape. Normalization at the end splits each accumulator into a
-nonnegative coefficient (its L2 norm) and a unit-norm shape.
+unit shape. Results keep the products, with their L2 norms as coefficients;
+``normalize_estimate`` splits them into coefficients and unit-norm shapes.
 
 Relative to a plain generalized-mode run, the multiresolution loop costs a
 factor of order ``J2 * M0`` more regressions; each one reuses its prior's
@@ -42,8 +42,11 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     add_shapes,
+    ldexp_shape,
+    ldexp_signal,
     make_estimate,
     reconstruct_mimf,
+    scale_into_range,
     scale_shape,
     signal_norm,
     sort_components,
@@ -141,8 +144,7 @@ def modified_rdbr(residual: SampledSignal,
         post = [2.0 * g for g in pre]
 
     t = residual.times
-    scale = signal_norm(residual.values)
-    denom = scale if scale > 0.0 else 1.0
+    denom = signal_norm(residual.values) or 1.0
 
     shape_acc = [zero_shape(bins) for _ in plans]
     mode_acc = [np.zeros(len(residual)) for _ in plans]
@@ -170,12 +172,13 @@ def modified_rdbr(residual: SampledSignal,
 def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                   cfg: MmdConfig,
                   backend: RegressionBackend = partition_regress) -> MmdResult:
-    """Run the full multiresolution loop and normalize the accumulators.
+    """Run the full multiresolution loop.
 
     The outer loop ends the first time the relative residual drops to
     ``cfg.eps1``, fails to improve by more than ``cfg.eps1``, or ``cfg.j1``
-    iterations have run. Components in the result follow the caller's prior
-    order.
+    iterations have run. Estimates hold the band products (coefficient
+    times unit shape), not normalized; each coefficient is its product's L2
+    norm. Components in the result follow the caller's prior order.
     """
     cfg.validate()
     if len(priors) == 0:
@@ -187,8 +190,8 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     sorted_priors, order = sort_components(resolved)
     plans = as_plans(sorted_priors, len(signal), cfg.bins)
 
-    scale = signal.l2norm
-    denom = scale if scale > 0.0 else 1.0
+    r, pow2 = scale_into_range(signal)
+    denom = r.l2norm or 1.0
 
     bands = band_order(cfg.m0)
     accumulators = {
@@ -198,7 +201,6 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     }
     mode_acc = [np.zeros(len(signal)) for _ in plans]
 
-    r = signal
     best = 1.0
     norms_r: list[float] = []
     norms_s: list[float] = []
@@ -231,14 +233,16 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                                  iterations)
 
     estimates = [
-        make_estimate(cfg.m0, cos_shapes=cos_acc, sin_shapes=sin_acc,
-                      mode=SampledSignal(t, acc))
+        make_estimate(cfg.m0,
+                      {b: ldexp_shape(s, pow2) for b, s in cos_acc.items()},
+                      {b: ldexp_shape(s, pow2) for b, s in sin_acc.items()},
+                      mode=SampledSignal(t, np.ldexp(acc, pow2, out=acc)))
         for cos_acc, sin_acc, acc in zip(accumulators["cos"],
                                          accumulators["sin"], mode_acc)
     ]
     fundamentals = [int(p.fundamental) for p in sorted_priors]
-    return MmdResult(to_caller_order(estimates, order), r, report,
-                     to_caller_order(fundamentals, order))
+    return MmdResult(to_caller_order(estimates, order), ldexp_signal(r, pow2),
+                     report, to_caller_order(fundamentals, order))
 
 
 def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,

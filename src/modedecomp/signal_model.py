@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -47,6 +48,9 @@ __all__ = [
     "add_shapes",
     "scale_shape",
     "signal_norm",
+    "scale_into_range",
+    "ldexp_signal",
+    "ldexp_shape",
     "round_fundamental",
     "with_fundamental",
     "sort_components",
@@ -102,6 +106,28 @@ class SampledSignal:
     @property
     def l2norm(self) -> float:
         return signal_norm(self.values)
+
+
+def scale_into_range(signal: SampledSignal) -> tuple[SampledSignal, int]:
+    """Split ``signal`` into ``scaled * 2**k`` whose squares neither overflow
+    nor underflow: ``k = 0`` for a zero signal or one whose magnitudes lie
+    within ``2**±256`` (a residual 1e-16 of that size still squares to a
+    normal float), else ``scaled`` peaks in ``[0.5, 1)``. The scaling is
+    exact and a decomposition is linear in the signal, so a run on
+    ``scaled`` with its outputs times ``2**k`` does not depend on the scale.
+    """
+    v = signal.values
+    k = math.frexp(max(float(np.max(v)), -float(np.min(v))))[1]
+    if abs(k) <= 256:
+        return signal, 0
+    return ldexp_signal(signal, -k), k
+
+
+def ldexp_signal(signal: SampledSignal, k: int) -> SampledSignal:
+    """``signal * 2**k``, exactly."""
+    if k == 0:
+        return signal
+    return SampledSignal(signal.times, np.ldexp(signal.values, k))
 
 
 def make_signal(times: Sequence[float], values: Sequence[float]) -> SampledSignal:
@@ -256,6 +282,15 @@ def add_shapes(a: ShapeTable, b: ShapeTable) -> ShapeTable:
 
 def scale_shape(shape: ShapeTable, factor: float) -> ShapeTable:
     return make_shape(shape.bins * float(factor))
+
+
+def ldexp_shape(shape: ShapeTable, k: int) -> ShapeTable:
+    """``shape * 2**k``, exactly; the norm is scaled alongside rather than
+    recomputed, so it cannot overflow or underflow."""
+    if k == 0:
+        return shape
+    return ShapeTable(np.ldexp(shape.bins, k),
+                      float(np.ldexp(shape.l2norm, k)))
 
 
 def eval_shape(shape: ShapeTable, v):

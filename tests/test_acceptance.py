@@ -6,12 +6,13 @@ fixtures; the determinism criterion reruns them from scratch.
 """
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import modedecomp as md
-from modedecomp.cli import RunConfig, write_report
+from modedecomp.cli import write_report
 
 SEED = 7
 FINE = (np.arange(16384) + 0.5) / 16384
@@ -284,8 +285,8 @@ def test_criterion_10_determinism(tmp_path, clean_fixture, gmd_gs,
         write_report(directory, result.report, None, config)
         return (directory / "report.json").read_bytes()
 
-    cfg2 = RunConfig(m0=0, eps1=1e-6, eps2=1e-6, j1=200, j2=1, bins=200,
-                     scheme="gauss_seidel", seed=SEED)
+    cfg2 = {"eps": 1e-6, "max_iters": 200, "bins": 200,
+            "scheme": "gauss_seidel"}
     first = serialize(gmd_gs[0], cfg2, tmp_path / "gmd_a")
     rerun = md.gmd_decompose(clean_fixture.signal, list(clean_fixture.priors),
                              eps=1e-6, max_iters=200, bins=200,
@@ -294,9 +295,7 @@ def test_criterion_10_determinism(tmp_path, clean_fixture, gmd_gs,
     same_gmd = first == second
 
     res3, cfg_m, _ = mmd_clean
-    cfg3 = RunConfig(m0=cfg_m.m0, eps1=cfg_m.eps1, eps2=cfg_m.eps2,
-                     j1=cfg_m.j1, j2=cfg_m.j2, bins=cfg_m.bins,
-                     scheme=cfg_m.scheme, seed=SEED)
+    cfg3 = asdict(cfg_m)
     first = serialize(res3, cfg3, tmp_path / "mmd_a")
     rerun_fix = md.gen_example_4_1(2 ** 14, 0.0, SEED)
     rerun = md.mmd_decompose(rerun_fix.signal, list(rerun_fix.priors), cfg_m)
@@ -304,9 +303,7 @@ def test_criterion_10_determinism(tmp_path, clean_fixture, gmd_gs,
     same_mmd = first == second
 
     res4, cfg_n, _ = mmd_noisy
-    cfg4 = RunConfig(m0=cfg_n.m0, eps1=cfg_n.eps1, eps2=cfg_n.eps2,
-                     j1=cfg_n.j1, j2=cfg_n.j2, bins=cfg_n.bins,
-                     scheme=cfg_n.scheme, seed=SEED)
+    cfg4 = asdict(cfg_n)
     first = serialize(res4, cfg4, tmp_path / "noisy_a")
     rerun_fix = md.gen_example_4_1(2 ** 15, 2.25, SEED)
     rerun = md.mmd_decompose(rerun_fix.signal, list(rerun_fix.priors), cfg_n)

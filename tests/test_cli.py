@@ -1,14 +1,18 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import modedecomp as md
 from modedecomp.cli import (
     main,
+    read_coefficients_csv,
     read_phases_csv,
     read_report,
+    read_shape_csv,
     read_signal_csv,
     write_phases_csv,
     write_report,
@@ -255,7 +259,7 @@ class TestReportSchema:
         report = read_report(out / "report.json")
         for key in ("residual_norms", "shape_increment_norms", "stop_reason",
                     "iterations", "gamma", "beta", "contraction_bound",
-                    "seed", "config"):
+                    "config"):
             assert key in report
         again = read_report(out / "report.json")
         assert again["config"] == report["config"]
@@ -318,21 +322,28 @@ class TestReportIsValidJson:
             write_report(tmp_path, report)
         assert not (tmp_path / "report.json").exists()
 
-    def test_overflowing_signal_fails_command(self, tmp_path):
-        # norms of a signal near the float range overflow to inf/nan
+    def test_huge_signal_gives_finite_report(self, tmp_path):
+        # squaring a signal near 1e160 leaves the float range; the solver
+        # runs it scaled by a power of two, so the report matches the
+        # unscaled run's
         data = tmp_path / "data"
         run_synth(data, samples=512)
         sig = read_signal_csv(data / "signal.csv")
-        write_signal_csv(data / "signal.csv",
+        write_signal_csv(data / "huge.csv",
                          md.make_signal(sig.times, sig.values * 1e160))
-        out = tmp_path / "fit"
-        with np.errstate(all="ignore"):
-            code = main(["gmd", "--signal", str(data / "signal.csv"),
+        reports = []
+        for name in ("signal", "huge"):
+            out = tmp_path / name
+            assert main(["gmd", "--signal", str(data / f"{name}.csv"),
                          "--phases", str(data / "phases.csv"),
                          "--max-iter", "2", "--bins", "32",
-                         "--out", str(out)])
-        assert code == 1
-        assert not (out / "report.json").exists()
+                         "--out", str(out)]) == 0
+            reports.append(read_report(out / "report.json"))
+        plain, huge = reports
+        assert huge["iterations"] == plain["iterations"]
+        assert huge["stop_reason"] == plain["stop_reason"]
+        assert np.allclose(huge["residual_norms"], plain["residual_norms"],
+                           rtol=0.0, atol=1e-12)
 
     def test_report_parses_as_strict_json(self, tmp_path):
         data = tmp_path / "data"
@@ -348,3 +359,59 @@ class TestReportIsValidJson:
         text = (out / "report.json").read_text(encoding="utf-8")
         payload = json.loads(text, parse_constant=reject)
         assert "threads" not in payload
+
+
+class TestReportRecordsSolverParameters:
+    """``config`` in report.json is exactly what the solver was called with."""
+
+    def fit(self, tmp_path, argv):
+        data = tmp_path / "data"
+        run_synth(data, samples=1024, extra=("--grid", "iid"))
+        out = tmp_path / "fit"
+        assert main([*argv, "--signal", str(data / "signal.csv"),
+                     "--phases", str(data / "phases.csv"),
+                     "--out", str(out)]) == 0
+        report = read_report(out / "report.json")
+        assert not {"grid", "seed", "rng"} & (set(report) | set(report["config"]))
+        return report["config"]
+
+    def test_gmd(self, tmp_path):
+        config = self.fit(tmp_path, ["gmd", "--eps", "1e-5", "--max-iter", "7",
+                                     "--bins", "48", "--scheme", "jacobi"])
+        assert config == {"bins": 48, "eps": 1e-5, "max_iters": 7,
+                          "scheme": "jacobi"}
+
+    def test_mmd(self, tmp_path):
+        config = self.fit(tmp_path, ["mmd", "--m0", "1", "--j1", "3",
+                                     "--eps2", "1e-4", "--bins", "32"])
+        assert config == asdict(md.MmdConfig(m0=1, j1=3, eps2=1e-4, bins=32))
+
+
+class TestMmdFilesRebuildModes:
+    def test_coefficients_times_shapes_give_modes(self, tmp_path):
+        data = tmp_path / "data"
+        run_synth(data, samples=4096)
+        out = tmp_path / "fit"
+        assert main(["mmd", "--signal", str(data / "signal.csv"),
+                     "--phases", str(data / "phases.csv"),
+                     "--m0", "2", "--j1", "5", "--bins", "64",
+                     "--out", str(out)]) == 0
+        times, priors = read_phases_csv(data / "phases.csv")
+        coeffs = read_coefficients_csv(out / "coefficients.csv")
+        for k, prior in enumerate(priors, 1):
+            cos_s, sin_s, cos_c, sin_c = {}, {}, {}, {}
+            for n in range(-2, 3):
+                cos_s[n] = read_shape_csv(out / f"shape_c{n}_k{k}.csv")
+                cos_c[n] = coeffs[(k, n)][0]
+                if n != 0:
+                    sin_s[n] = read_shape_csv(out / f"shape_s{n}_k{k}.csv")
+                    sin_c[n] = coeffs[(k, n)][1]
+            for table in (*cos_s.values(), *sin_s.values()):
+                assert table.l2norm == 0.0 or abs(table.l2norm - 1.0) <= 1e-12
+            est = md.make_estimate(2, cos_s, sin_s, cos_c, sin_c,
+                                   normalized=True)
+            rebuilt = md.reconstruct_mimf(
+                est, md.with_fundamental(prior, times), times)
+            mode = read_signal_csv(out / f"mode_{k}.csv")
+            gap = md.signal_norm(rebuilt.values - mode.values)
+            assert gap <= 1e-12 * mode.l2norm
