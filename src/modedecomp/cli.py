@@ -28,6 +28,7 @@ from .errors import DecompositionError, IoError, NonMonotonePhase, ParseError
 from .gmd import GmdResult, gmd_decompose
 from .mmd import MmdConfig, MmdResult, mmd_decompose
 from .signal_model import (
+    MimfEstimate,
     PhasePrior,
     SampledSignal,
     ShapeTable,
@@ -113,14 +114,11 @@ def read_signal_csv(path) -> SampledSignal:
     return make_signal(data[:, 0], data[:, 1])
 
 
-def write_phases_csv(path, times: np.ndarray, priors: list[PhasePrior],
-                     with_amplitude: bool = True) -> None:
-    k_total = len(priors)
-    header = ["t"] + [f"p{k + 1}" for k in range(k_total)]
-    cols = [np.asarray(times, dtype=float)] + [p.phase for p in priors]
-    if with_amplitude:
-        header += [f"q{k + 1}" for k in range(k_total)]
-        cols += [p.amplitude for p in priors]
+def write_phases_csv(path, times: np.ndarray, priors: list[PhasePrior]) -> None:
+    numbers = range(1, len(priors) + 1)
+    header = ["t"] + [f"p{k}" for k in numbers] + [f"q{k}" for k in numbers]
+    cols = ([np.asarray(times, dtype=float)] + [p.phase for p in priors]
+            + [p.amplitude for p in priors])
     _write_table(Path(path), header, cols)
 
 
@@ -176,6 +174,13 @@ def write_shape_csv(path, shape: ShapeTable) -> None:
     _write_table(Path(path), ["x", "value"], [centers, shape.bins])
 
 
+def _write_band_shapes(directory: Path, k: int, est: MimfEstimate) -> None:
+    """One ``shape_{c|s}{n}_k{k}.csv`` per band table of component ``k``."""
+    for kind, shapes in (("c", est.cos_shapes), ("s", est.sin_shapes)):
+        for n, table in sorted(shapes.items()):
+            write_shape_csv(directory / f"shape_{kind}{n}_k{k}.csv", table)
+
+
 def read_shape_csv(path) -> ShapeTable:
     header, data = _read_table(Path(path))
     if header != ["x", "value"]:
@@ -191,16 +196,30 @@ def read_coefficients_csv(path) -> dict:
     return {(int(row[0]), int(row[1])): (row[2], row[3]) for row in data}
 
 
+def _write_json(path: Path, payload) -> Path:
+    """Write ``payload`` as canonical JSON; returns the file path.
+
+    Raises :class:`DecompositionError` rather than write a non-finite
+    number, which JSON cannot represent.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DecompositionError(f"cannot write {path}: {exc}") from exc
+    try:
+        path.write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def write_report(directory, report, stats: WellDiffStats | None = None,
                  config: dict | None = None) -> Path:
     """Serialize the run report as canonical JSON; returns the file path.
 
     ``config`` is recorded as given: the parameters the solver ran with.
-    Raises :class:`DecompositionError` rather than write a non-finite
-    number, which JSON cannot represent.
     """
-    path = Path(directory) / "report.json"
-    payload = {
+    return _write_json(Path(directory) / "report.json", {
         "residual_norms": list(report.residual_norms),
         "shape_increment_norms": list(report.shape_increment_norms),
         "stop_reason": report.stop_reason.value,
@@ -209,19 +228,11 @@ def write_report(directory, report, stats: WellDiffStats | None = None,
         "beta": None if stats is None else stats.beta,
         "contraction_bound": None if stats is None else stats.contraction_bound,
         "config": config,
-    }
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise DecompositionError(f"report for {path} is not finite: {exc}") from exc
-    try:
-        path.write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    })
 
 
 def read_report(path) -> dict:
+    """Parse a JSON file: a run report or a ``synth --spec`` file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -250,23 +261,14 @@ def write_decomposition(directory, result, stats: WellDiffStats | None = None,
             write_signal_csv(out / f"mode_{k}.csv", mode)
             write_shape_csv(out / f"shape_{k}.csv", shape)
     elif isinstance(result, MmdResult):
-        rows_k, rows_n, rows_a, rows_b = [], [], [], []
+        rows = []
         for k, est in enumerate(map(normalize_estimate, result.estimates), 1):
             write_signal_csv(out / f"mode_{k}.csv", est.mode)
-            for n in range(-est.bandwidth, est.bandwidth + 1):
-                if n in est.cos_shapes:
-                    write_shape_csv(out / f"shape_c{n}_k{k}.csv",
-                                    est.cos_shapes[n])
-                if n in est.sin_shapes:
-                    write_shape_csv(out / f"shape_s{n}_k{k}.csv",
-                                    est.sin_shapes[n])
-                rows_k.append(float(k))
-                rows_n.append(float(n))
-                rows_a.append(est.cos_coeffs.get(n, 0.0))
-                rows_b.append(est.sin_coeffs.get(n, 0.0))
+            _write_band_shapes(out, k, est)
+            rows += [(k, n, est.cos_coeffs.get(n, 0.0), est.sin_coeffs.get(n, 0.0))
+                     for n in range(-est.bandwidth, est.bandwidth + 1)]
         _write_table(out / "coefficients.csv", ["k", "n", "a_n", "b_n"],
-                     [np.array(rows_k), np.array(rows_n),
-                      np.array(rows_a), np.array(rows_b)])
+                     list(np.array(rows, dtype=float).T))
     else:
         raise DecompositionError(f"unknown result type {type(result)!r}")
 
@@ -321,12 +323,8 @@ def _component_from_json(obj) -> ComponentSpec:
 
 
 def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    """Clean signal, modes and exact priors of a spec file's components."""
+    obj = read_report(path)
     comps = obj.get("components")
     if not isinstance(comps, list) or not comps:
         raise ParseError(f"{path}: 'components' must be a non-empty list")
@@ -340,27 +338,16 @@ def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
                        np.asarray(spec.amplitude(t), dtype=float), t.shape))
         for spec in specs
     ]
-    return t, total, modes, priors
+    return total, modes, priors
 
 
 # ---------------------------------------------------------------------------
 # command-line surface
 
-class _UsageError(Exception):
-    def __init__(self, message: str, usage: str):
-        super().__init__(message)
-        self.usage = usage
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep usage failures at exit code 1
-        raise _UsageError(message, self.format_usage())
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="modedecomp",
-                     description="Decompose oscillatory series into "
-                                 "multiresolution modes.")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="modedecomp",
+                                     description="Decompose oscillatory series "
+                                                 "into multiresolution modes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic signal")
@@ -425,37 +412,31 @@ def _phase_stats(priors, times) -> WellDiffStats | None:
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    truth_dir = out / "truth"
-    truth_dir.mkdir(exist_ok=True)
     grid_mode = "iid_uniform" if args.grid == "iid" else "uniform"
     meta = {"samples": args.samples, "noise_var": args.noise_var,
             "seed": args.seed, "grid": args.grid, "rng": RNG_IDENTITY}
     if args.example == "ex4_1":
         ex = gen_example_4_1(args.samples, args.noise_var, args.seed, grid_mode)
-        write_signal_csv(out / "signal.csv", ex.signal)
-        write_phases_csv(out / "phases.csv", ex.signal.times, list(ex.priors))
-        write_signal_csv(truth_dir / "clean.csv", ex.clean)
-        for k, (comp, est) in enumerate(zip(ex.components, ex.truth), 1):
-            write_signal_csv(truth_dir / f"mode_{k}.csv", comp)
-            for n, table in sorted(est.cos_shapes.items()):
-                write_shape_csv(truth_dir / f"shape_c{n}_k{k}.csv", table)
-            for n, table in sorted(est.sin_shapes.items()):
-                write_shape_csv(truth_dir / f"shape_s{n}_k{k}.csv", table)
+        signal, clean, modes, priors, truth = (
+            ex.signal, ex.clean, ex.components, ex.priors, ex.truth)
         meta["example"] = "ex4_1"
     else:
-        t, total, modes, priors = _synth_from_spec(
+        clean, modes, priors = _synth_from_spec(
             args.spec, args.samples, grid_mode, args.seed)
-        noisy = add_noise(total, args.noise_var, args.seed)
-        write_signal_csv(out / "signal.csv", noisy)
-        write_phases_csv(out / "phases.csv", t, priors)
-        write_signal_csv(truth_dir / "clean.csv", total)
-        for k, mode in enumerate(modes, 1):
-            write_signal_csv(truth_dir / f"mode_{k}.csv", mode)
+        signal = add_noise(clean, args.noise_var, args.seed)
+        truth = ()
         meta["spec"] = str(args.spec)
-    (out / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out = Path(args.out)
+    truth_dir = out / "truth"
+    truth_dir.mkdir(parents=True, exist_ok=True)
+    write_signal_csv(out / "signal.csv", signal)
+    write_phases_csv(out / "phases.csv", signal.times, list(priors))
+    write_signal_csv(truth_dir / "clean.csv", clean)
+    for k, mode in enumerate(modes, 1):
+        write_signal_csv(truth_dir / f"mode_{k}.csv", mode)
+    for k, est in enumerate(truth, 1):
+        _write_band_shapes(truth_dir, k, est)
+    _write_json(out / "meta.json", meta)
     return 0
 
 
@@ -495,9 +476,7 @@ def _cmd_diagnose(args) -> int:
             "well_differentiated": stats.well_differentiated,
             "marginals": stats.counts_single.tolist(),
         }
-        (out / "well_diff.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        _write_json(out / "well_diff.json", payload)
     else:
         residual = read_signal_csv(args.residual)
         rho = autocorrelation(residual, args.max_lag)
@@ -508,15 +487,10 @@ def _cmd_diagnose(args) -> int:
 
 def main(argv=None) -> int:
     """CLI entry point; returns the exit code instead of raising SystemExit."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc.usage, file=sys.stderr, end="")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help lands here with code 0
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage
+        return 1 if exc.code else 0
     try:
         if args.command == "synth":
             return _cmd_synth(args)
@@ -531,7 +505,3 @@ def main(argv=None) -> int:
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -65,8 +65,8 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     ``step`` must divide the unit interval into an integer number of cells,
     at least 2.
     """
-    if step <= 0.0:
-        raise InvalidStep("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise InvalidStep("step must be positive and finite")
     cells_f = 1.0 / step
     cells = int(round(cells_f))
     if cells < 2 or abs(cells_f - cells) > 1e-9 * cells:
@@ -91,8 +91,7 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     return PartitionCounts(step, cells, marginals, pairs)
 
 
-def well_diff_stats(counts: PartitionCounts, m_bound: float,
-                    k_total: int | None = None) -> WellDiffStats:
+def well_diff_stats(counts: PartitionCounts, m_bound: float) -> WellDiffStats:
     """Differentiation statistics from occupancy counts.
 
     ``gamma`` is the smallest pair-cell count (for a single component, the
@@ -102,11 +101,9 @@ def well_diff_stats(counts: PartitionCounts, m_bound: float,
     ``m_bound^2 * (K - 1) * beta``; the collection is flagged
     well-differentiated when ``gamma > 0`` and the bound is below 1.
     """
-    if m_bound <= 0.0:
-        raise OutOfDomain("m_bound must be positive")
+    if not 0.0 < m_bound < np.inf:
+        raise OutOfDomain("m_bound must be positive and finite")
     k_count = counts.marginals.shape[0]
-    if k_total is not None and k_total != k_count:
-        raise OutOfDomain("k_total does not match the counts")
     if counts.pairs:
         gamma = float(min(int(mat.min()) for mat in counts.pairs.values()))
     else:

@@ -77,11 +77,22 @@ def _freeze(obj, *fields) -> None:
 
 
 def signal_norm(values) -> float:
-    """Discrete L2 norm: root-mean-square over samples (uniform weight 1/L)."""
+    """Discrete L2 norm: root-mean-square over samples (uniform weight 1/L).
+
+    A norm beyond ``2**±500`` is recomputed on the values scaled by a power
+    of two, so squaring them neither overflows nor underflows.
+    """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return 0.0
-    return float(np.sqrt(np.mean(v * v)))
+    norm = float(np.sqrt(np.mean(v * v)))
+    if 2.0 ** -500 < norm < 2.0 ** 500:
+        return norm
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0 or not math.isfinite(peak):
+        return norm
+    k = math.frexp(peak)[1]
+    return math.ldexp(signal_norm(np.ldexp(v, -k)), k)
 
 
 @dataclass(frozen=True)
@@ -399,11 +410,8 @@ def normalize_estimate(est: MimfEstimate) -> MimfEstimate:
                         est.mode, normalized=True)
 
 
-def _band_product(est: MimfEstimate, n: int, kind: str) -> ShapeTable | None:
-    shapes = est.cos_shapes if kind == "cos" else est.sin_shapes
-    if n not in shapes:
-        return None
-    table = shapes[n]
+def _band_product(est: MimfEstimate, n: int, kind: str) -> ShapeTable:
+    table = (est.cos_shapes if kind == "cos" else est.sin_shapes)[n]
     if est.normalized:
         coeffs = est.cos_coeffs if kind == "cos" else est.sin_coeffs
         table = scale_shape(table, coeffs.get(n, 0.0))
@@ -429,13 +437,13 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     total = np.zeros_like(p)
     for n in sorted(est.cos_shapes):
         table = _band_product(est, n, "cos")
-        if table is None or table.l2norm == 0.0:
+        if table.l2norm == 0.0:
             continue
         carrier = 1.0 if n == 0 else np.cos(2.0 * np.pi * n * p / prior.fundamental)
         total = total + carrier * eval_shape(table, p)
     for n in sorted(est.sin_shapes):
         table = _band_product(est, n, "sin")
-        if table is None or table.l2norm == 0.0:
+        if table.l2norm == 0.0:
             continue
         carrier = np.sin(2.0 * np.pi * n * p / prior.fundamental)
         total = total + carrier * eval_shape(table, p)

@@ -78,23 +78,15 @@ class ComponentSpec:
     """Closed-form description of one oscillatory component.
 
     ``amplitude`` and ``phase`` map a time array to samples; ``shape`` is a
-    tabulated period or a callable of the fractional cycle position. For
-    band-structured modes, ``bands`` maps the band index to its coefficients
-    and shapes.
+    tabulated period. For band-structured modes, ``bands`` maps the band
+    index to its coefficients and shapes.
     """
 
     amplitude: Callable[[np.ndarray], np.ndarray]
     phase: Callable[[np.ndarray], np.ndarray]
     fundamental: int
-    shape: ShapeTable | Callable[[np.ndarray], np.ndarray]
-    phase_deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    shape: ShapeTable
     bands: Mapping[int, BandSpec] | None = None
-
-
-def _shape_values(shape, positions: np.ndarray) -> np.ndarray:
-    if isinstance(shape, ShapeTable):
-        return eval_shape(shape, positions)
-    return shape(np.mod(positions, 1.0))
 
 
 def gen_gimf(spec: ComponentSpec, grid: Sequence[float]) -> SampledSignal:
@@ -102,7 +94,7 @@ def gen_gimf(spec: ComponentSpec, grid: Sequence[float]) -> SampledSignal:
     t = np.asarray(grid, dtype=float)
     amp = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float), t.shape)
     pos = spec.fundamental * np.asarray(spec.phase(t), dtype=float)
-    values = amp * _shape_values(spec.shape, pos)
+    values = amp * eval_shape(spec.shape, pos)
     return make_signal(t, values)
 
 
@@ -122,10 +114,10 @@ def gen_mimf(spec: ComponentSpec, grid: Sequence[float]) -> SampledSignal:
     for n, band in spec.bands.items():
         if band.cos_shape is not None and band.cos_coeff != 0.0:
             total += (band.cos_coeff * np.cos(2.0 * np.pi * n * phi)
-                      * _shape_values(band.cos_shape, pos))
+                      * eval_shape(band.cos_shape, pos))
         if band.sin_shape is not None and band.sin_coeff != 0.0:
             total += (band.sin_coeff * np.sin(2.0 * np.pi * n * phi)
-                      * _shape_values(band.sin_shape, pos))
+                      * eval_shape(band.sin_shape, pos))
     return make_signal(t, total)
 
 
@@ -157,8 +149,8 @@ def add_noise(signal: SampledSignal, noise_var: float, seed: int) -> SampledSign
     Zero variance returns the signal unchanged; the draw is deterministic
     for a fixed seed.
     """
-    if noise_var < 0.0:
-        raise OutOfDomain("noise variance must be nonnegative")
+    if not 0.0 <= noise_var < np.inf:
+        raise OutOfDomain("noise variance must be finite and nonnegative")
     if noise_var == 0.0:
         return signal
     rng = np.random.default_rng(seed)
@@ -188,7 +180,7 @@ def sample_grid(length: int, mode: str = "uniform", seed: int = 0) -> np.ndarray
         raise LengthMismatch("grids need at least 2 points")
     if mode == "uniform":
         return np.arange(length) / length
-    if mode != "iid_uniform" and mode != "iid":
+    if mode != "iid_uniform":
         raise OutOfDomain(f"unknown grid mode {mode!r}")
     rng = np.random.default_rng(seed)
     t = rng.random(length)
@@ -210,7 +202,6 @@ class Example41:
     components: tuple[SampledSignal, SampledSignal]
     priors: tuple[PhasePrior, PhasePrior]
     truth: tuple[MimfEstimate, MimfEstimate]
-    specs: tuple[ComponentSpec, ComponentSpec]
     noise_var: float
     seed: int
 
@@ -247,7 +238,6 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
     components = []
     priors = []
     truths = []
-    specs = []
     for k in (0, 1):
         n_k = fundamentals[k]
         phase_fn = _ex41_phase(k + 1)
@@ -259,10 +249,6 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
             phase=phase_fn,
             fundamental=n_k,
             shape=shape,
-            bands={
-                0: BandSpec(1.0, 0.0, shape, None),
-                1: BandSpec(amp_coeffs[k][0], amp_coeffs[k][1], shape, shape),
-            },
         )
         comp = gen_gimf(spec, t)
         phase_cycles = n_k * phase_fn(t)
@@ -285,7 +271,6 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
         components.append(comp)
         priors.append(prior)
         truths.append(truth)
-        specs.append(spec)
 
     clean = make_signal(t, components[0].values + components[1].values)
     noisy = add_noise(clean, noise_var, seed)
@@ -295,7 +280,6 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
         components=(components[0], components[1]),
         priors=(priors[0], priors[1]),
         truth=(truths[0], truths[1]),
-        specs=(specs[0], specs[1]),
         noise_var=noise_var,
         seed=seed,
     )

@@ -230,6 +230,7 @@ class TestExitCodes:
         assert main(["mmd", "--bogus"]) == 1
         err = capsys.readouterr().err
         assert "usage" in err.lower()
+        assert "modedecomp mmd: error:" in err
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = main(["gmd", "--signal", str(tmp_path / "absent.csv"),
@@ -415,3 +416,23 @@ class TestMmdFilesRebuildModes:
             mode = read_signal_csv(out / f"mode_{k}.csv")
             gap = md.signal_norm(rebuilt.values - mode.values)
             assert gap <= 1e-12 * mode.l2norm
+
+
+class TestNonFiniteParameters:
+    """A NaN or infinite parameter is a validation error: exit 1, no file."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_synth_noise_var(self, tmp_path, value):
+        out = tmp_path / "d"
+        assert run_synth(out, samples=512, noise=value) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--h", "--m-bound"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_diagnose_phase_statistics(self, tmp_path, flag, value):
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--phases", str(data / "phases.csv"),
+                     flag, value, "--out", str(out)]) == 1
+        assert not [p for p in out.rglob("*") if p.is_file()]

@@ -11,12 +11,13 @@ import modedecomp as md
 from modedecomp.errors import OutOfDomain
 
 
-def run_gmd(signal, priors, bins=64):
-    return md.gmd_decompose(signal, priors, bins=bins)
+def run_gmd(signal, priors, bins=64, scheme="gauss_seidel"):
+    return md.gmd_decompose(signal, priors, bins=bins, scheme=scheme)
 
 
-def run_mmd(signal, priors, bins=64):
-    return md.mmd_decompose(signal, priors, md.MmdConfig(m0=1, j1=8, bins=bins))
+def run_mmd(signal, priors, bins=64, scheme="gauss_seidel"):
+    return md.mmd_decompose(signal, priors,
+                            md.MmdConfig(m0=1, j1=8, bins=bins, scheme=scheme))
 
 
 SOLVERS = {"gmd": run_gmd, "mmd": run_mmd}
@@ -36,6 +37,12 @@ def outputs(result):
                     arrays += [shapes[n].bins, np.array([coeffs[n]])]
             arrays.append(est.mode.values)
     return arrays + [result.residual.values]
+
+
+def modes(result):
+    if isinstance(result, md.GmdResult):
+        return result.modes
+    return [est.mode for est in result.estimates]
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,3 +80,58 @@ def test_bins_below_two_rejected(solver):
     ex = md.gen_example_4_1(256, 0.0, 7)
     with pytest.raises(OutOfDomain, match="bins must be at least 2"):
         SOLVERS[solver](ex.signal, list(ex.priors), bins=1)
+
+
+class TestModesAddUp:
+    @settings(max_examples=20, deadline=None)
+    @given(solver=st.sampled_from(sorted(SOLVERS)),
+           scheme=st.sampled_from(["gauss_seidel", "jacobi"]),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           log_length=st.integers(min_value=9, max_value=12),
+           noise_var=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_modes_plus_residual_is_signal(self, solver, scheme, grid,
+                                           log_length, noise_var, seed):
+        ex = md.gen_example_4_1(2 ** log_length, noise_var, seed, grid)
+        result = SOLVERS[solver](ex.signal, list(ex.priors), scheme=scheme)
+        total = sum(m.values for m in modes(result)) + result.residual.values
+        gap = md.signal_norm(total - ex.signal.values)
+        assert gap <= 1e-10 * ex.signal.l2norm
+
+
+class TestSignalNorm:
+    """Norms of values whose squares leave the float range."""
+
+    @pytest.mark.parametrize("value", [1e200, 1e-200, 1e-170, -1e300,
+                                       2.0 ** -1070])
+    def test_constant_is_exact(self, value):
+        assert md.signal_norm([value, value]) == abs(value)
+
+    def test_non_finite_propagates(self):
+        assert md.signal_norm([1.0, np.inf]) == np.inf
+        assert np.isnan(md.signal_norm([1.0, np.nan]))
+
+    def test_huge_mode_norm(self):
+        ex, base = unscaled("gmd")
+        signal = md.make_signal(ex.signal.times, ex.signal.values * 1e160)
+        got = run_gmd(signal, list(ex.priors))
+        for a, b in zip(modes(got), modes(base)):
+            assert abs(a.l2norm / 1e160 - b.l2norm) <= 1e-12 * b.l2norm
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-160])
+    def test_band_pass_on_huge_residual(self, factor):
+        ex = md.gen_example_4_1(2 ** 11, 0.0, 7)
+        priors = list(ex.priors)
+
+        def regressions(values):
+            calls = []
+
+            def counting(samples, bins):
+                calls.append(bins)
+                return md.partition_regress(samples, bins)
+            md.modified_rdbr(md.make_signal(ex.signal.times, values), priors,
+                             0, "cos", bins=64, backend=counting)
+            return len(calls)
+
+        assert regressions(ex.signal.values * factor) == regressions(
+            ex.signal.values)
