@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+import warnings
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,32 +62,43 @@ __all__ = [
     "main",
 ]
 
-_FLOAT_FMT = "{:.17g}"
+# Rows per formatting operation: bounds the text held in memory at once.
+_BLOCK_ROWS = 8192
+
+# ASCII controls that numpy's parser strips from a field as whitespace, where
+# ``str.splitlines`` ends a line at the first five and ``float`` rejects
+# all but the first two.
+_NUMPY_WHITESPACE = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
 
 
 # ---------------------------------------------------------------------------
 # CSV / JSON primitives
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT.format(float(x))
-
-
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write a header row, then one row per sample at 17 significant digits.
+
+    Each block of rows is formatted by one ``%`` operation; ``"%.17g"``
+    prints a float exactly as ``"{:.17g}".format`` does.
+    """
+    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            rows = len(columns[0])
-            for i in range(rows):
-                fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+            for start in range(0, len(table), _BLOCK_ROWS):
+                block = table[start:start + _BLOCK_ROWS]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+def _parse_lines(path: Path, text: str) -> tuple[list[str], np.ndarray]:
+    """The line parser: blank lines skipped, each field read by ``float``.
+
+    It alone decides what is an error; a ``ParseError`` names the line,
+    counting non-blank lines only.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -101,6 +115,51 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
         except ValueError as exc:
             raise ParseError(f"{path}:{ln_no}: {exc}") from exc
     return header, data
+
+
+def _loadtxt_table(path: Path, raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """numpy's C parser on an ASCII table; None when the line parser must judge.
+
+    numpy splits lines and strips fields as the line parser does only in
+    ASCII text without the controls in ``_NUMPY_WHITESPACE``.
+    """
+    if not raw.isascii() or any(c in raw for c in _NUMPY_WHITESPACE):
+        return None
+    first = _FIRST_LINE.match(raw).group().decode("ascii")
+    if first.strip() == "":  # the header is the first non-blank line
+        return None
+    header = [h.strip() for h in first.split(",")]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                              ndmin=2, dtype=float, encoding="ascii")
+    except ValueError:
+        return None
+    return (header, data) if data.shape[1] == len(header) else None
+
+
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header names and float rows of a CSV table.
+
+    numpy's parser reads the table when it can; whatever it rejects is
+    re-read by :func:`_parse_lines`. So the accepted files, the values and
+    the errors are the line parser's, which also reads what ``float``
+    accepts and numpy does not (``1_0``, non-ASCII digits, whitespace-only
+    lines).
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    table = _loadtxt_table(path, raw)
+    if table is not None:
+        return table
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return _parse_lines(path, text)
 
 
 def write_signal_csv(path, signal: SampledSignal) -> None:
@@ -279,22 +338,44 @@ def write_decomposition(directory, result, stats: WellDiffStats | None = None,
 # ---------------------------------------------------------------------------
 # synth spec files
 
-def _shape_from_json(obj) -> ShapeTable:
-    if "variant" in obj:
-        return ecg_like_shape(int(obj.get("bins", 1024)), int(obj["variant"]))
-    if "values" in obj:
-        return make_shape(np.asarray(obj["values"], dtype=float))
-    raise ParseError("shape object needs 'variant' or 'values'")
+def _spec_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: must be a JSON object")
+    return value
 
 
-def _component_from_json(obj) -> ComponentSpec:
+def _spec_field(obj: dict, key: str, where: str, convert=float, default=None):
+    """``convert(obj[key])``, or ``default`` when the key is absent."""
+    if key not in obj:
+        if default is None:
+            raise ParseError(f"{where}: missing '{key}'")
+        return default
     try:
-        fundamental = int(obj["fundamental"])
-    except KeyError as exc:
-        raise ParseError("component needs a 'fundamental'") from exc
-    wig = obj.get("phase_wiggle", {}) or {}
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}.{key}: {exc}") from exc
+
+
+def _shape_from_json(value, where: str) -> ShapeTable:
+    obj = _spec_object(value, where)
+    if "variant" in obj:
+        return ecg_like_shape(_spec_field(obj, "bins", where, int, 1024),
+                              _spec_field(obj, "variant", where, int))
+    if "values" in obj:
+        return make_shape(_spec_field(obj, "values", where,
+                                      partial(np.asarray, dtype=float)))
+    raise ParseError(f"{where}: needs 'variant' or 'values'")
+
+
+def _component_from_json(obj, where: str) -> ComponentSpec:
+    """One ``components`` entry; a malformed field is a ``ParseError``
+    naming it, ``where`` being the entry's place in the file."""
+    obj = _spec_object(obj, where)
+    fundamental = _spec_field(obj, "fundamental", where, int)
+    at = f"{where}.phase_wiggle"
+    wig = _spec_object(obj.get("phase_wiggle") or {}, at)
     w_kind = wig.get("kind", "none")
-    w_amp = float(wig.get("amp", 0.0))
+    w_amp = _spec_field(wig, "amp", at, default=0.0)
     if w_kind == "sin":
         phase = lambda t: t + w_amp * np.sin(2.0 * np.pi * t)  # noqa: E731
     elif w_kind == "cos":
@@ -302,14 +383,14 @@ def _component_from_json(obj) -> ComponentSpec:
     elif w_kind == "none":
         phase = lambda t: np.asarray(t, dtype=float)  # noqa: E731
     else:
-        raise ParseError(f"unknown phase_wiggle kind {w_kind!r}")
-    amp = obj.get("amplitude", {}) or {}
-    const = float(amp.get("const", 1.0))
-    cos1 = float(amp.get("cos1", 0.0))
-    sin1 = float(amp.get("sin1", 0.0))
-    shape = _shape_from_json(obj.get("shape", {"variant": 1}))
-    scale = float(obj.get("scale", 1.0))
-    shape = scale_shape(shape, scale)
+        raise ParseError(f"{at}.kind: unknown kind {w_kind!r}")
+    at = f"{where}.amplitude"
+    amp = _spec_object(obj.get("amplitude") or {}, at)
+    const = _spec_field(amp, "const", at, default=1.0)
+    cos1 = _spec_field(amp, "cos1", at, default=0.0)
+    sin1 = _spec_field(amp, "sin1", at, default=0.0)
+    shape = _shape_from_json(obj.get("shape", {"variant": 1}), f"{where}.shape")
+    shape = scale_shape(shape, _spec_field(obj, "scale", where, default=1.0))
 
     def amplitude(t, _c=const, _a=cos1, _b=sin1, _p=phase):
         u = _p(np.asarray(t, dtype=float))
@@ -324,11 +405,11 @@ def _component_from_json(obj) -> ComponentSpec:
 
 def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
     """Clean signal, modes and exact priors of a spec file's components."""
-    obj = read_report(path)
-    comps = obj.get("components")
+    comps = _spec_object(read_report(path), str(path)).get("components")
     if not isinstance(comps, list) or not comps:
         raise ParseError(f"{path}: 'components' must be a non-empty list")
-    specs = [_component_from_json(c) for c in comps]
+    specs = [_component_from_json(c, f"{path}: components[{i}]")
+             for i, c in enumerate(comps)]
     t = sample_grid(length, grid_mode, seed)
     modes = [gen_mimf(spec, t) for spec in specs]
     total = make_signal(t, np.sum([m.values for m in modes], axis=0))

@@ -141,13 +141,15 @@ def autocorrelation(signal: SampledSignal, max_lag: int) -> np.ndarray:
     if max_lag >= length:
         raise LagTooLarge("max_lag must be smaller than the sample count")
     x = signal.values - np.mean(signal.values)
-    denom = float(np.dot(x, x))
+    # einsum, not np.dot: threaded BLAS can stall for most of a second on
+    # its first dot products in a process.
+    denom = float(np.einsum("i,i->", x, x))
     rho = np.zeros(max_lag + 1)
     rho[0] = 1.0
     if denom == 0.0:
         return rho
     for lag in range(1, max_lag + 1):
-        rho[lag] = float(np.dot(x[:-lag], x[lag:])) / denom
+        rho[lag] = float(np.einsum("i,i->", x[:-lag], x[lag:])) / denom
     return rho
 
 

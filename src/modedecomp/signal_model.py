@@ -85,7 +85,10 @@ def signal_norm(values) -> float:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return 0.0
-    norm = float(np.sqrt(np.mean(v * v)))
+    # np.mean's arithmetic, bit for bit, without its call overhead: the
+    # saving pays for the errstate on small shape tables.
+    with np.errstate(over="ignore", under="ignore"):  # rescaled below
+        norm = math.sqrt(np.add.reduce(v * v, axis=None) / v.size)
     if 2.0 ** -500 < norm < 2.0 ** 500:
         return norm
     peak = float(np.max(np.abs(v)))

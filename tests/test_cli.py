@@ -5,8 +5,11 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modedecomp as md
+from modedecomp import cli
 from modedecomp.cli import (
     main,
     read_coefficients_csv,
@@ -436,3 +439,154 @@ class TestNonFiniteParameters:
         assert main(["diagnose", "--phases", str(data / "phases.csv"),
                      flag, value, "--out", str(out)]) == 1
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+class TestSpecFileErrors:
+    """A malformed ``synth --spec`` file is exit 1 naming the field, no output."""
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"components": [{"fundamental": "abc"}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": 24, "shape": {"variant": "x"}}]},
+         "components[0].shape.variant"),
+        ([{"fundamental": 24}], "must be a JSON object"),
+        ({"components": [3]}, "components[0]"),
+        ({"components": [{"fundamental": 24, "phase_wiggle": [1]}]},
+         "components[0].phase_wiggle"),
+        ({"components": [{"fundamental": 24},
+                         {"fundamental": 30, "amplitude": {"cos1": [0.1]}}]},
+         "components[1].amplitude.cos1"),
+    ])
+    def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "d"
+        code = main(["synth", "--spec", str(path), "--samples", "512",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and field in err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV primitives against per-value references
+
+SPECIAL_FLOATS = st.sampled_from([
+    0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+    2.2250738585072014e-308 / 3, 1e300, -1e-300, 1 / 3])
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+BLOCK = cli._BLOCK_ROWS
+
+
+def reference_table_text(header, table) -> str:
+    """The writer's output, formatted one value at a time."""
+    rows = (",".join("{:.17g}".format(float(x)) for x in row) + "\n"
+            for row in table)
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+class TestWriteTable:
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(FLOATS, min_size=1, max_size=40),
+           width=st.integers(1, 5),
+           rows=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]))
+    def test_bytes_match_per_value_format(self, tmp_path_factory, values,
+                                          width, rows):
+        table = np.resize(np.array(values), rows * width).reshape(rows, width)
+        header = [f"c{i}" for i in range(width)]
+        path = tmp_path_factory.mktemp("write") / "t.csv"
+        cli._write_table(path, header, list(table.T))
+        want = reference_table_text(header, table).encode("utf-8")
+        assert path.read_bytes() == want
+
+
+def reference_read_table(path):
+    """The line parser the CSV reader must agree with: blank lines skipped,
+    every field read by ``float``, errors naming the non-blank line."""
+    text = path.read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    width = len(header)
+    data = np.empty((len(lines) - 1, width))
+    for ln_no, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(f"{path}:{ln_no}: expected {width} columns, "
+                             f"got {len(parts)}")
+        try:
+            data[ln_no - 2] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln_no}: {exc}") from exc
+    return header, data
+
+
+GOOD_FIELDS = st.sampled_from(
+    ["1", " 1.5 ", "-0", "nan", "-inf", "1e400", "4.9e-324", "+2E-3", "\t7"])
+ODD_FIELDS = st.sampled_from(
+    ["1_0", "\u0663", "\xa02", "nope", "", "0x1p3", "1\x0b", "\x1f7", "\x00",
+     "1\u2028", "2\x1c"])
+FIELDS = st.one_of(GOOD_FIELDS, GOOD_FIELDS, GOOD_FIELDS, ODD_FIELDS)
+BLANK_LINES = st.sampled_from(["", "   ", "\t", "\x1f", "\x0c", "\xa0"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\u2028"])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    lines = [",".join(f"c{i}" for i in range(width))]
+    if draw(st.booleans()):
+        lines.insert(0, draw(BLANK_LINES))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(BLANK_LINES))
+            continue
+        n = width if kind == "row" else width + draw(st.sampled_from([-1, 1]))
+        lines.append(",".join(draw(st.lists(FIELDS, min_size=n, max_size=n))))
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReadTable:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_agrees_with_line_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("read") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference_read_table(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                cli._read_table(path)
+            assert str(err.value) == str(exc)
+            return
+        header, data = cli._read_table(path)
+        assert header == want[0]
+        assert data.shape == want[1].shape
+        assert data.tobytes() == want[1].tobytes()
+
+    def test_plain_file_skips_line_parser(self, tmp_path, monkeypatch):
+        ex = md.gen_example_4_1(256, 1.0, 3)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, ex.signal)
+
+        def refuse(path, text):
+            raise AssertionError("a plain file reached the line parser")
+
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        assert np.array_equal(read_signal_csv(path).values, ex.signal.values)
+
+    def test_header_only_file(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,p1,p2\n")
+        header, data = cli._read_table(path)
+        assert header == ["t", "p1", "p2"] and data.shape == (0, 3)
+        assert not recwarn.list
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"t,value\n0,\xe91\n")
+        with pytest.raises(ParseError):
+            read_signal_csv(path)

@@ -151,6 +151,18 @@ class TestAutocorrelation:
         r2 = md.autocorrelation(md.make_signal(t, 3.5 * base + 11.0), 20)
         assert np.allclose(r1, r2, atol=1e-10)
 
+    def test_matches_direct_sum(self):
+        length = 4096
+        rng = np.random.default_rng(5)
+        t = md.sample_grid(length)
+        values = np.cumsum(rng.normal(size=length)) + 3.0
+        rho = md.autocorrelation(md.make_signal(t, values), 40)
+        x = values - values.mean()
+        want = [np.dot(x[:length - lag], x[lag:]) / np.dot(x, x)
+                for lag in range(41)]
+        assert rho[0] == 1.0
+        assert np.max(np.abs(rho - want)) <= 1e-12
+
     def test_lag_too_large(self):
         t = md.sample_grid(32)
         sig = md.make_signal(t, np.ones(32))
