@@ -96,22 +96,24 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
 def _parse_lines(path: Path, text: str) -> tuple[list[str], np.ndarray]:
     """The line parser: blank lines skipped, each field read by ``float``.
 
-    It alone decides what is an error; a ``ParseError`` names the line,
-    counting non-blank lines only.
+    It alone decides what is an error; a ``ParseError`` names the line by
+    its number in the file, blank lines included, as ``str.splitlines``
+    splits it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    lines = [(ln_no, ln) for ln_no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip() != ""]
     if not lines:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     width = len(header)
     data = np.empty((len(lines) - 1, width))
-    for ln_no, line in enumerate(lines[1:], start=2):
+    for row, (ln_no, line) in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != width:
             raise ParseError(f"{path}:{ln_no}: expected {width} columns, "
                              f"got {len(parts)}")
         try:
-            data[ln_no - 2] = [float(p) for p in parts]
+            data[row] = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"{path}:{ln_no}: {exc}") from exc
     return header, data
@@ -345,15 +347,20 @@ def _spec_object(value, where: str) -> dict:
 
 
 def _spec_field(obj: dict, key: str, where: str, convert=float, default=None):
-    """``convert(obj[key])``, or ``default`` when the key is absent."""
+    """``convert(obj[key])``, which must be finite, or ``default`` when the
+    key is absent."""
     if key not in obj:
         if default is None:
             raise ParseError(f"{where}: missing '{key}'")
         return default
     try:
-        return convert(obj[key])
+        value = convert(obj[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}.{key}: {exc}") from exc
+    # json reads NaN and Infinity; an int is always finite
+    if not isinstance(value, int) and not np.all(np.isfinite(value)):
+        raise ParseError(f"{where}.{key}: must be finite")
+    return value
 
 
 def _shape_from_json(value, where: str) -> ShapeTable:
@@ -538,11 +545,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every input is read and checked before --out is created
     if (args.phases is None) == (args.residual is None):
         raise DecompositionError("diagnose needs exactly one of --phases "
                                  "or --residual")
+    out = Path(args.out)
     if args.phases is not None:
         times, priors = read_phases_csv(args.phases)
         stats = well_diff_stats(
@@ -557,12 +564,14 @@ def _cmd_diagnose(args) -> int:
             "well_differentiated": stats.well_differentiated,
             "marginals": stats.counts_single.tolist(),
         }
-        _write_json(out / "well_diff.json", payload)
+        write = partial(_write_json, out / "well_diff.json", payload)
     else:
         residual = read_signal_csv(args.residual)
         rho = autocorrelation(residual, args.max_lag)
-        _write_table(out / "autocorrelation.csv", ["lag", "rho"],
-                     [np.arange(rho.size, dtype=float), rho])
+        write = partial(_write_table, out / "autocorrelation.csv",
+                        ["lag", "rho"], [np.arange(rho.size, dtype=float), rho])
+    out.mkdir(parents=True, exist_ok=True)
+    write()
     return 0
 
 

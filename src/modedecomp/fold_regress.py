@@ -11,10 +11,16 @@ fold it, bin it and derive its interpolation weights once, in a
 :class:`PhasePlan`, and run every regression through :func:`sweep`. The
 sample-space functions :func:`unwarp_samples`, :func:`demodulate` and
 :func:`fold` remain as the reference that :func:`sweep` reproduces exactly.
+
+With the partitioning estimate a whole demodulated pass of sweeps is linear
+in the residual. :class:`BinPass` runs it on bin sums with the
+:class:`BandOperators` that :func:`band_operators` builds, and agrees with
+:func:`sweep` to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -131,8 +137,18 @@ class PhasePlan:
         """:func:`eval_shape` at the prior's phase samples."""
         if shape.size != self.layout.size:
             return eval_shape(shape, self.prior.phase)
-        b = shape.bins
+        return self.interpolate(shape.bins)
+
+    def interpolate(self, b: np.ndarray) -> np.ndarray:
+        """A ``layout.size``-bin table evaluated at the phase samples."""
         return self.w1 * b[self.j0] + self.w * b[self.j1]
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`interpolate`: each sample's value added
+        to its two bins with its interpolation weights."""
+        nb = self.layout.size
+        return (np.bincount(self.j0, values * self.w1, nb)
+                + np.bincount(self.j1, values * self.w, nb))
 
 
 def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
@@ -233,13 +249,20 @@ def partition_regress(samples: FoldedSamples, bins: int) -> ShapeTable:
     if layout is None or layout.size != nb:
         layout = bin_layout(samples.xs, nb)
     sums = np.bincount(layout.index, weights=samples.ys, minlength=nb)
+    return make_shape(bin_means(sums, layout))
+
+
+def bin_means(sums: np.ndarray, layout: BinLayout) -> np.ndarray:
+    """Per-bin means from per-bin sums, empty bins filled in as in
+    :func:`partition_regress`."""
+    if not layout.empty_x.size:
+        return sums / layout.counts
     occupied = layout.occupied
-    means = np.zeros(nb)
+    means = np.zeros(layout.size)
     means[occupied] = sums[occupied] / layout.counts[occupied]
-    if layout.empty_x.size:
-        means[~occupied] = np.interp(layout.empty_x, layout.known_x,
-                                     means[occupied], period=1.0)
-    return make_shape(means)
+    means[~occupied] = np.interp(layout.empty_x, layout.known_x,
+                                 means[occupied], period=1.0)
+    return means
 
 
 def center_shape(shape: ShapeTable) -> ShapeTable:
@@ -283,3 +306,166 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
     if scheme != "gauss_seidel":
         cur = residual - np.sum(subtracted, axis=0)
     return increments, subtracted, cur
+
+
+def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Product of two optional factors; ``None`` stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+@dataclass(frozen=True)
+class BandOperators:
+    """One band pass of :func:`sweep` over ``K`` components, on bins.
+
+    Component ``k`` regresses ``g_k * r`` and subtracts ``h_k * E_k u``,
+    with carrier ``g_k`` and ``h_k = gain * g_k`` (``g_k = 1`` where the
+    carrier is ``None``). ``S_k`` sums samples into component ``k``'s bins
+    and ``E_k`` evaluates a table at its phase samples
+    (:meth:`PhasePlan.interpolate`). Each step is linear in the residual,
+    so a pass can run on bin sums:
+
+    - ``cross[k, m] = S_k diag(g_k h_m) E_m`` (``k != m``): subtracting
+      component ``m``'s ``h_m E_m u`` lowers component ``k``'s bin sums by
+      ``cross[k, m] @ u``;
+    - ``gram[k, m] = E_k^T diag(h_k h_m) E_m`` (``k < m``) gives the
+      residual's norm;
+    - ``self_t[k]`` and ``self_g[k]`` are the diagonal blocks of both. A
+      sample in bin ``i`` interpolates between bins ``i - 1, i`` or
+      ``i, i + 1``, so they couple neighbouring bins only and are kept as
+      periodic diagonals: ``self_t[k] = (T[i, i-1], T[i, i], T[i, i+1])``
+      and ``self_g[k] = (G[a, a], G[a, a+1])``.
+    """
+
+    cross: dict
+    gram: dict
+    self_t: np.ndarray
+    self_g: np.ndarray
+
+
+def band_operators(plans: Sequence[PhasePlan],
+                   carriers: Sequence[np.ndarray | None],
+                   gain: float) -> BandOperators:
+    """The :class:`BandOperators` of a pass: one ``bincount`` over the
+    samples per pair of interpolation weights and block."""
+    nb = plans[0].layout.size
+
+    def count(index, weights, factor, size):
+        return np.bincount(index, _times(factor, weights), size)
+
+    cross, gram = {}, {}
+    self_t = np.empty((len(plans), 3, nb))
+    self_g = np.empty((len(plans), 2, nb))
+    for k, pk in enumerate(plans):
+        rows, gk = pk.layout.index, carriers[k]
+        c = _times(gk, gk)
+        # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1
+        t = (count(3 * rows + (pk.j0 - rows + 1) % nb, pk.w1, c, 3 * nb)
+             + count(3 * rows + (pk.j1 - rows + 1) % nb, pk.w, c, 3 * nb))
+        self_t[k] = gain * t.reshape(nb, 3).T
+        self_g[k, 0] = (count(pk.j0, pk.w1 * pk.w1, c, nb)
+                        + count(pk.j1, pk.w * pk.w, c, nb))
+        self_g[k, 1] = count(pk.j0, pk.w1 * pk.w, c, nb)
+        self_g[k] *= gain * gain
+        for m, pm in enumerate(plans):
+            if m == k:
+                continue
+            c = _times(gk, carriers[m])
+            cross[k, m] = gain * (
+                count(rows * nb + pm.j0, pm.w1, c, nb * nb)
+                + count(rows * nb + pm.j1, pm.w, c, nb * nb)
+            ).reshape(nb, nb)
+            if m > k:
+                gram[k, m] = gain * gain * sum(
+                    count(jk * nb + jm, wk * wm, c, nb * nb)
+                    for jk, wk in ((pk.j0, pk.w1), (pk.j1, pk.w))
+                    for jm, wm in ((pm.j0, pm.w1), (pm.j1, pm.w))
+                ).reshape(nb, nb)
+    return BandOperators(cross, gram, self_t, self_g)
+
+
+def _banded(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``T @ x`` for a periodic tridiagonal ``T`` held as in ``self_t``."""
+    return (d[0] * np.concatenate((x[-1:], x[:-1])) + d[1] * x
+            + d[2] * np.concatenate((x[1:], x[:1])))
+
+
+class BinPass:
+    """A band pass of :func:`sweep`, solved on bin sums.
+
+    ``z[k]`` holds the bin sums of ``g_k * r`` over component ``k``'s bins
+    for the current residual ``r``. A regression is then :func:`bin_means`
+    of ``z[k]``, centred as by :func:`center_shape`, and its subtraction
+    lowers every ``z[m]`` by the matching :class:`BandOperators` block.
+    After increments ``U`` the residual's squared norm is
+    ``|r0|^2 - 2 sum_k U_k . E_k^T(h_k r0) + sum_km U_k^T G_km U_m``. Once
+    it falls below ``2**-20 |r0|^2``, cancellation has cost six digits:
+    the residual is then formed on the samples and taken as the new
+    ``r0``. Otherwise it is formed once, by :meth:`finish`.
+    """
+
+    REBASE = 2.0 ** -20
+
+    def __init__(self, residual: np.ndarray, plans: Sequence[PhasePlan],
+                 ops: BandOperators, carriers: Sequence[np.ndarray | None],
+                 gain: float, scheme: str):
+        if not np.all(np.isfinite(residual)):
+            raise NonFinite("folded samples must be finite")
+        self.residual, self.plans, self.ops = residual, plans, ops
+        self.carriers, self.gain, self.scheme = carriers, gain, scheme
+        self.total = np.zeros((len(plans), plans[0].layout.size))
+        self._rebase(residual)
+
+    def _rebase(self, r: np.ndarray) -> None:
+        nb = self.total.shape[1]
+        ys = [_times(g, r) for g in self.carriers]
+        self.z = np.array([np.bincount(p.layout.index, y, nb)
+                           for p, y in zip(self.plans, ys)])
+        # E_k^T(h_k r) with h_k r = gain * ys[k]
+        self.q = self.gain * np.array([p.spread(y)
+                                       for p, y in zip(self.plans, ys)])
+        self.base_sq = float(np.dot(r, r))
+        self.since = np.zeros_like(self.total)
+
+    def _subtract(self, k: int, inc: np.ndarray) -> None:
+        for m, z in enumerate(self.z):
+            z -= (_banded(self.ops.self_t[k], inc) if m == k
+                  else self.ops.cross[m, k] @ inc)
+
+    def sweep(self) -> tuple[np.ndarray, float]:
+        """One sweep: the centred increments ``(K, B)`` and the residual's
+        root-mean-square."""
+        incs = np.empty_like(self.z)
+        chained = self.scheme == "gauss_seidel"
+        for k, plan in enumerate(self.plans):
+            means = bin_means(self.z[k], plan.layout)
+            incs[k] = means - np.mean(means)
+            if chained:
+                self._subtract(k, incs[k])
+        if not chained:
+            for k, inc in enumerate(incs):
+                self._subtract(k, inc)
+        self.total += incs
+        self.since += incs
+        u, ops = self.since, self.ops
+        sq = self.base_sq - 2.0 * float(np.sum(u * self.q))
+        for uk, (d, off) in zip(u, ops.self_g):
+            sq += float(d @ (uk * uk)
+                        + 2.0 * (off @ (uk * np.concatenate((uk[1:], uk[:1])))))
+        for (k, m), g in ops.gram.items():
+            sq += 2.0 * float(u[k] @ g @ u[m])
+        if sq < self.REBASE * self.base_sq:
+            self._rebase(self.finish()[2])
+            sq = self.base_sq
+        return incs, math.sqrt(max(sq, 0.0) / self.residual.size)
+
+    def finish(self):
+        """``(U, modes, residual)``: the summed increments ``(K, B)``, each
+        component's ``h_k E_k U_k`` and the residual they leave."""
+        modes = [_times(g, plan.interpolate(self.gain * u))
+                 for plan, g, u in zip(self.plans, self.carriers, self.total)]
+        r = self.residual
+        for mode in modes:
+            r = r - mode
+        return self.total, modes, r

@@ -12,6 +12,20 @@ Relative to a plain generalized-mode run, the multiresolution loop costs a
 factor of order ``J2 * M0`` more regressions; each one reuses its prior's
 :class:`~modedecomp.fold_regress.PhasePlan`, built once per run, and each
 band pass evaluates its carriers once.
+
+Every step of a band pass is linear in the residual, so a run may solve its
+passes on bin sums (:class:`~modedecomp.fold_regress.BinPass`): the inner
+sweeps then cost ``O(K^2 B^2)`` rather than ``O(K L)``, and the modes and
+the residual are formed once per pass. The pass's ``B x B`` operators
+(:class:`~modedecomp.fold_regress.BandOperators`) do not change across outer
+iterations; a run builds them once for each of its ``2 M0 + 1`` distinct
+passes (band ``-n`` shares band ``n``'s) and keeps them in
+:class:`BinSpacePlans`. A run takes this path with the default regression
+backend when the cached operators, :func:`operator_bytes`, take at most the
+``48 K L`` bytes its phase plans hold (:func:`bin_space_fits`); for
+``K = 2, B = 200`` that is ``L >= 10,167 (2 M0 + 1)``, or 50,834 samples at
+``M0 = 2``. Either path gives the same inner sweep counts and stop reasons,
+and outputs that differ by rounding only.
 """
 
 from __future__ import annotations
@@ -29,9 +43,12 @@ from .errors import (
     SinZeroBand,
 )
 from .fold_regress import (
+    BandOperators,
+    BinPass,
     PhasePlan,
     RegressionBackend,
     as_plans,
+    band_operators,
     carrier,
     partition_regress,
     sweep,
@@ -45,6 +62,7 @@ from .signal_model import (
     ldexp_shape,
     ldexp_signal,
     make_estimate,
+    make_shape,
     reconstruct_mimf,
     scale_into_range,
     scale_shape,
@@ -110,6 +128,60 @@ def band_order(m0: int) -> list[int]:
     return order
 
 
+class BinSpacePlans(tuple):
+    """A run's phase plans, marked for the bin-space band pass.
+
+    :func:`modified_rdbr` solves a band pass over these plans on bin sums
+    (:class:`~modedecomp.fold_regress.BinPass`) and keeps the pass's
+    :class:`~modedecomp.fold_regress.BandOperators` here for the rest of
+    the run, keyed by ``(|n|, kind)``: flipping the sign of ``n`` flips or
+    keeps every carrier alike, which leaves their products unchanged.
+    """
+
+    def __new__(cls, plans: Sequence[PhasePlan]):
+        self = super().__new__(cls, plans)
+        self.cache = {}
+        return self
+
+    def operators(self, n: int, kind: str, carriers,
+                  gain: float) -> BandOperators:
+        key = (abs(n), kind)
+        if key not in self.cache:
+            self.cache[key] = band_operators(self, carriers, gain)
+        return self.cache[key]
+
+
+def operator_bytes(bins: int, components: int, passes: int) -> int:
+    """Bytes of the operators cached for ``passes`` distinct band passes:
+    per pass ``K(K-1)`` dense ``T`` and ``K(K-1)/2`` dense Gram blocks of
+    ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``."""
+    k, b = components, bins
+    return passes * 8 * (3 * k * (k - 1) // 2 * b * b + 5 * k * b)
+
+
+def bin_space_fits(length: int, bins: int, components: int,
+                   passes: int) -> bool:
+    """Whether a run solves its band passes in bin space: the cached
+    operators may take at most the bytes the run's phase plans hold, six
+    arrays of ``length`` numbers per component."""
+    return operator_bytes(bins, components, passes) <= 48 * components * length
+
+
+def _inner_sweeps(step, denom: float, eps2: float, max_iters: int) -> None:
+    """Run ``step()`` until the inner stopping rule holds. Each call runs
+    one sweep and returns its stored increments' norms and the residual's
+    norm."""
+    eps0, eps1v, eps2v = 2.0, 1.0, 1.0
+    j = 0
+    while (j < max_iters and eps1v > eps2 and eps2v > eps2
+           and abs(eps1v - eps0) > eps2):
+        inc_norms, r_norm = step()
+        eps0 = eps1v
+        eps1v = r_norm / denom
+        eps2v = max(inc_norms) / denom
+        j += 1
+
+
 def modified_rdbr(residual: SampledSignal,
                   priors: Sequence[PhasePrior | PhasePlan],
                   n: int, kind: str, eps2: float = 1e-6, max_iters: int = 10,
@@ -121,7 +193,9 @@ def modified_rdbr(residual: SampledSignal,
     |n| > 0 the mode increment is ``2 * carrier * increment`` and the stored
     shape increment is doubled, so the accumulator tracks the full product
     of coefficient and shape. ``priors`` may hold the :class:`PhasePlan`
-    objects :func:`mmd_decompose` prepares once per run.
+    objects :func:`mmd_decompose` prepares once per run; given them as
+    :class:`BinSpacePlans` with the default ``backend``, the pass is solved
+    in bin space, to within rounding of the sample-space sweeps.
 
     Returns ``(shape_increments, mode_increments, residual)`` where the shape
     increments are per-component tables accumulated over the inner sweeps and
@@ -138,33 +212,48 @@ def modified_rdbr(residual: SampledSignal,
         if any(plan.prior.fundamental is None for plan in plans):
             raise DecompositionError(
                 "prior fundamental required for demodulation")
-        pre = post = [None] * len(plans)
+        pre = [None] * len(plans)
     else:
         pre = [carrier(plan.prior, n, kind) for plan in plans]
-        post = [2.0 * g for g in pre]
-
+    gain = 1.0 if n == 0 else 2.0
     t = residual.times
-    denom = signal_norm(residual.values) or 1.0
 
+    if (isinstance(priors, BinSpacePlans) and backend is partition_regress
+            and all(plan.layout.size == bins for plan in plans)):
+        scaled, pow2 = scale_into_range(residual)
+        solver = BinPass(scaled.values, plans,
+                         priors.operators(n, kind, pre, gain), pre, gain,
+                         scheme)
+
+        def bin_step():
+            incs, r_norm = solver.sweep()
+            return [signal_norm(gain * inc) for inc in incs], r_norm
+
+        _inner_sweeps(bin_step, signal_norm(scaled.values) or 1.0, eps2,
+                      max_iters)
+        total, modes, r = solver.finish()
+        return ([ldexp_shape(make_shape(gain * u), pow2) for u in total],
+                [ldexp_signal(SampledSignal(t, m), pow2) for m in modes],
+                ldexp_signal(SampledSignal(t, r), pow2))
+
+    post = pre if n == 0 else [gain * g for g in pre]
     shape_acc = [zero_shape(bins) for _ in plans]
     mode_acc = [np.zeros(len(residual)) for _ in plans]
     r = residual.values
-    eps0, eps1v, eps2v = 2.0, 1.0, 1.0
-    j = 0
-    while (j < max_iters and eps1v > eps2 and eps2v > eps2
-           and abs(eps1v - eps0) > eps2):
+
+    def sample_step():
+        nonlocal r
         raws, f_incs, r = sweep(r, plans, bins, scheme, backend, pre, post)
         inc_norms: list[float] = []
         for k, (raw, f_inc) in enumerate(zip(raws, f_incs)):
-            stored = raw if n == 0 else scale_shape(raw, 2.0)
+            stored = raw if n == 0 else scale_shape(raw, gain)
             shape_acc[k] = add_shapes(shape_acc[k], stored)
             mode_acc[k] += f_inc
             inc_norms.append(stored.l2norm)
-        eps0 = eps1v
-        eps1v = signal_norm(r) / denom
-        eps2v = max(inc_norms) / denom
-        j += 1
+        return inc_norms, signal_norm(r)
 
+    _inner_sweeps(sample_step, signal_norm(residual.values) or 1.0, eps2,
+                  max_iters)
     modes = [SampledSignal(t, acc) for acc in mode_acc]
     return shape_acc, modes, SampledSignal(t, r)
 
@@ -189,6 +278,9 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                 for p in priors]
     sorted_priors, order = sort_components(resolved)
     plans = as_plans(sorted_priors, len(signal), cfg.bins)
+    if backend is partition_regress and bin_space_fits(
+            len(signal), cfg.bins, len(plans), 2 * cfg.m0 + 1):
+        plans = BinSpacePlans(plans)
 
     r, pow2 = scale_into_range(signal)
     denom = r.l2norm or 1.0

@@ -1,0 +1,263 @@
+"""The bin-space band pass against the sample-space sweeps it replaces.
+
+:func:`modedecomp.modified_rdbr` solves a pass on bin sums when handed
+:class:`~modedecomp.mmd.BinSpacePlans`, and with sample-space sweeps
+otherwise. The two differ only in rounding, so every comparison allows a
+relative 1e-12 and requires the same number of inner sweeps.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import modedecomp as md
+from modedecomp import mmd
+from modedecomp.fold_regress import BinPass, plan_phase
+from modedecomp.mmd import BinSpacePlans, bin_space_fits, operator_bytes
+
+TOL = 1e-12
+
+
+def rel(got, want, scale=None):
+    """RMS of the difference over the RMS of ``want`` (or ``scale``)."""
+    denom = md.signal_norm(want) if scale is None else scale
+    return md.signal_norm(np.asarray(got) - want) / (denom or 1.0)
+
+
+def problem(seed, length, grid, components):
+    """Noise to decompose against ``components`` warped, modulated priors."""
+    rng = np.random.default_rng(seed)
+    t = md.sample_grid(length, grid, seed)
+    priors = []
+    for k in range(components):
+        rate = 3.0 + 5.0 * k + rng.random()
+        wiggle = 0.3 * rng.random() / (2 * np.pi)
+        phase = rate * (t + wiggle * np.sin(2 * np.pi * t)) - rng.random()
+        amplitude = 1.0 + 0.3 * np.cos(2 * np.pi * t + rng.random())
+        priors.append(md.with_fundamental(md.make_prior(phase, amplitude), t))
+    return md.make_signal(t, rng.normal(size=length)), priors
+
+
+@contextmanager
+def recording_sweeps():
+    """Record the residual's norm after each sample-space and each
+    bin-space sweep run inside."""
+    norms = {"sample": [], "bin": []}
+    sample_sweep, bin_sweep = mmd.sweep, BinPass.sweep
+
+    def sample(*args, **kwargs):
+        out = sample_sweep(*args, **kwargs)
+        norms["sample"].append(md.signal_norm(out[2]))
+        return out
+
+    def binned(self):
+        out = bin_sweep(self)
+        norms["bin"].append(out[1])
+        return out
+
+    with mock.patch.object(mmd, "sweep", sample), \
+            mock.patch.object(BinPass, "sweep", binned):
+        yield norms
+
+
+def both_passes(signal, priors, n, kind, bins, scheme, eps2=1e-6,
+                max_iters=10):
+    """``modified_rdbr`` on the sample-space and on the bin-space path."""
+    plans = [plan_phase(p, len(signal), bins) for p in priors]
+    with recording_sweeps() as want_norms:
+        want = md.modified_rdbr(signal, plans, n, kind, eps2, max_iters,
+                                bins, scheme)
+    with recording_sweeps() as got_norms:
+        got = md.modified_rdbr(signal, BinSpacePlans(plans), n, kind, eps2,
+                               max_iters, bins, scheme)
+    assert not want_norms["bin"] and not got_norms["sample"]
+    return want, want_norms["sample"], got, got_norms["bin"]
+
+
+def assert_close(want, got, signal, factor=1.0):
+    """Shapes and modes agree to 1e-12 of their own size, the residual to
+    1e-12 of the pass's input: a pass may remove nearly all of it."""
+    (w_shapes, w_modes, w_r), (g_shapes, g_modes, g_r) = want, got
+    for w, g in zip(w_shapes, g_shapes):
+        assert rel(g.bins / factor, w.bins) <= TOL
+        assert abs(g.l2norm / factor - w.l2norm) <= TOL * (w.l2norm or 1.0)
+    for w, g in zip(w_modes, g_modes):
+        assert rel(g.values / factor, w.values) <= TOL
+    assert rel(g_r.values / factor, w_r.values, signal.l2norm) <= TOL
+
+
+BANDS = [(0, "cos"), (1, "cos"), (1, "sin"), (-2, "cos"), (-2, "sin"),
+         (3, "sin")]
+
+
+class TestPassMatchesSampleSpace:
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    @pytest.mark.parametrize("band", BANDS)
+    def test_noise(self, scheme, components, band):
+        sig, priors = problem(components, 600, "iid_uniform", components)
+        want, j_want, got, j_got = both_passes(sig, priors, *band, 24, scheme)
+        assert len(j_got) == len(j_want)
+        assert_close(want, got, sig)
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("band", [(0, "cos"), (1, "cos"), (-1, "sin")])
+    def test_empty_bins(self, scheme, band):
+        # 64 samples over 200 bins leave most bins empty and filled in
+        sig, priors = problem(5, 64, "iid_uniform", 2)
+        plans = [plan_phase(p, 64, 200) for p in priors]
+        assert all(p.layout.empty_x.size for p in plans)
+        want, j_want, got, j_got = both_passes(sig, priors, *band, 200,
+                                               scheme)
+        assert len(j_got) == len(j_want)
+        assert_close(want, got, sig)
+
+    def test_zero_residual(self):
+        sig, priors = problem(3, 256, "uniform", 2)
+        zero = md.make_signal(sig.times, np.zeros(256))
+        want, j_want, got, j_got = both_passes(zero, priors, 1, "cos", 16,
+                                               "gauss_seidel")
+        assert len(j_got) == len(j_want) == 1
+        for table in got[0]:
+            assert table.l2norm == 0.0
+        assert not np.any(got[2].values)
+
+    @pytest.mark.parametrize("exponent", [-160, 160])
+    @pytest.mark.parametrize("band", [(0, "cos"), (2, "sin")])
+    def test_scale_free(self, exponent, band):
+        factor = 10.0 ** exponent
+        sig, priors = problem(7, 512, "uniform", 2)
+        scaled = md.make_signal(sig.times, sig.values * factor)
+        want, j_want, _, _ = both_passes(sig, priors, *band, 32,
+                                         "gauss_seidel")
+        _, _, got, j_got = both_passes(scaled, priors, *band, 32,
+                                       "gauss_seidel")
+        assert len(j_got) == len(j_want) == 10
+        assert_close(want, got, sig, factor)
+
+    def test_mode_on_its_own_grid(self):
+        # a residual the pass nearly removes, so that the norm's Gram form
+        # would cancel: the pass re-forms the residual on the samples and
+        # its norms follow the sample-space ones to 1e-12 of the input
+        t = md.sample_grid(2 ** 12)
+        prior = md.with_fundamental(md.make_prior(37.0 * t), t)
+        table = md.center_shape(md.ecg_like_shape(64, 1))
+        sig = md.make_signal(t, md.eval_shape(table, prior.phase))
+        want, want_norms, got, got_norms = both_passes(
+            sig, [prior], 0, "cos", 64, "gauss_seidel", eps2=1e-14,
+            max_iters=40)
+        assert len(got_norms) == len(want_norms) == 30
+        assert want_norms[-1] < 1e-14 * sig.l2norm
+        gaps = np.abs(np.subtract(got_norms, want_norms))
+        assert np.max(gaps) <= TOL * sig.l2norm
+        assert_close(want, got, sig)
+
+    def test_operators_shared_by_opposite_bands(self):
+        sig, priors = problem(9, 300, "iid_uniform", 2)
+        plans = BinSpacePlans([plan_phase(p, 300, 16) for p in priors])
+        for n in (2, -2):
+            md.modified_rdbr(sig, plans, n, "sin", bins=16)
+        assert list(plans.cache) == [(2, "sin")]
+
+
+class TestDecompositionsMatch:
+    """Whole runs on the acceptance fixtures: the bin-space path and the
+    sample-space path give the same iterations, stop reasons and, to
+    rounding, the same outputs.
+
+    Modes, residuals and band tables are compared on the signal's scale: a
+    run's residual falls to 1e-4 of the signal, so rounding of order 1e-16
+    of the signal, which either path makes, is 1e-12 of the residual. A
+    one-ulp change to the input moves the sample-space outputs by as much.
+    """
+
+    @pytest.mark.parametrize("fixture, cfg", [
+        ((2 ** 14, 0.0), md.MmdConfig(m0=2, bins=200)),
+        ((2 ** 14, 0.0), md.MmdConfig(m0=2, bins=200, scheme="jacobi")),
+        ((2 ** 15, 2.25), md.MmdConfig(m0=1, bins=20)),
+        ((2 ** 15, 2.25), md.MmdConfig(m0=1, bins=20, scheme="jacobi")),
+    ])
+    def test_acceptance_fixtures(self, fixture, cfg):
+        ex = md.gen_example_4_1(*fixture, 7)
+        runs = []
+        for bin_space in (False, True):
+            with mock.patch.object(mmd, "bin_space_fits",
+                                   lambda *args, _b=bin_space: _b), \
+                    recording_sweeps() as norms:
+                runs.append((md.mmd_decompose(ex.signal, list(ex.priors), cfg),
+                             norms))
+        (want, want_norms), (got, got_norms) = runs
+        assert not want_norms["bin"] and not got_norms["sample"]
+        assert len(got_norms["bin"]) == len(want_norms["sample"])
+        gaps = np.subtract(got_norms["bin"], want_norms["sample"])
+        assert np.max(np.abs(gaps)) <= TOL * ex.signal.l2norm
+        assert got.report.iterations == want.report.iterations
+        assert got.report.stop_reason == want.report.stop_reason
+        for name in ("residual_norms", "shape_increment_norms"):
+            for g, w in zip(getattr(got.report, name),
+                            getattr(want.report, name)):
+                assert abs(g - w) <= TOL * w
+        scale = ex.signal.l2norm
+        for g, w in zip(got.estimates, want.estimates):
+            assert rel(g.mode.values, w.mode.values, scale) <= TOL
+            for shapes in ("cos_shapes", "sin_shapes"):
+                for n, table in getattr(w, shapes).items():
+                    got_table = getattr(g, shapes)[n].bins
+                    assert rel(got_table, table.bins, scale) <= TOL
+        assert rel(got.residual.values, want.residual.values, scale) <= TOL
+
+
+class TestPathRule:
+    def test_benchmark_sizes(self):
+        # L = 2^17 at m0 = 2 solves in bin space, L = 2^14 at m0 = 4 does not
+        assert bin_space_fits(2 ** 17, 200, 2, 2 * 2 + 1)
+        assert not bin_space_fits(2 ** 14, 200, 2, 2 * 4 + 1)
+
+    def test_crossover(self):
+        # K = 2, B = 200: the operators of 5 passes take 4,880,000 bytes,
+        # the plans 96 bytes a sample
+        assert operator_bytes(200, 2, 5) == 4_880_000
+        assert bin_space_fits(50_834, 200, 2, 5)
+        assert not bin_space_fits(50_833, 200, 2, 5)
+        # one component caches only diagonals: 8,000 bytes a pass
+        assert operator_bytes(200, 1, 41) == 41 * 8_000
+        assert bin_space_fits(6_834, 200, 1, 41)
+        assert not bin_space_fits(6_833, 200, 1, 41)
+
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_bytes_as_cached(self, components):
+        sig, priors = problem(4, 300, "iid_uniform", components)
+        plans = BinSpacePlans([plan_phase(p, 300, 16) for p in priors])
+        for n in md.band_order(2):
+            for kind in ("cos", "sin") if n else ("cos",):
+                md.modified_rdbr(sig, plans, n, kind, bins=16)
+        assert len(plans.cache) == 5
+        cached = sum(block.nbytes for ops in plans.cache.values()
+                     for block in (*ops.cross.values(), *ops.gram.values(),
+                                   ops.self_t, ops.self_g))
+        assert cached == operator_bytes(16, components, 5)
+
+    @pytest.mark.parametrize("length, bins, m0, path", [
+        (2 ** 12, 32, 1, "bin"),
+        (2 ** 12, 200, 2, "sample"),
+    ])
+    def test_decomposition_takes_path(self, length, bins, m0, path):
+        ex = md.gen_example_4_1(length, 0.0, 3)
+        cfg = md.MmdConfig(m0=m0, j1=2, bins=bins)
+        with recording_sweeps() as norms:
+            md.mmd_decompose(ex.signal, list(ex.priors), cfg)
+        other = "sample" if path == "bin" else "bin"
+        assert norms[path] and not norms[other]
+
+    def test_custom_backend_keeps_sample_space(self):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3)
+        cfg = md.MmdConfig(m0=1, j1=2, bins=32)
+
+        def backend(samples, bins):
+            return md.partition_regress(samples, bins)
+
+        with recording_sweeps() as norms:
+            md.mmd_decompose(ex.signal, list(ex.priors), cfg, backend)
+        assert norms["sample"] and not norms["bin"]

@@ -68,6 +68,17 @@ class TestCsvRoundTrip:
             read_signal_csv(path)
         assert ":3" in str(err.value)
 
+    def test_parse_error_counts_blank_lines(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n\n\n0,1\nnope,2\n")
+        with pytest.raises(ParseError) as err:
+            read_signal_csv(path)
+        assert str(err.value).startswith(f"{path}:5: ")
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--residual", str(path),
+                     "--out", str(out)]) == 1
+        assert f"{path}:5: " in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_writes_expected_files(self, tmp_path):
@@ -196,6 +207,22 @@ class TestDiagnoseCommand:
     def test_requires_exactly_one_input(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("inputs, code", [
+        (["--residual", "{data}/signal.csv", "--phases", "{data}/phases.csv"],
+         1),
+        (["--residual", "{data}/bad.csv"], 1),
+        (["--phases", "{data}/bad.csv"], 1),
+        (["--residual", "{data}/missing.csv"], 2),
+    ])
+    def test_rejected_call_creates_no_directory(self, tmp_path, inputs, code):
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+        (data / "bad.csv").write_text("t,value\n0,nope\n")
+        out = tmp_path / "diag"
+        argv = [arg.format(data=data) for arg in inputs]
+        assert main(["diagnose", *argv, "--out", str(out)]) == code
+        assert not out.exists()
+
 
 class TestShapeCsv:
     def test_roundtrip(self, tmp_path):
@@ -267,6 +294,51 @@ class TestReportSchema:
             assert key in report
         again = read_report(out / "report.json")
         assert again["config"] == report["config"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(norms=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=6),
+           reason=st.sampled_from(list(md.StopReason)),
+           iterations=st.integers(min_value=1, max_value=10 ** 6),
+           stats=st.none() | st.tuples(
+               *[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+           config=st.one_of(
+               st.none(),
+               st.builds(lambda *a: asdict(md.MmdConfig(*a)),
+                         st.integers(0, 50), st.floats(1e-300, 1.0),
+                         st.floats(1e-300, 1.0), st.integers(1, 500),
+                         st.integers(1, 50), st.integers(2, 10 ** 4),
+                         st.sampled_from(["gauss_seidel", "jacobi"])),
+               st.fixed_dictionaries({
+                   "eps": st.floats(1e-300, 1.0),
+                   "max_iters": st.integers(1, 500),
+                   "bins": st.integers(2, 10 ** 4),
+                   "scheme": st.sampled_from(["gauss_seidel", "jacobi"])})))
+    def test_read_report_round_trip(self, tmp_path_factory, norms, reason,
+                                    iterations, stats, config):
+        report = md.DecompositionReport(tuple(norms), tuple(norms[::-1]),
+                                        reason, iterations)
+        if stats is not None:
+            gamma, beta, bound = stats
+            stats = md.WellDiffStats(0.05, np.zeros(2), {}, gamma, {}, beta,
+                                     bound, True)
+        path = write_report(tmp_path_factory.mktemp("report"), report, stats,
+                            config)
+        got = read_report(path)
+        want = {
+            "residual_norms": norms, "shape_increment_norms": norms[::-1],
+            "stop_reason": reason.value, "iterations": iterations,
+            "gamma": None if stats is None else stats.gamma,
+            "beta": None if stats is None else stats.beta,
+            "contraction_bound": None if stats is None
+            else stats.contraction_bound,
+            "config": config,
+        }
+        assert got == want
+        # json.dumps tells -0.0 from 0.0, which == does not
+        assert json.dumps(got, sort_keys=True) == json.dumps(want,
+                                                             sort_keys=True)
+        assert md.StopReason(got["stop_reason"]) is reason
 
     def test_pipeline_determinism(self, tmp_path):
         def run(idx):
@@ -455,6 +527,14 @@ class TestSpecFileErrors:
         ({"components": [{"fundamental": 24},
                          {"fundamental": 30, "amplitude": {"cos1": [0.1]}}]},
          "components[1].amplitude.cos1"),
+        ({"components": [{"fundamental": 24, "phase_wiggle":
+                          {"kind": "sin", "amp": float("inf")}}]},
+         "components[0].phase_wiggle.amp"),
+        ({"components": [{"fundamental": 24, "scale": float("nan")}]},
+         "components[0].scale"),
+        ({"components": [{"fundamental": 24, "shape":
+                          {"values": [0.0, 1.0, float("-inf")]}}]},
+         "components[0].shape.values"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"
@@ -502,24 +582,26 @@ class TestWriteTable:
 
 def reference_read_table(path):
     """The line parser the CSV reader must agree with: blank lines skipped,
-    every field read by ``float``, errors naming the non-blank line."""
+    every field read by ``float``, errors naming the line's number among
+    all the lines ``str.splitlines`` finds."""
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if not lines:
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+                if ln.strip() != ""]
+    if not numbered:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in numbered[0][1].split(",")]
     width = len(header)
-    data = np.empty((len(lines) - 1, width))
-    for ln_no, line in enumerate(lines[1:], start=2):
+    rows = []
+    for ln_no, line in numbered[1:]:
         parts = line.split(",")
         if len(parts) != width:
             raise ParseError(f"{path}:{ln_no}: expected {width} columns, "
                              f"got {len(parts)}")
         try:
-            data[ln_no - 2] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{ln_no}: {exc}") from exc
-    return header, data
+    return header, np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 GOOD_FIELDS = st.sampled_from(

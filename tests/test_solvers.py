@@ -1,6 +1,7 @@
 """Properties shared by both decompositions."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
+from modedecomp import mmd
 from modedecomp.errors import OutOfDomain
 
 
@@ -15,12 +17,19 @@ def run_gmd(signal, priors, bins=64, scheme="gauss_seidel"):
     return md.gmd_decompose(signal, priors, bins=bins, scheme=scheme)
 
 
-def run_mmd(signal, priors, bins=64, scheme="gauss_seidel"):
-    return md.mmd_decompose(signal, priors,
-                            md.MmdConfig(m0=1, j1=8, bins=bins, scheme=scheme))
+def run_mmd(signal, priors, bins=64, scheme="gauss_seidel", bin_space=None):
+    """mmd on the path its run picks, or in bin space (``bin_space=True``)
+    or in sample space (``False``)."""
+    cfg = md.MmdConfig(m0=1, j1=8, bins=bins, scheme=scheme)
+    if bin_space is None:
+        return md.mmd_decompose(signal, priors, cfg)
+    with mock.patch.object(mmd, "bin_space_fits", lambda *args: bin_space):
+        return md.mmd_decompose(signal, priors, cfg)
 
 
-SOLVERS = {"gmd": run_gmd, "mmd": run_mmd}
+SOLVERS = {"gmd": run_gmd, "mmd": run_mmd,
+           "mmd_bin": functools.partial(run_mmd, bin_space=True),
+           "mmd_sample": functools.partial(run_mmd, bin_space=False)}
 
 
 def outputs(result):
@@ -97,6 +106,43 @@ class TestModesAddUp:
         total = sum(m.values for m in modes(result)) + result.residual.values
         gap = md.signal_norm(total - ex.signal.values)
         assert gap <= 1e-10 * ex.signal.l2norm
+
+
+def component_outputs(result, k):
+    """Every array a result carries for its ``k``-th component."""
+    if isinstance(result, md.GmdResult):
+        return [result.shapes[k].bins, result.modes[k].values]
+    est = result.estimates[k]
+    arrays = [np.array([result.fundamentals[k]]), est.mode.values]
+    for shapes, coeffs in ((est.cos_shapes, est.cos_coeffs),
+                           (est.sin_shapes, est.sin_coeffs)):
+        for n in sorted(shapes):
+            arrays += [shapes[n].bins, np.array([coeffs[n]])]
+    return arrays
+
+
+class TestCallerOrder:
+    """Results follow the caller's prior order, whatever that order is."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(solver=st.sampled_from(["gmd", "mmd_sample", "mmd_bin"]),
+           perm=st.permutations(range(3)),
+           scheme=st.sampled_from(["gauss_seidel", "jacobi"]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_permuted_priors(self, solver, perm, scheme, seed):
+        ex = md.gen_example_4_1(2 ** 10, 0.5, seed, "iid_uniform")
+        t = ex.signal.times
+        third = md.make_prior(97.0 * (t + 0.002 * np.sin(2 * np.pi * t)))
+        priors = [*ex.priors, third]
+        base = SOLVERS[solver](ex.signal, priors, scheme=scheme)
+        got = SOLVERS[solver](ex.signal, [priors[j] for j in perm],
+                              scheme=scheme)
+        for k, j in enumerate(perm):
+            for a, b in zip(component_outputs(got, k),
+                            component_outputs(base, j), strict=True):
+                assert np.array_equal(a, b)
+        assert np.array_equal(got.residual.values, base.residual.values)
+        assert got.report == base.report
 
 
 class TestSignalNorm:
