@@ -20,12 +20,15 @@ the residual are formed once per pass. The pass's ``B x B`` operators
 (:class:`~modedecomp.fold_regress.BandOperators`) do not change across outer
 iterations; a run builds them once for each of its ``2 M0 + 1`` distinct
 passes (band ``-n`` shares band ``n``'s) and keeps them in
-:class:`BinSpacePlans`. A run takes this path with the default regression
-backend when the cached operators, :func:`operator_bytes`, take at most the
-``48 K L`` bytes its phase plans hold (:func:`bin_space_fits`); for
-``K = 2, B = 200`` that is ``L >= 10,167 (2 M0 + 1)``, or 50,834 samples at
-``M0 = 2``. Either path gives the same inner sweep counts and stop reasons,
-and outputs that differ by rounding only.
+:class:`BinSpacePlans`, which also evaluates band ``|n|``'s carriers at
+most once per outer iteration for the four passes of bands ``n`` and
+``-n``. A run takes this path with the default regression backend when the
+cached operators, :func:`operator_bytes`, take at most the larger of the
+``48 K L`` bytes its phase plans hold and :data:`OPERATOR_FLOOR` (32 MiB)
+(:func:`bin_space_fits`); for ``K = 2, B = 200`` that is any ``L`` at
+``M0 <= 16``, and ``96 L >= 976,000 (2 M0 + 1)`` at larger ``M0``. Either
+path gives the same inner sweep counts and stop reasons, and outputs that
+differ by rounding only.
 """
 
 from __future__ import annotations
@@ -136,11 +139,15 @@ class BinSpacePlans(tuple):
     :class:`~modedecomp.fold_regress.BandOperators` here for the rest of
     the run, keyed by ``(|n|, kind)``: flipping the sign of ``n`` flips or
     keeps every carrier alike, which leaves their products unchanged.
+
+    The carriers of band ``|n|`` are kept only while the passes of bands
+    ``n`` and ``-n`` run, which the outer loop visits one after the other.
     """
 
     def __new__(cls, plans: Sequence[PhasePlan]):
         self = super().__new__(cls, plans)
         self.cache = {}
+        self.window_band, self.window = None, {}
         return self
 
     def operators(self, n: int, kind: str, carriers,
@@ -150,11 +157,39 @@ class BinSpacePlans(tuple):
             self.cache[key] = band_operators(self, carriers, gain)
         return self.cache[key]
 
+    def carriers(self, n: int, kind: str) -> list[np.ndarray]:
+        """Band ``n``'s ``kind`` carriers, one per plan, as
+        :func:`~modedecomp.fold_regress.carrier` gives them. Those of
+        ``|n|`` are evaluated once, kept for band ``n``'s passes and given
+        up to band ``-n``'s, and dropped when another ``|n|`` is asked
+        for. Band ``-n``'s angle is the exact negation of band ``n``'s, and
+        ``cos`` and ``sin`` are even and odd bit for bit, so its cos
+        carriers are band ``n``'s and its sin carriers their negation."""
+        if abs(n) != self.window_band:
+            self.window_band, self.window = abs(n), {}
+        if kind not in self.window:
+            self.window[kind] = [carrier(plan.prior, abs(n), kind)
+                                 for plan in self]
+        if n > 0:
+            return self.window[kind]
+        # band -n's pass is the last to use them: hand them over, so that
+        # no negated copy is held beside them
+        got = self.window.pop(kind)
+        if kind == "sin":
+            for g in got:
+                np.negative(g, out=g)
+        return got
+
+
+#: Bytes of cached operators any run may hold, whatever its length.
+OPERATOR_FLOOR = 32 * 2 ** 20
+
 
 def operator_bytes(bins: int, components: int, passes: int) -> int:
     """Bytes of the operators cached for ``passes`` distinct band passes:
     per pass ``K(K-1)`` dense ``T`` and ``K(K-1)/2`` dense Gram blocks of
-    ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``."""
+    ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``. For
+    ``K = 2, B = 200`` that is 976,000 bytes a pass."""
     k, b = components, bins
     return passes * 8 * (3 * k * (k - 1) // 2 * b * b + 5 * k * b)
 
@@ -163,8 +198,13 @@ def bin_space_fits(length: int, bins: int, components: int,
                    passes: int) -> bool:
     """Whether a run solves its band passes in bin space: the cached
     operators may take at most the bytes the run's phase plans hold, six
-    arrays of ``length`` numbers per component."""
-    return operator_bytes(bins, components, passes) <= 48 * components * length
+    arrays of ``length`` numbers per component, or :data:`OPERATOR_FLOOR`
+    if that is more. The bin-space pass took 0.39-0.87 of the sample-space
+    time in 15 of 16 sizes measured, ``L = 2^10 ... 2^17``, so only memory
+    sets a limit: the floor admits every short run, and the ``48 K L`` bound
+    caps the operators of many bands or components."""
+    return operator_bytes(bins, components, passes) <= max(
+        48 * components * length, OPERATOR_FLOOR)
 
 
 def _inner_sweeps(step, denom: float, eps2: float, max_iters: int) -> None:
@@ -205,6 +245,9 @@ def modified_rdbr(residual: SampledSignal,
     if kind == "sin" and n == 0:
         raise SinZeroBand("sine demodulation is undefined at band 0")
     plans = as_plans(priors, len(residual), bins)
+    bin_space = (isinstance(priors, BinSpacePlans)
+                 and backend is partition_regress
+                 and all(plan.layout.size == bins for plan in plans))
     if n == 0:
         # the band-0 carrier is exactly 1: regress the residual itself
         if kind != "cos":
@@ -213,13 +256,14 @@ def modified_rdbr(residual: SampledSignal,
             raise DecompositionError(
                 "prior fundamental required for demodulation")
         pre = [None] * len(plans)
+    elif bin_space:
+        pre = priors.carriers(n, kind)
     else:
         pre = [carrier(plan.prior, n, kind) for plan in plans]
     gain = 1.0 if n == 0 else 2.0
     t = residual.times
 
-    if (isinstance(priors, BinSpacePlans) and backend is partition_regress
-            and all(plan.layout.size == bins for plan in plans)):
+    if bin_space:
         scaled, pow2 = scale_into_range(residual)
         solver = BinPass(scaled.values, plans,
                          priors.operators(n, kind, pre, gain), pre, gain,

@@ -14,8 +14,9 @@ import pytest
 
 import modedecomp as md
 from modedecomp import mmd
-from modedecomp.fold_regress import BinPass, plan_phase
-from modedecomp.mmd import BinSpacePlans, bin_space_fits, operator_bytes
+from modedecomp.fold_regress import BinPass, carrier, plan_phase
+from modedecomp.mmd import (OPERATOR_FLOOR, BinSpacePlans, bin_space_fits,
+                            operator_bytes)
 
 TOL = 1e-12
 
@@ -178,6 +179,9 @@ class TestDecompositionsMatch:
         ((2 ** 14, 0.0), md.MmdConfig(m0=2, bins=200, scheme="jacobi")),
         ((2 ** 15, 2.25), md.MmdConfig(m0=1, bins=20)),
         ((2 ** 15, 2.25), md.MmdConfig(m0=1, bins=20, scheme="jacobi")),
+        # the benchmark's mmd_wide shape, which the operator floor moved to
+        # bin space
+        ((2 ** 14, 0.0), md.MmdConfig(m0=4, bins=200)),
     ])
     def test_acceptance_fixtures(self, fixture, cfg):
         ex = md.gen_example_4_1(*fixture, 7)
@@ -211,20 +215,32 @@ class TestDecompositionsMatch:
 
 class TestPathRule:
     def test_benchmark_sizes(self):
-        # L = 2^17 at m0 = 2 solves in bin space, L = 2^14 at m0 = 4 does not
+        # mmd_long (L = 2^17, m0 = 2), mmd_wide (L = 2^14, m0 = 4) and the
+        # CLI's default m0 = 10 at L = 2^14 all solve in bin space
         assert bin_space_fits(2 ** 17, 200, 2, 2 * 2 + 1)
-        assert not bin_space_fits(2 ** 14, 200, 2, 2 * 4 + 1)
+        assert bin_space_fits(2 ** 14, 200, 2, 2 * 4 + 1)
+        assert bin_space_fits(2 ** 14, 200, 2, 2 * 10 + 1)
+        # three components at m0 = 10 cache 60,984,000 bytes
+        assert not bin_space_fits(2 ** 17, 200, 3, 2 * 10 + 1)
 
     def test_crossover(self):
-        # K = 2, B = 200: the operators of 5 passes take 4,880,000 bytes,
-        # the plans 96 bytes a sample
+        assert OPERATOR_FLOOR == 32 * 2 ** 20
+        # K = 2, B = 200: 976,000 bytes a pass, the plans 96 bytes a sample;
+        # 34 passes fit under the floor at any length, 35 do not
         assert operator_bytes(200, 2, 5) == 4_880_000
-        assert bin_space_fits(50_834, 200, 2, 5)
-        assert not bin_space_fits(50_833, 200, 2, 5)
+        assert operator_bytes(200, 2, 34) == 33_184_000
+        assert bin_space_fits(1, 200, 2, 34)
+        assert not bin_space_fits(355_833, 200, 2, 35)
+        assert bin_space_fits(355_834, 200, 2, 35)
+        # K = 3 at m0 = 10: 144 bytes a sample against 60,984,000
+        assert operator_bytes(200, 3, 21) == 60_984_000
+        assert not bin_space_fits(423_499, 200, 3, 21)
+        assert bin_space_fits(423_500, 200, 3, 21)
         # one component caches only diagonals: 8,000 bytes a pass
         assert operator_bytes(200, 1, 41) == 41 * 8_000
-        assert bin_space_fits(6_834, 200, 1, 41)
-        assert not bin_space_fits(6_833, 200, 1, 41)
+        assert bin_space_fits(1, 200, 1, 4_194)
+        assert not bin_space_fits(699_166, 200, 1, 4_195)
+        assert bin_space_fits(699_167, 200, 1, 4_195)
 
     @pytest.mark.parametrize("components", [1, 2, 3])
     def test_bytes_as_cached(self, components):
@@ -241,7 +257,9 @@ class TestPathRule:
 
     @pytest.mark.parametrize("length, bins, m0, path", [
         (2 ** 12, 32, 1, "bin"),
-        (2 ** 12, 200, 2, "sample"),
+        (2 ** 12, 200, 2, "bin"),
+        # 35 passes of 976,000 bytes exceed the floor and 96 bytes a sample
+        (2 ** 12, 200, 17, "sample"),
     ])
     def test_decomposition_takes_path(self, length, bins, m0, path):
         ex = md.gen_example_4_1(length, 0.0, 3)
@@ -261,3 +279,79 @@ class TestPathRule:
         with recording_sweeps() as norms:
             md.mmd_decompose(ex.signal, list(ex.priors), cfg, backend)
         assert norms["sample"] and not norms["bin"]
+
+
+class TestCarrierWindow:
+    """:meth:`BinSpacePlans.carriers` evaluates band ``|n|``'s carriers
+    once for the passes of ``n`` and ``-n``; its outputs are those of
+    :func:`~modedecomp.fold_regress.carrier` bit for bit."""
+
+    PASSES = [(2, "cos"), (2, "sin"), (-2, "cos"), (-2, "sin")]
+
+    @pytest.mark.parametrize("grid", ["uniform", "iid_uniform"])
+    def test_carriers_even_and_odd(self, grid):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, grid)
+        for prior in ex.priors:
+            for n in range(1, 11):
+                assert np.array_equal(carrier(prior, -n, "cos"),
+                                      carrier(prior, n, "cos"))
+                assert np.array_equal(carrier(prior, -n, "sin"),
+                                      -carrier(prior, n, "sin"))
+
+    def test_window_gives_carrier(self):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
+        plans = BinSpacePlans([plan_phase(p, 2 ** 12, 32) for p in ex.priors])
+        for n, kind in self.PASSES + [(1, "sin"), (-3, "sin")]:
+            for plan, g in zip(plans, plans.carriers(n, kind)):
+                assert np.array_equal(g, carrier(plan.prior, n, kind))
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    def test_shared_window_matches_fresh(self, scheme):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
+        plans = [plan_phase(p, 2 ** 12, 32) for p in ex.priors]
+        shared = BinSpacePlans(plans)
+        r_shared = r_fresh = ex.signal
+        for n, kind in self.PASSES:
+            got = md.modified_rdbr(r_shared, shared, n, kind, bins=32,
+                                   scheme=scheme)
+            want = md.modified_rdbr(r_fresh, BinSpacePlans(plans), n, kind,
+                                    bins=32, scheme=scheme)
+            for g, w in zip(got[0], want[0]):
+                assert np.array_equal(g.bins, w.bins)
+            for g, w in zip(got[1], want[1]):
+                assert np.array_equal(g.values, w.values)
+            assert np.array_equal(got[2].values, want[2].values)
+            r_shared, r_fresh = got[2], want[2]
+
+    def test_one_band_per_outer_iteration(self):
+        # every carrier a run evaluates is of a positive band, each band's
+        # cos and sin once per component and outer iteration; the window
+        # never holds more than the band it was filled for, nor what it
+        # gave up to a pass of band -n
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
+        cfg = md.MmdConfig(m0=3, bins=32)
+        evaluated = []
+        window, evaluate = BinSpacePlans.carriers, mmd.carrier
+
+        def counted(prior, n, kind):
+            evaluated.append((n, kind))
+            return evaluate(prior, n, kind)
+
+        def checked(self, n, kind):
+            out = window(self, n, kind)
+            assert self.window_band == abs(n) and len(self.window) <= 2
+            assert n > 0 or kind not in self.window
+            for held_kind, held in self.window.items():
+                assert len(held) == len(self)
+                for plan, g in zip(self, held):
+                    assert np.array_equal(
+                        g, carrier(plan.prior, abs(n), held_kind))
+            return out
+
+        with mock.patch.object(mmd, "carrier", counted), \
+                mock.patch.object(BinSpacePlans, "carriers", checked):
+            result = md.mmd_decompose(ex.signal, list(ex.priors), cfg)
+        k = len(ex.priors)
+        one_iteration = [(n, kind) for n in range(1, cfg.m0 + 1)
+                         for kind in ("cos", "sin") for _ in range(k)]
+        assert evaluated == result.report.iterations * one_iteration
