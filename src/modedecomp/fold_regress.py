@@ -141,7 +141,12 @@ class PhasePlan:
 
     def interpolate(self, b: np.ndarray) -> np.ndarray:
         """A ``layout.size``-bin table evaluated at the phase samples."""
-        return self.w1 * b[self.j0] + self.w * b[self.j1]
+        out = b[self.j0]
+        out *= self.w1
+        tail = b[self.j1]
+        tail *= self.w
+        out += tail
+        return out
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """The transpose of :meth:`interpolate`: each sample's value added
@@ -351,8 +356,21 @@ def band_operators(plans: Sequence[PhasePlan],
     samples per pair of interpolation weights and block."""
     nb = plans[0].layout.size
 
+    # Index and weight temporaries are formed in place, so that at most
+    # two sample-length ones live beside the carriers' product.
     def count(index, weights, factor, size):
         return np.bincount(index, _times(factor, weights), size)
+
+    def product(a, b, factor):
+        out = a * b
+        if factor is not None:
+            out *= factor
+        return out
+
+    def flat(i, j, size):
+        out = i * size
+        out += j
+        return out
 
     cross, gram = {}, {}
     self_t = np.empty((len(plans), 3, nb))
@@ -360,25 +378,34 @@ def band_operators(plans: Sequence[PhasePlan],
     for k, pk in enumerate(plans):
         rows, gk = pk.layout.index, carriers[k]
         c = _times(gk, gk)
-        # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1
-        t = (count(3 * rows + (pk.j0 - rows + 1) % nb, pk.w1, c, 3 * nb)
-             + count(3 * rows + (pk.j1 - rows + 1) % nb, pk.w, c, 3 * nb))
+
+        def slots(j):
+            # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1
+            out = j - rows
+            out += 1
+            out %= nb
+            out += 3 * rows
+            return out
+
+        t = (count(slots(pk.j0), pk.w1, c, 3 * nb)
+             + count(slots(pk.j1), pk.w, c, 3 * nb))
         self_t[k] = gain * t.reshape(nb, 3).T
-        self_g[k, 0] = (count(pk.j0, pk.w1 * pk.w1, c, nb)
-                        + count(pk.j1, pk.w * pk.w, c, nb))
-        self_g[k, 1] = count(pk.j0, pk.w1 * pk.w, c, nb)
+        self_g[k, 0] = (np.bincount(pk.j0, product(pk.w1, pk.w1, c), nb)
+                        + np.bincount(pk.j1, product(pk.w, pk.w, c), nb))
+        self_g[k, 1] = np.bincount(pk.j0, product(pk.w1, pk.w, c), nb)
         self_g[k] *= gain * gain
         for m, pm in enumerate(plans):
             if m == k:
                 continue
             c = _times(gk, carriers[m])
             cross[k, m] = gain * (
-                count(rows * nb + pm.j0, pm.w1, c, nb * nb)
-                + count(rows * nb + pm.j1, pm.w, c, nb * nb)
+                count(flat(rows, pm.j0, nb), pm.w1, c, nb * nb)
+                + count(flat(rows, pm.j1, nb), pm.w, c, nb * nb)
             ).reshape(nb, nb)
             if m > k:
                 gram[k, m] = gain * gain * sum(
-                    count(jk * nb + jm, wk * wm, c, nb * nb)
+                    np.bincount(flat(jk, jm, nb), product(wk, wm, c),
+                                nb * nb)
                     for jk, wk in ((pk.j0, pk.w1), (pk.j1, pk.w))
                     for jm, wm in ((pm.j0, pm.w1), (pm.j1, pm.w))
                 ).reshape(nb, nb)
@@ -419,12 +446,13 @@ class BinPass:
 
     def _rebase(self, r: np.ndarray) -> None:
         nb = self.total.shape[1]
-        ys = [_times(g, r) for g in self.carriers]
-        self.z = np.array([np.bincount(p.layout.index, y, nb)
-                           for p, y in zip(self.plans, ys)])
-        # E_k^T(h_k r) with h_k r = gain * ys[k]
-        self.q = self.gain * np.array([p.spread(y)
-                                       for p, y in zip(self.plans, ys)])
+        self.z, self.q = np.empty_like(self.total), np.empty_like(self.total)
+        for k, (p, g) in enumerate(zip(self.plans, self.carriers)):
+            y = _times(g, r)
+            self.z[k] = np.bincount(p.layout.index, y, nb)
+            # E_k^T(h_k r) with h_k r = gain * y
+            self.q[k] = p.spread(y)
+        self.q *= self.gain
         self.base_sq = float(np.dot(r, r))
         self.since = np.zeros_like(self.total)
 
@@ -463,9 +491,13 @@ class BinPass:
     def finish(self):
         """``(U, modes, residual)``: the summed increments ``(K, B)``, each
         component's ``h_k E_k U_k`` and the residual they leave."""
-        modes = [_times(g, plan.interpolate(self.gain * u))
-                 for plan, g, u in zip(self.plans, self.carriers, self.total)]
-        r = self.residual
-        for mode in modes:
-            r = r - mode
+        modes = []
+        for plan, g, u in zip(self.plans, self.carriers, self.total):
+            mode = plan.interpolate(self.gain * u)
+            if g is not None:
+                mode *= g
+            modes.append(mode)
+        r = self.residual - modes[0]
+        for mode in modes[1:]:
+            r -= mode
         return self.total, modes, r

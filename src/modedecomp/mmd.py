@@ -22,13 +22,15 @@ iterations; a run builds them once for each of its ``2 M0 + 1`` distinct
 passes (band ``-n`` shares band ``n``'s) and keeps them in
 :class:`BinSpacePlans`, which also evaluates band ``|n|``'s carriers at
 most once per outer iteration for the four passes of bands ``n`` and
-``-n``. A run takes this path with the default regression backend when the
-cached operators, :func:`operator_bytes`, take at most the larger of the
-``48 K L`` bytes its phase plans hold and :data:`OPERATOR_FLOOR` (32 MiB)
-(:func:`bin_space_fits`); for ``K = 2, B = 200`` that is any ``L`` at
-``M0 <= 16``, and ``96 L >= 976,000 (2 M0 + 1)`` at larger ``M0``. Either
-path gives the same inner sweep counts and stop reasons, and outputs that
-differ by rounding only.
+``-n``. A run takes this path with the default regression backend when
+:func:`bin_space_fits` holds: one pass's operators, :func:`operator_bytes`,
+take at most :data:`OPERATOR_PER_SAMPLE` (128) bytes per component and
+sample, all of them at most the larger of the ``48 K L`` bytes its phase
+plans hold and :data:`OPERATOR_FLOOR` (32 MiB), and a run of band 0 alone
+has one component. For ``K = 2, B = 200`` that is ``L >= 3,813`` at
+``1 <= M0 <= 16``, and ``96 L >= 976,000 (2 M0 + 1)`` at larger ``M0``.
+Either path gives the same inner sweep counts and stop reasons, and
+outputs that differ by rounding only.
 """
 
 from __future__ import annotations
@@ -184,27 +186,45 @@ class BinSpacePlans(tuple):
 #: Bytes of cached operators any run may hold, whatever its length.
 OPERATOR_FLOOR = 32 * 2 ** 20
 
+#: Bytes of one pass's operators per component and sample beyond which a
+#: bin-space sweep, which reads them all, was measured slower than a
+#: sample-space sweep.
+OPERATOR_PER_SAMPLE = 128
+
 
 def operator_bytes(bins: int, components: int, passes: int) -> int:
     """Bytes of the operators cached for ``passes`` distinct band passes:
     per pass ``K(K-1)`` dense ``T`` and ``K(K-1)/2`` dense Gram blocks of
     ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``. For
-    ``K = 2, B = 200`` that is 976,000 bytes a pass."""
+    ``K = 2, B = 200`` that is 976,000 bytes a pass; every sweep of the
+    pass reads them once."""
     k, b = components, bins
     return passes * 8 * (3 * k * (k - 1) // 2 * b * b + 5 * k * b)
 
 
 def bin_space_fits(length: int, bins: int, components: int,
                    passes: int) -> bool:
-    """Whether a run solves its band passes in bin space: the cached
-    operators may take at most the bytes the run's phase plans hold, six
-    arrays of ``length`` numbers per component, or :data:`OPERATOR_FLOOR`
-    if that is more. The bin-space pass took 0.39-0.87 of the sample-space
-    time in 15 of 16 sizes measured, ``L = 2^10 ... 2^17``, so only memory
-    sets a limit: the floor admits every short run, and the ``48 K L`` bound
-    caps the operators of many bands or components."""
-    return operator_bytes(bins, components, passes) <= max(
-        48 * components * length, OPERATOR_FLOOR)
+    """Whether a run solves its band passes in bin space.
+
+    Speed: one pass's operators take at most :data:`OPERATOR_PER_SAMPLE`
+    bytes per component and sample, so that the dense ``B x B`` work of a
+    sweep stays below the per-sample work it replaces, and a run of band 0
+    alone has one component. Memory: all the cached operators take at most
+    the bytes the run's phase plans hold, six arrays of ``length`` numbers
+    per component, or :data:`OPERATOR_FLOOR` if that is more.
+
+    Measured on ex4_1-shaped runs (2-vCPU Xeon VM), bin over sample time:
+    0.38-0.94 where this rule admits a run with ``m0 >= 1`` (``K = 1 ... 4``,
+    ``B = 200 ... 1000``, ``L = 2^9 ... 2^17``), 0.75-2.8 where the speed
+    bound turns one away; band 0 alone 0.78-1.0 with ``K = 1`` and 1.2-6.6
+    with ``K = 2, 3`` at ``L <= 2^16``.
+    """
+    if passes == 1 and components > 1:
+        return False
+    per_pass = operator_bytes(bins, components, 1)
+    return (per_pass <= OPERATOR_PER_SAMPLE * components * length
+            and passes * per_pass <= max(48 * components * length,
+                                         OPERATOR_FLOOR))
 
 
 def _inner_sweeps(step, denom: float, eps2: float, max_iters: int) -> None:

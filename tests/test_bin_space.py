@@ -14,9 +14,10 @@ import pytest
 
 import modedecomp as md
 from modedecomp import mmd
-from modedecomp.fold_regress import BinPass, carrier, plan_phase
-from modedecomp.mmd import (OPERATOR_FLOOR, BinSpacePlans, bin_space_fits,
-                            operator_bytes)
+from modedecomp.fold_regress import (BinPass, band_operators, carrier,
+                                     plan_phase)
+from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
+                            BinSpacePlans, bin_space_fits, operator_bytes)
 
 TOL = 1e-12
 
@@ -213,6 +214,70 @@ class TestDecompositionsMatch:
         assert rel(got.residual.values, want.residual.values, scale) <= TOL
 
 
+class TestTemporariesInPlace:
+    """:func:`~modedecomp.fold_regress.band_operators` and
+    :meth:`BinPass.finish` form their sample-length temporaries in place;
+    their values are those of the plain expressions, bit for bit."""
+
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (2, "sin")])
+    def test_operators(self, n, kind):
+        sig, priors = problem(11, 500, "iid_uniform", 3)
+        nb = 24
+        plans = [plan_phase(p, 500, nb) for p in priors]
+        g = [None if n == 0 else carrier(p, n, kind) for p in priors]
+        gain = 1.0 if n == 0 else 2.0
+        ops = band_operators(plans, g, gain)
+
+        def times(a, b):
+            return b if a is None else a * b
+
+        for k, pk in enumerate(plans):
+            rows, c = pk.layout.index, times(g[k], g[k])
+            t = sum(np.bincount(3 * rows + (j - rows + 1) % nb, times(c, w),
+                                3 * nb) for j, w in ((pk.j0, pk.w1),
+                                                     (pk.j1, pk.w)))
+            assert np.array_equal(ops.self_t[k], gain * t.reshape(nb, 3).T)
+            d = (np.bincount(pk.j0, times(c, pk.w1 * pk.w1), nb)
+                 + np.bincount(pk.j1, times(c, pk.w * pk.w), nb))
+            off = np.bincount(pk.j0, times(c, pk.w1 * pk.w), nb)
+            assert np.array_equal(ops.self_g[k],
+                                  np.array([d, off]) * (gain * gain))
+            for m, pm in enumerate(plans):
+                if m == k:
+                    continue
+                c = times(g[k], g[m])
+                cross = sum(np.bincount(rows * nb + j, times(c, w), nb * nb)
+                            for j, w in ((pm.j0, pm.w1), (pm.j1, pm.w)))
+                assert np.array_equal(ops.cross[k, m],
+                                      gain * cross.reshape(nb, nb))
+                if m > k:
+                    gram = sum(
+                        np.bincount(jk * nb + jm, times(c, wk * wm), nb * nb)
+                        for jk, wk in ((pk.j0, pk.w1), (pk.j1, pk.w))
+                        for jm, wm in ((pm.j0, pm.w1), (pm.j1, pm.w)))
+                    assert np.array_equal(ops.gram[k, m],
+                                          gain * gain * gram.reshape(nb, nb))
+
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin")])
+    def test_finish(self, n, kind):
+        sig, priors = problem(12, 500, "iid_uniform", 3)
+        plans = [plan_phase(p, 500, 24) for p in priors]
+        g = [None if n == 0 else carrier(p, n, kind) for p in priors]
+        gain = 1.0 if n == 0 else 2.0
+        solver = BinPass(sig.values, plans, band_operators(plans, g, gain),
+                         g, gain, "gauss_seidel")
+        solver.sweep()
+        total, modes, r = solver.finish()
+        want_r = sig.values
+        for p, gk, u, mode in zip(plans, g, total, modes):
+            b = gain * u
+            want = p.w1 * b[p.j0] + p.w * b[p.j1]
+            want = want if gk is None else gk * want
+            assert np.array_equal(mode, want)
+            want_r = want_r - want
+        assert np.array_equal(r, want_r)
+
+
 class TestPathRule:
     def test_benchmark_sizes(self):
         # mmd_long (L = 2^17, m0 = 2), mmd_wide (L = 2^14, m0 = 4) and the
@@ -225,20 +290,36 @@ class TestPathRule:
 
     def test_crossover(self):
         assert OPERATOR_FLOOR == 32 * 2 ** 20
+        assert OPERATOR_PER_SAMPLE == 128
         # K = 2, B = 200: 976,000 bytes a pass, the plans 96 bytes a sample;
-        # 34 passes fit under the floor at any length, 35 do not
+        # a pass's operators need 256 L >= 976,000
         assert operator_bytes(200, 2, 5) == 4_880_000
         assert operator_bytes(200, 2, 34) == 33_184_000
-        assert bin_space_fits(1, 200, 2, 34)
+        assert not bin_space_fits(3_812, 200, 2, 3)
+        assert bin_space_fits(3_813, 200, 2, 3)
+        # 34 passes fit under the floor from there on, 35 do not
+        assert bin_space_fits(3_813, 200, 2, 34)
         assert not bin_space_fits(355_833, 200, 2, 35)
         assert bin_space_fits(355_834, 200, 2, 35)
+        # band 0 alone solves in bin space only with one component
+        assert not bin_space_fits(2 ** 20, 200, 2, 1)
+        assert not bin_space_fits(2 ** 20, 16, 3, 1)
+        assert bin_space_fits(63, 200, 1, 1)
         # K = 3 at m0 = 10: 144 bytes a sample against 60,984,000
         assert operator_bytes(200, 3, 21) == 60_984_000
         assert not bin_space_fits(423_499, 200, 3, 21)
         assert bin_space_fits(423_500, 200, 3, 21)
+        # wider bins: B = 500 takes 6,040,000 bytes a pass, B = 1000
+        # 24,080,000, which no multi-band run fits under the floor
+        assert not bin_space_fits(23_593, 500, 2, 5)
+        assert bin_space_fits(23_594, 500, 2, 5)
+        assert not bin_space_fits(2 ** 17, 1000, 2, 3)
+        assert not bin_space_fits(2_257_499, 1000, 2, 9)
+        assert bin_space_fits(2_257_500, 1000, 2, 9)
         # one component caches only diagonals: 8,000 bytes a pass
         assert operator_bytes(200, 1, 41) == 41 * 8_000
-        assert bin_space_fits(1, 200, 1, 4_194)
+        assert not bin_space_fits(62, 200, 1, 3)
+        assert bin_space_fits(63, 200, 1, 4_194)
         assert not bin_space_fits(699_166, 200, 1, 4_195)
         assert bin_space_fits(699_167, 200, 1, 4_195)
 
@@ -260,6 +341,10 @@ class TestPathRule:
         (2 ** 12, 200, 2, "bin"),
         # 35 passes of 976,000 bytes exceed the floor and 96 bytes a sample
         (2 ** 12, 200, 17, "sample"),
+        # a pass of 976,000 bytes exceeds 256 bytes a sample
+        (2 ** 11, 200, 2, "sample"),
+        # band 0 alone with two components
+        (2 ** 14, 200, 0, "sample"),
     ])
     def test_decomposition_takes_path(self, length, bins, m0, path):
         ex = md.gen_example_4_1(length, 0.0, 3)
