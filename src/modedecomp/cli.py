@@ -275,19 +275,23 @@ def _write_json(path: Path, payload) -> Path:
 
 
 def write_report(directory, report, stats: WellDiffStats | None = None,
-                 config: dict | None = None) -> Path:
+                 config: dict | None = None,
+                 stats_error: str | None = None) -> Path:
     """Serialize the run report as canonical JSON; returns the file path.
 
     ``config`` is recorded as given: the parameters the solver ran with.
+    ``stats_error`` says why the phase statistics are missing, if they are.
     """
     return _write_json(Path(directory) / "report.json", {
         "residual_norms": list(report.residual_norms),
         "shape_increment_norms": list(report.shape_increment_norms),
         "stop_reason": report.stop_reason.value,
         "iterations": report.iterations,
+        "accelerated": list(report.accelerated),
         "gamma": None if stats is None else stats.gamma,
         "beta": None if stats is None else stats.beta,
         "contraction_bound": None if stats is None else stats.contraction_bound,
+        "phase_stats_error": stats_error,
         "config": config,
     })
 
@@ -305,7 +309,8 @@ def read_report(path) -> dict:
 
 
 def write_decomposition(directory, result, stats: WellDiffStats | None = None,
-                        config: dict | None = None) -> None:
+                        config: dict | None = None,
+                        stats_error: str | None = None) -> None:
     """Write modes, shapes, coefficients, residual and the JSON report.
 
     The mmd shape files hold unit-norm shapes, so ``a_n`` and ``b_n`` from
@@ -334,7 +339,7 @@ def write_decomposition(directory, result, stats: WellDiffStats | None = None,
         raise DecompositionError(f"unknown result type {type(result)!r}")
 
     write_signal_csv(out / "residual.csv", result.residual)
-    write_report(out, result.report, stats, config)
+    write_report(out, result.report, stats, config, stats_error)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +497,13 @@ def _load_inputs(signal_path, phases_path):
     return signal, priors
 
 
-def _phase_stats(priors, times) -> WellDiffStats | None:
+def _phase_stats(priors, times) -> tuple[WellDiffStats | None, str | None]:
+    """The priors' phase statistics and ``None``, or ``None`` and the reason
+    they cannot be computed."""
     try:
-        return well_diff_stats(partition_counts(priors, times, 0.05), 1.0)
-    except DecompositionError:
-        return None
+        return well_diff_stats(partition_counts(priors, times, 0.05), 1.0), None
+    except DecompositionError as exc:
+        return None, str(exc)
 
 
 def _cmd_synth(args) -> int:
@@ -539,8 +546,8 @@ def _cmd_decompose(args) -> int:
                            for f in fields(MmdConfig)})
         result = mmd_decompose(signal, priors, cfg)
         config = asdict(cfg)
-    stats = _phase_stats(priors, signal.times)
-    write_decomposition(args.out, result, stats, config)
+    stats, stats_error = _phase_stats(priors, signal.times)
+    write_decomposition(args.out, result, stats, config, stats_error)
     return 0
 
 

@@ -42,6 +42,7 @@ from .signal_model import (
     eval_shape,
     interpolation,
     make_shape,
+    row_norms,
     unit_position,
 )
 
@@ -413,9 +414,15 @@ def band_operators(plans: Sequence[PhasePlan],
 
 
 def _banded(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T @ x`` for a periodic tridiagonal ``T`` held as in ``self_t``."""
-    return (d[0] * np.concatenate((x[-1:], x[:-1])) + d[1] * x
-            + d[2] * np.concatenate((x[1:], x[:1])))
+    """``T @ x`` for a periodic tridiagonal ``T`` held as in ``self_t``:
+    ``d[0] x[i-1] + d[1] x[i] + d[2] x[i+1]``, summed in that order."""
+    padded = np.empty(x.size + 2)
+    padded[1:-1] = x
+    padded[0], padded[-1] = x[-1], x[0]
+    out = d[0] * padded[:-2]
+    out += d[1] * x
+    out += d[2] * padded[2:]
+    return out
 
 
 class BinPass:
@@ -461,14 +468,17 @@ class BinPass:
             z -= (_banded(self.ops.self_t[k], inc) if m == k
                   else self.ops.cross[m, k] @ inc)
 
-    def sweep(self) -> tuple[np.ndarray, float]:
-        """One sweep: the centred increments ``(K, B)`` and the residual's
-        root-mean-square."""
+    def sweep(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """One sweep: the centred increments ``(K, B)``, the residual's
+        root-mean-square and the :func:`signal_norm` of each stored
+        increment ``gain * U_k``."""
         incs = np.empty_like(self.z)
+        nb = incs.shape[1]
         chained = self.scheme == "gauss_seidel"
         for k, plan in enumerate(self.plans):
             means = bin_means(self.z[k], plan.layout)
-            incs[k] = means - np.mean(means)
+            # np.mean's arithmetic without its call overhead
+            np.subtract(means, np.add.reduce(means) / nb, out=incs[k])
             if chained:
                 self._subtract(k, incs[k])
         if not chained:
@@ -486,7 +496,8 @@ class BinPass:
         if sq < self.REBASE * self.base_sq:
             self._rebase(self.finish()[2])
             sq = self.base_sq
-        return incs, math.sqrt(max(sq, 0.0) / self.residual.size)
+        return (incs, math.sqrt(max(sq, 0.0) / self.residual.size),
+                row_norms(self.gain * incs))
 
     def finish(self):
         """``(U, modes, residual)``: the summed increments ``(K, B)``, each

@@ -66,13 +66,15 @@ class DecompositionReport:
     """Per-iteration norms and the reason iteration ended.
 
     Norms are relative to the input signal's L2 norm, so the accuracy
-    parameter is scale-free.
+    parameter is scale-free. ``accelerated`` holds, per iteration, whether
+    the extrapolated state was kept (mmd only; always false for gmd).
     """
 
     residual_norms: tuple[float, ...]
     shape_increment_norms: tuple[float, ...]
     stop_reason: StopReason
     iterations: int
+    accelerated: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,8 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     else:
         reason = StopReason.MAX_ITER
 
-    report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j)
+    report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,
+                                 (False,) * j)
 
     shapes = [ldexp_shape(s, pow2) for s in shapes]
     r = ldexp_signal(r, pow2)

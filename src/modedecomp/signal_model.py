@@ -48,6 +48,7 @@ __all__ = [
     "add_shapes",
     "scale_shape",
     "signal_norm",
+    "row_norms",
     "scale_into_range",
     "ldexp_signal",
     "ldexp_shape",
@@ -96,6 +97,18 @@ def signal_norm(values) -> float:
         return norm
     k = math.frexp(peak)[1]
     return math.ldexp(signal_norm(np.ldexp(v, -k)), k)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """:func:`signal_norm` of each row of a 2-d array, bit for bit: one
+    reduction along the rows, with the per-row call only for a norm outside
+    ``2**±500``."""
+    with np.errstate(over="ignore", under="ignore"):  # recomputed below
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1) / rows.shape[1])
+    for i, norm in enumerate(norms.tolist()):
+        if not 2.0 ** -500 < norm < 2.0 ** 500:
+            norms[i] = signal_norm(rows[i])
+    return norms
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ import pytest
 
 import modedecomp as md
 from modedecomp import mmd
-from modedecomp.fold_regress import (BinPass, band_operators, carrier,
-                                     plan_phase)
+from modedecomp.fold_regress import (BinPass, _banded, band_operators,
+                                     bin_means, carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
                             BinSpacePlans, bin_space_fits, operator_bytes)
 
@@ -276,6 +276,37 @@ class TestTemporariesInPlace:
             assert np.array_equal(mode, want)
             want_r = want_r - want
         assert np.array_equal(r, want_r)
+
+
+class TestSweepTrims:
+    """:meth:`BinPass.sweep` centres with ``np.mean``'s arithmetic, reads
+    its norms in one row reduction and applies the self blocks without
+    concatenating; the values are the plain expressions', bit for bit."""
+
+    def test_banded(self):
+        rng = np.random.default_rng(4)
+        d, x = rng.normal(size=(3, 37)), rng.normal(size=37)
+        want = (d[0] * np.concatenate((x[-1:], x[:-1])) + d[1] * x
+                + d[2] * np.concatenate((x[1:], x[:1])))
+        assert np.array_equal(_banded(d, x), want)
+
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin")])
+    def test_increments_and_norms(self, n, kind):
+        # Jacobi sweeps regress every component on the bin sums the sweep
+        # starts from
+        sig, priors = problem(13, 500, "iid_uniform", 3)
+        plans = [plan_phase(p, 500, 24) for p in priors]
+        g = [None if n == 0 else carrier(p, n, kind) for p in priors]
+        gain = 1.0 if n == 0 else 2.0
+        solver = BinPass(sig.values, plans, band_operators(plans, g, gain),
+                         g, gain, "jacobi")
+        for _ in range(3):
+            means = [bin_means(z, p.layout) for z, p in zip(solver.z, plans)]
+            incs, _, norms = solver.sweep()
+            for inc, m in zip(incs, means):
+                assert np.array_equal(inc, m - np.mean(m))
+            assert np.array_equal(
+                norms, [md.signal_norm(gain * inc) for inc in incs])
 
 
 class TestPathRule:

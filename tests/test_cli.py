@@ -150,6 +150,9 @@ class TestDecomposeCommands:
         for name in ("mode_1.csv", "shape_1.csv", "shape_2.csv",
                      "residual.csv", "report.json"):
             assert (out / name).exists(), name
+        # gmd has no extrapolated step
+        report = read_report(out / "report.json")
+        assert report["accelerated"] == [False] * report["iterations"]
 
     def test_zero_signal_run(self, tmp_path):
         t = md.sample_grid(256)
@@ -289,15 +292,20 @@ class TestReportSchema:
               "--out", str(out)])
         report = read_report(out / "report.json")
         for key in ("residual_norms", "shape_increment_norms", "stop_reason",
-                    "iterations", "gamma", "beta", "contraction_bound",
-                    "config"):
+                    "iterations", "accelerated", "gamma", "beta",
+                    "contraction_bound", "phase_stats_error", "config"):
             assert key in report
+        assert len(report["accelerated"]) == report["iterations"]
+        assert all(isinstance(a, bool) for a in report["accelerated"])
+        assert report["phase_stats_error"] is None
         again = read_report(out / "report.json")
         assert again["config"] == report["config"]
 
     @settings(max_examples=60, deadline=None)
     @given(norms=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                           min_size=1, max_size=6),
+           flags=st.lists(st.booleans(), min_size=6, max_size=6),
+           stats_error=st.none() | st.text(),
            reason=st.sampled_from(list(md.StopReason)),
            iterations=st.integers(min_value=1, max_value=10 ** 6),
            stats=st.none() | st.tuples(
@@ -314,24 +322,29 @@ class TestReportSchema:
                    "max_iters": st.integers(1, 500),
                    "bins": st.integers(2, 10 ** 4),
                    "scheme": st.sampled_from(["gauss_seidel", "jacobi"])})))
-    def test_read_report_round_trip(self, tmp_path_factory, norms, reason,
-                                    iterations, stats, config):
+    def test_read_report_round_trip(self, tmp_path_factory, norms, flags,
+                                    stats_error, reason, iterations, stats,
+                                    config):
+        accelerated = flags[:len(norms)]
         report = md.DecompositionReport(tuple(norms), tuple(norms[::-1]),
-                                        reason, iterations)
+                                        reason, iterations,
+                                        tuple(accelerated))
         if stats is not None:
             gamma, beta, bound = stats
             stats = md.WellDiffStats(0.05, np.zeros(2), {}, gamma, {}, beta,
                                      bound, True)
         path = write_report(tmp_path_factory.mktemp("report"), report, stats,
-                            config)
+                            config, stats_error)
         got = read_report(path)
         want = {
             "residual_norms": norms, "shape_increment_norms": norms[::-1],
             "stop_reason": reason.value, "iterations": iterations,
+            "accelerated": accelerated,
             "gamma": None if stats is None else stats.gamma,
             "beta": None if stats is None else stats.beta,
             "contraction_bound": None if stats is None
             else stats.contraction_bound,
+            "phase_stats_error": stats_error,
             "config": config,
         }
         assert got == want
@@ -393,7 +406,8 @@ class TestPhaseColumnsByName:
 class TestReportIsValidJson:
     def test_non_finite_norm_rejected(self, tmp_path):
         report = md.DecompositionReport((0.5, float("nan")), (0.1, 0.1),
-                                        md.StopReason.MAX_ITER, 2)
+                                        md.StopReason.MAX_ITER, 2,
+                                        (False, False))
         with pytest.raises(DecompositionError):
             write_report(tmp_path, report)
         assert not (tmp_path / "report.json").exists()
@@ -435,6 +449,51 @@ class TestReportIsValidJson:
         text = (out / "report.json").read_text(encoding="utf-8")
         payload = json.loads(text, parse_constant=reject)
         assert "threads" not in payload
+
+
+class TestPhaseStatsError:
+    """``report.json`` says why its phase statistics are missing."""
+
+    def test_reason_for_unusable_priors(self):
+        # priors on another grid than the signal's: partition_counts raises
+        t = md.sample_grid(256)
+        other = md.sample_grid(128)
+        stats, error = cli._phase_stats([md.make_prior(10.0 * other)], t)
+        assert stats is None
+        assert error == "prior and grid lengths differ"
+
+    def test_reason_for_out_of_domain_statistics(self, monkeypatch):
+        def refuse(counts, m_bound):
+            raise md.OutOfDomain("m_bound must be positive and finite")
+        monkeypatch.setattr(cli, "well_diff_stats", refuse)
+        t = md.sample_grid(256)
+        assert cli._phase_stats([md.make_prior(10.0 * t)], t) == (
+            None, "m_bound must be positive and finite")
+
+    @pytest.mark.parametrize("command", ["gmd", "mmd"])
+    def test_report_records_reason(self, tmp_path, monkeypatch, command):
+        data = tmp_path / "data"
+        run_synth(data, samples=1024)
+        argv = [command, "--signal", str(data / "signal.csv"),
+                "--phases", str(data / "phases.csv"), "--bins", "32"]
+        argv += ["--max-iter", "2"] if command == "gmd" else ["--j1", "2"]
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        report = read_report(tmp_path / "ok" / "report.json")
+        assert report["phase_stats_error"] is None
+        assert report["gamma"] is not None
+
+        counts = cli.partition_counts
+
+        def mismatched(priors, grid, step):
+            # the priors of a grid half as long as the signal's
+            other = md.sample_grid(len(grid) // 2)
+            return counts([md.make_prior(10.0 * other)], grid, step)
+        monkeypatch.setattr(cli, "partition_counts", mismatched)
+        assert main([*argv, "--out", str(tmp_path / "bad")]) == 0
+        report = read_report(tmp_path / "bad" / "report.json")
+        assert report["phase_stats_error"] == "prior and grid lengths differ"
+        assert report["gamma"] is None and report["beta"] is None
+        assert report["contraction_bound"] is None
 
 
 class TestReportRecordsSolverParameters:

@@ -1,7 +1,11 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import modedecomp as md
+from modedecomp import mmd
 from modedecomp.errors import BandOutOfRange, SinZeroBand
 
 
@@ -259,3 +263,160 @@ class TestBandOperators:
         r0 = md.band_residual(attributed, res.estimates[0], ex.priors[0], 0, t)
         r2 = md.band_residual(attributed, res.estimates[0], ex.priors[0], 2, t)
         assert md.signal_norm(r0.values) >= md.signal_norm(r2.values)
+
+
+def plain_weight(f, f_prev):
+    """:func:`mmd.anderson_weight` patched in for plain Gauss-Seidel: no
+    extrapolated step is ever proposed."""
+    return None
+
+
+def run_mmd(ex, cfg, bin_space, plain=False):
+    """mmd on a forced path, accelerated or plain."""
+    weight = plain_weight if plain else mmd.anderson_weight
+    with mock.patch.object(mmd, "bin_space_fits", lambda *a: bin_space), \
+            mock.patch.object(mmd, "anderson_weight", weight):
+        return md.mmd_decompose(ex.signal, list(ex.priors), cfg)
+
+
+def quality(res, ex):
+    """Largest band-product error against the truth, largest zero-band
+    coefficient and final relative residual, as the acceptance suite and
+    the benchmark measure them."""
+    def ev(shapes, n):
+        return md.eval_shape(shapes[n], FINE)
+    errors, zero = [], []
+    for est, tru in zip(res.estimates, ex.truth):
+        errors.append(table_gap(ev(est.cos_shapes, 0), ev(tru.cos_shapes, 0)))
+        if est.bandwidth >= 1:
+            errors.append(table_gap(
+                ev(est.cos_shapes, 1) + ev(est.cos_shapes, -1),
+                ev(tru.cos_shapes, 1) + ev(tru.cos_shapes, -1)))
+            errors.append(table_gap(
+                ev(est.sin_shapes, 1) - ev(est.sin_shapes, -1),
+                ev(tru.sin_shapes, 1) - ev(tru.sin_shapes, -1)))
+        zero += [c for n, c in est.cos_coeffs.items() if n not in (0, 1)]
+        zero += [c for n, c in est.sin_coeffs.items() if n != 1]
+    return max(errors), max(zero, default=0.0), res.report.residual_norms[-1]
+
+
+def arrays(res):
+    """Every array an mmd result carries, in a fixed order."""
+    out = [res.residual.values]
+    for est in res.estimates:
+        out.append(est.mode.values)
+        for shapes, coeffs in ((est.cos_shapes, est.cos_coeffs),
+                               (est.sin_shapes, est.sin_coeffs)):
+            for n in sorted(shapes):
+                out += [shapes[n].bins, np.array([coeffs[n]])]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_runs(fixture, cfg, bin_space):
+    """The example ``gen_example_4_1(*fixture)`` and its plain and its
+    accelerated run, once per test session."""
+    ex = md.gen_example_4_1(*fixture)
+    return (ex, run_mmd(ex, cfg, bin_space, plain=True),
+            run_mmd(ex, cfg, bin_space))
+
+
+# the benchmark's mmd_wide shape
+WIDE = ((2 ** 14, 0.0, 3, "iid_uniform"), md.MmdConfig(m0=4, bins=200))
+
+
+class TestAcceleration:
+    """The safeguarded Anderson step against plain Gauss-Seidel, which
+    patching :func:`mmd.anderson_weight` restores."""
+
+    @pytest.mark.parametrize("bin_space", [True, False])
+    @pytest.mark.parametrize("fixture, cfg", [
+        # the acceptance fixtures
+        ((2 ** 14, 0.0, 7), md.MmdConfig(m0=2, bins=200)),
+        ((2 ** 14, 0.0, 7), md.MmdConfig(m0=2, bins=200, scheme="jacobi")),
+        ((2 ** 15, 2.25, 7), md.MmdConfig(m0=1, bins=20)),
+        ((2 ** 15, 2.25, 7), md.MmdConfig(m0=1, bins=20, scheme="jacobi")),
+        WIDE,
+        # a noisy input on the same grid, and m0 = 1 on a uniform grid
+        ((2 ** 14, 2.25, 5, "iid_uniform"), md.MmdConfig(m0=2, bins=200)),
+        ((2 ** 12, 0.0, 2), md.MmdConfig(m0=1, bins=200)),
+    ])
+    def test_no_worse_than_plain(self, fixture, cfg, bin_space):
+        ex, plain, fast = fixture_runs(fixture, cfg, bin_space)
+        assert not any(plain.report.accelerated)
+        assert len(fast.report.accelerated) == fast.report.iterations
+        assert fast.report.iterations <= plain.report.iterations
+        for got, want in zip(quality(fast, ex), quality(plain, ex)):
+            assert got <= 1.02 * want
+        total = sum(est.mode.values for est in fast.estimates)
+        assert table_gap(total + fast.residual.values,
+                         ex.signal.values) <= 1e-10
+
+    @pytest.mark.parametrize("bin_space", [True, False])
+    def test_fewer_iterations_on_wide_input(self, bin_space):
+        _, plain, fast = fixture_runs(*WIDE, bin_space)
+        assert fast.report.iterations <= 12 < plain.report.iterations
+        assert fast.report.stop_reason == plain.report.stop_reason
+
+    def test_safeguard_rejects_rising_residual(self):
+        # a weight far too large throws the state off: every mix raises
+        # the residual, so each is rejected and the run is plain
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 2)
+        cfg = md.MmdConfig(m0=1, bins=64, j1=12)
+        plain = run_mmd(ex, cfg, True, plain=True)
+        with mock.patch.object(
+                mmd, "anderson_weight",
+                lambda f, f_prev: None if f_prev is None else 1e3):
+            wild = md.mmd_decompose(ex.signal, list(ex.priors), cfg)
+        assert not any(wild.report.accelerated)
+        assert wild.report == plain.report
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(arrays(wild), arrays(plain)))
+
+    def test_safeguard_with_nonlinear_backend(self):
+        # bin means of clipped responses make the outer map nonlinear;
+        # the kept state never has a larger residual than the plain step
+        def clipped_backend(samples, bins):
+            clipped = md.FoldedSamples(samples.xs,
+                                       np.clip(samples.ys, -0.5, 0.5))
+            return md.partition_regress(clipped, bins)
+
+        steps, weights = [], []
+        step, weight = mmd.AndersonStep.__call__, mmd.anderson_weight
+
+        def recording_step(self, start, state, modes, r, rel, denom):
+            out = step(self, start, state, modes, r, rel, denom)
+            steps.append((rel, out[1], out[2]))
+            return out
+
+        def recording_weight(f, f_prev):
+            weights.append(weight(f, f_prev))
+            return weights[-1]
+
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 2)
+        with mock.patch.object(mmd.AndersonStep, "__call__", recording_step), \
+                mock.patch.object(mmd, "anderson_weight", recording_weight):
+            res = md.mmd_decompose(ex.signal, list(ex.priors),
+                                   md.MmdConfig(m0=1, bins=32, j1=30),
+                                   backend=clipped_backend)
+        assert [kept for _, _, kept in steps] == list(res.report.accelerated)
+        assert [rel for _, rel, _ in steps] == list(res.report.residual_norms)
+        for (plain_rel, rel, kept), gamma in zip(steps, weights):
+            assert rel < plain_rel if kept else rel == plain_rel
+            assert gamma is not None or not kept
+        # some mix was rejected after one had been kept
+        rejected = [gamma is not None and not kept
+                    for (_, _, kept), gamma in zip(steps, weights)]
+        first_kept = res.report.accelerated.index(True)
+        assert any(rejected[first_kept + 1:])
+
+    @pytest.mark.parametrize("bin_space", [True, False])
+    def test_rerun_identical(self, bin_space):
+        ex = md.gen_example_4_1(2 ** 13, 0.0, 8, "iid_uniform")
+        cfg = md.MmdConfig(m0=2, bins=100)
+        first = run_mmd(ex, cfg, bin_space)
+        again = run_mmd(ex, cfg, bin_space)
+        assert any(first.report.accelerated)
+        assert first.report == again.report
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(arrays(first), arrays(again)))

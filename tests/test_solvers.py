@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import modedecomp as md
 from modedecomp import mmd
 from modedecomp.errors import OutOfDomain
+from modedecomp.signal_model import row_norms
 
 
 def run_gmd(signal, priors, bins=64, scheme="gauss_seidel"):
@@ -156,6 +157,21 @@ class TestSignalNorm:
     def test_non_finite_propagates(self):
         assert md.signal_norm([1.0, np.inf]) == np.inf
         assert np.isnan(md.signal_norm([1.0, np.nan]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.lists(st.integers(-330, 300), min_size=1,
+                              max_size=5),
+           cols=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 1),
+           special=st.sampled_from([None, 0.0, np.inf, -np.inf, np.nan]))
+    @example(exponents=[0, 0], cols=200, seed=0, special=None)
+    def test_row_norms_match_per_row(self, exponents, cols, seed, special):
+        rng = np.random.default_rng(seed)
+        scale = np.array([10.0 ** e for e in exponents])[:, None]
+        rows = rng.normal(size=(len(exponents), cols)) * scale
+        if special is not None:
+            rows[-1, rng.integers(cols)] = special
+        want = [md.signal_norm(row) for row in rows]
+        assert np.array_equal(row_norms(rows), want, equal_nan=True)
 
     def test_huge_mode_norm(self):
         ex, base = unscaled("gmd")
