@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import WellDiffStats, autocorrelation, partition_counts, well_diff_stats
-from .errors import DecompositionError, IoError, NonMonotonePhase, ParseError
+from .errors import (
+    DecompositionError,
+    IoError,
+    LengthMismatch,
+    NonMonotonePhase,
+    ParseError,
+)
 from .gmd import GmdResult, gmd_decompose
 from .mmd import MmdConfig, MmdResult, mmd_decompose
 from .signal_model import (
@@ -73,22 +79,238 @@ _FIRST_LINE = re.compile(rb"[^\r\n]*")
 
 
 # ---------------------------------------------------------------------------
+# "%.17g" text of float64 blocks
+#
+# A finite x with 1e-280 <= |x| < 1e280 is printed from its 17 significant
+# digits D, 10**16 <= D < 10**17, and its decimal exponent X, found in numpy:
+#
+# - X starts as floor(log10 |x|). |x| * 10**(16 - X) is formed as p + s: p
+#   and the first part of s are a Dekker two-product of |x| with the high
+#   double of 10**(16 - X), the rest is |x| times its low double. The two
+#   doubles come from exact integer arithmetic, so p + s is within 2**-46 of
+#   the exact product, and D is its rounding unless the fraction lies
+#   within _TIE of 1/2.
+# - A product below 10**16 or from 10**17 up moves X one decade and is
+#   formed again; a D that rounds up to 10**17 carries into the next decade.
+#
+# Each value is then laid out in four uint64 words whose unused bytes are
+# NUL, and one ``bytes.translate`` deletes the NULs of a block:
+#   word 0: the sign, the "0." and zeros before the digits of -4 <= X < 0,
+#           and the first digit in the top byte;
+#   words 1, 2: digits 2-9 and 10-17, without the trailing zeros that the
+#           text drops; the dot is put in by shifting the bytes after it up
+#           one place, the top byte of word 1 moving into word 2;
+#   word 3: the byte shifted out of word 2, the exponent ("e-05") and the
+#           separator.
+# The words are little-endian, so their bytes read in text order. Zero is
+# its first digit alone. NaN, inf, other magnitudes outside the range and
+# near-ties are printed by "%.17g" itself (_printf_words), into the first
+# three words.
+
+_TIE = 2.0 ** -30
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_X_MIN, _X_MAX = -281, 281        # decimal exponents met while scaling
+_E16, _E17 = 10 ** 16, 10 ** 17
+_U = np.uint64
+_TEXT_WORD = np.dtype("<u8")
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows hi, hi's Dekker halves and lo, with hi + lo = 10**k to 2**-106
+    relative, for k = 16 - _X_MAX ... 16 - _X_MIN (columns)."""
+    hi, lo = [], []
+    for k in range(16 - _X_MAX, 17 - _X_MIN):
+        if k >= 0:
+            h = float(10 ** k)
+            lo.append(float(10 ** k - int(h)))
+        else:
+            den = 10 ** -k
+            h = 1 / den  # int division is correctly rounded
+            num, pow2 = h.as_integer_ratio()
+            lo.append((pow2 - num * den) / (den * pow2))
+        hi.append(h)
+    hi = np.array(hi)
+    c = 134217729.0 * hi  # 2**27 + 1
+    hi_hi = c - (c - hi)
+    return np.stack([hi, hi_hi, hi - hi_hi, np.array(lo)])
+
+
+def _text_words(texts: list[bytes], size: int = 8) -> np.ndarray:
+    """Each text, NUL-padded to ``size`` bytes, as ``size / 8`` words."""
+    text = b"".join(t.ljust(size, b"\0") for t in texts)
+    return np.frombuffer(text, _TEXT_WORD).astype(_U).reshape(len(texts), -1)
+
+
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per decimal exponent X (index X - _X_MIN): the dot's place g in the
+    digit stream (0: no dot among the digits), the prefix word and the
+    suffix words, those ending in "," first, then those ending in "\\n"."""
+    dot, prefix, suffix = [], [], []
+    exponents = range(_X_MIN, _X_MAX + 1)
+    for x in exponents:
+        fixed = -4 <= x < 17
+        dot.append(max(x + 1, 0) if fixed else 1)
+        prefix.append(b"0." + b"0" * (-x - 1) if fixed and x < 0 else b"")
+    for sep in (b",", b"\n"):
+        suffix += [(b"" if -4 <= x < 17 else b"e%+03d" % x) + sep for x in exponents]
+    return (np.array(dot), _text_words(prefix).ravel() << _U(8),
+            _text_words(suffix).ravel() << _U(8))
+
+
+_POW10 = _powers_of_ten()
+_DOT_AT, _PREFIX, _SUFFIX = _exponent_tables()
+
+
+def _layout_table() -> np.ndarray:
+    """Columns indexed by 18 * g + nd, for dot place g and nd significant
+    digits. Rows, for digit words 1 and 2: the ASCII bits of the digits
+    kept, the mask of the bytes before the dot, the dot's bits."""
+    low = [(1 << 8 * n) - 1 for n in range(9)]
+    columns = []
+    for g in range(18):
+        for nd in range(18):
+            kept = max(nd, g)  # an integer part keeps its zeros
+            dot = g if nd > g >= 1 else None
+            column = []
+            for first in (1, 9):  # place of the word's first digit
+                ascii_bits = 0x3030303030303030 & low[min(max(kept - first, 0), 8)]
+                if dot is None or dot > first + 7:
+                    column += [ascii_bits, low[8], 0]
+                elif dot < first:
+                    column += [ascii_bits, 0, 0]
+                else:
+                    column += [ascii_bits, low[dot - first], 0x2E << 8 * (dot - first)]
+            columns.append(column)
+    return np.array(columns, dtype=_U).T.copy()
+
+
+_LAYOUT = _layout_table()
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of a * 10**(16 - x). The integer part is
+    exact from 2**53 up; below, it is only known to lie below 10**16."""
+    hi, hi_hi, hi_lo, lo = _POW10.take(_X_MAX - x, axis=1)
+    c = 134217729.0 * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * hi
+    s = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    floor_s = np.floor(s)
+    return p.astype(np.int64) + floor_s.astype(np.int64), s - floor_s
+
+
+def _decimal_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17-digit D and exponent X of each value, and where they are certain.
+    Zero gets D = 0, which the layout prints as "0"."""
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):  # comparisons with NaN
+        fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+        zero = a == 0.0
+    a = np.where(fast, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, x)
+    low, high = n < _E16, n >= _E17
+    again = low | high
+    if again.any():
+        x = x - low + high
+        n[again], frac[again] = _scaled(a[again], x[again])
+    d = n + (frac > 0.5)
+    fast &= (d >= _E16) & (d <= _E17) & (np.abs(frac - 0.5) > _TIE)
+    carry = d == _E17
+    d[carry] = _E16
+    x += carry
+    d[~fast] = _E16
+    x[~fast] = 0
+    d[zero] = 0
+    return d, x, fast | zero
+
+
+def _digit_bytes(n: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each n < 10**8 as bytes 0-9, first digit in
+    the lowest byte."""
+    t = n // _U(10000)
+    w = t | ((n - t * _U(10000)) << _U(32))
+    t = ((w * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)  # // 100 a half
+    w = t | ((w - t * _U(100)) << _U(16))
+    t = ((w * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)  # // 10 a quarter
+    return t | ((w - t * _U(10)) << _U(8))
+
+
+def _used_bytes(w: np.ndarray) -> np.ndarray:
+    """1 + the place of the highest nonzero byte of words of bytes 0-9."""
+    m = (w + _U(0x7F7F7F7F7F7F7F7F)) & _U(0x8080808080808080)
+    m |= m >> _U(8)
+    m |= m >> _U(16)
+    m |= m >> _U(32)
+    return (((m >> _U(7)) * _U(0x0101010101010101)) >> _U(56)).view(np.int64)
+
+
+def _printf_words(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % value`` of each value, NUL-padded to three words."""
+    return _text_words([("%.17g" % t).encode("ascii") for t in values.tolist()], 24)
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-d float block, each value as ``"%.17g"`` prints it."""
+    v = block.ravel()
+    d, x, fast = _decimal_digits(v)
+    d = d.view(np.uint64)
+    q = d // _U(10 ** 8)
+    first = q // _U(10 ** 8)
+    digits = np.empty((2, v.size), _U)
+    digits[0] = q - first * _U(10 ** 8)
+    digits[1] = d - q * _U(10 ** 8)
+    digits = _digit_bytes(digits)
+    used = _used_bytes(digits)
+    nd = np.where(used[1] != 0, used[1] + 9, used[0] + 1)
+    x -= _X_MIN
+    ascii1, below1, dot1, ascii2, below2, dot2 = _LAYOUT.take(
+        18 * _DOT_AT[x] + nd, axis=1)
+    newline = np.zeros(block.shape, np.int64)  # the second half of _SUFFIX
+    newline[:, -1] = _DOT_AT.size
+    words = np.empty((v.size, 4), _U)
+    words[:, 0] = (_PREFIX[x] | (first + _U(0x30)) << _U(56)
+                   | np.signbit(v) * _U(0x2D))
+    w = digits[0] | ascii1
+    above = w & ~below1
+    words[:, 1] = (w & below1) | (above << _U(8)) | dot1
+    w = digits[1] | ascii2
+    above2 = w & ~below2
+    words[:, 2] = (w & below2) | (above2 << _U(8)) | dot2 | (above >> _U(56))
+    words[:, 3] = (above2 >> _U(56)) | _SUFFIX[x + newline.ravel()]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        words[slow, :3] = _printf_words(v[slow])
+    return words.astype(_TEXT_WORD, copy=False).tobytes().translate(None, b"\0")
+
+
+# ---------------------------------------------------------------------------
 # CSV / JSON primitives
 
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write a header row, then one row per sample at 17 significant digits.
 
-    Each block of rows is formatted by one ``%`` operation; ``"%.17g"``
-    prints a float exactly as ``"{:.17g}".format`` does.
+    The bytes are those of ``"%.17g" % value`` for every value, joined by
+    ``,`` and ``\\n``; :func:`_format_rows` makes them a block of rows at a
+    time in numpy. A header whose width differs from the column count, or
+    columns of unequal length, raise :class:`LengthMismatch` before the file
+    is opened.
     """
-    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    if len(header) != len(cols):
+        raise LengthMismatch(f"cannot write {path}: {len(header)} header "
+                             f"names for {len(cols)} columns")
+    if any(col.ndim != 1 or col.size != cols[0].size for col in cols):
+        raise LengthMismatch(f"cannot write {path}: columns must be 1-d and "
+                             f"of equal length, got shapes "
+                             f"{[col.shape for col in cols]}")
+    table = np.column_stack(cols)
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
             for start in range(0, len(table), _BLOCK_ROWS):
-                block = table[start:start + _BLOCK_ROWS]
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
+                fh.write(_format_rows(table[start:start + _BLOCK_ROWS]))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
