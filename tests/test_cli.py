@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
@@ -21,7 +23,12 @@ from modedecomp.cli import (
     write_report,
     write_signal_csv,
 )
-from modedecomp.errors import DecompositionError, NonMonotonePhase, ParseError
+from modedecomp.errors import (
+    DecompositionError,
+    LengthMismatch,
+    NonMonotonePhase,
+    ParseError,
+)
 
 
 def run_synth(out, samples=2048, noise="0", seed="7", extra=()):
@@ -48,6 +55,44 @@ class TestCsvRoundTrip:
         for got, want in zip(priors, ex.priors):
             assert np.array_equal(got.phase, want.phase)
             assert np.array_equal(got.amplitude, want.amplitude)
+
+    # finite doubles: subnormals, -0.0 and magnitudes up to 1.8e308
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40),
+           data=st.data())
+    def test_signal_roundtrip_any_finite(self, tmp_path_factory, times, data):
+        times = np.unique(np.abs(times))
+        assume(times.size >= 2)
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=times.size, max_size=times.size))
+        path = tmp_path_factory.mktemp("rt") / "sig.csv"
+        write_signal_csv(path, md.make_signal(times, values))
+        back = read_signal_csv(path)
+        assert back.times.tobytes() == times.tobytes()
+        assert back.values.tobytes() == np.array(values).tobytes()
+
+    # |phase| <= 1e307: make_prior's np.diff overflows (a RuntimeWarning)
+    # on phases that span more than the largest double
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=2, max_size=30),
+           data=st.data())
+    def test_phases_roundtrip_any_finite(self, tmp_path_factory, times, data):
+        n = len(times)
+        phases = [np.unique(data.draw(st.lists(st.floats(-1e307, 1e307),
+                                               min_size=n, max_size=n)))
+                  for _ in range(data.draw(st.integers(1, 2)))]
+        assume(all(p.size == n for p in phases))
+        positive = st.floats(min_value=5e-324, allow_infinity=False)
+        priors = [md.make_prior(p, data.draw(st.lists(positive, min_size=n, max_size=n)))
+                  for p in phases]
+        path = tmp_path_factory.mktemp("rt") / "phases.csv"
+        write_phases_csv(path, np.array(times), priors)
+        back_times, back = read_phases_csv(path)
+        assert back_times.tobytes() == np.array(times).tobytes()
+        for got, want in zip(back, priors, strict=True):
+            assert got.phase.tobytes() == want.phase.tobytes()
+            assert got.amplitude.tobytes() == want.amplitude.tobytes()
 
     def test_minimal_signal_file(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -637,6 +682,118 @@ class TestWriteTable:
         cli._write_table(path, header, list(table.T))
         want = reference_table_text(header, table).encode("utf-8")
         assert path.read_bytes() == want
+
+    @staticmethod
+    def assert_printf_bytes(path, values, width=1):
+        """Both signs of ``values`` written ``width`` to a row, as ``%.17g``."""
+        values = np.asarray(values, dtype=float)
+        values = np.concatenate([values, -values])
+        table = np.resize(values, (-(-values.size // width), width))
+        header = [f"c{i}" for i in range(width)]
+        cli._write_table(path, header, list(table.T))
+        lines = path.read_bytes().decode("ascii").split("\n")[1:-1]
+        want = reference_table_text(header, table).split("\n")[1:-1]
+        bad = [(row, got, ref) for row, got, ref in zip(table, lines, want) if got != ref]
+        assert len(lines) == len(want) and not bad, bad[:5]
+
+    @staticmethod
+    def with_neighbours(values, steps=2):
+        """``values`` and the doubles up to ``steps`` ulps either side."""
+        values = np.asarray(values, dtype=float)
+        out = [values]
+        up = down = values
+        with np.errstate(over="ignore"):
+            for _ in range(steps):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                out += [up, down]
+        return np.concatenate(out)
+
+    def test_decimal_midpoints(self, tmp_path):
+        """The doubles nearest 18-digit numbers ending in 5, halfway between
+        two 17-digit decimals, over the whole exponent range."""
+        rng = np.random.default_rng(11)
+        exponents = np.repeat(np.arange(-323, 309), 3)
+        heads = rng.integers(10 ** 16, 10 ** 17, exponents.size)
+        mids = [float(f"{h}5e{x - 17}") for h, x in zip(heads, exponents)]
+        self.assert_printf_bytes(tmp_path / "m.csv", self.with_neighbours(mids), 3)
+
+    def test_exact_ties(self, tmp_path):
+        """x = M / 2**(17 - X) with M odd lies exactly halfway between two
+        17-digit decimals, |x| * 10**(16 - X) = M * 5**(16 - X) / 2; "%.17g"
+        rounds those to even."""
+        rng = np.random.default_rng(12)
+        ties = []
+        for x in range(-7, 16):
+            scale = 2 ** (17 - x)
+            lo = math.ceil(Fraction(10) ** x * scale)
+            hi = min(10 * lo, 2 ** 53)
+            for m in rng.integers(lo, hi, 40) | 1:
+                t = Fraction(int(m), scale)
+                if 10 ** x <= t < 10 ** (x + 1):
+                    assert (t * Fraction(10) ** (16 - x)).denominator == 2
+                    ties.append(float(t))
+        assert len(ties) > 800
+        self.assert_printf_bytes(tmp_path / "t.csv", self.with_neighbours(ties, 1), 2)
+
+    def test_powers_of_ten_and_carries(self, tmp_path):
+        """10**X, 9.99..9eX (17 nines) and the doubles nearest 9.99..95eX,
+        which round up into the next decade, each +-2 ulp."""
+        decades = range(-323, 309)
+        values = ([float(f"1e{x}") for x in decades]
+                  + [float(f"{'9' * 17}e{x - 16}") for x in decades]
+                  + [float(f"{'9' * 17}5e{x - 17}") for x in decades])
+        self.assert_printf_bytes(tmp_path / "p.csv", self.with_neighbours(values), 2)
+
+    def test_fixed_exponent_switch(self, tmp_path):
+        """X = -5, -4, 16, 17, where "%.17g" changes between fixed and
+        exponent form: each decade's ends and random values inside it."""
+        rng = np.random.default_rng(13)
+        values = []
+        for x in (-5, -4, 16, 17):
+            values += [10.0 ** x, 10.0 ** (x + 1)]
+            values += list(10.0 ** x * rng.uniform(1.0, 10.0, 200))
+            values += list(np.round(10.0 ** x * rng.uniform(1.0, 10.0, 50), -x + 2))
+        self.assert_printf_bytes(tmp_path / "s.csv", self.with_neighbours(values, 20), 1)
+
+    def test_special_values(self, tmp_path):
+        values = [0.0, np.nan, np.inf, 5e-324, 1.5e-323, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1e-300, 1e-280, 1e280, 1e300,
+                  1.7976931348623157e308, 0.5, 1.0, 100.0, 1200.0, 0.1, 1 / 3]
+        self.assert_printf_bytes(tmp_path / "z.csv", values, 1)
+        self.assert_printf_bytes(tmp_path / "z3.csv", values, 3)
+
+    @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_random_bit_patterns(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        bits = rng.integers(0, 2 ** 64, rows * 3 // 2, dtype=np.uint64, endpoint=False)
+        self.assert_printf_bytes(tmp_path / "r.csv", bits.view(np.float64), 3)
+
+    def test_ordinary_signal_skips_printf(self, tmp_path, monkeypatch):
+        ex = md.gen_example_4_1(4096, 1.0, 3)
+
+        def refuse(values):
+            raise AssertionError(f"values reached the %.17g fallback: {values}")
+
+        monkeypatch.setattr(cli, "_printf_words", refuse)
+        write_signal_csv(tmp_path / "sig.csv", ex.signal)  # t = 0 included
+        write_phases_csv(tmp_path / "phases.csv", ex.signal.times, list(ex.priors))
+        for k, mode in enumerate(ex.components):
+            write_signal_csv(tmp_path / f"mode_{k}.csv", mode)
+        assert read_signal_csv(tmp_path / "sig.csv").values.tobytes() == \
+            ex.signal.values.tobytes()
+
+    def test_header_wider_than_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(LengthMismatch):
+            cli._write_table(path, ["a", "b"], [np.zeros(3)])
+        assert not path.exists()
+
+    def test_unequal_columns(self, tmp_path):
+        ex = md.gen_example_4_1(64, 0.0, 3)
+        path = tmp_path / "phases.csv"
+        with pytest.raises(LengthMismatch):
+            write_phases_csv(path, ex.signal.times[:10], list(ex.priors))
+        assert not path.exists()
 
 
 def reference_read_table(path):
