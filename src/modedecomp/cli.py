@@ -251,38 +251,58 @@ def _printf_words(values: np.ndarray) -> np.ndarray:
     return _text_words([("%.17g" % t).encode("ascii") for t in values.tolist()], 24)
 
 
-def _format_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-d float block, each value as ``"%.17g"`` prints it."""
+def _value_words(block: np.ndarray) -> np.ndarray:
+    """The four words of each value of a 2-d float block, in row order.
+
+    Each block-sized array is deleted once used: that keeps the heap of a
+    block near 17 arrays of its size, against 30 when they all live to the
+    end.
+    """
     v = block.ravel()
     d, x, fast = _decimal_digits(v)
     d = d.view(np.uint64)
     q = d // _U(10 ** 8)
     first = q // _U(10 ** 8)
     digits = np.empty((2, v.size), _U)
-    digits[0] = q - first * _U(10 ** 8)
-    digits[1] = d - q * _U(10 ** 8)
+    np.subtract(q, first * _U(10 ** 8), out=digits[0])
+    np.subtract(d, q * _U(10 ** 8), out=digits[1])
+    del d, q
     digits = _digit_bytes(digits)
     used = _used_bytes(digits)
     nd = np.where(used[1] != 0, used[1] + 9, used[0] + 1)
+    del used
     x -= _X_MIN
-    ascii1, below1, dot1, ascii2, below2, dot2 = _LAYOUT.take(
-        18 * _DOT_AT[x] + nd, axis=1)
+    layout = _LAYOUT.take(18 * _DOT_AT[x] + nd, axis=1)
+    del nd
+    words = np.empty((v.size, 4), _U)
+    np.bitwise_or(_PREFIX[x] | (first + _U(0x30)) << _U(56),
+                  np.signbit(v) * _U(0x2D), out=words[:, 0])
+    del first
+    shifted = _U(0)  # the top byte shifted out of the word before
+    for i, (ascii_bits, below, dot) in enumerate((layout[:3], layout[3:])):
+        w = digits[i] | ascii_bits
+        above = w & ~below
+        w &= below
+        w |= dot
+        w |= shifted
+        shifted = above >> _U(56)
+        above <<= _U(8)
+        np.bitwise_or(w, above, out=words[:, 1 + i])
+    del layout, digits, w, above
     newline = np.zeros(block.shape, np.int64)  # the second half of _SUFFIX
     newline[:, -1] = _DOT_AT.size
-    words = np.empty((v.size, 4), _U)
-    words[:, 0] = (_PREFIX[x] | (first + _U(0x30)) << _U(56)
-                   | np.signbit(v) * _U(0x2D))
-    w = digits[0] | ascii1
-    above = w & ~below1
-    words[:, 1] = (w & below1) | (above << _U(8)) | dot1
-    w = digits[1] | ascii2
-    above2 = w & ~below2
-    words[:, 2] = (w & below2) | (above2 << _U(8)) | dot2 | (above >> _U(56))
-    words[:, 3] = (above2 >> _U(56)) | _SUFFIX[x + newline.ravel()]
+    x += newline.ravel()
+    np.bitwise_or(shifted, _SUFFIX[x], out=words[:, 3])
     slow = np.flatnonzero(~fast)
     if slow.size:
         words[slow, :3] = _printf_words(v[slow])
-    return words.astype(_TEXT_WORD, copy=False).tobytes().translate(None, b"\0")
+    return words
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-d float block, each value as ``"%.17g"`` prints it."""
+    text = _value_words(block).astype(_TEXT_WORD, copy=False).tobytes()
+    return text.translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
