@@ -464,7 +464,7 @@ def read_phases_csv(path) -> tuple[np.ndarray, list[PhasePrior]]:
     priors = []
     for which, col in enumerate(p_cols):
         phase = data[:, col]
-        if np.any(np.diff(phase) <= 0.0):
+        if np.any(phase[1:] <= phase[:-1]):
             raise NonMonotonePhase(
                 f"{path}: column {header[col]} is not strictly increasing")
         amplitude = data[:, q_cols[which]] if q_cols else None

@@ -323,16 +323,18 @@ def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class BandOperators:
-    """One band pass of :func:`sweep` over ``K`` components, on bins.
+    """One pass of :func:`sweep` over ``K`` components, on bins.
 
-    Component ``k`` regresses ``g_k * r`` and subtracts ``h_k * E_k u``,
-    with carrier ``g_k`` and ``h_k = gain * g_k`` (``g_k = 1`` where the
-    carrier is ``None``). ``S_k`` sums samples into component ``k``'s bins
-    and ``E_k`` evaluates a table at its phase samples
+    Component ``k`` regresses ``a_k * r`` and subtracts ``h_k * E_k u``,
+    with regression factor ``a_k``, subtraction factor ``b_k`` and
+    ``h_k = gain * b_k`` (a factor of ``None`` is 1). An mmd band pass
+    takes its carrier for both factors, a gmd sweep ``a_k = 1 / q_k`` and
+    ``b_k = q_k`` with gain 1. ``S_k`` sums samples into component ``k``'s
+    bins and ``E_k`` evaluates a table at its phase samples
     (:meth:`PhasePlan.interpolate`). Each step is linear in the residual,
     so a pass can run on bin sums:
 
-    - ``cross[k, m] = S_k diag(g_k h_m) E_m`` (``k != m``): subtracting
+    - ``cross[k, m] = S_k diag(a_k h_m) E_m`` (``k != m``): subtracting
       component ``m``'s ``h_m E_m u`` lowers component ``k``'s bin sums by
       ``cross[k, m] @ u``;
     - ``gram[k, m] = E_k^T diag(h_k h_m) E_m`` (``k < m``) gives the
@@ -350,15 +352,27 @@ class BandOperators:
     self_g: np.ndarray
 
 
+def operator_bytes(bins: int, components: int, passes: int) -> int:
+    """Bytes of the :class:`BandOperators` of ``passes`` distinct passes:
+    per pass ``K(K-1)`` dense ``T`` and ``K(K-1)/2`` dense Gram blocks of
+    ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``. For
+    ``K = 2, B = 200`` that is 976,000 bytes a pass; every sweep of the
+    pass reads them once."""
+    k, b = components, bins
+    return passes * 8 * (3 * k * (k - 1) // 2 * b * b + 5 * k * b)
+
+
 def band_operators(plans: Sequence[PhasePlan],
-                   carriers: Sequence[np.ndarray | None],
+                   pre: Sequence[np.ndarray | None],
+                   post: Sequence[np.ndarray | None],
                    gain: float) -> BandOperators:
-    """The :class:`BandOperators` of a pass: one ``bincount`` over the
-    samples per pair of interpolation weights and block."""
+    """The :class:`BandOperators` of a pass with regression factors ``pre``
+    and subtraction factors ``post``: one ``bincount`` over the samples per
+    pair of interpolation weights and block."""
     nb = plans[0].layout.size
 
     # Index and weight temporaries are formed in place, so that at most
-    # two sample-length ones live beside the carriers' product.
+    # two sample-length ones live beside the factors' product.
     def count(index, weights, factor, size):
         return np.bincount(index, _times(factor, weights), size)
 
@@ -368,29 +382,34 @@ def band_operators(plans: Sequence[PhasePlan],
             out *= factor
         return out
 
-    def flat(i, j, size):
-        out = i * size
+    def flat(i, j):
+        out = i * nb
         out += j
         return out
+
+    def shifted(block, rows, cols):
+        # j1 = (j0 + 1) % B: a count over j1 is the count over j0 with its
+        # cells moved one bin on, summed in the same order
+        return np.roll(block.reshape(nb, nb), (rows, cols), (0, 1))
 
     cross, gram = {}, {}
     self_t = np.empty((len(plans), 3, nb))
     self_g = np.empty((len(plans), 2, nb))
     for k, pk in enumerate(plans):
-        rows, gk = pk.layout.index, carriers[k]
-        c = _times(gk, gk)
+        rows, ak, bk = pk.layout.index, pre[k], post[k]
+        c = _times(ak, bk)
 
-        def slots(j):
-            # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1
-            out = j - rows
-            out += 1
-            out %= nb
-            out += 3 * rows
-            return out
-
-        t = (count(slots(pk.j0), pk.w1, c, 3 * nb)
-             + count(slots(pk.j1), pk.w, c, 3 * nb))
-        self_t[k] = gain * t.reshape(nb, 3).T
+        # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1; a sample's
+        # j0 is its bin i or i - 1, so j1 takes the slot after j0's, which
+        # wraps to slot 0 when B = 2
+        slots = rows * 3
+        slots += pk.j0 == rows
+        t = (count(slots, pk.w1, c, 3 * nb).reshape(nb, 3)
+             + count(slots, pk.w, c, 3 * nb).reshape(nb, 3)[
+                 :, [2, 0, 1] if nb > 2 else [1, 0, 2]])
+        del slots
+        self_t[k] = gain * t.T
+        c = c if ak is bk else _times(bk, bk)
         self_g[k, 0] = (np.bincount(pk.j0, product(pk.w1, pk.w1, c), nb)
                         + np.bincount(pk.j1, product(pk.w, pk.w, c), nb))
         self_g[k, 1] = np.bincount(pk.j0, product(pk.w1, pk.w, c), nb)
@@ -398,18 +417,19 @@ def band_operators(plans: Sequence[PhasePlan],
         for m, pm in enumerate(plans):
             if m == k:
                 continue
-            c = _times(gk, carriers[m])
+            c = _times(ak, post[m])
+            index = flat(rows, pm.j0)
             cross[k, m] = gain * (
-                count(flat(rows, pm.j0, nb), pm.w1, c, nb * nb)
-                + count(flat(rows, pm.j1, nb), pm.w, c, nb * nb)
-            ).reshape(nb, nb)
+                count(index, pm.w1, c, nb * nb).reshape(nb, nb)
+                + shifted(count(index, pm.w, c, nb * nb), 0, 1))
             if m > k:
+                c = c if ak is bk else _times(bk, post[m])
+                index = flat(pk.j0, pm.j0)
                 gram[k, m] = gain * gain * sum(
-                    np.bincount(flat(jk, jm, nb), product(wk, wm, c),
-                                nb * nb)
-                    for jk, wk in ((pk.j0, pk.w1), (pk.j1, pk.w))
-                    for jm, wm in ((pm.j0, pm.w1), (pm.j1, pm.w))
-                ).reshape(nb, nb)
+                    shifted(np.bincount(index, product(wk, wm, c), nb * nb),
+                            dk, dm)
+                    for dk, wk in ((0, pk.w1), (1, pk.w))
+                    for dm, wm in ((0, pm.w1), (1, pm.w)))
     return BandOperators(cross, gram, self_t, self_g)
 
 
@@ -426,9 +446,9 @@ def _banded(d: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class BinPass:
-    """A band pass of :func:`sweep`, solved on bin sums.
+    """A pass of :func:`sweep`, solved on bin sums.
 
-    ``z[k]`` holds the bin sums of ``g_k * r`` over component ``k``'s bins
+    ``z[k]`` holds the bin sums of ``a_k * r`` over component ``k``'s bins
     for the current residual ``r``. A regression is then :func:`bin_means`
     of ``z[k]``, centred as by :func:`center_shape`, and its subtraction
     lowers every ``z[m]`` by the matching :class:`BandOperators` block.
@@ -442,23 +462,25 @@ class BinPass:
     REBASE = 2.0 ** -20
 
     def __init__(self, residual: np.ndarray, plans: Sequence[PhasePlan],
-                 ops: BandOperators, carriers: Sequence[np.ndarray | None],
-                 gain: float, scheme: str):
+                 ops: BandOperators, pre: Sequence[np.ndarray | None],
+                 post: Sequence[np.ndarray | None], gain: float,
+                 scheme: str):
         if not np.all(np.isfinite(residual)):
             raise NonFinite("folded samples must be finite")
         self.residual, self.plans, self.ops = residual, plans, ops
-        self.carriers, self.gain, self.scheme = carriers, gain, scheme
+        self.pre, self.post = pre, post
+        self.gain, self.scheme = gain, scheme
         self.total = np.zeros((len(plans), plans[0].layout.size))
         self._rebase(residual)
 
     def _rebase(self, r: np.ndarray) -> None:
         nb = self.total.shape[1]
         self.z, self.q = np.empty_like(self.total), np.empty_like(self.total)
-        for k, (p, g) in enumerate(zip(self.plans, self.carriers)):
-            y = _times(g, r)
+        for k, (p, a, b) in enumerate(zip(self.plans, self.pre, self.post)):
+            y = _times(a, r)
             self.z[k] = np.bincount(p.layout.index, y, nb)
-            # E_k^T(h_k r) with h_k r = gain * y
-            self.q[k] = p.spread(y)
+            # E_k^T(h_k r) with h_k r = gain * b_k r
+            self.q[k] = p.spread(y if b is a else _times(b, r))
         self.q *= self.gain
         self.base_sq = float(np.dot(r, r))
         self.since = np.zeros_like(self.total)
@@ -503,10 +525,10 @@ class BinPass:
         """``(U, modes, residual)``: the summed increments ``(K, B)``, each
         component's ``h_k E_k U_k`` and the residual they leave."""
         modes = []
-        for plan, g, u in zip(self.plans, self.carriers, self.total):
+        for plan, b, u in zip(self.plans, self.post, self.total):
             mode = plan.interpolate(self.gain * u)
-            if g is not None:
-                mode *= g
+            if b is not None:
+                mode *= b
             modes.append(mode)
         r = self.residual - modes[0]
         for mode in modes[1:]:

@@ -10,6 +10,18 @@ against the sweep-entering residual and the subtractions are applied
 together afterwards. The Jacobi scheme exists as a first-class option so the
 two convergence rates can be compared; Gauss-Seidel is the default and the
 recommended choice.
+
+With the partitioning estimate a sweep is linear in the residual, so
+:func:`gmd_decompose` runs its sweeps on bin sums
+(:class:`~modedecomp.fold_regress.BinPass`): component ``k`` regresses
+``r / q_k`` and subtracts ``q_k E_k u``. A run is one such pass from its
+first sweep to its last, so the pass's ``B x B`` operators are built once
+and paid for by every sweep, and the modes and the residual are formed once,
+at the end. A custom regression backend keeps the sweeps on the samples,
+through :func:`~modedecomp.fold_regress.sweep` as in :func:`rdbr_sweep`, and
+so does a run that :func:`bin_space_fits` turns away: one component, or
+operators too large for the run's length. Either path gives the same
+iterations and stop reasons, and outputs that differ by rounding only.
 """
 
 from __future__ import annotations
@@ -18,12 +30,17 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DecompositionError, InvalidPartition, OutOfDomain
 from .fold_regress import (
+    BinPass,
     PhasePlan,
     RegressionBackend,
     as_plans,
+    band_operators,
     check_amplitude,
+    operator_bytes,
     partition_regress,
     sweep,
 )
@@ -34,6 +51,8 @@ from .signal_model import (
     add_shapes,
     ldexp_shape,
     ldexp_signal,
+    make_shape,
+    row_norms,
     scale_into_range,
     signal_norm,
     sort_components,
@@ -126,6 +145,72 @@ def rdbr_sweep(residual: SampledSignal,
     return increments, SampledSignal(residual.times, r)
 
 
+def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
+    """Run ``step()`` until the residual stops improving.
+
+    Each call runs one sweep and returns the residual's norm and its
+    increments' norms. Stops on the first of: the residual norm or the
+    largest increment norm, relative to ``denom``, dropping to ``eps``, the
+    relative residual norm changing by at most ``eps`` between sweeps
+    (stall), or ``max_iters`` sweeps. Returns the relative norms per sweep
+    and the :class:`StopReason`.
+    """
+    eps0, eps1, eps2 = 2.0, 1.0, 1.0
+    norms_r: list[float] = []
+    norms_s: list[float] = []
+    while (len(norms_r) < max_iters and eps1 > eps and eps2 > eps
+           and abs(eps1 - eps0) > eps):
+        r_norm, inc_norms = step()
+        eps0 = eps1
+        eps1 = r_norm / denom
+        eps2 = max(inc_norms) / denom
+        norms_r.append(float(eps1))
+        norms_s.append(float(eps2))
+
+    if eps1 <= eps:
+        reason = StopReason.RESIDUAL_SMALL
+    elif eps2 <= eps:
+        reason = StopReason.INCREMENT_SMALL
+    elif abs(eps1 - eps0) <= eps:
+        reason = StopReason.STALLED
+    else:
+        reason = StopReason.MAX_ITER
+    return norms_r, norms_s, reason
+
+
+#: Bytes of a run's operators per component and sample beyond which its
+#: bin-space sweeps were measured slower than sample-space sweeps.
+OPERATOR_PER_SAMPLE = 8
+
+
+def bin_space_fits(length: int, bins: int, components: int) -> bool:
+    """Whether a gmd run sweeps in bin space: it has more than one
+    component, and its operators,
+    :func:`~modedecomp.fold_regress.operator_bytes`, take at most
+    :data:`OPERATOR_PER_SAMPLE` bytes per component and sample (so never
+    more than its phase plans).
+
+    An mmd run of band 0 alone is the opposite case:
+    :func:`modedecomp.mmd.bin_space_fits` keeps it on the samples for more
+    than one component, because it builds a new pass in every outer
+    iteration and forms that pass's modes and residual on the samples. A gmd
+    run is one pass from its first sweep to its last: it builds its
+    operators once and forms its modes and residual once. With one
+    component that fixed work still costs as much as the cheap sweeps it
+    replaces: a lone mode converges in four to six of them.
+
+    Measured on ex4_1-shaped runs with the path forced (2-vCPU Xeon VM,
+    ``K = 1 ... 3``, ``B = 200 ... 1000``, ``L = 2^10 ... 2^20``, both
+    schemes), bin over sample time: 0.56-0.84 on the 24 sizes this rule
+    admits; 0.60-7.4 on the 108 with ``K = 2, 3`` it turns away, where the
+    first losses came at 23-46 bytes a sample with ``K = 3``; and with one
+    component 0.63-1.10, with 1.04-1.28 at ``B = 200``,
+    ``L = 2^16 ... 2^20`` in a second series.
+    """
+    return (components > 1 and operator_bytes(bins, components, 1)
+            <= OPERATOR_PER_SAMPLE * components * length)
+
+
 def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                   eps: float = 1e-6, max_iters: int = 200, bins: int = 200,
                   scheme: str = "gauss_seidel",
@@ -134,7 +219,10 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
     Stops on the first of: the relative residual norm or the largest shape
     increment norm dropping to ``eps``, the residual norm changing by at
-    most ``eps`` between sweeps (stall), or ``max_iters`` sweeps.
+    most ``eps`` between sweeps (stall), or ``max_iters`` sweeps. With the
+    default ``backend`` the sweeps run on bin sums when
+    :func:`bin_space_fits` holds, to within rounding of the sample-space
+    sweeps.
     """
     _check_scheme(scheme)
     if len(priors) == 0:
@@ -151,44 +239,47 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                 for p in priors]
     sorted_priors, order = sort_components(resolved)
 
-    r, pow2 = scale_into_range(signal)
-    denom = r.l2norm or 1.0
-
-    shapes = [zero_shape(bins) for _ in sorted_priors]
+    scaled, pow2 = scale_into_range(signal)
+    denom = scaled.l2norm or 1.0
     plans = as_plans(sorted_priors, len(signal), bins)
     for prior in sorted_priors:
         check_amplitude(prior)
-    eps0, eps1, eps2 = 2.0, 1.0, 1.0
-    norms_r: list[float] = []
-    norms_s: list[float] = []
-    j = 0
-    while (j < max_iters and eps1 > eps and eps2 > eps
-           and abs(eps1 - eps0) > eps):
-        incs, r = rdbr_sweep(r, plans, bins, scheme, backend)
-        shapes = [add_shapes(s, inc) for s, inc in zip(shapes, incs)]
-        eps0 = eps1
-        eps1 = signal_norm(r.values) / denom
-        eps2 = max(inc.l2norm for inc in incs) / denom
-        norms_r.append(eps1)
-        norms_s.append(eps2)
-        j += 1
+    amplitudes = [plan.prior.amplitude for plan in plans]
 
-    if eps1 <= eps:
-        reason = StopReason.RESIDUAL_SMALL
-    elif eps2 <= eps:
-        reason = StopReason.INCREMENT_SMALL
-    elif abs(eps1 - eps0) <= eps:
-        reason = StopReason.STALLED
+    if backend is partition_regress and bin_space_fits(len(signal), bins,
+                                                       len(plans)):
+        inverse = [1.0 / q for q in amplitudes]
+        solver = BinPass(scaled.values, plans,
+                         band_operators(plans, inverse, amplitudes, 1.0),
+                         inverse, amplitudes, 1.0, scheme)
+        norms_r, norms_s, reason = iterate_sweeps(
+            lambda: solver.sweep()[1:], denom, eps, max_iters)
+        total, modes, r = solver.finish()
+        shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
+        modes = [np.ldexp(mode, pow2, out=mode) for mode in modes]
     else:
-        reason = StopReason.MAX_ITER
+        total = np.zeros((len(plans), bins))
+        r = scaled.values
 
+        def sample_step():
+            nonlocal r
+            raws, _, r = sweep(r, plans, bins, scheme, backend, amplitudes,
+                               amplitudes, divide=True)
+            incs = np.stack([raw.bins for raw in raws])
+            np.add(total, incs, out=total)
+            return signal_norm(r), row_norms(incs)
+
+        norms_r, norms_s, reason = iterate_sweeps(sample_step, denom, eps,
+                                                  max_iters)
+        shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
+        modes = [q * plan.evaluate(s)
+                 for q, plan, s in zip(amplitudes, plans, shapes)]
+
+    j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,
                                  (False,) * j)
-
-    shapes = [ldexp_shape(s, pow2) for s in shapes]
-    r = ldexp_signal(r, pow2)
-    modes = [SampledSignal(t, plan.prior.amplitude * plan.evaluate(s))
-             for plan, s in zip(plans, shapes)]
+    r = ldexp_signal(SampledSignal(t, r), pow2)
+    modes = [SampledSignal(t, mode) for mode in modes]
     fundamentals = [int(p.fundamental) for p in sorted_priors]
     return GmdResult(to_caller_order(shapes, order),
                      to_caller_order(modes, order), r, report,

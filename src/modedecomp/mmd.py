@@ -66,10 +66,17 @@ from .fold_regress import (
     as_plans,
     band_operators,
     carrier,
+    operator_bytes,
     partition_regress,
     sweep,
 )
-from .gmd import DecompositionReport, StopReason, _check_scheme, to_caller_order
+from .gmd import (
+    DecompositionReport,
+    StopReason,
+    _check_scheme,
+    iterate_sweeps,
+    to_caller_order,
+)
 from .signal_model import (
     MimfEstimate,
     PhasePrior,
@@ -165,7 +172,8 @@ class BinSpacePlans(tuple):
                   gain: float) -> BandOperators:
         key = (abs(n), kind)
         if key not in self.cache:
-            self.cache[key] = band_operators(self, carriers, gain)
+            self.cache[key] = band_operators(self, carriers, carriers,
+                                             gain)
         return self.cache[key]
 
     def carriers(self, n: int, kind: str) -> list[np.ndarray]:
@@ -201,16 +209,6 @@ OPERATOR_FLOOR = 32 * 2 ** 20
 OPERATOR_PER_SAMPLE = 128
 
 
-def operator_bytes(bins: int, components: int, passes: int) -> int:
-    """Bytes of the operators cached for ``passes`` distinct band passes:
-    per pass ``K(K-1)`` dense ``T`` and ``K(K-1)/2`` dense Gram blocks of
-    ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``. For
-    ``K = 2, B = 200`` that is 976,000 bytes a pass; every sweep of the
-    pass reads them once."""
-    k, b = components, bins
-    return passes * 8 * (3 * k * (k - 1) // 2 * b * b + 5 * k * b)
-
-
 def bin_space_fits(length: int, bins: int, components: int,
                    passes: int) -> bool:
     """Whether a run solves its band passes in bin space.
@@ -221,6 +219,13 @@ def bin_space_fits(length: int, bins: int, components: int,
     alone has one component. Memory: all the cached operators take at most
     the bytes the run's phase plans hold, six arrays of ``length`` numbers
     per component, or :data:`OPERATOR_FLOOR` if that is more.
+
+    A run of band 0 alone is a gmd run cut into passes: it builds a new
+    pass in every outer iteration and forms the pass's modes and residual
+    on the samples, which the few inner sweeps of a pass do not pay back
+    with more than one component. A gmd run builds one pass for all its
+    sweeps, so :func:`modedecomp.gmd.bin_space_fits` takes bin space with
+    more than one component, and only then.
 
     Measured on ex4_1-shaped runs (2-vCPU Xeon VM), bin over sample time:
     0.38-0.94 where this rule admits a run with ``m0 >= 1`` (``K = 1 ... 4``,
@@ -234,21 +239,6 @@ def bin_space_fits(length: int, bins: int, components: int,
     return (per_pass <= OPERATOR_PER_SAMPLE * components * length
             and passes * per_pass <= max(48 * components * length,
                                          OPERATOR_FLOOR))
-
-
-def _inner_sweeps(step, denom: float, eps2: float, max_iters: int) -> None:
-    """Run ``step()`` until the inner stopping rule holds. Each call runs
-    one sweep and returns the residual's norm and its stored increments'
-    norms."""
-    eps0, eps1v, eps2v = 2.0, 1.0, 1.0
-    j = 0
-    while (j < max_iters and eps1v > eps2 and eps2v > eps2
-           and abs(eps1v - eps0) > eps2):
-        r_norm, inc_norms = step()
-        eps0 = eps1v
-        eps1v = r_norm / denom
-        eps2v = max(inc_norms) / denom
-        j += 1
 
 
 def modified_rdbr(residual: SampledSignal,
@@ -294,10 +284,10 @@ def modified_rdbr(residual: SampledSignal,
     if bin_space:
         scaled, pow2 = scale_into_range(residual)
         solver = BinPass(scaled.values, plans,
-                         priors.operators(n, kind, pre, gain), pre, gain,
+                         priors.operators(n, kind, pre, gain), pre, pre, gain,
                          scheme)
-        _inner_sweeps(lambda: solver.sweep()[1:],
-                      signal_norm(scaled.values) or 1.0, eps2, max_iters)
+        iterate_sweeps(lambda: solver.sweep()[1:],
+                       signal_norm(scaled.values) or 1.0, eps2, max_iters)
         total, modes, r = solver.finish()
         stored = gain * total
     else:
@@ -315,8 +305,8 @@ def modified_rdbr(residual: SampledSignal,
                 mode += f_inc
             return signal_norm(r), row_norms(incs)
 
-        _inner_sweeps(sample_step, signal_norm(residual.values) or 1.0, eps2,
-                      max_iters)
+        iterate_sweeps(sample_step, signal_norm(residual.values) or 1.0,
+                       eps2, max_iters)
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
             [ldexp_signal(SampledSignal(t, m), pow2) for m in modes],

@@ -212,7 +212,8 @@ def make_prior(phase: Sequence[float], amplitude: Sequence[float] | None = None,
         raise LengthMismatch("phase must be a 1-d sequence with at least 2 samples")
     if not np.all(np.isfinite(p)):
         raise NonFinite("phase must be finite")
-    if np.any(np.diff(p) <= 0.0):
+    # neighbours compared, not differenced: a difference can overflow
+    if np.any(p[1:] <= p[:-1]):
         raise NonMonotonePhase("phase must be strictly increasing")
     if amplitude is None:
         q = np.ones_like(p)

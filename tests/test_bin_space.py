@@ -1,9 +1,11 @@
-"""The bin-space band pass against the sample-space sweeps it replaces.
+"""The bin-space passes against the sample-space sweeps they replace.
 
 :func:`modedecomp.modified_rdbr` solves a pass on bin sums when handed
 :class:`~modedecomp.mmd.BinSpacePlans`, and with sample-space sweeps
-otherwise. The two differ only in rounding, so every comparison allows a
-relative 1e-12 and requires the same number of inner sweeps.
+otherwise; :func:`modedecomp.gmd_decompose` runs its sweeps on bin sums
+when :func:`modedecomp.gmd.bin_space_fits` holds. The two differ only in
+rounding, so every comparison allows a relative 1e-12 and requires the same
+number of sweeps.
 """
 
 from contextlib import contextmanager
@@ -11,9 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modedecomp as md
-from modedecomp import mmd
+from modedecomp import gmd, mmd
 from modedecomp.fold_regress import (BinPass, _banded, band_operators,
                                      bin_means, carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
@@ -48,6 +52,7 @@ def recording_sweeps():
     bin-space sweep run inside."""
     norms = {"sample": [], "bin": []}
     sample_sweep, bin_sweep = mmd.sweep, BinPass.sweep
+    assert gmd.sweep is sample_sweep
 
     def sample(*args, **kwargs):
         out = sample_sweep(*args, **kwargs)
@@ -60,6 +65,7 @@ def recording_sweeps():
         return out
 
     with mock.patch.object(mmd, "sweep", sample), \
+            mock.patch.object(gmd, "sweep", sample), \
             mock.patch.object(BinPass, "sweep", binned):
         yield norms
 
@@ -88,6 +94,55 @@ def assert_close(want, got, signal, factor=1.0):
     for w, g in zip(w_modes, g_modes):
         assert rel(g.values / factor, w.values) <= TOL
     assert rel(g_r.values / factor, w_r.values, signal.l2norm) <= TOL
+
+
+def gmd_both_paths(signal, priors, **kwargs):
+    """``gmd_decompose`` with its sweeps on the samples, then on bin sums,
+    each with the residual's norm after every sweep."""
+    runs = []
+    for bin_space in (False, True):
+        with mock.patch.object(gmd, "bin_space_fits",
+                               lambda *args, _b=bin_space: _b), \
+                recording_sweeps() as norms:
+            result = md.gmd_decompose(signal, priors, **kwargs)
+        assert not norms["sample" if bin_space else "bin"]
+        runs.append((result, norms["bin" if bin_space else "sample"]))
+    return runs
+
+
+def assert_gmd_close(runs, signal):
+    """Same iterations and stop reason; per-sweep residual norms, shapes,
+    modes and residual within 1e-12 of the signal's norm. The bin path
+    takes its norms from the Gram form, which keeps its error on the
+    signal's scale rather than on the residual's."""
+    (want, want_norms), (got, got_norms) = runs
+    assert got.report.iterations == want.report.iterations
+    assert got.report.stop_reason == want.report.stop_reason
+    assert len(got_norms) == len(want_norms) == want.report.iterations
+    scale = signal.l2norm
+    gaps = np.subtract(got_norms, want_norms)
+    assert np.max(np.abs(gaps)) <= TOL * scale
+    for name in ("residual_norms", "shape_increment_norms"):
+        # already relative to the signal's norm
+        gaps = np.subtract(getattr(got.report, name),
+                           getattr(want.report, name))
+        assert np.max(np.abs(gaps)) <= TOL
+    assert got.fundamentals == want.fundamentals
+    for g, w in zip(got.shapes, want.shapes):
+        assert rel(g.bins, w.bins, scale) <= TOL
+        assert abs(g.l2norm - w.l2norm) <= TOL * scale
+    for g, w in zip(got.modes, want.modes):
+        assert rel(g.values, w.values, scale) <= TOL
+    assert rel(got.residual.values, want.residual.values, scale) <= TOL
+
+
+def gmd_problem(length, grid, noise_var, components, seed):
+    """ex4_1 against its first prior, both, or both and a spurious third."""
+    ex = md.gen_example_4_1(length, noise_var, seed, grid)
+    t = ex.signal.times
+    third = md.make_prior(97.0 * (t + 0.002 * np.sin(2 * np.pi * t)),
+                          1.0 + 0.2 * np.cos(2 * np.pi * t))
+    return ex.signal, [*ex.priors, third][:components]
 
 
 BANDS = [(0, "cos"), (1, "cos"), (1, "sin"), (-2, "cos"), (-2, "sin"),
@@ -214,29 +269,85 @@ class TestDecompositionsMatch:
         assert rel(got.residual.values, want.residual.values, scale) <= TOL
 
 
+    @pytest.mark.parametrize("fixture, kwargs", [
+        ((2 ** 14, 0.0), {}),
+        ((2 ** 14, 0.0), {"scheme": "jacobi"}),
+        ((2 ** 15, 2.25), {}),
+        ((2 ** 15, 2.25), {"scheme": "jacobi", "bins": 20}),
+    ])
+    def test_gmd_acceptance_fixtures(self, fixture, kwargs):
+        ex = md.gen_example_4_1(*fixture, 7)
+        assert_gmd_close(gmd_both_paths(ex.signal, list(ex.priors), **kwargs),
+                         ex.signal)
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    def test_gmd_overspecified_priors(self, scheme):
+        # criterion 6's fixture: a second prior at twice the first's phase
+        t = md.sample_grid(2 ** 13)
+        phi = t + 0.004 * np.sin(2 * np.pi * t)
+        sig = md.make_signal(
+            t, md.eval_shape(md.ecg_like_shape(1024, 1), 60.0 * phi))
+        priors = [md.make_prior(60.0 * phi), md.make_prior(120.0 * phi)]
+        assert_gmd_close(gmd_both_paths(sig, priors, eps=1e-2, max_iters=50,
+                                        bins=100, scheme=scheme), sig)
+
+
+class TestGmdMatchesSampleSpace:
+    @settings(max_examples=25, deadline=None)
+    @given(components=st.integers(1, 3),
+           scheme=st.sampled_from(["gauss_seidel", "jacobi"]),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           noise_var=st.sampled_from([0.0, 0.5]),
+           log_length=st.integers(10, 14),
+           seed=st.integers(0, 2 ** 16))
+    def test_property(self, components, scheme, grid, noise_var, log_length,
+                      seed):
+        sig, priors = gmd_problem(2 ** log_length, grid, noise_var,
+                                  components, seed)
+        assert_gmd_close(gmd_both_paths(sig, priors, scheme=scheme), sig)
+
+
+def factors(priors, n, kind):
+    """Regression and subtraction factors and gain of an mmd band pass
+    (``kind`` "cos" or "sin"), or of a gmd sweep (``kind`` "amplitude")."""
+    if kind == "amplitude":
+        q = [p.amplitude for p in priors]
+        return [1.0 / a for a in q], q, 1.0
+    g = [None if n == 0 else carrier(p, n, kind) for p in priors]
+    return g, g, 1.0 if n == 0 else 2.0
+
+
 class TestTemporariesInPlace:
     """:func:`~modedecomp.fold_regress.band_operators` and
     :meth:`BinPass.finish` form their sample-length temporaries in place;
-    their values are those of the plain expressions, bit for bit."""
+    their values are those of the plain expressions, bit for bit, for an
+    mmd pass's carriers and for gmd's separate regression and subtraction
+    factors."""
 
-    @pytest.mark.parametrize("n, kind", [(0, "cos"), (2, "sin")])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (2, "sin"),
+                                         (0, "amplitude")])
     def test_operators(self, n, kind):
         sig, priors = problem(11, 500, "iid_uniform", 3)
-        nb = 24
+        pre, post, gain = factors(priors, n, kind)
+        for nb in (2, 3, 24):
+            self.check_operators(priors, pre, post, gain, nb)
+
+    @staticmethod
+    def check_operators(priors, pre, post, gain, nb):
         plans = [plan_phase(p, 500, nb) for p in priors]
-        g = [None if n == 0 else carrier(p, n, kind) for p in priors]
-        gain = 1.0 if n == 0 else 2.0
-        ops = band_operators(plans, g, gain)
+        ops = band_operators(plans, pre, post, gain)
 
         def times(a, b):
             return b if a is None else a * b
 
         for k, pk in enumerate(plans):
-            rows, c = pk.layout.index, times(g[k], g[k])
+            rows = pk.layout.index
+            c = times(pre[k], post[k])
             t = sum(np.bincount(3 * rows + (j - rows + 1) % nb, times(c, w),
                                 3 * nb) for j, w in ((pk.j0, pk.w1),
                                                      (pk.j1, pk.w)))
             assert np.array_equal(ops.self_t[k], gain * t.reshape(nb, 3).T)
+            c = times(post[k], post[k])
             d = (np.bincount(pk.j0, times(c, pk.w1 * pk.w1), nb)
                  + np.bincount(pk.j1, times(c, pk.w * pk.w), nb))
             off = np.bincount(pk.j0, times(c, pk.w1 * pk.w), nb)
@@ -245,12 +356,13 @@ class TestTemporariesInPlace:
             for m, pm in enumerate(plans):
                 if m == k:
                     continue
-                c = times(g[k], g[m])
+                c = times(pre[k], post[m])
                 cross = sum(np.bincount(rows * nb + j, times(c, w), nb * nb)
                             for j, w in ((pm.j0, pm.w1), (pm.j1, pm.w)))
                 assert np.array_equal(ops.cross[k, m],
                                       gain * cross.reshape(nb, nb))
                 if m > k:
+                    c = times(post[k], post[m])
                     gram = sum(
                         np.bincount(jk * nb + jm, times(c, wk * wm), nb * nb)
                         for jk, wk in ((pk.j0, pk.w1), (pk.j1, pk.w))
@@ -258,21 +370,21 @@ class TestTemporariesInPlace:
                     assert np.array_equal(ops.gram[k, m],
                                           gain * gain * gram.reshape(nb, nb))
 
-    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin")])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin"),
+                                         (0, "amplitude")])
     def test_finish(self, n, kind):
         sig, priors = problem(12, 500, "iid_uniform", 3)
         plans = [plan_phase(p, 500, 24) for p in priors]
-        g = [None if n == 0 else carrier(p, n, kind) for p in priors]
-        gain = 1.0 if n == 0 else 2.0
-        solver = BinPass(sig.values, plans, band_operators(plans, g, gain),
-                         g, gain, "gauss_seidel")
+        pre, post, gain = factors(priors, n, kind)
+        solver = BinPass(sig.values, plans,
+                         band_operators(plans, pre, post, gain), pre, post,
+                         gain, "gauss_seidel")
         solver.sweep()
         total, modes, r = solver.finish()
         want_r = sig.values
-        for p, gk, u, mode in zip(plans, g, total, modes):
-            b = gain * u
-            want = p.w1 * b[p.j0] + p.w * b[p.j1]
-            want = want if gk is None else gk * want
+        for p, b, u, mode in zip(plans, post, total, modes):
+            want = p.w1 * (gain * u)[p.j0] + p.w * (gain * u)[p.j1]
+            want = want if b is None else b * want
             assert np.array_equal(mode, want)
             want_r = want_r - want
         assert np.array_equal(r, want_r)
@@ -296,10 +408,9 @@ class TestSweepTrims:
         # starts from
         sig, priors = problem(13, 500, "iid_uniform", 3)
         plans = [plan_phase(p, 500, 24) for p in priors]
-        g = [None if n == 0 else carrier(p, n, kind) for p in priors]
-        gain = 1.0 if n == 0 else 2.0
-        solver = BinPass(sig.values, plans, band_operators(plans, g, gain),
-                         g, gain, "jacobi")
+        g, _, gain = factors(priors, n, kind)
+        solver = BinPass(sig.values, plans, band_operators(plans, g, g, gain),
+                         g, g, gain, "jacobi")
         for _ in range(3):
             means = [bin_means(z, p.layout) for z, p in zip(solver.z, plans)]
             incs, _, norms = solver.sweep()
@@ -395,6 +506,53 @@ class TestPathRule:
         with recording_sweeps() as norms:
             md.mmd_decompose(ex.signal, list(ex.priors), cfg, backend)
         assert norms["sample"] and not norms["bin"]
+
+
+class TestGmdPathRule:
+    def test_crossover(self):
+        assert gmd.OPERATOR_PER_SAMPLE == 8
+        # K = 2, B = 200: 976,000 bytes of operators need 16 L >= 976,000
+        assert not gmd.bin_space_fits(60_999, 200, 2)
+        assert gmd.bin_space_fits(61_000, 200, 2)
+        # K = 3: 2,904,000 bytes at B = 200, 18,060,000 at B = 500
+        assert not gmd.bin_space_fits(120_999, 200, 3)
+        assert gmd.bin_space_fits(121_000, 200, 3)
+        assert not gmd.bin_space_fits(752_499, 500, 3)
+        assert gmd.bin_space_fits(752_500, 500, 3)
+        # the benchmark's gmd_long and the gmd of its cli_roundtrip
+        assert gmd.bin_space_fits(2 ** 20, 200, 2)
+        assert gmd.bin_space_fits(262_144, 200, 2)
+        # one component sweeps on the samples at any length
+        assert not gmd.bin_space_fits(2 ** 20, 200, 1)
+        assert not gmd.bin_space_fits(2 ** 20, 2, 1)
+
+    def test_default_takes_bin_space(self):
+        ex = md.gen_example_4_1(2 ** 16, 0.0, 3, "iid_uniform")
+        with recording_sweeps() as norms:
+            result = md.gmd_decompose(ex.signal, list(ex.priors))
+        assert not norms["sample"]
+        assert len(norms["bin"]) == result.report.iterations
+
+    @pytest.mark.parametrize("length, components, custom", [
+        # a custom backend
+        (2 ** 16, 2, True),
+        # one component
+        (2 ** 16, 1, False),
+        # operators above 8 bytes a sample
+        (2 ** 15, 2, False),
+    ])
+    def test_sample_space(self, length, components, custom):
+        ex = md.gen_example_4_1(length, 0.0, 3, "iid_uniform")
+
+        def backend(samples, bins):
+            return md.partition_regress(samples, bins)
+
+        kwargs = {"backend": backend} if custom else {}
+        with recording_sweeps() as norms:
+            result = md.gmd_decompose(ex.signal,
+                                      list(ex.priors)[:components], **kwargs)
+        assert not norms["bin"]
+        assert len(norms["sample"]) == result.report.iterations
 
 
 class TestCarrierWindow:

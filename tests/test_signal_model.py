@@ -99,6 +99,16 @@ class TestRoundFundamental:
         with pytest.raises(NonMonotonePhase):
             md.make_prior([0.0, 1.0, 0.5])
 
+    def test_phase_spanning_more_than_largest_double(self):
+        # the difference of neighbours overflows; their order does not
+        top = np.finfo(float).max
+        for phase in ([-1e308, 1e308], [-top, top], [-top, 0.0, top]):
+            assert np.array_equal(md.make_prior(phase).phase, phase)
+        with pytest.raises(NonMonotonePhase):
+            md.make_prior([-1e308, 1e308, 1e308])
+        with pytest.raises(NonMonotonePhase):
+            md.make_prior([1e308, -1e308])
+
     def test_grid_mismatch(self):
         t = np.arange(64) / 64
         prior = md.make_prior(t)
