@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,6 +95,16 @@ def bin_layout(xs: np.ndarray, nb: int) -> BinLayout:
                      centers[occupied])
 
 
+@lru_cache(maxsize=16)
+def _neighbours(nb: int) -> np.ndarray:
+    """The periodic neighbours of ``nb`` bins: row ``i`` of the ``(3, nb)``
+    result holds ``(i - 1, i, i + 1) mod nb`` down its column ``i``."""
+    i = np.arange(nb)
+    out = np.stack((np.roll(i, 1), i, np.roll(i, -1)))
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class FoldedSamples:
     """Folded phase positions in [0, 1) with their responses.
@@ -123,8 +134,7 @@ class PhasePlan:
     prior: PhasePrior
     xs: np.ndarray
     layout: BinLayout
-    j0: np.ndarray
-    j1: np.ndarray
+    j0: np.ndarray  # the bin a sample interpolates from, to (j0 + 1) % B
     w: np.ndarray
     w1: np.ndarray  # 1 - w
 
@@ -144,7 +154,8 @@ class PhasePlan:
         """A ``layout.size``-bin table evaluated at the phase samples."""
         out = b[self.j0]
         out *= self.w1
-        tail = b[self.j1]
+        # b[(j0 + 1) % B] is b moved one bin back, read at j0
+        tail = b[_neighbours(b.size)[2]][self.j0]
         tail *= self.w
         out += tail
         return out
@@ -153,8 +164,11 @@ class PhasePlan:
         """The transpose of :meth:`interpolate`: each sample's value added
         to its two bins with its interpolation weights."""
         nb = self.layout.size
+        # a count over (j0 + 1) % B is the count over j0 moved one bin on,
+        # each bin summed in the same order
         return (np.bincount(self.j0, values * self.w1, nb)
-                + np.bincount(self.j1, values * self.w, nb))
+                + np.bincount(self.j0, values * self.w, nb)[
+                    _neighbours(nb)[0]])
 
 
 def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
@@ -167,8 +181,8 @@ def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
     if nb < 2:
         raise LengthMismatch("bin count must be at least 2")
     xs = unit_position(prior.phase)
-    j0, j1, w = interpolation(xs, nb)
-    return PhasePlan(prior, xs, bin_layout(xs, nb), j0, j1, w, 1.0 - w)
+    j0, w = interpolation(xs, nb)
+    return PhasePlan(prior, xs, bin_layout(xs, nb), j0, w, 1.0 - w)
 
 
 def as_plans(priors: Sequence[PhasePrior | PhasePlan], length: int,
@@ -388,8 +402,8 @@ def band_operators(plans: Sequence[PhasePlan],
         return out
 
     def shifted(block, rows, cols):
-        # j1 = (j0 + 1) % B: a count over j1 is the count over j0 with its
-        # cells moved one bin on, summed in the same order
+        # a count over (j0 + 1) % B is the count over j0 with its cells
+        # moved one bin on, summed in the same order
         return np.roll(block.reshape(nb, nb), (rows, cols), (0, 1))
 
     cross, gram = {}, {}
@@ -400,8 +414,8 @@ def band_operators(plans: Sequence[PhasePlan],
         c = _times(ak, bk)
 
         # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1; a sample's
-        # j0 is its bin i or i - 1, so j1 takes the slot after j0's, which
-        # wraps to slot 0 when B = 2
+        # j0 is its bin i or i - 1, so j0 + 1 takes the slot after j0's,
+        # which wraps to slot 0 when B = 2
         slots = rows * 3
         slots += pk.j0 == rows
         t = (count(slots, pk.w1, c, 3 * nb).reshape(nb, 3)
@@ -411,7 +425,8 @@ def band_operators(plans: Sequence[PhasePlan],
         self_t[k] = gain * t.T
         c = c if ak is bk else _times(bk, bk)
         self_g[k, 0] = (np.bincount(pk.j0, product(pk.w1, pk.w1, c), nb)
-                        + np.bincount(pk.j1, product(pk.w, pk.w, c), nb))
+                        + np.roll(np.bincount(pk.j0, product(pk.w, pk.w, c),
+                                              nb), 1))
         self_g[k, 1] = np.bincount(pk.j0, product(pk.w1, pk.w, c), nb)
         self_g[k] *= gain * gain
         for m, pm in enumerate(plans):
@@ -435,14 +450,9 @@ def band_operators(plans: Sequence[PhasePlan],
 
 def _banded(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``T @ x`` for a periodic tridiagonal ``T`` held as in ``self_t``:
-    ``d[0] x[i-1] + d[1] x[i] + d[2] x[i+1]``, summed in that order."""
-    padded = np.empty(x.size + 2)
-    padded[1:-1] = x
-    padded[0], padded[-1] = x[-1], x[0]
-    out = d[0] * padded[:-2]
-    out += d[1] * x
-    out += d[2] * padded[2:]
-    return out
+    ``d[0] x[i-1] + d[1] x[i] + d[2] x[i+1]``, summed in that order (a
+    reduction over a short first axis adds its rows one after another)."""
+    return np.add.reduce(d * x[_neighbours(x.size)], axis=0)
 
 
 class BinPass:
@@ -471,11 +481,17 @@ class BinPass:
         self.pre, self.post = pre, post
         self.gain, self.scheme = gain, scheme
         self.total = np.zeros((len(plans), plans[0].layout.size))
+        self.z, self.q = np.empty_like(self.total), np.empty_like(self.total)
+        # what a subtraction of component k lowers besides z[k]: the other
+        # rows of z, each with its cross block
+        self.others = [[(self.z[m], ops.cross[m, k])
+                        for m in range(len(plans)) if m != k]
+                       for k in range(len(plans))]
+        self.next = _neighbours(self.total.shape[1])[2]
         self._rebase(residual)
 
     def _rebase(self, r: np.ndarray) -> None:
         nb = self.total.shape[1]
-        self.z, self.q = np.empty_like(self.total), np.empty_like(self.total)
         for k, (p, a, b) in enumerate(zip(self.plans, self.pre, self.post)):
             y = _times(a, r)
             self.z[k] = np.bincount(p.layout.index, y, nb)
@@ -486,9 +502,9 @@ class BinPass:
         self.since = np.zeros_like(self.total)
 
     def _subtract(self, k: int, inc: np.ndarray) -> None:
-        for m, z in enumerate(self.z):
-            z -= (_banded(self.ops.self_t[k], inc) if m == k
-                  else self.ops.cross[m, k] @ inc)
+        self.z[k] -= _banded(self.ops.self_t[k], inc)
+        for z, cross in self.others[k]:
+            z -= cross @ inc
 
     def sweep(self) -> tuple[np.ndarray, float, np.ndarray]:
         """One sweep: the centred increments ``(K, B)``, the residual's
@@ -511,15 +527,15 @@ class BinPass:
         u, ops = self.since, self.ops
         sq = self.base_sq - 2.0 * float(np.sum(u * self.q))
         for uk, (d, off) in zip(u, ops.self_g):
-            sq += float(d @ (uk * uk)
-                        + 2.0 * (off @ (uk * np.concatenate((uk[1:], uk[:1])))))
+            sq += float(d @ (uk * uk) + 2.0 * (off @ (uk * uk[self.next])))
         for (k, m), g in ops.gram.items():
             sq += 2.0 * float(u[k] @ g @ u[m])
         if sq < self.REBASE * self.base_sq:
             self._rebase(self.finish()[2])
             sq = self.base_sq
+        # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
         return (incs, math.sqrt(max(sq, 0.0) / self.residual.size),
-                row_norms(self.gain * incs))
+                row_norms(incs) * self.gain)
 
     def finish(self):
         """``(U, modes, residual)``: the summed increments ``(K, B)``, each

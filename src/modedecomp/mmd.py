@@ -20,14 +20,17 @@ the residual are formed once per pass. The pass's ``B x B`` operators
 (:class:`~modedecomp.fold_regress.BandOperators`) do not change across outer
 iterations; a run builds them once for each of its ``2 M0 + 1`` distinct
 passes (band ``-n`` shares band ``n``'s) and keeps them in
-:class:`BinSpacePlans`, which also evaluates band ``|n|``'s carriers at
-most once per outer iteration for the four passes of bands ``n`` and
-``-n``. A run takes this path with the default regression backend when
-:func:`bin_space_fits` holds: one pass's operators, :func:`operator_bytes`,
-take at most :data:`OPERATOR_PER_SAMPLE` (128) bytes per component and
-sample, all of them at most the larger of the ``48 K L`` bytes its phase
-plans hold and :data:`OPERATOR_FLOOR` (32 MiB), and a run of band 0 alone
-has one component. For ``K = 2, B = 200`` that is ``L >= 3,813`` at
+:class:`BinSpacePlans`. The carriers do not change either: the same object
+evaluates each band's carriers once per run and holds them, lowest band
+first, in the memory the operators leave under the run's bound; a band
+whose carriers do not fit is evaluated once per outer iteration for the
+four passes of bands ``n`` and ``-n``. A run takes this path with the default regression
+backend when :func:`bin_space_fits` holds: one pass's operators,
+:func:`operator_bytes`, take at most :data:`OPERATOR_PER_SAMPLE` (128)
+bytes per component and sample, all of them at most
+:func:`memory_bound`, the larger of ``48 K L`` bytes and
+:data:`OPERATOR_FLOOR` (32 MiB), and a run of band 0 alone has one
+component. For ``K = 2, B = 200`` that is ``L >= 3,813`` at
 ``1 <= M0 <= 16``, and ``96 L >= 976,000 (2 M0 + 1)`` at larger ``M0``.
 Either path gives the same inner sweep counts and stop reasons, and
 outputs that differ by rounding only.
@@ -158,14 +161,18 @@ class BinSpacePlans(tuple):
     the run, keyed by ``(|n|, kind)``: flipping the sign of ``n`` flips or
     keeps every carrier alike, which leaves their products unchanged.
 
-    The carriers of band ``|n|`` are kept only while the passes of bands
-    ``n`` and ``-n`` run, which the outer loop visits one after the other.
+    The carriers are kept here too, keyed the same way. Those of the first
+    ``(|n|, kind)`` in the order ``(1, cos), (1, sin), (2, cos), ...`` that
+    fit in ``carrier_bytes``, ``8 K L`` bytes each, are held for the run;
+    the others only while the passes of bands ``n`` and ``-n`` run, which
+    the outer loop visits one after the other.
     """
 
-    def __new__(cls, plans: Sequence[PhasePlan]):
+    def __new__(cls, plans: Sequence[PhasePlan], carrier_bytes: int = 0):
         self = super().__new__(cls, plans)
         self.cache = {}
-        self.window_band, self.window = None, {}
+        self.held, self.loose = {}, {}
+        self.holds = carrier_bytes // (8 * len(plans) * len(plans[0]))
         return self
 
     def operators(self, n: int, kind: str, carriers,
@@ -178,35 +185,47 @@ class BinSpacePlans(tuple):
 
     def carriers(self, n: int, kind: str) -> list[np.ndarray]:
         """Band ``n``'s ``kind`` carriers, one per plan, as
-        :func:`~modedecomp.fold_regress.carrier` gives them. Those of
-        ``|n|`` are evaluated once, kept for band ``n``'s passes and given
-        up to band ``-n``'s, and dropped when another ``|n|`` is asked
-        for. Band ``-n``'s angle is the exact negation of band ``n``'s, and
-        ``cos`` and ``sin`` are even and odd bit for bit, so its cos
-        carriers are band ``n``'s and its sin carriers their negation."""
-        if abs(n) != self.window_band:
-            self.window_band, self.window = abs(n), {}
-        if kind not in self.window:
-            self.window[kind] = [carrier(plan.prior, abs(n), kind)
-                                 for plan in self]
-        if n > 0:
-            return self.window[kind]
-        # band -n's pass is the last to use them: hand them over, so that
-        # no negated copy is held beside them
-        got = self.window.pop(kind)
-        if kind == "sin":
-            for g in got:
-                np.negative(g, out=g)
+        :func:`~modedecomp.fold_regress.carrier` gives them. Band ``-n``'s
+        angle is the exact negation of band ``n``'s, and ``cos`` and
+        ``sin`` are even and odd bit for bit, so its cos carriers are band
+        ``n``'s and its sin carriers their negation. Held carriers are
+        given out as they are, or negated into new arrays; the others are
+        evaluated for band ``n``'s pass and given up to band ``-n``'s."""
+        key = (abs(n), kind)
+        got = self.held.get(key)
+        if got is None:
+            got = self.loose.pop(key, None) or [
+                carrier(plan.prior, abs(n), kind) for plan in self]
+            if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
+                self.held[key] = got
+            elif n > 0:
+                self.loose[key] = got
+            elif kind == "sin":
+                # band -n's pass is the last to use them: negate them in
+                # place, so that no negated copy is held beside them
+                for g in got:
+                    np.negative(g, out=g)
+                return got
+        if n < 0 and kind == "sin":
+            return [np.negative(g) for g in got]
         return got
 
 
-#: Bytes of cached operators any run may hold, whatever its length.
+#: Bytes of cached operators and carriers any run may hold, whatever its
+#: length.
 OPERATOR_FLOOR = 32 * 2 ** 20
 
 #: Bytes of one pass's operators per component and sample beyond which a
 #: bin-space sweep, which reads them all, was measured slower than a
 #: sample-space sweep.
 OPERATOR_PER_SAMPLE = 128
+
+
+def memory_bound(length: int, components: int) -> int:
+    """Bytes a bin-space run may hold in cached operators and carriers:
+    ``48 K L``, six arrays of ``length`` numbers per component, or
+    :data:`OPERATOR_FLOOR` if that is more."""
+    return max(48 * components * length, OPERATOR_FLOOR)
 
 
 def bin_space_fits(length: int, bins: int, components: int,
@@ -217,8 +236,10 @@ def bin_space_fits(length: int, bins: int, components: int,
     bytes per component and sample, so that the dense ``B x B`` work of a
     sweep stays below the per-sample work it replaces, and a run of band 0
     alone has one component. Memory: all the cached operators take at most
-    the bytes the run's phase plans hold, six arrays of ``length`` numbers
-    per component, or :data:`OPERATOR_FLOOR` if that is more.
+    :func:`memory_bound`. The carriers do not count here: a run holds them
+    in what the operators leave under the bound (:class:`BinSpacePlans`),
+    and evaluates those that do not fit once per outer iteration, so that
+    holding them never sends a run to the slower sample-space sweeps.
 
     A run of band 0 alone is a gmd run cut into passes: it builds a new
     pass in every outer iteration and forms the pass's modes and residual
@@ -237,8 +258,7 @@ def bin_space_fits(length: int, bins: int, components: int,
         return False
     per_pass = operator_bytes(bins, components, 1)
     return (per_pass <= OPERATOR_PER_SAMPLE * components * length
-            and passes * per_pass <= max(48 * components * length,
-                                         OPERATOR_FLOOR))
+            and passes * per_pass <= memory_bound(length, components))
 
 
 def modified_rdbr(residual: SampledSignal,
@@ -407,9 +427,12 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                 for p in priors]
     sorted_priors, order = sort_components(resolved)
     plans = as_plans(sorted_priors, len(signal), cfg.bins)
+    passes = 2 * cfg.m0 + 1
     if backend is partition_regress and bin_space_fits(
-            len(signal), cfg.bins, len(plans), 2 * cfg.m0 + 1):
-        plans = BinSpacePlans(plans)
+            len(signal), cfg.bins, len(plans), passes):
+        plans = BinSpacePlans(
+            plans, memory_bound(len(signal), len(plans))
+            - operator_bytes(cfg.bins, len(plans), passes))
 
     r, pow2 = scale_into_range(signal)
     denom = r.l2norm or 1.0

@@ -328,29 +328,41 @@ def eval_shape(shape: ShapeTable, v):
     values at bin centers. Accepts scalars or arrays.
     """
     bins = shape.bins
-    j0, j1, w = interpolation(unit_position(v), bins.size)
-    out = (1.0 - w) * bins[j0] + w * bins[j1]
+    j0, w = interpolation(unit_position(v), bins.size)
+    out = (1.0 - w) * bins[j0] + w * np.roll(bins, -1)[j0]
     return float(out) if out.ndim == 0 else out
 
 
 def unit_position(v) -> np.ndarray:
-    """Fractional position ``mod(v, 1)`` in ``[0, 1)``."""
-    x = np.mod(np.asarray(v, dtype=float), 1.0)
-    # mod can round up to exactly 1.0 for tiny negative inputs
-    return np.where(x >= 1.0, x - 1.0, x)
+    """Fractional position ``mod(v, 1)`` in ``[0, 1)``.
+
+    ``v - floor(v)`` is ``np.mod(v, 1.0)`` bit for bit: both round the same
+    exact difference once, and both give ``+0`` at integers, ``-0``
+    included.
+    """
+    v = np.asarray(v, dtype=float)
+    x = np.floor(v, out=np.empty_like(v))
+    np.subtract(v, x, out=x)
+    # the difference can round up to exactly 1.0 for tiny negative inputs
+    np.subtract(x, 1.0, out=x, where=x >= 1.0)
+    return x
 
 
 def interpolation(x, nb: int):
     """Bin-center interpolation data for positions ``x`` in ``[0, 1)``.
 
-    Returns ``(j0, j1, w)``: a ``nb``-bin table evaluates at ``x`` as
-    ``(1 - w) * table[j0] + w * table[j1]``, wrapping periodically.
+    Returns ``(j0, w)``: a ``nb``-bin table evaluates at ``x`` as
+    ``(1 - w) * table[j0] + w * table[(j0 + 1) % nb]``, wrapping
+    periodically.
     """
-    u = x * nb - 0.5
-    j = np.floor(u)
-    w = u - j
-    j0 = np.mod(j.astype(np.int64), nb)
-    return j0, (j0 + 1) % nb, w
+    x = np.asarray(x, dtype=float)
+    u = np.multiply(x, nb, out=np.empty_like(x))
+    u -= 0.5
+    j0 = np.floor(u, out=np.empty(u.shape, np.int64), casting="unsafe")
+    w = np.subtract(u, j0, out=u)
+    # u lies in [-0.5, nb - 0.5), so only j0 = -1 wraps
+    np.add(j0, nb, out=j0, where=j0 < 0)
+    return j0, w
 
 
 @dataclass(frozen=True)

@@ -340,16 +340,18 @@ class TestTemporariesInPlace:
         def times(a, b):
             return b if a is None else a * b
 
+        # the bin each sample interpolates to
+        j1 = [(p.j0 + 1) % nb for p in plans]
         for k, pk in enumerate(plans):
             rows = pk.layout.index
             c = times(pre[k], post[k])
             t = sum(np.bincount(3 * rows + (j - rows + 1) % nb, times(c, w),
                                 3 * nb) for j, w in ((pk.j0, pk.w1),
-                                                     (pk.j1, pk.w)))
+                                                     (j1[k], pk.w)))
             assert np.array_equal(ops.self_t[k], gain * t.reshape(nb, 3).T)
             c = times(post[k], post[k])
             d = (np.bincount(pk.j0, times(c, pk.w1 * pk.w1), nb)
-                 + np.bincount(pk.j1, times(c, pk.w * pk.w), nb))
+                 + np.bincount(j1[k], times(c, pk.w * pk.w), nb))
             off = np.bincount(pk.j0, times(c, pk.w1 * pk.w), nb)
             assert np.array_equal(ops.self_g[k],
                                   np.array([d, off]) * (gain * gain))
@@ -358,15 +360,15 @@ class TestTemporariesInPlace:
                     continue
                 c = times(pre[k], post[m])
                 cross = sum(np.bincount(rows * nb + j, times(c, w), nb * nb)
-                            for j, w in ((pm.j0, pm.w1), (pm.j1, pm.w)))
+                            for j, w in ((pm.j0, pm.w1), (j1[m], pm.w)))
                 assert np.array_equal(ops.cross[k, m],
                                       gain * cross.reshape(nb, nb))
                 if m > k:
                     c = times(post[k], post[m])
                     gram = sum(
                         np.bincount(jk * nb + jm, times(c, wk * wm), nb * nb)
-                        for jk, wk in ((pk.j0, pk.w1), (pk.j1, pk.w))
-                        for jm, wm in ((pm.j0, pm.w1), (pm.j1, pm.w)))
+                        for jk, wk in ((pk.j0, pk.w1), (j1[k], pk.w))
+                        for jm, wm in ((pm.j0, pm.w1), (j1[m], pm.w)))
                     assert np.array_equal(ops.gram[k, m],
                                           gain * gain * gram.reshape(nb, nb))
 
@@ -383,7 +385,8 @@ class TestTemporariesInPlace:
         total, modes, r = solver.finish()
         want_r = sig.values
         for p, b, u, mode in zip(plans, post, total, modes):
-            want = p.w1 * (gain * u)[p.j0] + p.w * (gain * u)[p.j1]
+            j1 = (p.j0 + 1) % 24
+            want = p.w1 * (gain * u)[p.j0] + p.w * (gain * u)[j1]
             want = want if b is None else b * want
             assert np.array_equal(mode, want)
             want_r = want_r - want
@@ -556,9 +559,10 @@ class TestGmdPathRule:
 
 
 class TestCarrierWindow:
-    """:meth:`BinSpacePlans.carriers` evaluates band ``|n|``'s carriers
-    once for the passes of ``n`` and ``-n``; its outputs are those of
-    :func:`~modedecomp.fold_regress.carrier` bit for bit."""
+    """Without room to hold them, :meth:`BinSpacePlans.carriers` evaluates
+    band ``|n|``'s carriers once for the passes of ``n`` and ``-n``; its
+    outputs are those of :func:`~modedecomp.fold_regress.carrier` bit for
+    bit."""
 
     PASSES = [(2, "cos"), (2, "sin"), (-2, "cos"), (-2, "sin")]
 
@@ -597,35 +601,128 @@ class TestCarrierWindow:
             assert np.array_equal(got[2].values, want[2].values)
             r_shared, r_fresh = got[2], want[2]
 
-    def test_one_band_per_outer_iteration(self):
-        # every carrier a run evaluates is of a positive band, each band's
-        # cos and sin once per component and outer iteration; the window
-        # never holds more than the band it was filled for, nor what it
-        # gave up to a pass of band -n
+
+class TestCarrierCache:
+    """A bin-space run holds its carriers for the run, lowest band first,
+    in the bytes its operators leave under :func:`mmd.memory_bound`; the
+    carriers that do not fit are evaluated once per outer iteration for
+    the passes of bands ``n`` and ``-n``. The outputs are the same either
+    way, bit for bit."""
+
+    CFG = md.MmdConfig(m0=3, bins=32)
+    PER_BAND = 8 * 2 * 2 ** 12  # (|n|, kind)'s carriers, K = 2, L = 2^12
+
+    def run(self, floor=None):
+        """An ex4_1 run with ``CFG``, the carriers it evaluated and its
+        :class:`BinSpacePlans`."""
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
-        cfg = md.MmdConfig(m0=3, bins=32)
-        evaluated = []
-        window, evaluate = BinSpacePlans.carriers, mmd.carrier
+        evaluated, made = [], []
+        evaluate = mmd.carrier
 
         def counted(prior, n, kind):
             evaluated.append((n, kind))
             return evaluate(prior, n, kind)
 
-        def checked(self, n, kind):
-            out = window(self, n, kind)
-            assert self.window_band == abs(n) and len(self.window) <= 2
-            assert n > 0 or kind not in self.window
-            for held_kind, held in self.window.items():
-                assert len(held) == len(self)
-                for plan, g in zip(self, held):
-                    assert np.array_equal(
-                        g, carrier(plan.prior, abs(n), held_kind))
-            return out
+        class Recorded(BinSpacePlans):
+            def __new__(cls, *args):
+                made.append(super().__new__(cls, *args))
+                return made[-1]
 
         with mock.patch.object(mmd, "carrier", counted), \
-                mock.patch.object(BinSpacePlans, "carriers", checked):
-            result = md.mmd_decompose(ex.signal, list(ex.priors), cfg)
-        k = len(ex.priors)
-        one_iteration = [(n, kind) for n in range(1, cfg.m0 + 1)
-                         for kind in ("cos", "sin") for _ in range(k)]
-        assert evaluated == result.report.iterations * one_iteration
+                mock.patch.object(mmd, "BinSpacePlans", Recorded), \
+                mock.patch.object(mmd, "OPERATOR_FLOOR",
+                                  OPERATOR_FLOOR if floor is None else floor):
+            result = md.mmd_decompose(ex.signal, list(ex.priors), self.CFG)
+        assert len(made) == 1
+        return result, evaluated, made[0]
+
+    @staticmethod
+    def check_held(plans):
+        # held carriers are never negated in place
+        for (n, kind), held in plans.held.items():
+            assert len(held) == len(plans)
+            for plan, g in zip(plans, held):
+                assert np.array_equal(g, carrier(plan.prior, n, kind))
+
+    def test_once_per_run(self):
+        result, evaluated, plans = self.run()
+        assert result.report.iterations > 1
+        assert evaluated == [(n, kind) for n in range(1, self.CFG.m0 + 1)
+                             for kind in ("cos", "sin") for _ in range(2)]
+        assert sorted(plans.held) == sorted(set(evaluated))
+        assert not plans.loose
+        self.check_held(plans)
+
+    def test_split_budget(self):
+        # room for three (|n|, kind) beside the operators: (1, cos),
+        # (1, sin) and (2, cos) are held, the rest evaluated per iteration
+        ops = operator_bytes(32, 2, 2 * self.CFG.m0 + 1)
+        floor = ops + 3 * self.PER_BAND + self.PER_BAND // 2
+        assert floor > 48 * 2 * 2 ** 12
+        assert bin_space_fits(2 ** 12, 32, 2, 2 * self.CFG.m0 + 1)
+        got, evaluated, plans = self.run(floor)
+        held = [(1, "cos"), (1, "sin"), (2, "cos")]
+        loose = [(2, "sin"), (3, "cos"), (3, "sin")]
+        assert sorted(plans.held) == sorted(held)
+        assert not plans.loose
+        per_iteration = [key for key in loose for _ in range(2)]
+        assert evaluated == ([key for key in held for _ in range(2)]
+                             + got.report.iterations * per_iteration)
+        self.check_held(plans)
+        # and the outputs are those of the run that holds every carrier
+        want, _, _ = self.run()
+        assert got.report == want.report
+        assert np.array_equal(got.residual.values, want.residual.values)
+        for g, w in zip(got.estimates, want.estimates, strict=True):
+            assert np.array_equal(g.mode.values, w.mode.values)
+            for shapes in ("cos_shapes", "sin_shapes"):
+                gs, ws = getattr(g, shapes), getattr(w, shapes)
+                assert sorted(gs) == sorted(ws)
+                for n in gs:
+                    assert np.array_equal(gs[n].bins, ws[n].bins)
+
+    def test_held_give_carrier(self):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
+        plans = BinSpacePlans([plan_phase(p, 2 ** 12, 32) for p in ex.priors],
+                              6 * self.PER_BAND)
+        for n in (1, -1, 2, -2, -3, 3, -3):
+            for kind in ("cos", "sin"):
+                for plan, g in zip(plans, plans.carriers(n, kind)):
+                    assert np.array_equal(g, carrier(plan.prior, n, kind))
+        assert len(plans.held) == 6 and not plans.loose
+        self.check_held(plans)
+
+    @pytest.mark.parametrize("length, m0", [(2 ** 17, 2), (2 ** 14, 4),
+                                            (2 ** 14, 10)])
+    def test_benchmark_sizes_hold_all(self, length, m0):
+        # mmd_long, mmd_wide and the CLI's default hold all 2 m0 of their
+        # (|n|, kind), 8 K L bytes each
+        passes = 2 * m0 + 1
+        room = (mmd.memory_bound(length, 2)
+                - operator_bytes(200, 2, passes))
+        assert room // (8 * 2 * length) >= 2 * m0
+
+    def test_path_rule_unchanged(self):
+        # the carriers do not count in the path rule: its decisions are
+        # those of the operators alone
+        def operators_only(length, bins, components, passes):
+            if passes == 1 and components > 1:
+                return False
+            per_pass = operator_bytes(bins, components, 1)
+            return (per_pass <= 128 * components * length
+                    and passes * per_pass <= max(48 * components * length,
+                                                 32 * 2 ** 20))
+
+        for log_length in range(6, 22):
+            for length in (2 ** log_length - 1, 2 ** log_length,
+                           3 * 2 ** (log_length - 1)):
+                for bins in (2, 32, 200, 500, 1000):
+                    for components in (1, 2, 3, 4):
+                        for m0 in (0, 1, 2, 4, 10, 16, 17, 40):
+                            args = (length, bins, components, 2 * m0 + 1)
+                            assert (bin_space_fits(*args)
+                                    == operators_only(*args)), args
+        # counting them would send m0 = 10 runs from L = 2^16 to the samples
+        assert bin_space_fits(2 ** 16, 200, 2, 21)
+        assert (operator_bytes(200, 2, 21) + 2 * 10 * 8 * 2 * 2 ** 16
+                > mmd.memory_bound(2 ** 16, 2))

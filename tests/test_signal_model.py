@@ -12,6 +12,7 @@ from modedecomp.errors import (
     NonMonotonePhase,
     OutOfDomain,
 )
+from modedecomp.signal_model import interpolation, unit_position
 
 
 class TestMakeSignal:
@@ -185,6 +186,70 @@ class TestEvalShape:
         table = md.make_shape([1.0, 2.0, 3.0, 4.0])
         assert md.eval_shape(table, -0.25 + 1e-18) == pytest.approx(
             md.eval_shape(table, 0.75), abs=1e-12)
+
+
+def mod_position(v):
+    """:func:`unit_position` as numpy's floating modulo gives it."""
+    x = np.mod(np.asarray(v, dtype=float), 1.0)
+    return np.where(x >= 1.0, x - 1.0, x)
+
+
+def mod_interpolation(x, nb):
+    """:func:`interpolation` with the bin wrapped by integer modulo."""
+    u = x * nb - 0.5
+    j = np.floor(u)
+    return np.mod(j.astype(np.int64), nb), u - j
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300,
+         -1e-20, 1e-20, -1.0, 1.0, -0.5, 0.5, np.nextafter(1.0, 0.0),
+         -np.nextafter(1.0, 0.0), 2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5,
+         2.0 ** 53, -(2.0 ** 53), 1e17, -1e17, 1.7976931348623157e308,
+         -1.7976931348623157e308]
+
+
+class TestFoldingBits:
+    """:func:`unit_position` and :func:`interpolation` fold and wrap
+    without ``np.mod``, and give its bits: the sign of zero included, for
+    arrays and scalars alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FINITE, max_size=50),
+           bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=50))
+    def test_unit_position(self, values, bits):
+        raw = np.array(bits, dtype=np.uint64).view(float)
+        v = np.concatenate([values, EDGES, raw[np.isfinite(raw)]])
+        assert same_bits(unit_position(v), mod_position(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=FINITE)
+    def test_unit_position_scalar(self, v):
+        assert same_bits(unit_position(v), mod_position(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FINITE, max_size=50),
+           nb=st.integers(2, 4096))
+    def test_interpolation(self, values, nb):
+        x = unit_position(np.concatenate([values, EDGES]))
+        got, want = interpolation(x, nb), mod_interpolation(x, nb)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert np.all((0 <= got[0]) & (got[0] < nb))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=FINITE, nb=st.integers(2, 4096))
+    def test_interpolation_scalar(self, v, nb):
+        x = unit_position(v)
+        got, want = interpolation(x, nb), mod_interpolation(x, nb)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        table = md.make_shape(np.arange(nb, dtype=float))
+        assert isinstance(md.eval_shape(table, v), float)
 
 
 class TestCenteredTables:

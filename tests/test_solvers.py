@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
-from modedecomp import mmd
+from modedecomp import gmd, mmd
 from modedecomp.errors import OutOfDomain
 from modedecomp.signal_model import row_norms
 
@@ -144,6 +144,36 @@ class TestCallerOrder:
                 assert np.array_equal(a, b)
         assert np.array_equal(got.residual.values, base.residual.values)
         assert got.report == base.report
+
+
+class TestCallerArraysUnchanged:
+    """A run leaves the caller's writeable signal, phase and amplitude
+    arrays as they were, on either path of either solver."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(solver=st.sampled_from(["gmd", "mmd"]),
+           bin_space=st.booleans(),
+           scheme=st.sampled_from(["gauss_seidel", "jacobi"]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_property(self, solver, bin_space, scheme, seed):
+        ex = md.gen_example_4_1(2 ** 10, 0.5, seed, "iid_uniform")
+        times = np.array(ex.signal.times)
+        values = np.array(ex.signal.values)
+        phases = [np.array(p.phase) for p in ex.priors]
+        amplitudes = [1.0 + 0.2 * np.cos(2 * np.pi * (times + k))
+                      for k in range(len(phases))]
+        arrays = [times, values, *phases, *amplitudes]
+        before = [a.copy() for a in arrays]
+        # the raw constructors hold views of the caller's arrays
+        signal = md.SampledSignal(times, values)
+        priors = [md.PhasePrior(p, q) for p, q in zip(phases, amplitudes)]
+        module = gmd if solver == "gmd" else mmd
+        with mock.patch.object(module, "bin_space_fits",
+                               lambda *args: bin_space):
+            SOLVERS[solver](signal, priors, scheme=scheme)
+        for a, b in zip(arrays, before, strict=True):
+            assert a.flags.writeable
+            assert np.array_equal(a, b)
 
 
 class TestSignalNorm:
