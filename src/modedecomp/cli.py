@@ -492,11 +492,24 @@ def read_shape_csv(path) -> ShapeTable:
 
 
 def read_coefficients_csv(path) -> dict:
-    """Coefficient rows keyed by (component, band) -> (a_n, b_n)."""
+    """Coefficient rows keyed by (component, band) -> (a_n, b_n).
+
+    ``k`` and ``n`` must be integers and each pair must appear once; a
+    ``ParseError`` names the row, counted from 1 below the header.
+    """
     header, data = _read_table(Path(path))
     if header != ["k", "n", "a_n", "b_n"]:
         raise ParseError(f"{path}: expected header 'k,n,a_n,b_n'")
-    return {(int(row[0]), int(row[1])): (row[2], row[3]) for row in data}
+    coeffs = {}
+    for row, (k, n, a, b) in enumerate(data.tolist(), 1):
+        if not (k.is_integer() and n.is_integer()):
+            raise ParseError(f"{path}: row {row}: k and n must be integers, "
+                             f"got {k!r}, {n!r}")
+        if (int(k), int(n)) in coeffs:
+            raise ParseError(f"{path}: row {row}: repeated k, n = "
+                             f"{int(k)}, {int(n)}")
+        coeffs[int(k), int(n)] = (a, b)
+    return coeffs
 
 
 def _write_json(path: Path, payload) -> Path:

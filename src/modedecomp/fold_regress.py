@@ -8,14 +8,12 @@ can replace it for experimentation, but every shipped code path uses
 
 A prior's phase is fixed for a whole decomposition, so the decompositions
 fold it, bin it and derive its interpolation weights once, in a
-:class:`PhasePlan`, and run every regression through :func:`sweep`. The
-sample-space functions :func:`unwarp_samples`, :func:`demodulate` and
-:func:`fold` remain as the reference that :func:`sweep` reproduces exactly.
-
-With the partitioning estimate a whole demodulated pass of sweeps is linear
-in the residual. :class:`BinPass` runs it on bin sums with the
-:class:`BandOperators` that :func:`band_operators` builds, and agrees with
-:func:`sweep` to rounding.
+:class:`PhasePlan`. A pass of regression sweeps then runs on the samples
+through :func:`sweep`, which reproduces the reference functions
+:func:`unwarp_samples`, :func:`demodulate` and :func:`fold` bit for bit, or,
+with the partitioning estimate, on bin sums through :class:`BinPass` and the
+:class:`BandOperators` that :func:`band_operators` builds, to rounding.
+:func:`modedecomp.gmd.run_pass` runs a pass either way.
 """
 
 from __future__ import annotations
@@ -290,6 +288,13 @@ def center_shape(shape: ShapeTable) -> ShapeTable:
     return make_shape(shape.bins - np.mean(shape.bins))
 
 
+def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Product of two optional factors; ``None`` stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
 def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
           scheme: str, backend: RegressionBackend,
           pre: Sequence[np.ndarray | None], post: Sequence[np.ndarray | None],
@@ -302,37 +307,39 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
     Gauss-Seidel chains the residual through the components, Jacobi
     regresses every component against ``residual``.
 
-    Returns ``(increments, subtracted, residual)`` with the centred shape
-    increments, the subtracted sample arrays and the new residual array.
+    Returns the centred shape increments and the new residual array.
     """
     cur = residual
     increments: list[ShapeTable] = []
     subtracted: list[np.ndarray] = []
     for plan, a, b in zip(plans, pre, post):
         source = cur if scheme == "gauss_seidel" else residual
-        if a is None:
-            ys = source
-        else:
-            ys = source / a if divide else a * source
+        ys = source / a if divide and a is not None else _times(a, source)
         if not np.all(np.isfinite(ys)):
             raise NonFinite("folded samples must be finite")
         inc = center_shape(backend(plan.folded(ys), bins))
-        e = plan.evaluate(inc)
-        sub = e if b is None else b * e
+        sub = _times(b, plan.evaluate(inc))
         increments.append(inc)
-        subtracted.append(sub)
         if scheme == "gauss_seidel":
             cur = cur - sub
+        else:
+            subtracted.append(sub)
     if scheme != "gauss_seidel":
         cur = residual - np.sum(subtracted, axis=0)
-    return increments, subtracted, cur
+    return increments, cur
 
 
-def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Product of two optional factors; ``None`` stands for 1."""
-    if a is None:
-        return b
-    return a if b is None else a * b
+def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],
+               gain: float, total: np.ndarray) -> list[np.ndarray]:
+    """Each component's mode ``post_k * E_k(gain * U_k)`` for the summed
+    increments ``total`` of a pass; a ``None`` factor is 1."""
+    modes = []
+    for plan, b, u in zip(plans, post, total):
+        mode = plan.interpolate(gain * u)
+        if b is not None:
+            mode *= b
+        modes.append(mode)
+    return modes
 
 
 @dataclass(frozen=True)
@@ -540,12 +547,7 @@ class BinPass:
     def finish(self):
         """``(U, modes, residual)``: the summed increments ``(K, B)``, each
         component's ``h_k E_k U_k`` and the residual they leave."""
-        modes = []
-        for plan, b, u in zip(self.plans, self.post, self.total):
-            mode = plan.interpolate(self.gain * u)
-            if b is not None:
-                mode *= b
-            modes.append(mode)
+        modes = pass_modes(self.plans, self.post, self.gain, self.total)
         r = self.residual - modes[0]
         for mode in modes[1:]:
             r -= mode

@@ -11,22 +11,21 @@ together afterwards. The Jacobi scheme exists as a first-class option so the
 two convergence rates can be compared; Gauss-Seidel is the default and the
 recommended choice.
 
-With the partitioning estimate a sweep is linear in the residual, so
-:func:`gmd_decompose` runs its sweeps on bin sums
-(:class:`~modedecomp.fold_regress.BinPass`): component ``k`` regresses
-``r / q_k`` and subtracts ``q_k E_k u``. A run is one such pass from its
-first sweep to its last, so the pass's ``B x B`` operators are built once
-and paid for by every sweep, and the modes and the residual are formed once,
-at the end. A custom regression backend keeps the sweeps on the samples,
-through :func:`~modedecomp.fold_regress.sweep` as in :func:`rdbr_sweep`, and
-so does a run that :func:`bin_space_fits` turns away: one component, or
-operators too large for the run's length. Either path gives the same
-iterations and stop reasons, and outputs that differ by rounding only.
+:func:`run_pass` drives every pass, sweeping until :func:`iterate_sweeps`,
+the one stopping rule, ends it: :func:`gmd_decompose` runs one pass from its
+first sweep to its last, :func:`modedecomp.mmd.modified_rdbr` one per band.
+With the partitioning estimate a pass is linear in the residual, so given
+the pass's operators it runs on bin sums
+(:class:`~modedecomp.fold_regress.BinPass`), and otherwise on the samples
+through :func:`~modedecomp.fold_regress.sweep`; :func:`bin_space_fits`
+decides for gmd. Either way a run has the same iterations and stop
+reasons, and outputs that differ by rounding only.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from .errors import DecompositionError, InvalidPartition, OutOfDomain
 from .fold_regress import (
+    BandOperators,
     BinPass,
     PhasePlan,
     RegressionBackend,
@@ -42,6 +42,7 @@ from .fold_regress import (
     check_amplitude,
     operator_bytes,
     partition_regress,
+    pass_modes,
     sweep,
 )
 from .signal_model import (
@@ -107,9 +108,27 @@ class GmdResult:
     fundamentals: list[int]
 
 
-def _check_scheme(scheme: str) -> None:
+#: The least value of each integer run parameter; any other parameter
+#: :func:`check_run` is given is an accuracy in ``(0, 1)``.
+LEAST = {"bins": 2, "max_iters": 1, "j1": 1, "j2": 1, "m0": 0}
+
+
+def check_run(scheme: str, **params) -> None:
+    """Reject a run's parameters outside their domains: ``scheme`` one of
+    :data:`SCHEMES`, the counts in :data:`LEAST` integers (not ``bool``) at
+    least their least value, and every other parameter a real number in
+    ``(0, 1)``."""
     if scheme not in SCHEMES:
         raise DecompositionError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    for name, value in params.items():
+        if name not in LEAST:
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+                raise OutOfDomain(f"{name} must lie in (0, 1), got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value,
+                                                       numbers.Integral):
+            raise OutOfDomain(f"{name} must be an integer, got {value!r}")
+        elif value < LEAST[name]:
+            raise OutOfDomain(f"{name} must be at least {LEAST[name]}")
 
 
 def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
@@ -134,14 +153,14 @@ def rdbr_sweep(residual: SampledSignal,
     :func:`gmd_decompose` prepares once per run, whose amplitudes it has
     already checked.
     """
-    _check_scheme(scheme)
+    check_run(scheme)
     plans = as_plans(priors, len(residual), bins)
     for p in priors:
         if not isinstance(p, PhasePlan):
             check_amplitude(p)
     amplitudes = [plan.prior.amplitude for plan in plans]
-    increments, _, r = sweep(residual.values, plans, bins, scheme, backend,
-                             amplitudes, amplitudes, divide=True)
+    increments, r = sweep(residual.values, plans, bins, scheme, backend,
+                          amplitudes, amplitudes, divide=True)
     return increments, SampledSignal(residual.times, r)
 
 
@@ -176,6 +195,48 @@ def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
     else:
         reason = StopReason.MAX_ITER
     return norms_r, norms_s, reason
+
+
+def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
+             pre: Sequence[np.ndarray | None],
+             post: Sequence[np.ndarray | None], gain: float, scheme: str,
+             eps: float, max_iters: int,
+             backend: RegressionBackend = partition_regress,
+             ops: BandOperators | None = None, divide: bool = False):
+    """Sweep ``residual`` until :func:`iterate_sweeps` stops: one pass of
+    the recursive scheme, as gmd runs it once and mmd once per band.
+
+    Component ``k`` regresses ``pre_k * r`` and subtracts
+    ``gain * post_k * E_k u``; a ``None`` factor is 1. Given the pass's
+    :class:`~modedecomp.fold_regress.BandOperators` as ``ops``, the sweeps
+    run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
+    on the samples through :func:`~modedecomp.fold_regress.sweep` and
+    ``backend``, where ``divide`` regresses ``r / pre_k`` instead.
+
+    Returns the relative residual and increment norms per sweep, the
+    :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
+    ``post_k * E_k(gain * U_k)`` and the residual.
+    """
+    denom = signal_norm(residual) or 1.0
+    if ops is not None:
+        solver = BinPass(residual, plans, ops, pre, post, gain, scheme)
+        return iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
+                              max_iters) + solver.finish()
+
+    total = np.zeros((len(plans), bins))
+    h = post if gain == 1.0 else [gain * b for b in post]
+    r = residual
+
+    def step():
+        nonlocal r
+        incs, r = sweep(r, plans, bins, scheme, backend, pre, h, divide)
+        incs = np.stack([inc.bins for inc in incs])
+        np.add(total, incs, out=total)
+        # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
+        return signal_norm(r), row_norms(incs) * gain
+
+    return iterate_sweeps(step, denom, eps, max_iters) + (
+        total, pass_modes(plans, post, gain, total), r)
 
 
 #: Bytes of a run's operators per component and sample beyond which its
@@ -217,22 +278,14 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                   backend: RegressionBackend = partition_regress) -> GmdResult:
     """Iterate regression sweeps until the residual stops improving.
 
-    Stops on the first of: the relative residual norm or the largest shape
-    increment norm dropping to ``eps``, the residual norm changing by at
-    most ``eps`` between sweeps (stall), or ``max_iters`` sweeps. With the
-    default ``backend`` the sweeps run on bin sums when
-    :func:`bin_space_fits` holds, to within rounding of the sample-space
-    sweeps.
+    One :func:`run_pass` from the first sweep to the last, stopped by
+    :func:`iterate_sweeps`: component ``k`` regresses ``r / q_k`` and
+    subtracts ``q_k E_k u``. With the default ``backend`` it runs on bin
+    sums when :func:`bin_space_fits` holds.
     """
-    _check_scheme(scheme)
+    check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
     if len(priors) == 0:
         raise DecompositionError("at least one phase prior is required")
-    if not 0.0 < eps < 1.0:
-        raise OutOfDomain("eps must lie in (0, 1)")
-    if max_iters < 1:
-        raise OutOfDomain("max_iters must be at least 1")
-    if bins < 2:
-        raise OutOfDomain("bins must be at least 2")
 
     t = signal.times
     resolved = [p if p.fundamental is not None else with_fundamental(p, t)
@@ -240,46 +293,27 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     sorted_priors, order = sort_components(resolved)
 
     scaled, pow2 = scale_into_range(signal)
-    denom = scaled.l2norm or 1.0
     plans = as_plans(sorted_priors, len(signal), bins)
     for prior in sorted_priors:
         check_amplitude(prior)
     amplitudes = [plan.prior.amplitude for plan in plans]
 
+    pre, ops = amplitudes, None
     if backend is partition_regress and bin_space_fits(len(signal), bins,
                                                        len(plans)):
-        inverse = [1.0 / q for q in amplitudes]
-        solver = BinPass(scaled.values, plans,
-                         band_operators(plans, inverse, amplitudes, 1.0),
-                         inverse, amplitudes, 1.0, scheme)
-        norms_r, norms_s, reason = iterate_sweeps(
-            lambda: solver.sweep()[1:], denom, eps, max_iters)
-        total, modes, r = solver.finish()
-        shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
-        modes = [np.ldexp(mode, pow2, out=mode) for mode in modes]
-    else:
-        total = np.zeros((len(plans), bins))
-        r = scaled.values
-
-        def sample_step():
-            nonlocal r
-            raws, _, r = sweep(r, plans, bins, scheme, backend, amplitudes,
-                               amplitudes, divide=True)
-            incs = np.stack([raw.bins for raw in raws])
-            np.add(total, incs, out=total)
-            return signal_norm(r), row_norms(incs)
-
-        norms_r, norms_s, reason = iterate_sweeps(sample_step, denom, eps,
-                                                  max_iters)
-        shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
-        modes = [q * plan.evaluate(s)
-                 for q, plan, s in zip(amplitudes, plans, shapes)]
+        pre = [1.0 / q for q in amplitudes]
+        ops = band_operators(plans, pre, amplitudes, 1.0)
+    norms_r, norms_s, reason, total, modes, r = run_pass(
+        scaled.values, plans, bins, pre, amplitudes, 1.0, scheme, eps,
+        max_iters, backend, ops, divide=ops is None)
 
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,
                                  (False,) * j)
+    shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
+    modes = [SampledSignal(t, np.ldexp(mode, pow2, out=mode))
+             for mode in modes]
     r = ldexp_signal(SampledSignal(t, r), pow2)
-    modes = [SampledSignal(t, mode) for mode in modes]
     fundamentals = [int(p.fundamental) for p in sorted_priors]
     return GmdResult(to_caller_order(shapes, order),
                      to_caller_order(modes, order), r, report,

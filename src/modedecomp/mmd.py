@@ -13,27 +13,14 @@ factor of order ``J2 * M0`` more regressions; each one reuses its prior's
 :class:`~modedecomp.fold_regress.PhasePlan`, built once per run, and each
 band pass evaluates its carriers once.
 
-Every step of a band pass is linear in the residual, so a run may solve its
-passes on bin sums (:class:`~modedecomp.fold_regress.BinPass`): the inner
-sweeps then cost ``O(K^2 B^2)`` rather than ``O(K L)``, and the modes and
-the residual are formed once per pass. The pass's ``B x B`` operators
-(:class:`~modedecomp.fold_regress.BandOperators`) do not change across outer
-iterations; a run builds them once for each of its ``2 M0 + 1`` distinct
-passes (band ``-n`` shares band ``n``'s) and keeps them in
-:class:`BinSpacePlans`. The carriers do not change either: the same object
-evaluates each band's carriers once per run and holds them, lowest band
-first, in the memory the operators leave under the run's bound; a band
-whose carriers do not fit is evaluated once per outer iteration for the
-four passes of bands ``n`` and ``-n``. A run takes this path with the default regression
-backend when :func:`bin_space_fits` holds: one pass's operators,
-:func:`operator_bytes`, take at most :data:`OPERATOR_PER_SAMPLE` (128)
-bytes per component and sample, all of them at most
-:func:`memory_bound`, the larger of ``48 K L`` bytes and
-:data:`OPERATOR_FLOOR` (32 MiB), and a run of band 0 alone has one
-component. For ``K = 2, B = 200`` that is ``L >= 3,813`` at
-``1 <= M0 <= 16``, and ``96 L >= 976,000 (2 M0 + 1)`` at larger ``M0``.
-Either path gives the same inner sweep counts and stop reasons, and
-outputs that differ by rounding only.
+Every step of a band pass is linear in the residual, so
+:func:`~modedecomp.gmd.run_pass` may solve it on bin sums: the inner sweeps
+then cost ``O(K^2 B^2)`` rather than ``O(K L)``. The pass's ``B x B``
+operators (:class:`~modedecomp.fold_regress.BandOperators`) and its carriers
+do not change across outer iterations, and band ``-n``'s passes run on band
+``n``'s (:func:`modified_rdbr`). So :class:`BinSpacePlans` builds the
+operators once per run for each ``(|n|, kind)`` and holds the carriers in
+the memory they leave. :func:`bin_space_fits` chooses the path.
 
 The outer loop is a fixed-point iteration on the run's band state, one
 ``(passes, K, B)`` array of band tables. After each plain iteration, one
@@ -58,12 +45,10 @@ from .errors import (
     BandOutOfRange,
     DecompositionError,
     GridMismatch,
-    OutOfDomain,
     SinZeroBand,
 )
 from .fold_regress import (
     BandOperators,
-    BinPass,
     PhasePlan,
     RegressionBackend,
     as_plans,
@@ -71,13 +56,12 @@ from .fold_regress import (
     carrier,
     operator_bytes,
     partition_regress,
-    sweep,
 )
 from .gmd import (
     DecompositionReport,
     StopReason,
-    _check_scheme,
-    iterate_sweeps,
+    check_run,
+    run_pass,
     to_caller_order,
 )
 from .signal_model import (
@@ -89,7 +73,6 @@ from .signal_model import (
     make_estimate,
     make_shape,
     reconstruct_mimf,
-    row_norms,
     scale_into_range,
     signal_norm,
     sort_components,
@@ -125,15 +108,8 @@ class MmdConfig:
     scheme: str = "gauss_seidel"
 
     def validate(self) -> None:
-        if self.m0 < 0:
-            raise OutOfDomain("m0 must be nonnegative")
-        if not (0.0 < self.eps1 < 1.0 and 0.0 < self.eps2 < 1.0):
-            raise OutOfDomain("eps1 and eps2 must lie in (0, 1)")
-        if self.j1 < 1 or self.j2 < 1:
-            raise OutOfDomain("j1 and j2 must be at least 1")
-        if self.bins < 2:
-            raise OutOfDomain("bins must be at least 2")
-        _check_scheme(self.scheme)
+        check_run(self.scheme, m0=self.m0, eps1=self.eps1, eps2=self.eps2,
+                  j1=self.j1, j2=self.j2, bins=self.bins)
 
 
 @dataclass(frozen=True)
@@ -158,8 +134,8 @@ class BinSpacePlans(tuple):
     :func:`modified_rdbr` solves a band pass over these plans on bin sums
     (:class:`~modedecomp.fold_regress.BinPass`) and keeps the pass's
     :class:`~modedecomp.fold_regress.BandOperators` here for the rest of
-    the run, keyed by ``(|n|, kind)``: flipping the sign of ``n`` flips or
-    keeps every carrier alike, which leaves their products unchanged.
+    the run, keyed by ``(|n|, kind)``: band ``-n``'s passes run on band
+    ``n``'s carriers.
 
     The carriers are kept here too, keyed the same way. Those of the first
     ``(|n|, kind)`` in the order ``(1, cos), (1, sin), (2, cos), ...`` that
@@ -184,30 +160,17 @@ class BinSpacePlans(tuple):
         return self.cache[key]
 
     def carriers(self, n: int, kind: str) -> list[np.ndarray]:
-        """Band ``n``'s ``kind`` carriers, one per plan, as
-        :func:`~modedecomp.fold_regress.carrier` gives them. Band ``-n``'s
-        angle is the exact negation of band ``n``'s, and ``cos`` and
-        ``sin`` are even and odd bit for bit, so its cos carriers are band
-        ``n``'s and its sin carriers their negation. Held carriers are
-        given out as they are, or negated into new arrays; the others are
-        evaluated for band ``n``'s pass and given up to band ``-n``'s."""
+        """Band ``|n|``'s ``kind`` carriers, one per plan, as
+        :func:`~modedecomp.fold_regress.carrier` gives them: held ones as
+        they are, the others evaluated for band ``n``'s pass and given up
+        to band ``-n``'s."""
         key = (abs(n), kind)
-        got = self.held.get(key)
-        if got is None:
-            got = self.loose.pop(key, None) or [
-                carrier(plan.prior, abs(n), kind) for plan in self]
-            if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
-                self.held[key] = got
-            elif n > 0:
-                self.loose[key] = got
-            elif kind == "sin":
-                # band -n's pass is the last to use them: negate them in
-                # place, so that no negated copy is held beside them
-                for g in got:
-                    np.negative(g, out=g)
-                return got
-        if n < 0 and kind == "sin":
-            return [np.negative(g) for g in got]
+        got = (self.held.get(key) or self.loose.pop(key, None)
+               or [carrier(plan.prior, abs(n), kind) for plan in self])
+        if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
+            self.held[key] = got
+        elif n > 0:
+            self.loose[key] = got
         return got
 
 
@@ -276,11 +239,17 @@ def modified_rdbr(residual: SampledSignal,
     :class:`BinSpacePlans` with the default ``backend``, the pass is solved
     in bin space, to within rounding of the sample-space sweeps.
 
+    Band ``-n``'s angle is the exact negation of band ``n``'s, and ``cos``
+    and ``sin`` are even and odd bit for bit. So the pass runs on band
+    ``|n|``'s carriers: a sine carrier's sign flips the increments and
+    leaves the modes and the residual as they are, bit for bit, and band
+    ``-n``'s sine tables are the negated ones.
+
     Returns ``(shape_increments, mode_increments, residual)`` where the shape
     increments are per-component tables accumulated over the inner sweeps and
     the mode increments are :class:`SampledSignal` values.
     """
-    _check_scheme(scheme)
+    check_run(scheme, eps2=eps2, max_iters=max_iters, bins=bins)
     if kind == "sin" and n == 0:
         raise SinZeroBand("sine demodulation is undefined at band 0")
     plans = as_plans(priors, len(residual), bins)
@@ -298,35 +267,14 @@ def modified_rdbr(residual: SampledSignal,
     elif bin_space:
         pre = priors.carriers(n, kind)
     else:
-        pre = [carrier(plan.prior, n, kind) for plan in plans]
+        pre = [carrier(plan.prior, abs(n), kind) for plan in plans]
     gain = 1.0 if n == 0 else 2.0
+    ops = priors.operators(n, kind, pre, gain) if bin_space else None
 
-    if bin_space:
-        scaled, pow2 = scale_into_range(residual)
-        solver = BinPass(scaled.values, plans,
-                         priors.operators(n, kind, pre, gain), pre, pre, gain,
-                         scheme)
-        iterate_sweeps(lambda: solver.sweep()[1:],
-                       signal_norm(scaled.values) or 1.0, eps2, max_iters)
-        total, modes, r = solver.finish()
-        stored = gain * total
-    else:
-        post = pre if n == 0 else [gain * g for g in pre]
-        stored = np.zeros((len(plans), bins))
-        modes = [np.zeros(len(residual)) for _ in plans]
-        r, pow2 = residual.values, 0
-
-        def sample_step():
-            nonlocal r
-            raws, f_incs, r = sweep(r, plans, bins, scheme, backend, pre, post)
-            incs = gain * np.stack([raw.bins for raw in raws])
-            np.add(stored, incs, out=stored)
-            for mode, f_inc in zip(modes, f_incs):
-                mode += f_inc
-            return signal_norm(r), row_norms(incs)
-
-        iterate_sweeps(sample_step, signal_norm(residual.values) or 1.0,
-                       eps2, max_iters)
+    scaled, pow2 = scale_into_range(residual)
+    *_, total, modes, r = run_pass(scaled.values, plans, bins, pre, pre, gain,
+                                   scheme, eps2, max_iters, backend, ops)
+    stored = (-gain if n < 0 and kind == "sin" else gain) * total
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
             [ldexp_signal(SampledSignal(t, m), pow2) for m in modes],

@@ -299,6 +299,22 @@ class TestShapeCsv:
         assert set(coeffs) == {(k, n) for k in (1, 2) for n in (-1, 0, 1)}
         assert coeffs[(1, 0)][1] == 0.0  # no sine branch at band 0
 
+    @pytest.mark.parametrize("rows, bad_row", [
+        ("1,0,1.0,0.0\n1.7,1,0.5,0.5\n", 2),
+        ("1,0,1.0,0.0\n1,-1,0.5,0.5\n1,0,2.0,0.0\n", 3),
+        ("nan,0,1.0,0.0\n", 1),
+        ("1,nan,1.0,0.0\n", 1),
+        ("inf,0,1.0,0.0\n", 1),
+        ("1,0,1.0,0.0\n1,-inf,1.0,0.0\n", 2)])
+    def test_coefficients_bad_rows(self, tmp_path, rows, bad_row):
+        # a fractional, repeated or non-finite k or n is not truncated,
+        # overwritten or left to int()
+        path = tmp_path / "coefficients.csv"
+        path.write_text("k,n,a_n,b_n\n" + rows)
+        with pytest.raises(ParseError, match=f"row {bad_row}:") as info:
+            read_coefficients_csv(path)
+        assert str(path) in str(info.value)
+
 
 class TestIidGrid:
     def test_synth_iid_grid(self, tmp_path):

@@ -17,6 +17,7 @@ from modedecomp.fold_regress import (
     plan_phase,
     sweep,
 )
+from modedecomp.gmd import run_pass
 
 
 def brute_force_bin_means(xs, ys, bins):
@@ -289,22 +290,27 @@ class TestSweepMatchesReference:
         sig, priors = _random_problem(seed, length, grid, components)
         n, kind = band if band is not None else (None, "cos")
         plans = [plan_phase(p, length, bins) for p in priors]
+        gain = 1.0 if n is None or n == 0 else 2.0
         if n is None:
             pre = post = [p.amplitude for p in priors]
         elif n == 0:
             pre = post = [None] * components
         else:
-            pre = [carrier(p, n, kind) for p in priors]
-            post = [2.0 * g for g in pre]
-        incs, subs, r = sweep(sig.values, plans, bins, scheme,
-                              md.partition_regress, pre, post,
-                              divide=n is None)
+            pre = post = [carrier(p, n, kind) for p in priors]
+        incs, r = sweep(sig.values, plans, bins, scheme, md.partition_regress,
+                        pre, [b if gain == 1.0 else gain * b for b in post],
+                        divide=n is None)
         want_incs, want_subs, want_r = _reference_pass(
             sig, priors, bins, scheme, n, kind)
         for got, want in zip(incs, want_incs):
             assert np.array_equal(got.bins, want.bins)
             assert got.l2norm == want.l2norm
-        for got, want in zip(subs, want_subs):
+        assert np.array_equal(r, want_r.values)
+
+        # a one-sweep pass subtracts its modes
+        *_, modes, r = run_pass(sig.values, plans, bins, pre, post, gain,
+                                scheme, 0.5, 1, divide=n is None)
+        for got, want in zip(modes, want_subs):
             assert np.array_equal(got, want)
         assert np.array_equal(r, want_r.values)
 

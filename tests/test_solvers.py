@@ -92,6 +92,54 @@ def test_bins_below_two_rejected(solver):
         SOLVERS[solver](ex.signal, list(ex.priors), bins=1)
 
 
+class TestRunParameters:
+    """Every solver checks its run parameters alike: counts are integers,
+    not ``bool``, at least their least value, and accuracies lie in
+    ``(0, 1)``; anything else is :class:`OutOfDomain` before any work."""
+
+    EX = md.gen_example_4_1(256, 0.0, 7)
+
+    @pytest.mark.parametrize("params", [
+        {"bins": 64.0}, {"bins": np.float64(64)}, {"max_iters": 2.5},
+        {"max_iters": True}, {"eps": float("nan")}, {"eps": "0.1"}])
+    def test_gmd(self, params):
+        with pytest.raises(OutOfDomain):
+            md.gmd_decompose(self.EX.signal, list(self.EX.priors), **params)
+
+    @pytest.mark.parametrize("params", [
+        {"bins": 64.5}, {"bins": 64.0}, {"m0": 1.5}, {"m0": True},
+        {"j1": 2.5}, {"j2": 2.5}, {"j2": False}, {"eps2": float("nan")},
+        {"eps1": None}])
+    def test_mmd_config(self, params):
+        cfg = md.MmdConfig(**params)
+        with pytest.raises(OutOfDomain):
+            cfg.validate()
+        with pytest.raises(OutOfDomain):
+            md.mmd_decompose(self.EX.signal, list(self.EX.priors), cfg)
+
+    @pytest.mark.parametrize("params", [
+        {"eps2": float("nan")}, {"eps2": 1.5}, {"eps2": 0.0},
+        {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
+        {"bins": 64.0}])
+    @pytest.mark.parametrize("bin_space", [False, True])
+    def test_band_pass(self, params, bin_space):
+        plans = [md.fold_regress.plan_phase(p, 256, 64)
+                 for p in self.EX.priors]
+        if bin_space:
+            plans = mmd.BinSpacePlans(plans)
+        kwargs = {"bins": 64, **params}
+        with pytest.raises(OutOfDomain):
+            md.modified_rdbr(self.EX.signal, plans, 1, "cos", **kwargs)
+
+    @pytest.mark.parametrize("params", [
+        {"bins": np.int64(64), "max_iters": np.int32(3)},
+        {"bins": 2, "max_iters": 1}])
+    def test_integer_types_accepted(self, params):
+        result = md.gmd_decompose(self.EX.signal, list(self.EX.priors),
+                                  **params)
+        assert result.report.iterations <= params["max_iters"]
+
+
 class TestModesAddUp:
     @settings(max_examples=20, deadline=None)
     @given(solver=st.sampled_from(sorted(SOLVERS)),
