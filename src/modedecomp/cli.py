@@ -16,6 +16,7 @@ success, 1 on validation or usage errors, 2 on I/O failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -34,7 +35,7 @@ from .errors import (
     NonMonotonePhase,
     ParseError,
 )
-from .gmd import GmdResult, gmd_decompose
+from .gmd import SCHEMES, GmdResult, gmd_decompose
 from .mmd import MmdConfig, MmdResult, mmd_decompose
 from .signal_model import (
     MimfEstimate,
@@ -485,9 +486,20 @@ def _write_band_shapes(directory: Path, k: int, est: MimfEstimate) -> None:
 
 
 def read_shape_csv(path) -> ShapeTable:
+    """A shape table from ``x,value`` rows, as :func:`write_shape_csv`
+    writes them: row ``j`` of ``B`` lies in bin ``j``, ``floor(x B) = j``.
+    A ``ParseError`` names the first row that does not, counted from 1
+    below the header."""
     header, data = _read_table(Path(path))
     if header != ["x", "value"]:
         raise ParseError(f"{path}: expected header 'x,value'")
+    x = data[:, 0]
+    with np.errstate(over="ignore"):
+        misplaced = np.flatnonzero(np.floor(x * x.size) != np.arange(x.size))
+    if misplaced.size:
+        j = int(misplaced[0])
+        raise ParseError(f"{path}: row {j + 1}: x = {float(x[j])!r} is not "
+                         f"in bin {j} of {x.size}")
     return make_shape(data[:, 1])
 
 
@@ -566,7 +578,8 @@ def read_report(path) -> dict:
 def write_decomposition(directory, result, stats: WellDiffStats | None = None,
                         config: dict | None = None,
                         stats_error: str | None = None) -> None:
-    """Write modes, shapes, coefficients, residual and the JSON report.
+    """Write modes, shapes, residual and the JSON report, and for an mmd
+    result its coefficients.
 
     The mmd shape files hold unit-norm shapes, so ``a_n`` and ``b_n`` from
     ``coefficients.csv`` times them rebuild each ``mode_k.csv``.
@@ -692,6 +705,15 @@ def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
 # ---------------------------------------------------------------------------
 # command-line surface
 
+#: The parameters of :func:`~modedecomp.gmd.gmd_decompose` that the ``gmd``
+#: command sets; their defaults are the function's.
+_GMD_OPTIONS = ("eps", "max_iters", "bins", "scheme")
+
+#: The cell side and derivative bound of the phase statistics that
+#: ``diagnose --phases`` defaults to and that ``gmd`` and ``mmd`` report.
+_PHASE_H, _PHASE_M_BOUND = 0.05, 1.0
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modedecomp",
                                      description="Decompose oscillatory series "
@@ -712,12 +734,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gmd = sub.add_parser("gmd", help="single-shape decomposition")
     p_gmd.add_argument("--signal", required=True)
     p_gmd.add_argument("--phases", required=True)
-    p_gmd.add_argument("--eps", type=float, default=1e-6)
-    p_gmd.add_argument("--max-iter", dest="max_iters", type=int, default=200)
-    p_gmd.add_argument("--bins", type=int, default=200)
-    p_gmd.add_argument("--scheme", choices=["gauss_seidel", "jacobi"],
-                       default="gauss_seidel")
+    p_gmd.add_argument("--eps", type=float)
+    p_gmd.add_argument("--max-iter", dest="max_iters", type=int)
+    p_gmd.add_argument("--bins", type=int)
+    p_gmd.add_argument("--scheme", choices=SCHEMES)
     p_gmd.add_argument("--out", required=True)
+    params = inspect.signature(gmd_decompose).parameters
+    p_gmd.set_defaults(**{name: params[name].default
+                          for name in _GMD_OPTIONS})
 
     p_mmd = sub.add_parser("mmd", help="multiresolution decomposition")
     p_mmd.add_argument("--signal", required=True)
@@ -728,15 +752,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mmd.add_argument("--j1", type=int)
     p_mmd.add_argument("--j2", type=int)
     p_mmd.add_argument("--bins", type=int)
-    p_mmd.add_argument("--scheme", choices=["gauss_seidel", "jacobi"])
+    p_mmd.add_argument("--scheme", choices=SCHEMES)
     p_mmd.add_argument("--out", required=True)
     p_mmd.set_defaults(**asdict(MmdConfig()))
 
     p_diag = sub.add_parser("diagnose", help="phase or residual diagnostics")
     p_diag.add_argument("--phases")
-    p_diag.add_argument("--h", type=float, default=0.05,
+    p_diag.add_argument("--h", type=float, default=_PHASE_H,
                         help="cell side for phase statistics (1/h integer)")
-    p_diag.add_argument("--m-bound", type=float, default=1.0)
+    p_diag.add_argument("--m-bound", type=float, default=_PHASE_M_BOUND)
     p_diag.add_argument("--residual")
     p_diag.add_argument("--max-lag", type=int, default=100)
     p_diag.add_argument("--out", required=True)
@@ -756,7 +780,8 @@ def _phase_stats(priors, times) -> tuple[WellDiffStats | None, str | None]:
     """The priors' phase statistics and ``None``, or ``None`` and the reason
     they cannot be computed."""
     try:
-        return well_diff_stats(partition_counts(priors, times, 0.05), 1.0), None
+        return well_diff_stats(partition_counts(priors, times, _PHASE_H),
+                               _PHASE_M_BOUND), None
     except DecompositionError as exc:
         return None, str(exc)
 
@@ -793,8 +818,7 @@ def _cmd_synth(args) -> int:
 def _cmd_decompose(args) -> int:
     signal, priors = _load_inputs(args.signal, args.phases)
     if args.command == "gmd":
-        config = {name: getattr(args, name)
-                  for name in ("eps", "max_iters", "bins", "scheme")}
+        config = {name: getattr(args, name) for name in _GMD_OPTIONS}
         result = gmd_decompose(signal, priors, **config)
     else:
         cfg = MmdConfig(**{f.name: getattr(args, f.name)

@@ -3,9 +3,9 @@
 The outer loop visits bands in the interleaved order 0, +1, -1, ..., +M0,
 -M0. For each band a demodulated regression pass (cosine carrier always,
 sine carrier only for |n| > 0) estimates the band's shape increment per
-component, updates that component's accumulator and mode, and chains the
-residual. Band accumulators are the identifiable products: coefficient times
-unit shape. Results keep the products, with their L2 norms as coefficients;
+component, adds it to that component's band table, and chains the residual.
+Band tables are the identifiable products: coefficient times unit shape.
+Results keep the products, with their L2 norms as coefficients;
 ``normalize_estimate`` splits them into coefficients and unit-norm shapes.
 
 Relative to a plain generalized-mode run, the multiresolution loop costs a
@@ -25,12 +25,15 @@ the memory they leave. :func:`bin_space_fits` chooses the path.
 The outer loop is a fixed-point iteration on the run's band state, one
 ``(passes, K, B)`` array of band tables. After each plain iteration, one
 Gauss-Seidel step over the bands, :class:`AndersonStep` extrapolates the
-state, the modes and the residual with a depth-one Anderson step and keeps
-the result only when its residual is below the plain step's. On ex4_1-shaped
-inputs (``K = 2``, ``B = 200``, ``L = 2^14``) that took ``m0 = 4`` runs from
-15-16 outer iterations to 11, and ``m0 = 10`` runs from 163 and 118 to 66
-and 79, each with a lower final residual; ``L = 2^17``, ``m0 = 2`` runs take
-5.
+state and the residual with a depth-one Anderson step and keeps the result
+only when its residual is below the plain step's. On ex4_1-shaped inputs
+(``K = 2``, ``B = 200``, ``L = 2^14``) that took ``m0 = 4`` runs from 15-16
+outer iterations to 11, and ``m0 = 10`` runs from 163 and 118 to 66 and 79,
+each with a lower final residual; ``L = 2^17``, ``m0 = 2`` runs take 5.
+
+The band state and the residual are all the outer loop carries. A mode is a
+function of its band tables, their band sum, so each is formed from them
+once, after the loop, on the carriers its passes ran on.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .fold_regress import (
     carrier,
     operator_bytes,
     partition_regress,
+    pass_modes,
 )
 from .gmd import (
     DecompositionReport,
@@ -224,6 +228,24 @@ def bin_space_fits(length: int, bins: int, components: int,
             and passes * per_pass <= memory_bound(length, components))
 
 
+def band_carriers(plans: Sequence[PhasePlan], n: int,
+                  kind: str) -> list[np.ndarray | None]:
+    """Band ``n``'s ``kind`` carriers, one per plan: ``None``, a factor of
+    1, at band 0; band ``|n|``'s as :class:`BinSpacePlans` holds or lends
+    them; else as :func:`~modedecomp.fold_regress.carrier` gives them."""
+    if n == 0:
+        # the band-0 carrier is exactly 1: a pass regresses the residual
+        if kind != "cos":
+            raise DecompositionError(f"unknown carrier kind {kind!r}")
+        if any(plan.prior.fundamental is None for plan in plans):
+            raise DecompositionError(
+                "prior fundamental required for demodulation")
+        return [None] * len(plans)
+    if isinstance(plans, BinSpacePlans):
+        return plans.carriers(n, kind)
+    return [carrier(plan.prior, abs(n), kind) for plan in plans]
+
+
 def modified_rdbr(residual: SampledSignal,
                   priors: Sequence[PhasePrior | PhasePlan],
                   n: int, kind: str, eps2: float = 1e-6, max_iters: int = 10,
@@ -233,11 +255,12 @@ def modified_rdbr(residual: SampledSignal,
 
     For band 0 the regressed increment itself is the mode increment; for
     |n| > 0 the mode increment is ``2 * carrier * increment`` and the stored
-    shape increment is doubled, so the accumulator tracks the full product
-    of coefficient and shape. ``priors`` may hold the :class:`PhasePlan`
-    objects :func:`mmd_decompose` prepares once per run; given them as
-    :class:`BinSpacePlans` with the default ``backend``, the pass is solved
-    in bin space, to within rounding of the sample-space sweeps.
+    shape increment is doubled, so a band table summed from them holds the
+    full product of coefficient and shape. ``priors`` may hold the
+    :class:`PhasePlan` objects :func:`mmd_decompose` prepares once per run;
+    given them as :class:`BinSpacePlans` with the default ``backend``, the
+    pass is solved in bin space, to within rounding of the sample-space
+    sweeps.
 
     Band ``-n``'s angle is the exact negation of band ``n``'s, and ``cos``
     and ``sin`` are even and odd bit for bit. So the pass runs on band
@@ -256,18 +279,7 @@ def modified_rdbr(residual: SampledSignal,
     bin_space = (isinstance(priors, BinSpacePlans)
                  and backend is partition_regress
                  and all(plan.layout.size == bins for plan in plans))
-    if n == 0:
-        # the band-0 carrier is exactly 1: regress the residual itself
-        if kind != "cos":
-            raise DecompositionError(f"unknown carrier kind {kind!r}")
-        if any(plan.prior.fundamental is None for plan in plans):
-            raise DecompositionError(
-                "prior fundamental required for demodulation")
-        pre = [None] * len(plans)
-    elif bin_space:
-        pre = priors.carriers(n, kind)
-    else:
-        pre = [carrier(plan.prior, abs(n), kind) for plan in plans]
+    pre = band_carriers(priors if bin_space else plans, n, kind)
     gain = 1.0 if n == 0 else 2.0
     ops = priors.operators(n, kind, pre, gain) if bin_space else None
 
@@ -310,23 +322,23 @@ class AndersonStep:
     An outer iteration maps the band state ``x`` to ``g = G(x)``. With
     ``f = g - x`` and the previous iteration's ``g'`` and ``f'``, the step
     proposes ``g - gamma (g - g')`` for :func:`anderson_weight`'s
-    ``gamma``. The modes and the residual are affine in the band state, so
-    they are mixed with the same ``gamma`` from the previous iteration's
-    copies, held here: ``K + 1`` arrays of the signal's length. The mixed
-    state is kept only when its residual is smaller than the plain step's;
-    the history always holds the plain step.
+    ``gamma``. The residual is affine in the band state, so it is mixed
+    with the same ``gamma`` from the previous iteration's residual, held
+    here: one array of the signal's length. The modes are not held: they
+    are formed from the band state once the loop ends. The mixed state is
+    kept only when its residual is smaller than the plain step's; the
+    history always holds the plain step.
     """
 
     def __init__(self):
-        self.state = self.increment = self.modes = self.residual = None
+        self.state = self.increment = self.residual = None
 
-    def __call__(self, start: np.ndarray, state: np.ndarray,
-                 modes: list[np.ndarray], r: SampledSignal, rel: float,
-                 denom: float) -> tuple[SampledSignal, float, bool]:
+    def __call__(self, start: np.ndarray, state: np.ndarray, r: SampledSignal,
+                 rel: float, denom: float) -> tuple[SampledSignal, float, bool]:
         """After a plain iteration from band state ``start`` to ``state``
-        (updated in place, like ``modes``), with residual ``r`` of relative
-        norm ``rel``: the residual kept, its relative norm and whether the
-        mixed state was kept."""
+        (updated in place), with residual ``r`` of relative norm ``rel``:
+        the residual kept, its relative norm and whether the mixed state was
+        kept."""
         increment = state - start
         gamma = anderson_weight(increment, self.increment)
         self.increment = increment
@@ -336,19 +348,11 @@ class AndersonStep:
             mixed_rel = signal_norm(mixed) / denom
             kept = mixed_rel < rel
         plain, self.residual = state.copy(), r.values
-        if not kept:
-            self.state = plain
-            if self.modes is None:
-                self.modes = [mode.copy() for mode in modes]
-            else:
-                for held, mode in zip(self.modes, modes):
-                    np.copyto(held, mode)
-            return r, rel, False
-        _mix(plain, self.state, gamma, out=state)
+        if kept:
+            _mix(plain, self.state, gamma, out=state)
+            r, rel = SampledSignal(r.times, mixed), mixed_rel
         self.state = plain
-        for k, (held, mode) in enumerate(zip(self.modes, modes)):
-            modes[k], self.modes[k] = _mix(mode, held, gamma, out=held), mode
-        return SampledSignal(r.times, mixed), mixed_rel, True
+        return r, rel, kept
 
 
 def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
@@ -363,8 +367,9 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     improve by more than ``cfg.eps1``, or ``cfg.j1`` iterations have run;
     ``report.accelerated`` says, per iteration, whether the extrapolated
     state was kept. Estimates hold the band products (coefficient times
-    unit shape), not normalized; each coefficient is its product's L2 norm.
-    Components in the result follow the caller's prior order.
+    unit shape), not normalized; each coefficient is its product's L2 norm,
+    and each mode is the band sum of its products, formed once after the
+    loop. Components in the result follow the caller's prior order.
     """
     cfg.validate()
     if len(priors) == 0:
@@ -390,7 +395,6 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     slots = [(b, kind) for b in band_order(cfg.m0)
              for kind in (("cos", "sin") if b != 0 else ("cos",))]
     state = np.zeros((len(slots), len(plans), cfg.bins))
-    mode_acc = [np.zeros(len(signal)) for _ in plans]
     extrapolate = AndersonStep()
 
     best = 1.0
@@ -402,14 +406,13 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         start = state.copy()
         sweep_inc = 0.0
         for slot, (b, kind) in enumerate(slots):
-            shapes, modes, r = modified_rdbr(
+            shapes, _, r = modified_rdbr(
                 r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins,
                 cfg.scheme, backend)
-            for k, (shape, mode) in enumerate(zip(shapes, modes)):
+            for k, shape in enumerate(shapes):
                 state[slot, k] += shape.bins
-                mode_acc[k] += mode.values
                 sweep_inc = max(sweep_inc, shape.l2norm / denom)
-        r, rel, mixed = extrapolate(start, state, mode_acc, r,
+        r, rel, mixed = extrapolate(start, state, r,
                                     signal_norm(r.values) / denom, denom)
         norms_r.append(rel)
         norms_s.append(sweep_inc)
@@ -425,8 +428,18 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,
                                  len(norms_r), tuple(accelerated))
 
+    del extrapolate  # free its held residual before the modes are formed
+    # each mode is its band sum, one component at a time; a stored band -n
+    # sine table is negated
+    modes = [np.zeros(len(signal)) for _ in plans]
+    for slot, (b, kind) in enumerate(slots):
+        sign = -1.0 if b < 0 and kind == "sin" else 1.0
+        post = band_carriers(plans, b, kind)
+        for mode, plan, c, u in zip(modes, plans, post, state[slot]):
+            mode += pass_modes([plan], [c], sign, [u])[0]
+
     estimates = []
-    for k, mode in enumerate(mode_acc):
+    for k, mode in enumerate(modes):
         tables = {"cos": {}, "sin": {}}
         for slot, (b, kind) in enumerate(slots):
             tables[kind][b] = ldexp_shape(make_shape(state[slot, k]), pow2)

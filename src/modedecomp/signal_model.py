@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -225,7 +226,9 @@ def make_prior(phase: Sequence[float], amplitude: Sequence[float] | None = None,
             raise NonFinite("amplitude must be finite")
         if np.any(q <= 0.0):
             raise AmplitudeTooSmall("amplitude must be strictly positive")
-    if fundamental is not None and fundamental < 1:
+    if fundamental is not None and (
+            not isinstance(fundamental, numbers.Integral)
+            or isinstance(fundamental, bool) or fundamental < 1):
         raise OutOfDomain("fundamental must be a positive integer")
     return PhasePrior(_readonly(p), _readonly(q), fundamental)
 

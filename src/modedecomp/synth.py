@@ -165,7 +165,7 @@ def snr(signal: SampledSignal, noise_var: float) -> float:
     power, so this is not the textbook power ratio; it is kept this way to
     match the convention the benchmark values were reported under.
     """
-    if noise_var <= 0.0:
+    if not noise_var > 0.0:
         raise NonPositiveVariance("snr needs a strictly positive variance")
     return float(10.0 * np.log10(signal.l2norm / noise_var))
 

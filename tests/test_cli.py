@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -285,6 +286,36 @@ class TestShapeCsv:
         write_shape_csv(tmp_path / "s.csv", table)
         back = read_shape_csv(tmp_path / "s.csv")
         assert np.array_equal(back.bins, table.bins)
+
+    def test_roundtrip_any_size(self, tmp_path):
+        # every bin centre the writer prints lies in its own bin
+        from modedecomp.cli import write_shape_csv
+        rng = np.random.default_rng(3)
+        for size in (2, 3, 7, 10, 49, 100, 199, 200, 1000, 4097, 65537):
+            table = md.make_shape(rng.normal(size=size))
+            write_shape_csv(tmp_path / "s.csv", table)
+            back = read_shape_csv(tmp_path / "s.csv")
+            assert np.array_equal(back.bins, table.bins), size
+
+    @pytest.mark.parametrize("rows, bad_row", [
+        ("0.75,2\n0.25,1\n", 1),
+        ("0.1,1\n0.1,2\n0.1,3\n", 2),
+        ("-0.25,1\n0.75,2\n", 1),
+        ("0.25,1\n1.0,2\n", 2),
+        ("0.25,1\nnan,2\n", 2),
+        ("0.25,1\ninf,2\n", 2),
+        ("0.25,1\n1e308,2\n", 2),
+        ("0.125,1\n0.375,2\n0.625,3\n0.625,4\n", 4)],
+        ids=["swapped", "one-x", "negative", "past-end", "nan", "inf",
+             "huge", "repeated"])
+    def test_misplaced_rows(self, tmp_path, rows, bad_row):
+        # row j of a B-row table must lie in bin j: rows out of order or
+        # off their bins are not read as a table in file order
+        path = tmp_path / "shape.csv"
+        path.write_text("x,value\n" + rows)
+        with pytest.raises(ParseError, match=f"row {bad_row}:") as info:
+            read_shape_csv(path)
+        assert str(path) in str(info.value)
 
     def test_coefficients_readable(self, tmp_path):
         from modedecomp.cli import read_coefficients_csv
@@ -587,6 +618,51 @@ class TestReportRecordsSolverParameters:
         config = self.fit(tmp_path, ["mmd", "--m0", "1", "--j1", "3",
                                      "--eps2", "1e-4", "--bins", "32"])
         assert config == asdict(md.MmdConfig(m0=1, j1=3, eps2=1e-4, bins=32))
+
+
+class TestParserDefaults:
+    """Each command's defaults are the library's, written once."""
+
+    PARSER = cli._build_parser()
+
+    def parse(self, *argv):
+        return self.PARSER.parse_args([*argv, "--out", "o"])
+
+    def test_gmd(self):
+        args = self.parse("gmd", "--signal", "s", "--phases", "p")
+        params = inspect.signature(md.gmd_decompose).parameters
+        assert {name: getattr(args, name)
+                for name in ("eps", "max_iters", "bins", "scheme")} == {
+            name: params[name].default
+            for name in ("eps", "max_iters", "bins", "scheme")}
+
+    def test_mmd(self):
+        args = self.parse("mmd", "--signal", "s", "--phases", "p")
+        assert {name: getattr(args, name)
+                for name in asdict(md.MmdConfig())} == asdict(md.MmdConfig())
+
+    @pytest.mark.parametrize("command", ["gmd", "mmd"])
+    def test_scheme_choices(self, command, capsys):
+        for scheme in md.gmd.SCHEMES:
+            args = self.parse(command, "--signal", "s", "--phases", "p",
+                              "--scheme", scheme)
+            assert args.scheme == scheme
+        with pytest.raises(SystemExit):
+            self.parse(command, "--signal", "s", "--phases", "p",
+                       "--scheme", "sor")
+
+    def test_phase_stats_are_diagnose_defaults(self):
+        # gmd and mmd report the statistics diagnose --phases gives by
+        # default
+        args = self.parse("diagnose", "--phases", "p")
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
+        stats, error = cli._phase_stats(list(ex.priors), ex.signal.times)
+        want = md.well_diff_stats(md.partition_counts(
+            list(ex.priors), ex.signal.times, args.h), args.m_bound)
+        assert error is None
+        assert stats.step == args.h
+        assert (stats.gamma, stats.beta, stats.contraction_bound) == (
+            want.gamma, want.beta, want.contraction_bound)
 
 
 class TestMmdFilesRebuildModes:

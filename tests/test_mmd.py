@@ -1,4 +1,5 @@
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -91,16 +92,20 @@ class TestMmdDecompose:
         assert md.signal_norm(total - ex.signal.values) / ex.signal.l2norm <= 1e-10
 
     def test_mode_equals_band_sum(self):
-        # the accumulated mode and the band-sum reconstruction agree
+        # the mode and the band-sum reconstruction agree, on either path,
+        # for either scheme and any bandwidth
         ex = md.gen_example_4_1(2 ** 12, 0.0, 1)
-        res = md.mmd_decompose(ex.signal, list(ex.priors),
-                               md.MmdConfig(m0=1, j1=4, bins=100))
-        for k in range(2):
-            est = res.estimates[k]
-            rebuilt = md.reconstruct_mimf(est, ex.priors[k], ex.signal.times)
-            rel = (md.signal_norm(rebuilt.values - est.mode.values)
-                   / max(est.mode.l2norm, 1e-30))
-            assert rel <= 1e-12
+        for bin_space, scheme, m0 in itertools.product(
+                (True, False), ("gauss_seidel", "jacobi"), (0, 1, 2, 3)):
+            cfg = md.MmdConfig(m0=m0, j1=4, bins=100, scheme=scheme)
+            res = run_mmd(ex, cfg, bin_space)
+            for k in range(2):
+                est = res.estimates[k]
+                rebuilt = md.reconstruct_mimf(est, ex.priors[k],
+                                              ex.signal.times)
+                rel = (md.signal_norm(rebuilt.values - est.mode.values)
+                       / max(est.mode.l2norm, 1e-30))
+                assert rel <= 1e-12, (bin_space, scheme, m0, k)
 
     def test_band_nesting(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 1)
@@ -384,8 +389,8 @@ class TestAcceleration:
         steps, weights = [], []
         step, weight = mmd.AndersonStep.__call__, mmd.anderson_weight
 
-        def recording_step(self, start, state, modes, r, rel, denom):
-            out = step(self, start, state, modes, r, rel, denom)
+        def recording_step(self, start, state, r, rel, denom):
+            out = step(self, start, state, r, rel, denom)
             steps.append((rel, out[1], out[2]))
             return out
 
@@ -409,6 +414,33 @@ class TestAcceleration:
                     for (_, _, kept), gamma in zip(steps, weights)]
         first_kept = res.report.accelerated.index(True)
         assert any(rejected[first_kept + 1:])
+
+    def test_step_holds_one_sample_array(self):
+        # the step mixes the band state and the residual only: it holds
+        # no mode, whatever the number of components
+        made = []
+
+        class Recorded(mmd.AndersonStep):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        def held(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, (list, tuple)):
+                return [a for v in value for a in held(v)]
+            return []
+
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 2)
+        with mock.patch.object(mmd, "AndersonStep", Recorded):
+            res = md.mmd_decompose(ex.signal, list(ex.priors),
+                                   md.MmdConfig(m0=2, bins=64))
+        assert len(made) == 1
+        assert any(res.report.accelerated)
+        arrays = [a for value in vars(made[0]).values() for a in held(value)
+                  if a.shape == (len(ex.signal),)]
+        assert len(arrays) == 1
 
     @pytest.mark.parametrize("bin_space", [True, False])
     def test_rerun_identical(self, bin_space):

@@ -151,6 +151,25 @@ class TestSortComponents:
             md.sort_components([md.make_prior(3 * t)])
 
 
+class TestMakePriorFundamental:
+    @pytest.mark.parametrize("fundamental", [
+        150.5, 150.0, float("nan"), float("inf"), True, False, 0, -3,
+        np.float64(7.0), "7"])
+    def test_fundamental_not_a_positive_integer(self, fundamental):
+        # solvers build carriers on the stored fundamental and report its
+        # int(): only for an integer is that the one the carriers ran on
+        t = np.arange(16) / 16
+        with pytest.raises(OutOfDomain):
+            md.make_prior(3 * t, fundamental=fundamental)
+
+    @pytest.mark.parametrize("fundamental", [1, 150, np.int64(220),
+                                             np.uint8(3)])
+    def test_fundamental_integers_accepted(self, fundamental):
+        t = np.arange(16) / 16
+        prior = md.make_prior(3 * t, fundamental=fundamental)
+        assert prior.fundamental == fundamental
+
+
 class TestEvalShape:
     def test_zero_table(self):
         z = md.zero_shape(16)

@@ -149,6 +149,13 @@ class TestSnr:
         with pytest.raises(NonPositiveVariance):
             md.snr(self._signal_with_norm(1.0), 0.0)
 
+    @pytest.mark.parametrize("variance", [-0.0, -1.0, float("nan"),
+                                          float("-inf")])
+    def test_variance_not_above_zero(self, variance):
+        # nan <= 0 is false: a test for <= 0 lets nan through to the log
+        with pytest.raises(NonPositiveVariance):
+            md.snr(self._signal_with_norm(1.0), variance)
+
 
 class TestSampleGrid:
     def test_uniform(self):
