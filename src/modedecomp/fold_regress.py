@@ -14,13 +14,19 @@ through :func:`sweep`, which reproduces the reference functions
 with the partitioning estimate, on bin sums through :class:`BinPass` and the
 :class:`BandOperators` that :func:`band_operators` builds, to rounding.
 :func:`modedecomp.gmd.run_pass` runs a pass either way.
+
+A pass on bin sums reads the samples twice: on entry, for its bin sums (an
+mmd band pass takes them from two sums over :attr:`PhasePlan.half_slots`),
+and at its end, for the modes and the residual. In between, only a rebase,
+once the bin-sum norm has lost six digits, forms the residual, for its norm
+alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,6 +173,16 @@ class PhasePlan:
         return (np.bincount(self.j0, values * self.w1, nb)
                 + np.bincount(self.j0, values * self.w, nb)[
                     _neighbours(nb)[0]])
+
+    @cached_property
+    def half_slots(self) -> np.ndarray:
+        """Each sample's half-bin slot ``2 j0 + (i != j0)`` for its bin
+        ``i``: slot ``2 j`` holds bin ``j``'s samples that interpolate from
+        ``j``, slot ``2 j + 1`` bin ``j + 1``'s. Built on first use, by the
+        first mmd band pass on bin sums, and kept for the run."""
+        out = self.j0 * 2
+        out += self.layout.index != self.j0
+        return out
 
 
 def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
@@ -469,11 +485,20 @@ class BinPass:
     for the current residual ``r``. A regression is then :func:`bin_means`
     of ``z[k]``, centred as by :func:`center_shape`, and its subtraction
     lowers every ``z[m]`` by the matching :class:`BandOperators` block.
-    After increments ``U`` the residual's squared norm is
-    ``|r0|^2 - 2 sum_k U_k . E_k^T(h_k r0) + sum_km U_k^T G_km U_m``. Once
-    it falls below ``2**-20 |r0|^2``, cancellation has cost six digits:
-    the residual is then formed on the samples and taken as the new
-    ``r0``. Otherwise it is formed once, by :meth:`finish`.
+    After increments ``U`` since a base residual ``r0``, the residual's
+    squared norm is ``|r0|^2 - 2 sum_k U_k . q_k + sum_km U_k^T G_km U_m``
+    with ``q_k = E_k^T(h_k r0)``.
+
+    Entering the pass forms ``z`` and ``q`` on the samples. A pass whose
+    regression factor is its subtraction factor, as every mmd band pass,
+    takes both from two weighted sums over :attr:`PhasePlan.half_slots`,
+    of ``y = a_k r`` and of ``y w``; gmd's pass takes ``z`` from a bin count
+    and ``q`` from :meth:`PhasePlan.spread`. Once the squared norm falls
+    below ``2**-20 |r0|^2``, cancellation has cost six digits: the pass
+    then forms the residual on the samples for its squared norm alone and
+    takes it as the new ``r0``, moving ``q`` by the Gram ``G`` in bin space
+    and keeping ``z``. The modes and the residual are formed once, by
+    :meth:`finish`.
     """
 
     REBASE = 2.0 ** -20
@@ -494,19 +519,44 @@ class BinPass:
         self.others = [[(self.z[m], ops.cross[m, k])
                         for m in range(len(plans)) if m != k]
                        for k in range(len(plans))]
-        self.next = _neighbours(self.total.shape[1])[2]
-        self._rebase(residual)
+        self.prev, _, self.next = _neighbours(self.total.shape[1])
+        self._enter(residual)
 
-    def _rebase(self, r: np.ndarray) -> None:
+    def _enter(self, r: np.ndarray) -> None:
         nb = self.total.shape[1]
         for k, (p, a, b) in enumerate(zip(self.plans, self.pre, self.post)):
             y = _times(a, r)
-            self.z[k] = np.bincount(p.layout.index, y, nb)
-            # E_k^T(h_k r) with h_k r = gain * b_k r
-            self.q[k] = p.spread(y if b is a else _times(b, r))
+            if b is not a:
+                self.z[k] = np.bincount(p.layout.index, y, nb)
+                # E_k^T(h_k r) with h_k r = gain * b_k r
+                self.q[k] = p.spread(_times(b, r))
+                continue
+            # bin i's samples fill slots 2i and 2i - 1, and those that
+            # interpolate from j0 = j slots 2j and 2j + 1; E_k^T y sums
+            # y (1 - w) by j0 and y w by j0 + 1
+            lo, hi = np.bincount(p.half_slots, y, 2 * nb).reshape(nb, 2).T
+            self.z[k] = lo + hi[self.prev]
+            # y is r itself where the factor is 1
+            y = y * p.w if a is None else np.multiply(y, p.w, out=y)
+            sw = np.bincount(p.j0, y, nb)
+            self.q[k] = ((lo + hi) - sw) + sw[self.prev]
         self.q *= self.gain
         self.base_sq = float(np.dot(r, r))
         self.since = np.zeros_like(self.total)
+
+    def _rebase(self) -> None:
+        """Take the current residual as ``r0``: its squared norm from the
+        samples, ``q`` less ``G @ since``, ``z`` as it is."""
+        r = self.finish()[2]
+        self.base_sq = float(np.dot(r, r))
+        u, q, ops = self.since, self.q, self.ops
+        for qk, uk, (d, off) in zip(q, u, ops.self_g):
+            # G[a, a +- 1] = off[a], off[a - 1]
+            qk -= d * uk + off * uk[self.next] + (off * uk)[self.prev]
+        for (k, m), g in ops.gram.items():
+            q[k] -= g @ u[m]
+            q[m] -= u[k] @ g
+        u[:] = 0.0
 
     def _subtract(self, k: int, inc: np.ndarray) -> None:
         self.z[k] -= _banded(self.ops.self_t[k], inc)
@@ -538,7 +588,7 @@ class BinPass:
         for (k, m), g in ops.gram.items():
             sq += 2.0 * float(u[k] @ g @ u[m])
         if sq < self.REBASE * self.base_sq:
-            self._rebase(self.finish()[2])
+            self._rebase()
             sq = self.base_sq
         # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
         return (incs, math.sqrt(max(sq, 0.0) / self.residual.size),

@@ -369,7 +369,9 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     state was kept. Estimates hold the band products (coefficient times
     unit shape), not normalized; each coefficient is its product's L2 norm,
     and each mode is the band sum of its products, formed once after the
-    loop. Components in the result follow the caller's prior order.
+    loop: the mode increments each :func:`modified_rdbr` pass returns are
+    let go as soon as it returns, before the next pass runs. Components in
+    the result follow the caller's prior order.
     """
     cfg.validate()
     if len(priors) == 0:
@@ -406,9 +408,10 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         start = state.copy()
         sweep_inc = 0.0
         for slot, (b, kind) in enumerate(slots):
-            shapes, _, r = modified_rdbr(
+            shapes, modes, r = modified_rdbr(
                 r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins,
                 cfg.scheme, backend)
+            del modes  # formed from the band state after the loop
             for k, shape in enumerate(shapes):
                 state[slot, k] += shape.bins
                 sweep_inc = max(sweep_inc, shape.l2norm / denom)

@@ -328,8 +328,11 @@ def eval_shape(shape: ShapeTable, v):
     """Evaluate the periodic table at fractional position ``mod(v, 1)``.
 
     Linear interpolation between bin centers with periodic wrap; exact bin
-    values at bin centers. Accepts scalars or arrays.
+    values at bin centers. Accepts scalars or arrays of finite positions.
     """
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise NonFinite("positions must be finite")
     bins = shape.bins
     j0, w = interpolation(unit_position(v), bins.size)
     out = (1.0 - w) * bins[j0] + w * np.roll(bins, -1)[j0]

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
@@ -419,6 +419,112 @@ class TestSweepTrims:
                 assert np.array_equal(inc, m - np.mean(m))
             assert np.array_equal(
                 norms, [md.signal_norm(gain * inc) for inc in incs])
+
+
+class TestHalfBinSums:
+    """A pass whose regression factor is its subtraction factor, as every
+    mmd band pass, enters on two weighted sums over the half-bin slots:
+    its ``z`` and ``q`` are the bin counts and the
+    :meth:`~modedecomp.fold_regress.PhasePlan.spread` of ``y = a r`` to
+    rounding, wherever the positions fall."""
+
+    @staticmethod
+    def check(xs, nb, seed, carried):
+        plan = plan_phase(md.make_prior(xs), xs.size, nb)
+        # positions in [0, 1) fold to themselves
+        assert np.array_equal(plan.xs, xs)
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=xs.size)
+        a = rng.normal(size=xs.size) if carried else None
+        gain = 2.0 if carried else 1.0
+        solver = BinPass(r, [plan], band_operators([plan], [a], [a], gain),
+                         [a], [a], gain, "gauss_seidel")
+        y = a * r if carried else r
+        # each sum's rounding: at most len(y) ulps of the sum of |y|
+        ulps = xs.size * 2.0 ** -52
+        index, ay = plan.layout.index, np.abs(y)
+        assert np.all(np.abs(solver.z[0] - np.bincount(index, y, nb))
+                      <= ulps * np.bincount(index, ay, nb))
+        by_j0 = np.bincount(plan.j0, ay, nb)
+        assert np.all(np.abs(solver.q[0] - gain * plan.spread(y))
+                      <= 2.0 * gain * ulps * (by_j0 + np.roll(by_j0, 1)))
+        return plan
+
+    @settings(max_examples=60, deadline=None)
+    @given(nb=st.sampled_from([2, 3, 24, 200]), data=st.data())
+    def test_property(self, nb, data):
+        position = st.one_of(
+            st.integers(0, nb - 1).map(lambda j: (j + 0.5) / nb),
+            st.integers(0, nb - 1).map(lambda j: j / nb),
+            st.just(np.nextafter(1.0, 0.0)),
+            st.floats(0.0, 1.0, exclude_max=True))
+        xs = np.unique(data.draw(st.lists(position, min_size=2,
+                                          max_size=400)))
+        assume(xs.size >= 2)
+        self.check(xs, nb, data.draw(st.integers(0, 2 ** 16)),
+                   data.draw(st.booleans()))
+
+    @pytest.mark.parametrize("carried", [False, True])
+    @pytest.mark.parametrize("nb", [2, 3, 24, 200])
+    def test_centres_edges_and_empty_bins(self, nb, carried):
+        # the centres of the even bins, the lower edges of bins 1, 4, 7,
+        # ..., 0 and the largest double below 1: bins 3, 5, 9, 11, ...
+        # stay empty
+        j = np.arange(nb)
+        xs = np.unique(np.concatenate((
+            (j[::2] + 0.5) / nb, j[1::3] / nb,
+            [0.0, np.nextafter(1.0, 0.0)])))
+        plan = self.check(xs, nb, nb, carried)
+        assert plan.layout.index[-1] == nb - 1
+        assert bool(plan.layout.empty_x.size) == (nb > 3)
+
+
+class TestRebase:
+    """Once a pass's squared norm falls below ``BinPass.REBASE`` of its
+    base, the pass forms the residual's squared norm on the samples and
+    moves ``q`` by the Gram blocks in bin space. Forced after every sweep,
+    that leaves each sweep's norm the norm of the residual :meth:`finish`
+    forms, and every pass's sweeps those of the sample path."""
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (2, "sin"),
+                                         (0, "amplitude")])
+    def test_norms(self, n, kind, scheme):
+        # a sum of modes the pass can remove, sweep after sweep
+        _, priors = problem(14, 500, "iid_uniform", 3)
+        plans = [plan_phase(p, 500, 24) for p in priors]
+        pre, post, gain = factors(priors, n, kind)
+        rng = np.random.default_rng(14)
+        r = sum(p.interpolate(rng.normal(size=24)) * (1.0 if b is None else b)
+                for p, b in zip(plans, post))
+        rebase, rebased = BinPass._rebase, []
+
+        def counted(self):
+            rebased.append(self)
+            rebase(self)
+
+        with mock.patch.object(BinPass, "REBASE", 1.0), \
+                mock.patch.object(BinPass, "_rebase", counted):
+            solver = BinPass(r, plans, band_operators(plans, pre, post, gain),
+                             pre, post, gain, scheme)
+            for _ in range(6):
+                rms = solver.sweep()[1]
+                want = md.signal_norm(solver.finish()[2])
+                assert abs(rms - want) <= TOL * want
+        assert len(rebased) == 6
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    def test_iterations(self, scheme):
+        with mock.patch.object(BinPass, "REBASE", 1.0):
+            for band in BANDS[:3]:
+                sig, priors = problem(2, 600, "iid_uniform", 2)
+                want, j_want, got, j_got = both_passes(sig, priors, *band,
+                                                       24, scheme)
+                assert len(j_got) == len(j_want)
+                assert_close(want, got, sig)
+            ex = md.gen_example_4_1(2 ** 14, 0.0, 7)
+            assert_gmd_close(gmd_both_paths(ex.signal, list(ex.priors),
+                                            scheme=scheme), ex.signal)
 
 
 class TestPathRule:

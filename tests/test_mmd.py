@@ -1,5 +1,6 @@
 import functools
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -106,6 +107,27 @@ class TestMmdDecompose:
                 rel = (md.signal_norm(rebuilt.values - est.mode.values)
                        / max(est.mode.l2norm, 1e-30))
                 assert rel <= 1e-12, (bin_space, scheme, m0, k)
+
+    @pytest.mark.parametrize("bin_space", [True, False])
+    def test_pass_modes_released(self, bin_space):
+        # the outer loop forms the modes from the band state after it
+        # ends, so it lets each pass's mode arrays go before the next pass
+        # runs
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3)
+        refs, calls = [], []
+        run_pass = mmd.modified_rdbr
+
+        def tracked(*args, **kwargs):
+            calls.append(all(ref() is None for ref in refs))
+            shapes, modes, r = run_pass(*args, **kwargs)
+            refs[:] = [weakref.ref(a) for mode in modes
+                       for a in (mode.values, mode.values.base)]
+            return shapes, modes, r
+
+        with mock.patch.object(mmd, "modified_rdbr", tracked):
+            run_mmd(ex, md.MmdConfig(m0=1, j1=3, bins=32), bin_space)
+        assert len(calls) == 3 * 5 and refs
+        assert all(calls)
 
     def test_band_nesting(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 1)

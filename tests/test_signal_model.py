@@ -206,6 +206,22 @@ class TestEvalShape:
         assert md.eval_shape(table, -0.25 + 1e-18) == pytest.approx(
             md.eval_shape(table, 0.75), abs=1e-12)
 
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf,
+                                   np.array([0.25, np.nan, 0.5])])
+    def test_non_finite_position(self, v):
+        # rejected before folding, whose floor would warn and whose bin
+        # index would fall outside the table
+        with pytest.raises(NonFinite, match="positions must be finite"):
+            md.eval_shape(md.make_shape([1.0, 2.0, 3.0]), v)
+
+    def test_huge_position(self):
+        # 1e300 is an integer: it folds to 0, between the last and first
+        # bin centres
+        table = md.make_shape([1.0, 2.0, 3.0])
+        assert md.eval_shape(table, 1e300) == md.eval_shape(table, 0.0) == 2.0
+        assert np.array_equal(md.eval_shape(table, [1e300, -1e300]),
+                              [2.0, 2.0])
+
 
 def mod_position(v):
     """:func:`unit_position` as numpy's floating modulo gives it."""

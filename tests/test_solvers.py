@@ -1,6 +1,7 @@
 """Properties shared by both decompositions."""
 
 import functools
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import modedecomp as md
 from modedecomp import gmd, mmd
 from modedecomp.errors import OutOfDomain
+from modedecomp.fold_regress import BinPass
 from modedecomp.signal_model import row_norms
 
 
@@ -83,6 +85,65 @@ class TestScaleFree:
         peak = float(np.max(np.abs(ex.signal.values)))
         for a, b in zip(outputs(got), outputs(base)):
             assert np.max(np.abs(a / factor - b)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("exponent", [-300, -160, 160, 300])
+    @pytest.mark.parametrize("solver", ["gmd", "mmd"])
+    def test_bin_path(self, solver, exponent):
+        # at L = 2^16 both solvers sweep on bin sums, and gmd's pass
+        # rebases once its residual falls below 2^-20 of the signal's
+        # energy: the norms it then takes from the samples and the bin
+        # sums it keeps are scale-free too
+        factor = 10.0 ** exponent
+        ex, base, sweeps = bin_path_run(solver)
+        signal = md.make_signal(ex.signal.times, ex.signal.values * factor)
+        with counting_sweeps() as counts:
+            got = BIN_PATH_SOLVERS[solver](signal, list(ex.priors))
+        assert counts == sweeps
+        assert got.report.iterations == base.report.iterations
+        assert got.report.stop_reason == base.report.stop_reason
+        assert np.allclose(got.report.residual_norms,
+                           base.report.residual_norms, rtol=0.0, atol=1e-12)
+        peak = float(np.max(np.abs(ex.signal.values)))
+        for a, b in zip(outputs(got), outputs(base)):
+            assert np.max(np.abs(a / factor - b)) <= 1e-12 * peak
+
+
+BIN_PATH_SOLVERS = {
+    "gmd": md.gmd_decompose,
+    "mmd": lambda signal, priors: md.mmd_decompose(
+        signal, priors, md.MmdConfig(m0=2, bins=200))}
+
+
+@contextmanager
+def counting_sweeps():
+    """Count the sample-space sweeps, the bin-space sweeps and the
+    bin-space passes' rebases run inside."""
+    counts = {"sample": 0, "bin": 0, "rebase": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(gmd, "sweep", counted("sample", gmd.sweep)), \
+            mock.patch.object(BinPass, "sweep",
+                              counted("bin", BinPass.sweep)), \
+            mock.patch.object(BinPass, "_rebase",
+                              counted("rebase", BinPass._rebase)):
+        yield counts
+
+
+@functools.lru_cache(maxsize=None)
+def bin_path_run(solver):
+    """An L = 2^16 input, its run with the default bins, and the sweeps
+    and rebases the run made: on bin sums only, with one rebase for gmd."""
+    ex = md.gen_example_4_1(2 ** 16, 0.0, 7)
+    with counting_sweeps() as counts:
+        base = BIN_PATH_SOLVERS[solver](ex.signal, list(ex.priors))
+    assert counts["bin"] and not counts["sample"]
+    assert counts["rebase"] == (solver == "gmd")
+    return ex, base, counts
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
