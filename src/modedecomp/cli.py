@@ -619,21 +619,34 @@ def _spec_object(value, where: str) -> dict:
     return value
 
 
-def _spec_field(obj: dict, key: str, where: str, convert=float, default=None):
-    """``convert(obj[key])``, which must be finite, or ``default`` when the
-    key is absent."""
+def _spec_number(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, not ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    # NaN, the infinities and integers beyond the doubles fail the bound
+    return float(value) if abs(value) <= sys.float_info.max else None
+
+
+def _spec_field(obj: dict, key: str, where: str, kind=float, default=None):
+    """``obj[key]``, or ``default`` when the key is absent: a positive JSON
+    integer for ``kind`` ``int``, a finite JSON number as a float for
+    ``float``, a flat list of them as an array for ``list``; not ``bool``."""
     if key not in obj:
         if default is None:
             raise ParseError(f"{where}: missing '{key}'")
         return default
-    try:
-        value = convert(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}.{key}: {exc}") from exc
-    # json reads NaN and Infinity; an int is always finite
-    if not isinstance(value, int) and not np.all(np.isfinite(value)):
-        raise ParseError(f"{where}.{key}: must be finite")
-    return value
+    value, at = obj[key], f"{where}.{key}"
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ParseError(f"{at}: must be a positive integer, got {value!r}")
+        return value
+    if kind is list:
+        if not isinstance(value, list) or None in map(_spec_number, value):
+            raise ParseError(f"{at}: must be a list of finite numbers")
+        return np.array(value, dtype=float)
+    if _spec_number(value) is None:
+        raise ParseError(f"{at}: must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _shape_from_json(value, where: str) -> ShapeTable:
@@ -642,8 +655,7 @@ def _shape_from_json(value, where: str) -> ShapeTable:
         return ecg_like_shape(_spec_field(obj, "bins", where, int, 1024),
                               _spec_field(obj, "variant", where, int))
     if "values" in obj:
-        return make_shape(_spec_field(obj, "values", where,
-                                      partial(np.asarray, dtype=float)))
+        return make_shape(_spec_field(obj, "values", where, list))
     raise ParseError(f"{where}: needs 'variant' or 'values'")
 
 

@@ -7,7 +7,7 @@ can replace it for experimentation, but every shipped code path uses
 :func:`partition_regress`.
 
 A prior's phase is fixed for a whole decomposition, so the decompositions
-fold it, bin it and derive its interpolation weights once, in a
+bin it and derive its interpolation weights once, for one bin count, in a
 :class:`PhasePlan`. A pass of regression sweeps then runs on the samples
 through :func:`sweep`, which reproduces the reference functions
 :func:`unwarp_samples`, :func:`demodulate` and :func:`fold` bit for bit, or,
@@ -15,11 +15,11 @@ with the partitioning estimate, on bin sums through :class:`BinPass` and the
 :class:`BandOperators` that :func:`band_operators` builds, to rounding.
 :func:`modedecomp.gmd.run_pass` runs a pass either way.
 
-A pass on bin sums reads the samples twice: on entry, for its bin sums (an
-mmd band pass takes them from two sums over :attr:`PhasePlan.half_slots`),
-and at its end, for the modes and the residual. In between, only a rebase,
-once the bin-sum norm has lost six digits, forms the residual, for its norm
-alone.
+A pass on bin sums reads the samples twice: on entry, for its bin sums and
+its norm (an mmd band pass takes them from two sums over
+:attr:`PhasePlan.half_slots`), and at its end, for the modes and the
+residual. In between, only a rebase, once the bin-sum norm has lost six
+digits, forms the residual, for its norm alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
-    eval_shape,
     interpolation,
     make_shape,
     row_norms,
@@ -130,29 +129,28 @@ class FoldedSamples:
 class PhasePlan:
     """Everything the regressions against one prior share within a run.
 
-    Holds the folded phase positions, their layout in ``bins`` bins, and
-    the interpolation data that evaluates a ``bins``-bin shape table at the
-    phase samples.
+    Holds the phase samples' layout in ``bins`` bins, the one bin count it
+    serves, and the interpolation data that evaluates a ``bins``-bin shape
+    table at the phase samples.
     """
 
     prior: PhasePrior
-    xs: np.ndarray
     layout: BinLayout
     j0: np.ndarray  # the bin a sample interpolates from, to (j0 + 1) % B
     w: np.ndarray
     w1: np.ndarray  # 1 - w
 
     def __len__(self) -> int:
-        return int(self.xs.size)
+        return int(self.j0.size)
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """The folded phase positions, built afresh on first use: only
+        :meth:`folded`, for a regression backend, reads them."""
+        return unit_position(self.prior.phase)
 
     def folded(self, ys: np.ndarray) -> FoldedSamples:
         return FoldedSamples(self.xs, ys, self.layout)
-
-    def evaluate(self, shape: ShapeTable) -> np.ndarray:
-        """:func:`eval_shape` at the prior's phase samples."""
-        if shape.size != self.layout.size:
-            return eval_shape(shape, self.prior.phase)
-        return self.interpolate(shape.bins)
 
     def interpolate(self, b: np.ndarray) -> np.ndarray:
         """A ``layout.size``-bin table evaluated at the phase samples."""
@@ -163,16 +161,6 @@ class PhasePlan:
         tail *= self.w
         out += tail
         return out
-
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """The transpose of :meth:`interpolate`: each sample's value added
-        to its two bins with its interpolation weights."""
-        nb = self.layout.size
-        # a count over (j0 + 1) % B is the count over j0 moved one bin on,
-        # each bin summed in the same order
-        return (np.bincount(self.j0, values * self.w1, nb)
-                + np.bincount(self.j0, values * self.w, nb)[
-                    _neighbours(nb)[0]])
 
     @cached_property
     def half_slots(self) -> np.ndarray:
@@ -196,18 +184,21 @@ def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
         raise LengthMismatch("bin count must be at least 2")
     xs = unit_position(prior.phase)
     j0, w = interpolation(xs, nb)
-    return PhasePlan(prior, xs, bin_layout(xs, nb), j0, w, 1.0 - w)
+    return PhasePlan(prior, bin_layout(xs, nb), j0, w, 1.0 - w)
 
 
 def as_plans(priors: Sequence[PhasePrior | PhasePlan], length: int,
              bins: int) -> list[PhasePlan]:
-    """Plans for ``priors``, keeping entries that already are plans."""
+    """Plans for ``priors``, keeping entries that already are plans for
+    ``bins`` bins."""
     plans = []
     for p in priors:
         if not isinstance(p, PhasePlan):
             p = plan_phase(p, length, bins)
         elif len(p) != length:
             raise GridMismatch("prior and residual are on different grids")
+        elif p.layout.size != bins:
+            raise LengthMismatch("plan is for another bin count")
         plans.append(p)
     return plans
 
@@ -334,7 +325,9 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
         if not np.all(np.isfinite(ys)):
             raise NonFinite("folded samples must be finite")
         inc = center_shape(backend(plan.folded(ys), bins))
-        sub = _times(b, plan.evaluate(inc))
+        if inc.size != bins:
+            raise LengthMismatch("backend table has another bin count")
+        sub = _times(b, plan.interpolate(inc.bins))
         increments.append(inc)
         if scheme == "gauss_seidel":
             cur = cur - sub
@@ -489,16 +482,16 @@ class BinPass:
     squared norm is ``|r0|^2 - 2 sum_k U_k . q_k + sum_km U_k^T G_km U_m``
     with ``q_k = E_k^T(h_k r0)``.
 
-    Entering the pass forms ``z`` and ``q`` on the samples. A pass whose
-    regression factor is its subtraction factor, as every mmd band pass,
-    takes both from two weighted sums over :attr:`PhasePlan.half_slots`,
-    of ``y = a_k r`` and of ``y w``; gmd's pass takes ``z`` from a bin count
-    and ``q`` from :meth:`PhasePlan.spread`. Once the squared norm falls
-    below ``2**-20 |r0|^2``, cancellation has cost six digits: the pass
-    then forms the residual on the samples for its squared norm alone and
-    takes it as the new ``r0``, moving ``q`` by the Gram ``G`` in bin space
-    and keeping ``z``. The modes and the residual are formed once, by
-    :meth:`finish`.
+    Entering the pass forms ``z``, ``|r0|^2`` and ``q_k = (s - s_w) +
+    s_w[i - 1]``, ``s`` and ``s_w`` the sums of ``y = h_k r`` and ``y w``
+    by ``j0``, on the samples. A pass whose regression factor is its
+    subtraction factor, as every mmd band pass, takes ``z`` and ``s`` from
+    one sum over :attr:`PhasePlan.half_slots`; gmd's from two bin counts.
+    Once the squared norm falls below ``2**-20 |r0|^2``, cancellation has
+    cost six digits: the pass then forms the residual on the samples for
+    its squared norm alone and takes it as the new ``r0``, moving ``q`` by
+    the Gram ``G`` in bin space and keeping ``z``. The modes and the
+    residual are formed once, by :meth:`finish`.
     """
 
     REBASE = 2.0 ** -20
@@ -526,20 +519,21 @@ class BinPass:
         nb = self.total.shape[1]
         for k, (p, a, b) in enumerate(zip(self.plans, self.pre, self.post)):
             y = _times(a, r)
-            if b is not a:
+            if b is a:
+                # bin i's samples fill slots 2i and 2i - 1, and those that
+                # interpolate from j0 = j slots 2j and 2j + 1
+                lo, hi = np.bincount(p.half_slots, y, 2 * nb).reshape(nb, 2).T
+                self.z[k] = lo + hi[self.prev]
+                s = lo + hi
+            else:
                 self.z[k] = np.bincount(p.layout.index, y, nb)
-                # E_k^T(h_k r) with h_k r = gain * b_k r
-                self.q[k] = p.spread(_times(b, r))
-                continue
-            # bin i's samples fill slots 2i and 2i - 1, and those that
-            # interpolate from j0 = j slots 2j and 2j + 1; E_k^T y sums
-            # y (1 - w) by j0 and y w by j0 + 1
-            lo, hi = np.bincount(p.half_slots, y, 2 * nb).reshape(nb, 2).T
-            self.z[k] = lo + hi[self.prev]
+                y = _times(b, r)
+                s = np.bincount(p.j0, y, nb)
+            # E_k^T y sums y (1 - w) by j0 and y w by j0 + 1, for y = b_k r;
             # y is r itself where the factor is 1
-            y = y * p.w if a is None else np.multiply(y, p.w, out=y)
+            y = y * p.w if y is r else np.multiply(y, p.w, out=y)
             sw = np.bincount(p.j0, y, nb)
-            self.q[k] = ((lo + hi) - sw) + sw[self.prev]
+            self.q[k] = (s - sw) + sw[self.prev]
         self.q *= self.gain
         self.base_sq = float(np.dot(r, r))
         self.since = np.zeros_like(self.total)

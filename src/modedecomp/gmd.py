@@ -25,6 +25,7 @@ reasons, and outputs that differ by rounding only.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -217,12 +218,14 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
     ``post_k * E_k(gain * U_k)`` and the residual.
     """
-    denom = signal_norm(residual) or 1.0
     if ops is not None:
         solver = BinPass(residual, plans, ops, pre, post, gain, scheme)
+        # relative to the norm the pass read on entry
+        denom = math.sqrt(solver.base_sq / residual.size) or 1.0
         return iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
                               max_iters) + solver.finish()
 
+    denom = signal_norm(residual) or 1.0
     total = np.zeros((len(plans), bins))
     h = post if gain == 1.0 else [gain * b for b in post]
     r = residual

@@ -277,8 +277,7 @@ def modified_rdbr(residual: SampledSignal,
         raise SinZeroBand("sine demodulation is undefined at band 0")
     plans = as_plans(priors, len(residual), bins)
     bin_space = (isinstance(priors, BinSpacePlans)
-                 and backend is partition_regress
-                 and all(plan.layout.size == bins for plan in plans))
+                 and backend is partition_regress)
     pre = band_carriers(priors if bin_space else plans, n, kind)
     gain = 1.0 if n == 0 else 2.0
     ops = priors.operators(n, kind, pre, gain) if bin_space else None

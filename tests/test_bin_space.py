@@ -22,6 +22,7 @@ from modedecomp.fold_regress import (BinPass, _banded, band_operators,
                                      bin_means, carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
                             BinSpacePlans, bin_space_fits, operator_bytes)
+from modedecomp.signal_model import unit_position
 
 TOL = 1e-12
 
@@ -422,33 +423,56 @@ class TestSweepTrims:
 
 
 class TestHalfBinSums:
-    """A pass whose regression factor is its subtraction factor, as every
-    mmd band pass, enters on two weighted sums over the half-bin slots:
-    its ``z`` and ``q`` are the bin counts and the
-    :meth:`~modedecomp.fold_regress.PhasePlan.spread` of ``y = a r`` to
-    rounding, wherever the positions fall."""
+    """A pass enters with ``z`` the bin sums of ``y = a r`` and ``q`` the
+    ``E^T`` of ``v = b r``, formed one way whatever its factors: as
+    ``(s - s_w) + s_w[i - 1]`` from the sums ``s`` of ``v`` and ``s_w`` of
+    ``v w`` by ``j0``. A pass whose regression factor is its subtraction
+    factor, as every mmd band pass, takes ``z`` and ``s`` from one sum over
+    the half-bin slots; gmd's, with ``a = 1/q`` and ``b = q``, from two bin
+    counts. Both match the direct sums to rounding, wherever the positions
+    fall."""
 
     @staticmethod
-    def check(xs, nb, seed, carried):
+    def check(xs, nb, seed, factors):
         plan = plan_phase(md.make_prior(xs), xs.size, nb)
         # positions in [0, 1) fold to themselves
         assert np.array_equal(plan.xs, xs)
         rng = np.random.default_rng(seed)
         r = rng.normal(size=xs.size)
-        a = rng.normal(size=xs.size) if carried else None
-        gain = 2.0 if carried else 1.0
-        solver = BinPass(r, [plan], band_operators([plan], [a], [a], gain),
-                         [a], [a], gain, "gauss_seidel")
-        y = a * r if carried else r
+        a = b = None
+        gain = 2.0 if factors == "carried" else 1.0
+        if factors == "carried":
+            a = b = rng.normal(size=xs.size)
+        elif factors == "unequal":
+            b = 1.0 + 0.5 * rng.random(xs.size)
+            a = 1.0 / b
+        solver = BinPass(r, [plan], band_operators([plan], [a], [b], gain),
+                         [a], [b], gain, "gauss_seidel")
+        y = r if a is None else a * r
+        v = r if b is None else b * r
         # each sum's rounding: at most len(y) ulps of the sum of |y|
         ulps = xs.size * 2.0 ** -52
-        index, ay = plan.layout.index, np.abs(y)
+        index = plan.layout.index
         assert np.all(np.abs(solver.z[0] - np.bincount(index, y, nb))
-                      <= ulps * np.bincount(index, ay, nb))
-        by_j0 = np.bincount(plan.j0, ay, nb)
-        assert np.all(np.abs(solver.q[0] - gain * plan.spread(y))
+                      <= ulps * np.bincount(index, np.abs(y), nb))
+        # E^T v: each sample's v added to its two bins with its
+        # interpolation weights, v (1 - w) to j0 and v w to j0 + 1
+        spread = (np.bincount(plan.j0, v * plan.w1, nb)
+                  + np.roll(np.bincount(plan.j0, v * plan.w, nb), 1))
+        by_j0 = np.bincount(plan.j0, np.abs(v), nb)
+        assert np.all(np.abs(solver.q[0] - gain * spread)
                       <= 2.0 * gain * ulps * (by_j0 + np.roll(by_j0, 1)))
         return plan
+
+    @staticmethod
+    def centres_and_edges(nb):
+        """The centres of the even bins, the lower edges of bins 1, 4, 7,
+        ..., 0 and the largest double below 1: bins 3, 5, 9, 11, ... stay
+        empty."""
+        j = np.arange(nb)
+        return np.unique(np.concatenate((
+            (j[::2] + 0.5) / nb, j[1::3] / nb,
+            [0.0, np.nextafter(1.0, 0.0)])))
 
     @settings(max_examples=60, deadline=None)
     @given(nb=st.sampled_from([2, 3, 24, 200]), data=st.data())
@@ -462,21 +486,64 @@ class TestHalfBinSums:
                                           max_size=400)))
         assume(xs.size >= 2)
         self.check(xs, nb, data.draw(st.integers(0, 2 ** 16)),
-                   data.draw(st.booleans()))
+                   data.draw(st.sampled_from(["one", "carried", "unequal"])))
 
     @pytest.mark.parametrize("carried", [False, True])
     @pytest.mark.parametrize("nb", [2, 3, 24, 200])
     def test_centres_edges_and_empty_bins(self, nb, carried):
-        # the centres of the even bins, the lower edges of bins 1, 4, 7,
-        # ..., 0 and the largest double below 1: bins 3, 5, 9, 11, ...
-        # stay empty
-        j = np.arange(nb)
-        xs = np.unique(np.concatenate((
-            (j[::2] + 0.5) / nb, j[1::3] / nb,
-            [0.0, np.nextafter(1.0, 0.0)])))
-        plan = self.check(xs, nb, nb, carried)
+        plan = self.check(self.centres_and_edges(nb), nb, nb,
+                          "carried" if carried else "one")
         assert plan.layout.index[-1] == nb - 1
         assert bool(plan.layout.empty_x.size) == (nb > 3)
+
+    @pytest.mark.parametrize("nb", [2, 3, 24, 200])
+    def test_unequal_factors(self, nb):
+        self.check(self.centres_and_edges(nb), nb, nb, "unequal")
+
+
+class TestPlansHoldWhatTheirPathReads:
+    """A phase plan builds its folded positions only when a regression
+    backend on the samples reads them: never on the bin path, and then
+    bit for bit the positions :func:`plan_phase` binned."""
+
+    @staticmethod
+    @contextmanager
+    def recording_plans(module):
+        plans, as_plans = [], module.as_plans
+
+        def record(*args, **kwargs):
+            out = as_plans(*args, **kwargs)
+            plans.extend(out)
+            return out
+
+        with mock.patch.object(module, "as_plans", record), \
+                recording_sweeps() as norms:
+            yield plans, norms
+
+    @pytest.mark.parametrize("run", ["gmd", "mmd"])
+    def test_bin_path_builds_no_positions(self, run):
+        if run == "gmd":
+            ex = md.gen_example_4_1(2 ** 16, 0.0, 21, "iid_uniform")
+            with self.recording_plans(gmd) as (plans, norms):
+                md.gmd_decompose(ex.signal, ex.priors)
+        else:
+            ex = md.gen_example_4_1(2 ** 14, 0.0, 21, "iid_uniform")
+            with self.recording_plans(mmd) as (plans, norms):
+                md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=2))
+        assert norms["bin"] and not norms["sample"]
+        assert plans
+        for plan in plans:
+            assert "xs" not in vars(plan)
+
+    def test_sample_path_builds_them_bit_for_bit(self):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 21, "iid_uniform")
+        with self.recording_plans(gmd) as (plans, norms):
+            md.gmd_decompose(ex.signal, ex.priors[:1])
+        assert norms["sample"] and not norms["bin"]
+        assert plans
+        for plan in plans:
+            assert np.array_equal(vars(plan)["xs"],
+                                  unit_position(plan.prior.phase))
 
 
 class TestRebase:

@@ -737,6 +737,26 @@ class TestSpecFileErrors:
         ({"components": [{"fundamental": 24, "shape":
                           {"values": [0.0, 1.0, float("-inf")]}}]},
          "components[0].shape.values"),
+        # JSON values of the wrong type are not converted
+        ({"components": [{"fundamental": "24"}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": True}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": 24.7}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": 24.0}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": 0}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": -3}]}, "components[0].fundamental"),
+        ({"components": [{"fundamental": 24, "scale": "2.5"}]},
+         "components[0].scale"),
+        ({"components": [{"fundamental": 24, "phase_wiggle":
+                          {"kind": "sin", "amp": "0.1"}}]},
+         "components[0].phase_wiggle.amp"),
+        ({"components": [{"fundamental": 24, "shape": {"values": "123"}}]},
+         "components[0].shape.values"),
+        ({"components": [{"fundamental": 24, "shape":
+                          {"values": [[1, 2], [3, 4]]}}]},
+         "components[0].shape.values"),
+        ({"components": [{"fundamental": 24, "shape":
+                          {"variant": True}}]},
+         "components[0].shape.variant"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"

@@ -8,6 +8,7 @@ from modedecomp.errors import (
     AmplitudeTooSmall,
     EmptyInput,
     GridMismatch,
+    LengthMismatch,
     SinZeroBand,
 )
 from modedecomp.fold_regress import (
@@ -18,6 +19,7 @@ from modedecomp.fold_regress import (
     sweep,
 )
 from modedecomp.gmd import run_pass
+from modedecomp.mmd import BinSpacePlans
 
 
 def brute_force_bin_means(xs, ys, bins):
@@ -355,14 +357,30 @@ class TestSweepMatchesReference:
             assert np.array_equal(xs, want.xs)
             assert np.array_equal(ys, want.ys)
 
-    def test_plan_for_other_bin_count_still_exact(self):
+    def test_plan_for_other_bin_count_rejected(self):
+        # a plan serves the one bin count it was made for
         sig, priors = _random_problem(2, 300, "uniform", 2)
         plans = [plan_phase(p, 300, 50) for p in priors]
-        got, r = md.rdbr_sweep(sig, plans, 40)
-        want, _, want_r = _reference_pass(sig, priors, 40, "gauss_seidel")
-        for a, b in zip(got, want):
-            assert np.array_equal(a.bins, b.bins)
-        assert np.array_equal(r.values, want_r.values)
+        with pytest.raises(LengthMismatch):
+            md.rdbr_sweep(sig, plans, 40)
+        with pytest.raises(LengthMismatch):
+            md.modified_rdbr(sig, BinSpacePlans(plans), 1, "cos", bins=40)
+
+    @pytest.mark.parametrize("run", ["gmd", "mmd", "rdbr_sweep"])
+    def test_backend_of_other_bin_count_rejected(self, run):
+        sig, priors = _random_problem(4, 256, "uniform", 2)
+
+        def backend(samples, bins):
+            return md.partition_regress(samples, bins + 1)
+
+        with pytest.raises(LengthMismatch):
+            if run == "gmd":
+                md.gmd_decompose(sig, priors, bins=16, backend=backend)
+            elif run == "mmd":
+                md.mmd_decompose(sig, priors, md.MmdConfig(m0=1, bins=16),
+                                 backend)
+            else:
+                md.rdbr_sweep(sig, priors, 16, backend=backend)
 
     def test_plan_checks_grid(self):
         _, priors = _random_problem(3, 64, "uniform", 1)
