@@ -649,13 +649,29 @@ def _spec_field(obj: dict, key: str, where: str, kind=float, default=None):
     return float(value)
 
 
+def _built(at: str, make, *args):
+    """``make(*args)``, its :class:`DecompositionError` a
+    :class:`ParseError` naming the spec field ``at``."""
+    try:
+        return make(*args)
+    except DecompositionError as exc:
+        raise ParseError(f"{at}: {exc}") from exc
+
+
 def _shape_from_json(value, where: str) -> ShapeTable:
     obj = _spec_object(value, where)
     if "variant" in obj:
-        return ecg_like_shape(_spec_field(obj, "bins", where, int, 1024),
-                              _spec_field(obj, "variant", where, int))
+        bins = _spec_field(obj, "bins", where, int, 1024)
+        variant = _spec_field(obj, "variant", where, int)
+        try:
+            return ecg_like_shape(bins, variant)
+        except LengthMismatch as exc:  # too few bins for the waveform
+            raise ParseError(f"{where}.bins: {exc}") from exc
+        except DecompositionError as exc:
+            raise ParseError(f"{where}.variant: {exc}") from exc
     if "values" in obj:
-        return make_shape(_spec_field(obj, "values", where, list))
+        return _built(f"{where}.values", make_shape,
+                      _spec_field(obj, "values", where, list))
     raise ParseError(f"{where}: needs 'variant' or 'values'")
 
 
@@ -703,14 +719,16 @@ def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
     specs = [_component_from_json(c, f"{path}: components[{i}]")
              for i, c in enumerate(comps)]
     t = sample_grid(length, grid_mode, seed)
+    priors = []
+    for i, spec in enumerate(specs):
+        at = f"{path}: components[{i}]"
+        phase = _built(f"{at}.phase_wiggle", make_prior,
+                       spec.fundamental * spec.phase(t)).phase
+        amplitude = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float),
+                                    t.shape)
+        priors.append(_built(f"{at}.amplitude", make_prior, phase, amplitude))
     modes = [gen_mimf(spec, t) for spec in specs]
     total = make_signal(t, np.sum([m.values for m in modes], axis=0))
-    priors = [
-        make_prior(spec.fundamental * spec.phase(t),
-                   amplitude=np.broadcast_to(
-                       np.asarray(spec.amplitude(t), dtype=float), t.shape))
-        for spec in specs
-    ]
     return total, modes, priors
 
 

@@ -10,9 +10,11 @@ A prior's phase is fixed for a whole decomposition, so the decompositions
 bin it and derive its interpolation weights once, for one bin count, in a
 :class:`PhasePlan`. A pass of regression sweeps then runs on the samples
 through :func:`sweep`, which reproduces the reference functions
-:func:`unwarp_samples`, :func:`demodulate` and :func:`fold` bit for bit, or,
-with the partitioning estimate, on bin sums through :class:`BinPass` and the
+:func:`unwarp_samples` to :func:`center_shape` bit for bit, or, with the
+partitioning estimate, on bin sums through :class:`BinPass` and the
 :class:`BandOperators` that :func:`band_operators` builds, to rounding.
+Both regress by :func:`bin_means` of the plans' bin sums; only a custom
+backend is handed :class:`FoldedSamples`, built for each regression.
 :func:`modedecomp.gmd.run_pass` runs a pass either way.
 
 A pass on bin sums reads the samples twice: on entry, for its bin sums and
@@ -63,8 +65,7 @@ __all__ = [
 AMPLITUDE_FLOOR = 1e-8
 
 # A regression backend maps folded samples and a bin count to a shape table.
-# It must not modify the samples: a run shares their positions across
-# regressions.
+# Its samples are built for the one regression it is called for.
 RegressionBackend = Callable[["FoldedSamples", int], ShapeTable]
 
 
@@ -110,16 +111,11 @@ def _neighbours(nb: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoldedSamples:
-    """Folded phase positions in [0, 1) with their responses.
-
-    ``layout`` optionally carries the positions' binning, precomputed by a
-    :class:`PhasePlan`; :func:`partition_regress` reuses it when asked for
-    that many bins.
-    """
+    """Folded phase positions in [0, 1) with their responses: what a
+    regression backend is given."""
 
     xs: np.ndarray
     ys: np.ndarray
-    layout: BinLayout | None = None
 
     def __len__(self) -> int:
         return int(self.xs.size)
@@ -131,7 +127,7 @@ class PhasePlan:
 
     Holds the phase samples' layout in ``bins`` bins, the one bin count it
     serves, and the interpolation data that evaluates a ``bins``-bin shape
-    table at the phase samples.
+    table at the phase samples, but not the folded positions.
     """
 
     prior: PhasePrior
@@ -142,15 +138,6 @@ class PhasePlan:
 
     def __len__(self) -> int:
         return int(self.j0.size)
-
-    @cached_property
-    def xs(self) -> np.ndarray:
-        """The folded phase positions, built afresh on first use: only
-        :meth:`folded`, for a regression backend, reads them."""
-        return unit_position(self.prior.phase)
-
-    def folded(self, ys: np.ndarray) -> FoldedSamples:
-        return FoldedSamples(self.xs, ys, self.layout)
 
     def interpolate(self, b: np.ndarray) -> np.ndarray:
         """A ``layout.size``-bin table evaluated at the phase samples."""
@@ -270,9 +257,7 @@ def partition_regress(samples: FoldedSamples, bins: int) -> ShapeTable:
         raise LengthMismatch("bin count must be at least 2")
     if len(samples) == 0:
         raise EmptyInput("cannot regress zero samples")
-    layout = samples.layout
-    if layout is None or layout.size != nb:
-        layout = bin_layout(samples.xs, nb)
+    layout = bin_layout(samples.xs, nb)
     sums = np.bincount(layout.index, weights=samples.ys, minlength=nb)
     return make_shape(bin_means(sums, layout))
 
@@ -305,37 +290,44 @@ def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
           scheme: str, backend: RegressionBackend,
           pre: Sequence[np.ndarray | None], post: Sequence[np.ndarray | None],
-          divide: bool = False):
+          gain: float, divide: bool = False):
     """One Gauss-Seidel or Jacobi pass of regressions over all components.
 
     Component ``k`` regresses ``ys = r / pre[k]`` (with ``divide``) or
-    ``ys = pre[k] * r`` on its plan's folded positions, centres the
-    estimate and subtracts ``post[k] * shape(p)``; a ``None`` factor is 1.
-    Gauss-Seidel chains the residual through the components, Jacobi
-    regresses every component against ``residual``.
+    ``ys = pre[k] * r`` on its plan's bins, as :class:`BinPass` does,
+    centres the estimate ``u`` and subtracts ``post[k] * E_k(gain * u)``;
+    a ``None`` factor is 1. Gauss-Seidel chains the residual through the
+    components, Jacobi regresses every component against ``residual``.
 
-    Returns the centred shape increments and the new residual array.
+    Returns the centred increments ``(K, B)`` and the new residual array.
     """
     cur = residual
-    increments: list[ShapeTable] = []
+    incs = np.empty((len(plans), bins))
     subtracted: list[np.ndarray] = []
-    for plan, a, b in zip(plans, pre, post):
+    for plan, a, b, inc in zip(plans, pre, post, incs):
         source = cur if scheme == "gauss_seidel" else residual
         ys = source / a if divide and a is not None else _times(a, source)
         if not np.all(np.isfinite(ys)):
             raise NonFinite("folded samples must be finite")
-        inc = center_shape(backend(plan.folded(ys), bins))
-        if inc.size != bins:
-            raise LengthMismatch("backend table has another bin count")
-        sub = _times(b, plan.interpolate(inc.bins))
-        increments.append(inc)
+        if backend is partition_regress:
+            means = bin_means(np.bincount(plan.layout.index, ys, bins),
+                              plan.layout)
+        else:
+            means = backend(FoldedSamples(unit_position(plan.prior.phase), ys),
+                            bins).bins
+            if means.size != bins:
+                raise LengthMismatch("backend table has another bin count")
+        # center_shape's arithmetic, as in BinPass.sweep
+        np.subtract(means, np.add.reduce(means) / bins, out=inc)
+        # a gain of 1 or 2 commutes with E_k and the product, bit for bit
+        sub = _times(b, plan.interpolate(gain * inc))
         if scheme == "gauss_seidel":
             cur = cur - sub
         else:
             subtracted.append(sub)
     if scheme != "gauss_seidel":
         cur = residual - np.sum(subtracted, axis=0)
-    return increments, cur
+    return incs, cur
 
 
 def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],

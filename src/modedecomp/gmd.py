@@ -161,8 +161,8 @@ def rdbr_sweep(residual: SampledSignal,
             check_amplitude(p)
     amplitudes = [plan.prior.amplitude for plan in plans]
     increments, r = sweep(residual.values, plans, bins, scheme, backend,
-                          amplitudes, amplitudes, divide=True)
-    return increments, SampledSignal(residual.times, r)
+                          amplitudes, amplitudes, 1.0, divide=True)
+    return [make_shape(u) for u in increments], SampledSignal(residual.times, r)
 
 
 def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
@@ -211,8 +211,9 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
     ``gain * post_k * E_k u``; a ``None`` factor is 1. Given the pass's
     :class:`~modedecomp.fold_regress.BandOperators` as ``ops``, the sweeps
     run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
-    on the samples through :func:`~modedecomp.fold_regress.sweep` and
-    ``backend``, where ``divide`` regresses ``r / pre_k`` instead.
+    on the samples through :func:`~modedecomp.fold_regress.sweep`, where
+    ``divide`` regresses ``r / pre_k`` instead. Both take the same
+    factors, and with the default ``backend`` the same regression step.
 
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
@@ -227,13 +228,12 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
 
     denom = signal_norm(residual) or 1.0
     total = np.zeros((len(plans), bins))
-    h = post if gain == 1.0 else [gain * b for b in post]
     r = residual
 
     def step():
         nonlocal r
-        incs, r = sweep(r, plans, bins, scheme, backend, pre, h, divide)
-        incs = np.stack([inc.bins for inc in incs])
+        incs, r = sweep(r, plans, bins, scheme, backend, pre, post, gain,
+                        divide)
         np.add(total, incs, out=total)
         # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
         return signal_norm(r), row_norms(incs) * gain

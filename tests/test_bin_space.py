@@ -17,12 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
-from modedecomp import gmd, mmd
+from modedecomp import fold_regress, gmd, mmd
 from modedecomp.fold_regress import (BinPass, _banded, band_operators,
                                      bin_means, carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
                             BinSpacePlans, bin_space_fits, operator_bytes)
-from modedecomp.signal_model import unit_position
+from modedecomp.signal_model import sort_components, unit_position
 
 TOL = 1e-12
 
@@ -436,7 +436,7 @@ class TestHalfBinSums:
     def check(xs, nb, seed, factors):
         plan = plan_phase(md.make_prior(xs), xs.size, nb)
         # positions in [0, 1) fold to themselves
-        assert np.array_equal(plan.xs, xs)
+        assert np.array_equal(unit_position(plan.prior.phase), xs)
         rng = np.random.default_rng(seed)
         r = rng.normal(size=xs.size)
         a = b = None
@@ -502,48 +502,68 @@ class TestHalfBinSums:
 
 
 class TestPlansHoldWhatTheirPathReads:
-    """A phase plan builds its folded positions only when a regression
-    backend on the samples reads them: never on the bin path, and then
-    bit for bit the positions :func:`plan_phase` binned."""
+    """Only a custom regression backend is handed folded samples. The
+    partitioning estimate regresses on the plans' bin sums, on the bin and
+    on the sample path alike; a custom backend is given positions built for
+    each regression, bit for bit those :func:`plan_phase` binned."""
 
     @staticmethod
     @contextmanager
-    def recording_plans(module):
-        plans, as_plans = [], module.as_plans
+    def no_folded_samples():
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default estimator folded samples")
 
-        def record(*args, **kwargs):
-            out = as_plans(*args, **kwargs)
-            plans.extend(out)
-            return out
-
-        with mock.patch.object(module, "as_plans", record), \
+        with mock.patch.object(fold_regress, "FoldedSamples", refuse), \
+                mock.patch.object(fold_regress, "center_shape", refuse), \
                 recording_sweeps() as norms:
-            yield plans, norms
+            yield norms
 
     @pytest.mark.parametrize("run", ["gmd", "mmd"])
     def test_bin_path_builds_no_positions(self, run):
         if run == "gmd":
             ex = md.gen_example_4_1(2 ** 16, 0.0, 21, "iid_uniform")
-            with self.recording_plans(gmd) as (plans, norms):
+            with self.no_folded_samples() as norms:
                 md.gmd_decompose(ex.signal, ex.priors)
         else:
             ex = md.gen_example_4_1(2 ** 14, 0.0, 21, "iid_uniform")
-            with self.recording_plans(mmd) as (plans, norms):
+            with self.no_folded_samples() as norms:
                 md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=2))
         assert norms["bin"] and not norms["sample"]
-        assert plans
-        for plan in plans:
-            assert "xs" not in vars(plan)
 
-    def test_sample_path_builds_them_bit_for_bit(self):
+    @pytest.mark.parametrize("run", ["gmd", "mmd"])
+    def test_sample_path_builds_no_positions(self, run):
+        # one-component gmd, and mmd's band 0 alone with two components,
+        # sweep on the samples
         ex = md.gen_example_4_1(2 ** 12, 0.0, 21, "iid_uniform")
-        with self.recording_plans(gmd) as (plans, norms):
-            md.gmd_decompose(ex.signal, ex.priors[:1])
+        with self.no_folded_samples() as norms:
+            if run == "gmd":
+                md.gmd_decompose(ex.signal, ex.priors[:1])
+            else:
+                md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=0))
         assert norms["sample"] and not norms["bin"]
-        assert plans
-        for plan in plans:
-            assert np.array_equal(vars(plan)["xs"],
-                                  unit_position(plan.prior.phase))
+
+    @pytest.mark.parametrize("run", ["gmd", "mmd"])
+    def test_custom_backend_gets_positions(self, run):
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 21, "iid_uniform")
+        priors = sort_components(list(ex.priors))[0]
+        seen = []
+
+        def backend(samples, bins):
+            seen.append(samples.xs)
+            return md.partition_regress(samples, bins)
+
+        with recording_sweeps() as norms:
+            if run == "gmd":
+                md.gmd_decompose(ex.signal, ex.priors, backend=backend)
+            else:
+                md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=1),
+                                 backend)
+        assert norms["sample"] and not norms["bin"]
+        # one regression per component and sweep, in the sorted order
+        assert len(seen) == len(priors) * len(norms["sample"])
+        for i, xs in enumerate(seen):
+            assert np.array_equal(
+                xs, unit_position(priors[i % len(priors)].phase))
 
 
 class TestRebase:

@@ -757,6 +757,22 @@ class TestSpecFileErrors:
         ({"components": [{"fundamental": 24, "shape":
                           {"variant": True}}]},
          "components[0].shape.variant"),
+        # values of the right type outside their domain name the field too
+        ({"components": [{"fundamental": 24, "shape": {"variant": 3}}]},
+         "components[0].shape.variant"),
+        ({"components": [{"fundamental": 24, "shape": {"values": [1.0]}}]},
+         "components[0].shape.values"),
+        ({"components": [{"fundamental": 24, "shape":
+                          {"variant": 1, "bins": 10}}]},
+         "components[0].shape.bins"),
+        ({"components": [{"fundamental": 24, "phase_wiggle":
+                          {"kind": "sin", "amp": 1.0}}]},
+         "components[0].phase_wiggle"),
+        ({"components": [{"fundamental": 24},
+                         {"fundamental": 30, "amplitude": {"const": 0.0}}]},
+         "components[1].amplitude"),
+        ({"components": [{"fundamental": 24, "amplitude": {"const": -1.0}}]},
+         "components[0].amplitude"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"
