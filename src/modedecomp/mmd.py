@@ -298,11 +298,13 @@ def anderson_weight(f: np.ndarray, f_prev: np.ndarray | None) -> float | None:
     a previous step, for ``df = 0`` or a weight that is not finite."""
     if f_prev is None:
         return None
-    df = f - f_prev
-    dd = float(np.vdot(df, df))
+    # einsum, not np.vdot: OpenBLAS splits a dot product of over 10,000
+    # entries among its threads, so its last bits follow the thread count
+    f, df = f.ravel(), (f - f_prev).ravel()
+    dd = float(np.einsum("i,i->", df, df))
     if dd == 0.0:
         return None
-    gamma = float(np.vdot(f, df)) / dd
+    gamma = float(np.einsum("i,i->", f, df)) / dd
     return gamma if math.isfinite(gamma) else None
 
 

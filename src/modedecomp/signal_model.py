@@ -312,7 +312,11 @@ def add_shapes(a: ShapeTable, b: ShapeTable) -> ShapeTable:
 
 
 def scale_shape(shape: ShapeTable, factor: float) -> ShapeTable:
-    return make_shape(shape.bins * float(factor))
+    """``shape * factor``; a product that overflows is refused as
+    :class:`NonFinite` by :func:`make_shape`, without a warning."""
+    with np.errstate(over="ignore"):
+        bins = shape.bins * float(factor)
+    return make_shape(bins)
 
 
 def ldexp_shape(shape: ShapeTable, k: int) -> ShapeTable:

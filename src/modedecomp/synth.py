@@ -10,6 +10,7 @@ at the bin counts the noisy benchmark uses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -143,12 +144,22 @@ def ecg_like_shape(bins: int, variant: int) -> ShapeTable:
     return make_shape(s)
 
 
+def _check_seed(seed) -> None:
+    """Raise :class:`OutOfDomain` unless ``seed`` is a non-negative integer,
+    as ``default_rng`` needs; checked where nothing is drawn too, so that a
+    recorded seed always reproduces the run."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise OutOfDomain(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def add_noise(signal: SampledSignal, noise_var: float, seed: int) -> SampledSignal:
     """Add i.i.d. zero-mean Gaussian samples of the given variance.
 
     Zero variance returns the signal unchanged; the draw is deterministic
-    for a fixed seed.
+    for a fixed seed, which must be a non-negative integer either way.
     """
+    _check_seed(seed)
     if not 0.0 <= noise_var < np.inf:
         raise OutOfDomain("noise variance must be finite and nonnegative")
     if noise_var == 0.0:
@@ -174,10 +185,12 @@ def sample_grid(length: int, mode: str = "uniform", seed: int = 0) -> np.ndarray
     """Sampling grid on [0, 1): deterministic uniform or sorted i.i.d. draws.
 
     The i.i.d. mode redraws exact duplicates so downstream binning never
-    double-counts a time instant.
+    double-counts a time instant. The seed must be a non-negative integer
+    in either mode.
     """
     if length < 2:
         raise LengthMismatch("grids need at least 2 points")
+    _check_seed(seed)
     if mode == "uniform":
         return np.arange(length) / length
     if mode != "iid_uniform":
@@ -233,6 +246,9 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
     for the bands that are zero by construction.
     """
     t = sample_grid(length, grid_mode, seed)
+    # one read-only grid for every signal: sample_grid's times are sorted,
+    # unique and finite, so the raw constructor needs no checks or copies
+    t.setflags(write=False)
     fundamentals = (150, 220)
     amp_coeffs = ((0.2, 0.1), (0.1, 0.2))
     components = []
@@ -240,20 +256,13 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
     truths = []
     for k in (0, 1):
         n_k = fundamentals[k]
-        phase_fn = _ex41_phase(k + 1)
-        amp_fn = _ex41_amp(k + 1)
+        phi = _ex41_phase(k + 1)(t)
+        amp = _ex41_amp(k + 1)(phi)
+        pos = n_k * phi
         unit = ecg_like_shape(_EX41_SHAPE_BINS, k + 1)
         shape = scale_shape(unit, _EX41_SCALE)
-        spec = ComponentSpec(
-            amplitude=lambda tt, a=amp_fn, p=phase_fn: a(p(tt)),
-            phase=phase_fn,
-            fundamental=n_k,
-            shape=shape,
-        )
-        comp = gen_gimf(spec, t)
-        phase_cycles = n_k * phase_fn(t)
-        prior = with_fundamental(
-            make_prior(phase_cycles, amplitude=amp_fn(phase_fn(t))), t)
+        comp = SampledSignal(t, amp * eval_shape(shape, pos))
+        prior = with_fundamental(make_prior(pos, amplitude=amp), t)
         zeros = zero_shape(_EX41_SHAPE_BINS)
         truth = make_estimate(
             2,
@@ -272,7 +281,7 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
         priors.append(prior)
         truths.append(truth)
 
-    clean = make_signal(t, components[0].values + components[1].values)
+    clean = SampledSignal(t, components[0].values + components[1].values)
     noisy = add_noise(clean, noise_var, seed)
     return Example41(
         signal=noisy,

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -165,6 +166,104 @@ class TestSynthCommand:
         assert len(sig) == 1024
         _, priors = read_phases_csv(out / "phases.csv")
         assert len(priors) == 2
+
+
+def spec_oracle(path, length, grid_mode, seed):
+    """``_synth_from_spec``'s arrays from the general generators: gen_mimf
+    per component, and each prior made from the phase, then the amplitude."""
+    comps = json.loads(path.read_text())["components"]
+    specs = [cli._component_from_json(c, f"components[{i}]")
+             for i, c in enumerate(comps)]
+    t = md.sample_grid(length, grid_mode, seed)
+    priors = []
+    for spec in specs:
+        phase = md.make_prior(spec.fundamental * spec.phase(t)).phase
+        amplitude = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float),
+                                    t.shape)
+        priors.append(md.make_prior(phase, amplitude))
+    modes = [md.gen_mimf(spec, t) for spec in specs]
+    total = md.make_signal(t, np.sum([m.values for m in modes], axis=0))
+    return total, modes, priors
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, signed zeros included."""
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+SPEC_COEFF = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-0.4, 0.4, allow_subnormal=False))
+
+
+@st.composite
+def spec_components(draw):
+    """A component whose amplitude stays positive and phase increasing."""
+    cos1, sin1 = draw(SPEC_COEFF), draw(SPEC_COEFF)
+    comp = {"fundamental": draw(st.integers(1, 300)),
+            "amplitude": {"const": abs(cos1) + abs(sin1)
+                          + draw(st.floats(0.05, 2.0)),
+                          "cos1": cos1, "sin1": sin1},
+            "phase_wiggle": {"kind": draw(st.sampled_from(["none", "sin", "cos"])),
+                             "amp": draw(st.floats(0.0, 0.1))},
+            "scale": draw(st.floats(-3.0, 3.0))}
+    if draw(st.booleans()):
+        comp["shape"] = {"variant": draw(st.integers(1, 2)), "bins": 64}
+    else:
+        comp["shape"] = {"values": draw(st.lists(
+            st.one_of(st.just(-0.0), st.floats(-2.0, 2.0)),
+            min_size=2, max_size=12))}
+    return comp
+
+
+class TestSynthFromSpec:
+    """Each component's phase, carriers and shape are evaluated once; the
+    arrays are those of gen_mimf and make_prior, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(comps=st.lists(spec_components(), min_size=1, max_size=3),
+           length=st.integers(2, 4096),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_general_generators(self, tmp_path_factory, comps,
+                                        length, grid, seed):
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(json.dumps({"components": comps}))
+        total, modes, priors = cli._synth_from_spec(path, length, grid, seed)
+        want_total, want_modes, want_priors = spec_oracle(
+            path, length, grid, seed)
+        for got, want in zip([total, *modes], [want_total, *want_modes],
+                             strict=True):
+            assert same_bits(got.times, want.times)
+            assert same_bits(got.values, want.values)
+        for got, want in zip(priors, want_priors, strict=True):
+            assert same_bits(got.phase, want.phase)
+            assert same_bits(got.amplitude, want.amplitude)
+            assert got.fundamental is want.fundamental is None
+
+
+class TestSynthSeeds:
+    """A seed that is not a non-negative integer is exit 1, no directory."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--grid", "iid", "--seed", "-1"],
+        ["--noise-var", "0.5", "--seed", "-3"],
+        ["--seed", "-1"],
+    ])
+    @pytest.mark.parametrize("source", ["example", "spec"])
+    def test_negative_seed(self, tmp_path, capsys, extra, source):
+        if source == "example":
+            args = ["--example", "ex4_1"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text('{"components": [{"fundamental": 24}]}')
+            args = ["--spec", str(spec)]
+        out = tmp_path / "d"
+        code = main(["synth", *args, "--samples", "512", *extra,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert not out.exists()
 
 
 class TestDecomposeCommands:
@@ -773,6 +872,10 @@ class TestSpecFileErrors:
          "components[1].amplitude"),
         ({"components": [{"fundamental": 24, "amplitude": {"const": -1.0}}]},
          "components[0].amplitude"),
+        # a scale whose product overflows, without a numpy warning
+        ({"components": [{"fundamental": 24, "scale": 10,
+                          "shape": {"values": [1e308, -1e308]}}]},
+         "components[0].scale"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"
@@ -783,6 +886,22 @@ class TestSpecFileErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {path}: ") and field in err
+        assert not out.exists()
+
+
+    def test_overflowing_scale_warns_not(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"components": [
+            {"fundamental": 24, "scale": 10,
+             "shape": {"values": [1e308, -1e308]}}]}))
+        out = tmp_path / "d"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "--spec", str(path), "--samples", "512",
+                         "--out", str(out)])
+        assert code == 1 and not caught
+        assert capsys.readouterr().err == (
+            f"error: {path}: components[0].scale: shape bins must be finite\n")
         assert not out.exists()
 
 

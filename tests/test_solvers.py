@@ -1,7 +1,11 @@
 """Properties shared by both decompositions."""
 
 import functools
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -336,3 +340,52 @@ class TestSignalNorm:
 
         assert regressions(ex.signal.values * factor) == regressions(
             ex.signal.values)
+
+
+#: Prints a digest of every output array and norm of three runs whose dot
+#: products exceed 10,000 entries, the size above which OpenBLAS splits a
+#: dot product among its threads.
+THREADED_RUNS = """
+import hashlib
+import numpy as np
+import modedecomp as md
+
+def arrays(result):
+    report = result.report
+    out = [result.residual.values, np.array(report.residual_norms),
+           np.array(report.shape_increment_norms)]
+    if isinstance(result, md.GmdResult):
+        return out + [s.bins for s in result.shapes]
+    return out + [est.mode.values for est in result.estimates]
+
+ex = md.gen_example_4_1(2 ** 16, 0.0, 3, "iid_uniform")
+runs = [md.gmd_decompose(ex.signal, list(ex.priors))]
+for length, m0 in ((2 ** 14, 7), (2 ** 12, 10)):
+    ex = md.gen_example_4_1(length, 0.0, 3, "iid_uniform")
+    runs.append(md.mmd_decompose(ex.signal, list(ex.priors),
+                                 md.MmdConfig(m0=m0)))
+for result in runs:
+    digest = hashlib.sha256()
+    for a in arrays(result):
+        digest.update(a.tobytes())
+    print(result.report.iterations, digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads():
+    """The same bytes with one BLAS thread and with two (README,
+    Determinism)."""
+    src = str(Path(md.__file__).resolve().parent.parent)
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", THREADED_RUNS], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    (one, err1), (two, err2) = (proc.communicate(timeout=300)
+                                for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0], err1 + err2
+    assert len(one.splitlines()) == 3
+    assert one == two

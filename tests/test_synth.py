@@ -1,8 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modedecomp as md
 from modedecomp.errors import NonPositiveVariance, OutOfDomain
+from modedecomp.synth import (
+    _EX41_SCALE,
+    _EX41_SHAPE_BINS,
+    _ex41_amp,
+    _ex41_phase,
+)
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and a.tobytes() == b.tobytes())
+
+
+def example_oracle(length, noise_var, seed, grid):
+    """gen_example_4_1's signals and priors from the general generators:
+    gen_gimf on a ComponentSpec, make_signal and a prior per component."""
+    t = md.sample_grid(length, grid, seed)
+    components, priors = [], []
+    for k, n_k in enumerate((150, 220)):
+        phase_fn, amp_fn = _ex41_phase(k + 1), _ex41_amp(k + 1)
+        shape = md.scale_shape(md.ecg_like_shape(_EX41_SHAPE_BINS, k + 1),
+                               _EX41_SCALE)
+        spec = md.ComponentSpec(
+            amplitude=lambda tt, a=amp_fn, p=phase_fn: a(p(tt)),
+            phase=phase_fn, fundamental=n_k, shape=shape)
+        components.append(md.gen_gimf(spec, t))
+        priors.append(md.with_fundamental(
+            md.make_prior(n_k * phase_fn(t), amp_fn(phase_fn(t))), t))
+    clean = md.make_signal(t, components[0].values + components[1].values)
+    return md.add_noise(clean, noise_var, seed), clean, components, priors
 
 
 class TestGenGimf:
@@ -84,6 +118,68 @@ class TestExample41:
                                       ex.signal.times)
             value = md.snr(lead, 2.25)
             assert -12.0 <= value <= -8.0
+
+
+class TestExample41OnePass:
+    """Each component's phase, amplitude and shape are evaluated once, on
+    one grid; the arrays are those of the general generators, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(2, 4096),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           noise_var=st.sampled_from([0.0, 0.25]),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_general_generators(self, length, grid, noise_var, seed):
+        ex = md.gen_example_4_1(length, noise_var, seed, grid)
+        signal, clean, components, priors = example_oracle(
+            length, noise_var, seed, grid)
+        pairs = [(ex.signal, signal), (ex.clean, clean),
+                 *zip(ex.components, components),
+                 *zip((tr.mode for tr in ex.truth), components)]
+        for got, want in pairs:
+            assert same_bits(got.times, want.times)
+            assert same_bits(got.values, want.values)
+        for got, want in zip(ex.priors, priors, strict=True):
+            assert same_bits(got.phase, want.phase)
+            assert same_bits(got.amplitude, want.amplitude)
+            assert got.fundamental == want.fundamental
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.25])
+    def test_signals_share_one_read_only_grid(self, noise_var):
+        ex = md.gen_example_4_1(512, noise_var, 3, "iid_uniform")
+        grids = [ex.signal.times, ex.clean.times,
+                 *(c.times for c in ex.components),
+                 *(tr.mode.times for tr in ex.truth)]
+        base = grids[0].base
+        assert base is not None and not base.flags.writeable
+        for times in grids:
+            assert times.base is base and not times.flags.writeable
+        with pytest.raises(ValueError):
+            base[0] = 0.5
+
+
+class TestSeeds:
+    """A seed is a non-negative integer, whether or not it is drawn from."""
+
+    BAD = [-1, -3, 1.5, 2.0, True, "3", None]
+
+    @pytest.mark.parametrize("grid", ["uniform", "iid_uniform"])
+    @pytest.mark.parametrize("seed", BAD)
+    def test_sample_grid(self, grid, seed):
+        with pytest.raises(OutOfDomain, match="seed"):
+            md.sample_grid(16, grid, seed)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", BAD)
+    def test_add_noise(self, noise_var, seed):
+        t = md.sample_grid(16)
+        with pytest.raises(OutOfDomain, match="seed"):
+            md.add_noise(md.make_signal(t, np.sin(t)), noise_var, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2 ** 70])
+    def test_integers_accepted(self, seed):
+        t = md.sample_grid(16, "iid_uniform", seed)
+        md.add_noise(md.make_signal(t, np.sin(t)), 0.5, seed)
 
 
 class TestEcgShape:
