@@ -527,16 +527,17 @@ class BinPass:
             sw = np.bincount(p.j0, y, nb)
             self.q[k] = (s - sw) + sw[self.prev]
         self.q *= self.gain
-        # einsum, not np.dot, here and in _rebase: a threaded BLAS dot
-        # product's last bits follow the thread count
-        self.base_sq = float(np.einsum("i,i->", r, r))
+        # a pairwise sum, as signal_norm takes it, here and in _rebase: a
+        # threaded BLAS dot product's last bits follow the thread count,
+        # and einsum's running sum drifts from the sample-space norms
+        self.base_sq = float(np.add.reduce(r * r))
         self.since = np.zeros_like(self.total)
 
     def _rebase(self) -> None:
         """Take the current residual as ``r0``: its squared norm from the
         samples, ``q`` less ``G @ since``, ``z`` as it is."""
         r = self.finish()[2]
-        self.base_sq = float(np.einsum("i,i->", r, r))
+        self.base_sq = float(np.add.reduce(r * r))
         u, q, ops = self.since, self.q, self.ops
         for qk, uk, (d, off) in zip(q, u, ops.self_g):
             # G[a, a +- 1] = off[a], off[a - 1]
