@@ -42,7 +42,6 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
-    eval_shape,
     make_prior,
     make_shape,
     make_signal,
@@ -56,6 +55,7 @@ from .synth import (
     add_noise,
     ecg_like_shape,
     gen_example_4_1,
+    gen_mimf,
     sample_grid,
 )
 
@@ -713,45 +713,22 @@ def _component_from_json(obj, where: str) -> ComponentSpec:
 
 
 def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
-    """Clean signal, modes and exact priors of a spec file's components.
-
-    The same arrays as :func:`gen_mimf` and :func:`make_prior` on the
-    spec's functions, bit for bit, with each component's phase, carriers
-    and shape evaluated once.
-    """
+    """Clean signal, modes and exact priors of a spec file's components."""
     comps = _spec_object(read_report(path), str(path)).get("components")
     if not isinstance(comps, list) or not comps:
         raise ParseError(f"{path}: 'components' must be a non-empty list")
     specs = [_component_from_json(c, f"{path}: components[{i}]")
              for i, c in enumerate(comps)]
     t = sample_grid(length, grid_mode, seed)
-    priors, values = [], []
+    priors = []
     for i, spec in enumerate(specs):
-        phi = spec.phase(t)
-        pos = spec.fundamental * phi
-        angle = 2.0 * np.pi * phi
-        cos_phi, sin_phi = np.cos(angle), np.sin(angle)
-        const = spec.bands[0].cos_coeff
-        band1 = spec.bands.get(1, BandSpec())
-        try:
-            priors.append(make_prior(pos, const + band1.cos_coeff * cos_phi
-                                     + band1.sin_coeff * sin_phi))
-        except DecompositionError as exc:
-            # make_prior's messages begin with the array they refuse
-            field = ("amplitude" if str(exc).startswith("amplitude")
-                     else "phase_wiggle")
-            raise ParseError(f"{path}: components[{i}].{field}: {exc}") from exc
-        # gen_mimf's bands 0 and 1, on one shape; band 0's carrier is 1
-        shape = eval_shape(spec.shape, pos)
-        total = np.zeros_like(t)
-        if const != 0.0:
-            total += const * shape
-        if band1.cos_coeff != 0.0:
-            total += band1.cos_coeff * cos_phi * shape
-        if band1.sin_coeff != 0.0:
-            total += band1.sin_coeff * sin_phi * shape
-        values.append(total)
-    modes = [make_signal(t, v) for v in values]
+        at = f"{path}: components[{i}]"
+        phase = _built(f"{at}.phase_wiggle", make_prior,
+                       spec.fundamental * spec.phase(t)).phase
+        amplitude = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float),
+                                    t.shape)
+        priors.append(_built(f"{at}.amplitude", make_prior, phase, amplitude))
+    modes = [gen_mimf(spec, t) for spec in specs]
     total = make_signal(t, np.sum([m.values for m in modes], axis=0))
     return total, modes, priors
 

@@ -529,8 +529,9 @@ class BinPass:
         self.q *= self.gain
         # a pairwise sum, as signal_norm takes it, here and in _rebase: a
         # threaded BLAS dot product's last bits follow the thread count,
-        # and einsum's running sum drifts from the sample-space norms
-        self.base_sq = float(np.add.reduce(r * r))
+        # and einsum's running sum drifts from the sample-space norms. The
+        # squares go into the last y, a private product no longer needed.
+        self.base_sq = float(np.add.reduce(np.multiply(r, r, out=y)))
         self.since = np.zeros_like(self.total)
 
     def _rebase(self) -> None:

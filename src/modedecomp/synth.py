@@ -104,21 +104,34 @@ def gen_mimf(spec: ComponentSpec, grid: Sequence[float]) -> SampledSignal:
 
     Evaluates the trigonometric carriers directly, so it is an independent
     counterpart to reconstructing from an estimate that stores the same
-    products.
+    products. Each band's angle and each distinct table's values are
+    formed once.
     """
     if spec.bands is None:
         return gen_gimf(spec, grid)
     t = np.asarray(grid, dtype=float)
     phi = np.asarray(spec.phase(t), dtype=float)
     pos = spec.fundamental * phi
+    values = {}
+
+    def shape_at(table: ShapeTable) -> np.ndarray:
+        if id(table) not in values:
+            values[id(table)] = eval_shape(table, pos)
+        return values[id(table)]
+
     total = np.zeros_like(t)
     for n, band in spec.bands.items():
-        if band.cos_shape is not None and band.cos_coeff != 0.0:
-            total += (band.cos_coeff * np.cos(2.0 * np.pi * n * phi)
-                      * eval_shape(band.cos_shape, pos))
-        if band.sin_shape is not None and band.sin_coeff != 0.0:
-            total += (band.sin_coeff * np.sin(2.0 * np.pi * n * phi)
-                      * eval_shape(band.sin_shape, pos))
+        use_cos = band.cos_shape is not None and band.cos_coeff != 0.0
+        use_sin = band.sin_shape is not None and band.sin_coeff != 0.0
+        if use_cos or use_sin:
+            angle = 2.0 * np.pi * n * phi
+        if use_cos:
+            # band 0's carrier is 1, and cos_coeff * 1.0 is cos_coeff
+            carrier = (band.cos_coeff if n == 0
+                       else band.cos_coeff * np.cos(angle))
+            total += carrier * shape_at(band.cos_shape)
+        if use_sin:
+            total += band.sin_coeff * np.sin(angle) * shape_at(band.sin_shape)
     return make_signal(t, total)
 
 

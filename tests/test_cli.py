@@ -168,79 +168,6 @@ class TestSynthCommand:
         assert len(priors) == 2
 
 
-def spec_oracle(path, length, grid_mode, seed):
-    """``_synth_from_spec``'s arrays from the general generators: gen_mimf
-    per component, and each prior made from the phase, then the amplitude."""
-    comps = json.loads(path.read_text())["components"]
-    specs = [cli._component_from_json(c, f"components[{i}]")
-             for i, c in enumerate(comps)]
-    t = md.sample_grid(length, grid_mode, seed)
-    priors = []
-    for spec in specs:
-        phase = md.make_prior(spec.fundamental * spec.phase(t)).phase
-        amplitude = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float),
-                                    t.shape)
-        priors.append(md.make_prior(phase, amplitude))
-    modes = [md.gen_mimf(spec, t) for spec in specs]
-    total = md.make_signal(t, np.sum([m.values for m in modes], axis=0))
-    return total, modes, priors
-
-
-def same_bits(a, b) -> bool:
-    """Equal arrays, signed zeros included."""
-    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
-
-
-SPEC_COEFF = st.one_of(st.sampled_from([0.0, -0.0]),
-                       st.floats(-0.4, 0.4, allow_subnormal=False))
-
-
-@st.composite
-def spec_components(draw):
-    """A component whose amplitude stays positive and phase increasing."""
-    cos1, sin1 = draw(SPEC_COEFF), draw(SPEC_COEFF)
-    comp = {"fundamental": draw(st.integers(1, 300)),
-            "amplitude": {"const": abs(cos1) + abs(sin1)
-                          + draw(st.floats(0.05, 2.0)),
-                          "cos1": cos1, "sin1": sin1},
-            "phase_wiggle": {"kind": draw(st.sampled_from(["none", "sin", "cos"])),
-                             "amp": draw(st.floats(0.0, 0.1))},
-            "scale": draw(st.floats(-3.0, 3.0))}
-    if draw(st.booleans()):
-        comp["shape"] = {"variant": draw(st.integers(1, 2)), "bins": 64}
-    else:
-        comp["shape"] = {"values": draw(st.lists(
-            st.one_of(st.just(-0.0), st.floats(-2.0, 2.0)),
-            min_size=2, max_size=12))}
-    return comp
-
-
-class TestSynthFromSpec:
-    """Each component's phase, carriers and shape are evaluated once; the
-    arrays are those of gen_mimf and make_prior, bit for bit."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(comps=st.lists(spec_components(), min_size=1, max_size=3),
-           length=st.integers(2, 4096),
-           grid=st.sampled_from(["uniform", "iid_uniform"]),
-           seed=st.integers(0, 2 ** 32))
-    def test_matches_general_generators(self, tmp_path_factory, comps,
-                                        length, grid, seed):
-        path = tmp_path_factory.mktemp("spec") / "spec.json"
-        path.write_text(json.dumps({"components": comps}))
-        total, modes, priors = cli._synth_from_spec(path, length, grid, seed)
-        want_total, want_modes, want_priors = spec_oracle(
-            path, length, grid, seed)
-        for got, want in zip([total, *modes], [want_total, *want_modes],
-                             strict=True):
-            assert same_bits(got.times, want.times)
-            assert same_bits(got.values, want.values)
-        for got, want in zip(priors, want_priors, strict=True):
-            assert same_bits(got.phase, want.phase)
-            assert same_bits(got.amplitude, want.amplitude)
-            assert got.fundamental is want.fundamental is None
-
-
 class TestSynthSeeds:
     """A seed that is not a non-negative integer is exit 1, no directory."""
 
@@ -887,7 +814,6 @@ class TestSpecFileErrors:
         assert code == 1
         assert err.startswith(f"error: {path}: ") and field in err
         assert not out.exists()
-
 
     def test_overflowing_scale_warns_not(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

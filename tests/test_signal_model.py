@@ -14,6 +14,8 @@ from modedecomp.errors import (
 )
 from modedecomp.signal_model import interpolation, unit_position
 
+from bitwise import same_bits
+
 
 class TestMakeSignal:
     def test_identity_case(self):
@@ -234,12 +236,6 @@ def mod_interpolation(x, nb):
     u = x * nb - 0.5
     j = np.floor(u)
     return np.mod(j.astype(np.int64), nb), u - j
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and a.tobytes() == b.tobytes())
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

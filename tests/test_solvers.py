@@ -374,13 +374,14 @@ for result in runs:
 
 def test_outputs_do_not_depend_on_blas_threads():
     """The same bytes with one BLAS thread and with two (README,
-    Determinism)."""
+    Determinism), whichever of OpenBLAS, MKL or an OpenMP BLAS numpy uses."""
     src = str(Path(md.__file__).resolve().parent.parent)
     procs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                  "OMP_NUM_THREADS"), threads))
         procs.append(subprocess.Popen(
             [sys.executable, "-c", THREADED_RUNS], env=env, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE))

@@ -12,12 +12,7 @@ from modedecomp.synth import (
     _ex41_phase,
 )
 
-
-def same_bits(a, b) -> bool:
-    """Equal arrays, signed zeros included."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype == b.dtype and np.array_equal(a, b)
-            and a.tobytes() == b.tobytes())
+from bitwise import same_bits
 
 
 def example_oracle(length, noise_var, seed, grid):
@@ -156,6 +151,71 @@ class TestExample41OnePass:
             assert times.base is base and not times.flags.writeable
         with pytest.raises(ValueError):
             base[0] = 0.5
+
+
+def mimf_oracle(spec, t):
+    """gen_mimf as first written: each term's carrier and table evaluated
+    on their own, band 0's cos(0) included."""
+    phi = np.asarray(spec.phase(t), dtype=float)
+    pos = spec.fundamental * phi
+    total = np.zeros_like(t)
+    for n, band in spec.bands.items():
+        if band.cos_shape is not None and band.cos_coeff != 0.0:
+            total += (band.cos_coeff * np.cos(2.0 * np.pi * n * phi)
+                      * md.eval_shape(band.cos_shape, pos))
+        if band.sin_shape is not None and band.sin_coeff != 0.0:
+            total += (band.sin_coeff * np.sin(2.0 * np.pi * n * phi)
+                      * md.eval_shape(band.sin_shape, pos))
+    return md.make_signal(t, total)
+
+
+MIMF_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+MIMF_TABLE = st.lists(st.one_of(st.just(-0.0), st.floats(-2.0, 2.0)),
+                      min_size=2, max_size=12).map(md.make_shape)
+
+
+@st.composite
+def mimf_specs(draw):
+    """Bands of any index on a few tables, some shared between terms."""
+    tables = draw(st.lists(MIMF_TABLE, min_size=1, max_size=3))
+    table = st.one_of(st.none(), st.sampled_from(tables))
+    bands = {n: md.BandSpec(draw(MIMF_COEFF), draw(MIMF_COEFF),
+                            draw(table), draw(table))
+             for n in draw(st.lists(st.integers(-3, 3), min_size=1,
+                                    max_size=4, unique=True))}
+    wiggle = draw(st.floats(0.0, 0.1))
+    return md.ComponentSpec(
+        amplitude=np.ones_like,
+        phase=lambda t: t + wiggle * np.sin(2.0 * np.pi * t),
+        fundamental=draw(st.integers(1, 300)), shape=tables[0], bands=bands)
+
+
+class TestGenMimfOneEvaluation:
+    """Each band's angle and each distinct table are evaluated once and
+    band 0's cos(0) is skipped; the values are the per-term formula's,
+    bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=mimf_specs(), length=st.integers(2, 4096),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_per_term_formula(self, spec, length, grid, seed):
+        t = md.sample_grid(length, grid, seed)
+        got, want = md.gen_mimf(spec, t), mimf_oracle(spec, t)
+        assert same_bits(got.times, want.times)
+        assert same_bits(got.values, want.values)
+
+    def test_one_table_evaluation_per_component(self, monkeypatch):
+        calls = []
+        real = md.synth.eval_shape
+        monkeypatch.setattr(md.synth, "eval_shape",
+                            lambda table, x: calls.append(table) or real(table, x))
+        shape = md.ecg_like_shape(64, 1)
+        bands = {0: md.BandSpec(1.0, 0.0, shape, None),
+                 1: md.BandSpec(0.2, 0.1, shape, shape)}
+        spec = md.ComponentSpec(np.ones_like, lambda t: t, 24, shape, bands)
+        md.gen_mimf(spec, md.sample_grid(256))
+        assert len(calls) == 1 and calls[0] is shape
 
 
 class TestSeeds:
