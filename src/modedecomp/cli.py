@@ -723,8 +723,14 @@ def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
     priors = []
     for i, spec in enumerate(specs):
         at = f"{path}: components[{i}]"
+        unit, top = spec.phase(t), _spec_number(spec.fundamental)
+        # doubles coarser than one bin of the shape lose a sample's place
+        if top is None or not np.spacing(top * float(np.max(np.abs(
+                unit)))) <= 1.0 / spec.shape.size:
+            raise ParseError(f"{at}.fundamental: too large for doubles to "
+                             f"resolve the shape's {spec.shape.size} bins")
         phase = _built(f"{at}.phase_wiggle", make_prior,
-                       spec.fundamental * spec.phase(t)).phase
+                       spec.fundamental * unit).phase
         amplitude = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float),
                                     t.shape)
         priors.append(_built(f"{at}.amplitude", make_prior, phase, amplitude))

@@ -12,8 +12,9 @@ two convergence rates can be compared; Gauss-Seidel is the default and the
 recommended choice.
 
 :func:`run_pass` drives every pass, sweeping until :func:`iterate_sweeps`,
-the one stopping rule, ends it: :func:`gmd_decompose` runs one pass from its
-first sweep to its last, :func:`modedecomp.mmd.modified_rdbr` one per band.
+the one stopping rule (mmd's outer loop stops by it too), ends it:
+:func:`gmd_decompose` runs one pass from its first sweep to its last,
+:func:`modedecomp.mmd.modified_rdbr` one per band.
 With the partitioning estimate a pass is linear in the residual, so given
 the pass's operators it runs on bin sums
 (:class:`~modedecomp.fold_regress.BinPass`), and otherwise on the samples
@@ -166,35 +167,29 @@ def rdbr_sweep(residual: SampledSignal,
 
 
 def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
-    """Run ``step()`` until the residual stops improving.
+    """Run ``step()`` until the residual stops falling: the stopping rule of
+    gmd's pass, of each mmd band pass and of mmd's outer loop.
 
-    Each call runs one sweep and returns the residual's norm and its
+    Each call runs one step and returns the residual's norm and its
     increments' norms. Stops on the first of: the residual norm or the
-    largest increment norm, relative to ``denom``, dropping to ``eps``, the
-    relative residual norm changing by at most ``eps`` between sweeps
-    (stall), or ``max_iters`` sweeps. Returns the relative norms per sweep
-    and the :class:`StopReason`.
+    largest increment norm, relative to ``denom``, dropping to ``eps``; the
+    relative residual falling by at most ``eps``, from 1 at the first step
+    (stall: a loop ends at its first rise); or ``max_iters`` steps. Returns
+    the relative norms per step and the :class:`StopReason`.
     """
-    eps0, eps1, eps2 = 2.0, 1.0, 1.0
-    norms_r: list[float] = []
-    norms_s: list[float] = []
-    while (len(norms_r) < max_iters and eps1 > eps and eps2 > eps
-           and abs(eps1 - eps0) > eps):
+    eps1, norms_r, norms_s, reason = 1.0, [], [], None
+    while reason is None:
         r_norm, inc_norms = step()
-        eps0 = eps1
-        eps1 = r_norm / denom
+        eps0, eps1 = eps1, r_norm / denom
         eps2 = max(inc_norms) / denom
         norms_r.append(float(eps1))
         norms_s.append(float(eps2))
-
-    if eps1 <= eps:
-        reason = StopReason.RESIDUAL_SMALL
-    elif eps2 <= eps:
-        reason = StopReason.INCREMENT_SMALL
-    elif abs(eps1 - eps0) <= eps:
-        reason = StopReason.STALLED
-    else:
-        reason = StopReason.MAX_ITER
+        reason = (StopReason.RESIDUAL_SMALL if eps1 <= eps
+                  else StopReason.INCREMENT_SMALL if eps2 <= eps
+                  # a norm that is not a number stalls the loop too
+                  else StopReason.STALLED if not eps0 - eps1 > eps
+                  else StopReason.MAX_ITER if len(norms_r) >= max_iters
+                  else None)
     return norms_r, norms_s, reason
 
 
@@ -279,7 +274,7 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                   eps: float = 1e-6, max_iters: int = 200, bins: int = 200,
                   scheme: str = "gauss_seidel",
                   backend: RegressionBackend = partition_regress) -> GmdResult:
-    """Iterate regression sweeps until the residual stops improving.
+    """Iterate regression sweeps until the residual stops falling.
 
     One :func:`run_pass` from the first sweep to the last, stopped by
     :func:`iterate_sweeps`: component ``k`` regresses ``r / q_k`` and

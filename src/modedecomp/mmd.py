@@ -23,13 +23,15 @@ operators once per run for each ``(|n|, kind)`` and holds the carriers in
 the memory they leave. :func:`bin_space_fits` chooses the path.
 
 The outer loop is a fixed-point iteration on the run's band state, one
-``(passes, K, B)`` array of band tables. After each plain iteration, one
+``(passes, K, B)`` array of band tables, stopped as a band pass is, by
+:func:`~modedecomp.gmd.iterate_sweeps`. After each plain iteration, one
 Gauss-Seidel step over the bands, :class:`AndersonStep` extrapolates the
 state and the residual with a depth-one Anderson step and keeps the result
 only when its residual is below the plain step's. On ex4_1-shaped inputs
 (``K = 2``, ``B = 200``, ``L = 2^14``) that took ``m0 = 4`` runs from 15-16
-outer iterations to 11, and ``m0 = 10`` runs from 163 and 118 to 66 and 79,
-each with a lower final residual; ``L = 2^17``, ``m0 = 2`` runs take 5.
+outer iterations to 11, and ``m0 = 10`` runs from 163 and 118 to 66 and 79
+(62 once the loop also stopped on its band increments), each with a lower
+final residual; ``L = 2^17``, ``m0 = 2`` runs take 5.
 
 The band state and the residual are all the outer loop carries. A mode is a
 function of its band tables, their band sum, so each is formed from them
@@ -63,8 +65,8 @@ from .fold_regress import (
 )
 from .gmd import (
     DecompositionReport,
-    StopReason,
     check_run,
+    iterate_sweeps,
     run_pass,
     to_caller_order,
 )
@@ -99,8 +101,9 @@ class MmdConfig:
     """Knobs for the multiresolution loop.
 
     ``m0`` is the bandwidth; ``eps1`` stops the outer loop on the relative
-    residual, ``eps2`` stops each inner demodulated pass; ``j1``/``j2`` cap
-    the outer/inner iteration counts; ``bins`` is the regression bin count.
+    residual, its fall and the largest band increment, ``eps2`` each inner
+    demodulated pass alike; ``j1``/``j2`` cap the outer/inner iteration
+    counts; ``bins`` is the regression bin count.
     """
 
     m0: int = 10
@@ -363,16 +366,17 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
     Each outer iteration runs every band pass once (a Gauss-Seidel step
     over the bands), then tries an :class:`AndersonStep` extrapolation and
-    keeps it only when it lowers the residual. The outer loop ends the
-    first time the relative residual drops to ``cfg.eps1``, fails to
-    improve by more than ``cfg.eps1``, or ``cfg.j1`` iterations have run;
-    ``report.accelerated`` says, per iteration, whether the extrapolated
-    state was kept. Estimates hold the band products (coefficient times
-    unit shape), not normalized; each coefficient is its product's L2 norm,
-    and each mode is the band sum of its products, formed once after the
-    loop: the mode increments each :func:`modified_rdbr` pass returns are
-    let go as soon as it returns, before the next pass runs. Components in
-    the result follow the caller's prior order.
+    keeps it only when it lowers the residual. :func:`iterate_sweeps` ends
+    the outer loop once the relative residual or largest band increment
+    drops to ``cfg.eps1``, the residual falls by at most ``cfg.eps1``, or
+    ``cfg.j1`` iterations have run; ``report.accelerated`` says, per
+    iteration, whether the extrapolated state was kept. Estimates hold the
+    band products (coefficient times unit shape), not normalized; each
+    coefficient is its product's L2 norm, and each mode is the band sum of
+    its products, formed once after the loop: the mode increments each
+    :func:`modified_rdbr` pass returns are let go as soon as it returns,
+    before the next pass runs. Components in the result follow the
+    caller's prior order.
     """
     cfg.validate()
     if len(priors) == 0:
@@ -399,36 +403,25 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
              for kind in (("cos", "sin") if b != 0 else ("cos",))]
     state = np.zeros((len(slots), len(plans), cfg.bins))
     extrapolate = AndersonStep()
-
-    best = 1.0
-    norms_r: list[float] = []
-    norms_s: list[float] = []
     accelerated: list[bool] = []
-    reason = StopReason.MAX_ITER
-    for _ in range(cfg.j1):
+
+    def step():
+        nonlocal r
         start = state.copy()
-        sweep_inc = 0.0
+        incs = []
         for slot, (b, kind) in enumerate(slots):
             shapes, modes, r = modified_rdbr(
                 r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins,
                 cfg.scheme, backend)
             del modes  # formed from the band state after the loop
-            for k, shape in enumerate(shapes):
-                state[slot, k] += shape.bins
-                sweep_inc = max(sweep_inc, shape.l2norm / denom)
+            state[slot] += [shape.bins for shape in shapes]
+            incs += [shape.l2norm / denom for shape in shapes]
         r, rel, mixed = extrapolate(start, state, r,
                                     signal_norm(r.values) / denom, denom)
-        norms_r.append(rel)
-        norms_s.append(sweep_inc)
         accelerated.append(mixed)
-        if rel <= cfg.eps1:
-            reason = StopReason.RESIDUAL_SMALL
-            break
-        if rel >= best - cfg.eps1:
-            reason = StopReason.STALLED
-            break
-        best = rel
+        return rel, incs
 
+    norms_r, norms_s, reason = iterate_sweeps(step, 1.0, cfg.eps1, cfg.j1)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,
                                  len(norms_r), tuple(accelerated))
 

@@ -803,6 +803,15 @@ class TestSpecFileErrors:
         ({"components": [{"fundamental": 24, "scale": 10,
                           "shape": {"values": [1e308, -1e308]}}]},
          "components[0].scale"),
+        # positions whose doubles are coarser than one bin of the shape,
+        # up to integers beyond the doubles
+        ({"components": [{"fundamental": 24},
+                         {"fundamental": 10 ** 30}]},
+         "components[1].fundamental"),
+        ({"components": [{"fundamental": 10 ** 300}]},
+         "components[0].fundamental"),
+        ({"components": [{"fundamental": 10 ** 400}]},
+         "components[0].fundamental"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"
@@ -814,6 +823,16 @@ class TestSpecFileErrors:
         assert code == 1
         assert err.startswith(f"error: {path}: ") and field in err
         assert not out.exists()
+
+    def test_large_fundamental_accepted(self, tmp_path):
+        # 10^6 cycles leave positions resolved far below one of 1,024 bins
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"components": [{"fundamental": 10 ** 6}]}))
+        out = tmp_path / "d"
+        assert main(["synth", "--spec", str(path), "--samples", "512",
+                     "--out", str(out)]) == 0
+        _, priors = read_phases_csv(out / "phases.csv")
+        assert priors[0].phase[-1] > 0.99 * 10 ** 6
 
     def test_overflowing_scale_warns_not(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -86,6 +86,16 @@ class TestDecompose:
         assert res.report.iterations < 20
         assert res.report.residual_norms[-1] > 0.5
 
+    def test_missing_component_stops_at_first_rise(self):
+        # against ex4_1's two components, one prior lowers the residual
+        # once and raises it at the next sweep, which ends the run
+        ex = md.gen_example_4_1(2 ** 16, 0.0, 1, "iid_uniform")
+        res = md.gmd_decompose(ex.signal, [ex.priors[0]])
+        norms = res.report.residual_norms
+        assert res.report.stop_reason == md.StopReason.STALLED
+        assert res.report.iterations == len(norms) == 2
+        assert norms[0] < 1.0 and norms[1] > norms[0]
+
     def test_iid_grid_recovery(self):
         t = md.sample_grid(2 ** 13, "iid_uniform", 17)
         shape = md.ecg_like_shape(512, 2)

@@ -216,6 +216,18 @@ class TestMmdDecompose:
                  - md.eval_shape(est.sin_shapes[-1], FINE))
         assert table_gap(rec_s, 0.2 * md.eval_shape(s_c, FINE)) <= 1e-2
 
+    def test_stop_reason_increment_small(self):
+        # the largest band increment drops to eps1 while the residual,
+        # still falling by more than eps1 an iteration, stays above it
+        ex = md.gen_example_4_1(2 ** 11, 0.0, 0)
+        cfg = md.MmdConfig(m0=2, eps1=1e-4, bins=100)
+        report = md.mmd_decompose(ex.signal, list(ex.priors), cfg).report
+        assert report.stop_reason == md.StopReason.INCREMENT_SMALL
+        assert report.shape_increment_norms[-1] <= cfg.eps1
+        assert report.residual_norms[-1] > cfg.eps1
+        assert report.residual_norms[-2] - report.residual_norms[-1] > cfg.eps1
+        assert report.iterations < cfg.j1
+
     def test_stop_reason_max_iter(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 1)
         res = md.mmd_decompose(ex.signal, list(ex.priors),

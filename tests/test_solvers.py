@@ -222,6 +222,86 @@ class TestModesAddUp:
         assert gap <= 1e-10 * ex.signal.l2norm
 
 
+@contextmanager
+def recording_loops():
+    """Record every loop :func:`modedecomp.gmd.iterate_sweeps` runs
+    inside, gmd's pass, each mmd band pass and mmd's outer loop: its
+    ``eps``, its ``max_iters`` and what it returned."""
+    loops = []
+    iterate = gmd.iterate_sweeps
+
+    def recorded(step, denom, eps, max_iters):
+        out = iterate(step, denom, eps, max_iters)
+        loops.append((eps, max_iters, *out))
+        return out
+
+    with mock.patch.object(gmd, "iterate_sweeps", recorded), \
+            mock.patch.object(mmd, "iterate_sweeps", recorded):
+        yield loops
+
+
+def assert_one_rule(eps, max_iters, norms_r, norms_s, reason):
+    """Every step before the last lowered the relative residual by more
+    than ``eps``, from 1 before the first, and left it and the largest
+    increment above ``eps``; the stop reason is the first test the last
+    step meets."""
+    falls = [a - b for a, b in zip([1.0, *norms_r], norms_r)]
+    assert 1 <= len(norms_r) <= max_iters
+    assert all(f > eps for f in falls[:-1])
+    assert all(r > eps for r in norms_r[:-1])
+    assert all(s > eps for s in norms_s[:-1])
+    if norms_r[-1] <= eps:
+        want = md.StopReason.RESIDUAL_SMALL
+    elif norms_s[-1] <= eps:
+        want = md.StopReason.INCREMENT_SMALL
+    elif falls[-1] <= eps:
+        want = md.StopReason.STALLED
+    else:
+        assert len(norms_r) == max_iters
+        want = md.StopReason.MAX_ITER
+    assert reason is want
+
+
+class TestOneStoppingRule:
+    """gmd's pass, every mmd band pass and mmd's outer loop stop by one
+    rule, at the first step that fails to lower the relative residual by
+    more than their accuracy parameter."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(m0=st.sampled_from([None, 0, 1, 2]),
+           components=st.sampled_from([1, 2]),
+           scheme=st.sampled_from(["gauss_seidel", "jacobi"]),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           log_length=st.integers(min_value=9, max_value=11),
+           noise_var=st.sampled_from([0.0, 0.25, 2.25]),
+           eps=st.sampled_from([1e-6, 1e-4, 1e-2]),
+           bins=st.sampled_from([16, 64]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_property(self, m0, components, scheme, grid, log_length,
+                      noise_var, eps, bins, seed):
+        # m0 None is a gmd run
+        ex = md.gen_example_4_1(2 ** log_length, noise_var, seed, grid)
+        priors = list(ex.priors)[:components]
+        with recording_loops() as loops:
+            if m0 is None:
+                result = md.gmd_decompose(ex.signal, priors, eps=eps,
+                                          bins=bins, scheme=scheme)
+            else:
+                cfg = md.MmdConfig(m0=m0, eps1=eps, eps2=eps, j1=30,
+                                   bins=bins, scheme=scheme)
+                result = md.mmd_decompose(ex.signal, priors, cfg)
+        passes = 1 if m0 is None else result.report.iterations * (4 * m0 + 1)
+        assert len(loops) == passes + (m0 is not None)
+        for loop in loops:
+            assert_one_rule(*loop)
+        report = result.report
+        norms_r, norms_s, reason = loops[-1][2:]
+        assert report.residual_norms == tuple(norms_r)
+        assert report.shape_increment_norms == tuple(norms_s)
+        assert report.stop_reason is reason
+        assert report.iterations == len(norms_r)
+
+
 def component_outputs(result, k):
     """Every array a result carries for its ``k``-th component."""
     if isinstance(result, md.GmdResult):
