@@ -1,20 +1,17 @@
 """Regression kernel: warp, demodulate, fold into one period, bin-average.
 
-The canonical regression backend is the partitioning estimate: the folded
-unit interval is split into ``B`` equal bins and each bin takes the mean of
-the responses that fall in it. A pluggable callable with the same signature
-can replace it for experimentation, but every shipped code path uses
-:func:`partition_regress`.
+The one regression estimator is the partitioning estimate: the folded unit
+interval is split into ``B`` equal bins and each bin takes the mean of the
+responses that fall in it (:func:`partition_regress`).
 
 A prior's phase is fixed for a whole decomposition, so the decompositions
 bin it and derive its interpolation weights once, for one bin count, in a
 :class:`PhasePlan`. A pass of regression sweeps then runs on the samples
 through :func:`sweep`, which reproduces the reference functions
-:func:`unwarp_samples` to :func:`center_shape` bit for bit, or, with the
-partitioning estimate, on bin sums through :class:`BinPass` and the
-:class:`BandOperators` that :func:`band_operators` builds, to rounding.
-Both regress by :func:`bin_means` of the plans' bin sums; only a custom
-backend is handed :class:`FoldedSamples`, built for each regression.
+:func:`unwarp_samples` to :func:`center_shape` bit for bit, or on bin sums
+through :class:`BinPass` and the :class:`BandOperators` that
+:func:`band_operators` builds, to rounding. Both regress by
+:func:`bin_means` of the plans' bin sums.
 :func:`modedecomp.gmd.run_pass` runs a pass either way.
 
 A pass on bin sums reads the samples twice: on entry, for its bin sums and
@@ -27,9 +24,10 @@ digits, forms the residual, for its norm alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +38,7 @@ from .errors import (
     GridMismatch,
     LengthMismatch,
     NonFinite,
+    OutOfDomain,
     SinZeroBand,
 )
 from .signal_model import (
@@ -54,7 +53,6 @@ from .signal_model import (
 
 __all__ = [
     "FoldedSamples",
-    "RegressionBackend",
     "unwarp_samples",
     "demodulate",
     "fold",
@@ -63,10 +61,6 @@ __all__ = [
 ]
 
 AMPLITUDE_FLOOR = 1e-8
-
-# A regression backend maps folded samples and a bin count to a shape table.
-# Its samples are built for the one regression it is called for.
-RegressionBackend = Callable[["FoldedSamples", int], ShapeTable]
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,8 @@ def _neighbours(nb: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoldedSamples:
-    """Folded phase positions in [0, 1) with their responses: what a
-    regression backend is given."""
+    """Folded phase positions in [0, 1) with their responses: what
+    :func:`fold` gives :func:`partition_regress`."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -252,6 +246,8 @@ def partition_regress(samples: FoldedSamples, bins: int) -> ShapeTable:
     the returned table is total. Bin means are reproducible to 1e-12 under
     reordering of the samples (summation-order effects stay below that).
     """
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
+        raise OutOfDomain(f"bin count must be an integer, got {bins!r}")
     nb = int(bins)
     if nb < 2:
         raise LengthMismatch("bin count must be at least 2")
@@ -288,9 +284,9 @@ def _times(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 
 
 def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
-          scheme: str, backend: RegressionBackend,
-          pre: Sequence[np.ndarray | None], post: Sequence[np.ndarray | None],
-          gain: float, divide: bool = False):
+          scheme: str, pre: Sequence[np.ndarray | None],
+          post: Sequence[np.ndarray | None], gain: float,
+          divide: bool = False):
     """One Gauss-Seidel or Jacobi pass of regressions over all components.
 
     Component ``k`` regresses ``ys = r / pre[k]`` (with ``divide``) or
@@ -309,14 +305,8 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
         ys = source / a if divide and a is not None else _times(a, source)
         if not np.all(np.isfinite(ys)):
             raise NonFinite("folded samples must be finite")
-        if backend is partition_regress:
-            means = bin_means(np.bincount(plan.layout.index, ys, bins),
-                              plan.layout)
-        else:
-            means = backend(FoldedSamples(unit_position(plan.prior.phase), ys),
-                            bins).bins
-            if means.size != bins:
-                raise LengthMismatch("backend table has another bin count")
+        means = bin_means(np.bincount(plan.layout.index, ys, bins),
+                          plan.layout)
         # center_shape's arithmetic, as in BinPass.sweep
         np.subtract(means, np.add.reduce(means) / bins, out=inc)
         # a gain of 1 or 2 commutes with E_k and the product, bit for bit

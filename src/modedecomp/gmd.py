@@ -15,8 +15,8 @@ recommended choice.
 the one stopping rule (mmd's outer loop stops by it too), ends it:
 :func:`gmd_decompose` runs one pass from its first sweep to its last,
 :func:`modedecomp.mmd.modified_rdbr` one per band.
-With the partitioning estimate a pass is linear in the residual, so given
-the pass's operators it runs on bin sums
+A pass of partitioning estimates is linear in the residual, so given the
+pass's operators it runs on bin sums
 (:class:`~modedecomp.fold_regress.BinPass`), and otherwise on the samples
 through :func:`~modedecomp.fold_regress.sweep`; :func:`bin_space_fits`
 decides for gmd. Either way a run has the same iterations and stop
@@ -38,7 +38,6 @@ from .fold_regress import (
     BandOperators,
     BinPass,
     PhasePlan,
-    RegressionBackend,
     as_plans,
     band_operators,
     check_amplitude,
@@ -133,6 +132,13 @@ def check_run(scheme: str, **params) -> None:
             raise OutOfDomain(f"{name} must be at least {LEAST[name]}")
 
 
+def check_backend(backend) -> None:
+    """Reject a ``backend`` other than :func:`partition_regress`, which
+    ``bench/tracer.py`` binds to this module's name and hands in traced."""
+    if backend is not partition_regress:
+        raise OutOfDomain(f"backend must be partition_regress, got {backend!r}")
+
+
 def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
     """Undo :func:`sort_components`: ``items[i]`` belongs to input ``order[i]``."""
     out = [None] * len(items)
@@ -143,26 +149,23 @@ def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
 
 def rdbr_sweep(residual: SampledSignal,
                priors: Sequence[PhasePrior | PhasePlan],
-               bins: int, scheme: str = "gauss_seidel",
-               backend: RegressionBackend = partition_regress):
+               bins: int, scheme: str = "gauss_seidel"):
     """One regression sweep over all components (priors already sorted).
 
     Returns the centered shape increments and the residual after all
     subtractions. With identical phases the first component absorbs the
-    common structure; the result is order-dependent by design. ``backend``
-    swaps the regression estimator; the partitioning estimate is the
-    canonical default. ``priors`` may hold the :class:`PhasePlan` objects
-    :func:`gmd_decompose` prepares once per run, whose amplitudes it has
-    already checked.
+    common structure; the result is order-dependent by design. ``priors``
+    may hold the :class:`PhasePlan` objects :func:`gmd_decompose` prepares
+    once per run, whose amplitudes it has already checked.
     """
-    check_run(scheme)
+    check_run(scheme, bins=bins)
     plans = as_plans(priors, len(residual), bins)
     for p in priors:
         if not isinstance(p, PhasePlan):
             check_amplitude(p)
     amplitudes = [plan.prior.amplitude for plan in plans]
-    increments, r = sweep(residual.values, plans, bins, scheme, backend,
-                          amplitudes, amplitudes, 1.0, divide=True)
+    increments, r = sweep(residual.values, plans, bins, scheme, amplitudes,
+                          amplitudes, 1.0, divide=True)
     return [make_shape(u) for u in increments], SampledSignal(residual.times, r)
 
 
@@ -196,9 +199,8 @@ def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
 def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
              pre: Sequence[np.ndarray | None],
              post: Sequence[np.ndarray | None], gain: float, scheme: str,
-             eps: float, max_iters: int,
-             backend: RegressionBackend = partition_regress,
-             ops: BandOperators | None = None, divide: bool = False):
+             eps: float, max_iters: int, ops: BandOperators | None = None,
+             divide: bool = False):
     """Sweep ``residual`` until :func:`iterate_sweeps` stops: one pass of
     the recursive scheme, as gmd runs it once and mmd once per band.
 
@@ -208,7 +210,7 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
     run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
     on the samples through :func:`~modedecomp.fold_regress.sweep`, where
     ``divide`` regresses ``r / pre_k`` instead. Both take the same
-    factors, and with the default ``backend`` the same regression step.
+    factors and the same regression step.
 
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
@@ -227,8 +229,7 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
 
     def step():
         nonlocal r
-        incs, r = sweep(r, plans, bins, scheme, backend, pre, post, gain,
-                        divide)
+        incs, r = sweep(r, plans, bins, scheme, pre, post, gain, divide)
         np.add(total, incs, out=total)
         # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
         return signal_norm(r), row_norms(incs) * gain
@@ -273,15 +274,16 @@ def bin_space_fits(length: int, bins: int, components: int) -> bool:
 def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                   eps: float = 1e-6, max_iters: int = 200, bins: int = 200,
                   scheme: str = "gauss_seidel",
-                  backend: RegressionBackend = partition_regress) -> GmdResult:
+                  backend=partition_regress) -> GmdResult:
     """Iterate regression sweeps until the residual stops falling.
 
     One :func:`run_pass` from the first sweep to the last, stopped by
     :func:`iterate_sweeps`: component ``k`` regresses ``r / q_k`` and
-    subtracts ``q_k E_k u``. With the default ``backend`` it runs on bin
-    sums when :func:`bin_space_fits` holds.
+    subtracts ``q_k E_k u``, on bin sums when :func:`bin_space_fits`
+    holds. ``backend`` is checked by :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
+    check_backend(backend)
     if len(priors) == 0:
         raise DecompositionError("at least one phase prior is required")
 
@@ -297,13 +299,12 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     amplitudes = [plan.prior.amplitude for plan in plans]
 
     pre, ops = amplitudes, None
-    if backend is partition_regress and bin_space_fits(len(signal), bins,
-                                                       len(plans)):
+    if bin_space_fits(len(signal), bins, len(plans)):
         pre = [1.0 / q for q in amplitudes]
         ops = band_operators(plans, pre, amplitudes, 1.0)
     norms_r, norms_s, reason, total, modes, r = run_pass(
         scaled.values, plans, bins, pre, amplitudes, 1.0, scheme, eps,
-        max_iters, backend, ops, divide=ops is None)
+        max_iters, ops, divide=ops is None)
 
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,

@@ -55,7 +55,6 @@ from .errors import (
 from .fold_regress import (
     BandOperators,
     PhasePlan,
-    RegressionBackend,
     as_plans,
     band_operators,
     carrier,
@@ -65,6 +64,7 @@ from .fold_regress import (
 )
 from .gmd import (
     DecompositionReport,
+    check_backend,
     check_run,
     iterate_sweeps,
     run_pass,
@@ -252,8 +252,7 @@ def band_carriers(plans: Sequence[PhasePlan], n: int,
 def modified_rdbr(residual: SampledSignal,
                   priors: Sequence[PhasePrior | PhasePlan],
                   n: int, kind: str, eps2: float = 1e-6, max_iters: int = 10,
-                  bins: int = 200, scheme: str = "gauss_seidel",
-                  backend: RegressionBackend = partition_regress):
+                  bins: int = 200, scheme: str = "gauss_seidel"):
     """Demodulated regression pass for one band.
 
     For band 0 the regressed increment itself is the mode increment; for
@@ -261,9 +260,8 @@ def modified_rdbr(residual: SampledSignal,
     shape increment is doubled, so a band table summed from them holds the
     full product of coefficient and shape. ``priors`` may hold the
     :class:`PhasePlan` objects :func:`mmd_decompose` prepares once per run;
-    given them as :class:`BinSpacePlans` with the default ``backend``, the
-    pass is solved in bin space, to within rounding of the sample-space
-    sweeps.
+    given them as :class:`BinSpacePlans`, the pass is solved in bin space,
+    to within rounding of the sample-space sweeps.
 
     Band ``-n``'s angle is the exact negation of band ``n``'s, and ``cos``
     and ``sin`` are even and odd bit for bit. So the pass runs on band
@@ -279,15 +277,14 @@ def modified_rdbr(residual: SampledSignal,
     if kind == "sin" and n == 0:
         raise SinZeroBand("sine demodulation is undefined at band 0")
     plans = as_plans(priors, len(residual), bins)
-    bin_space = (isinstance(priors, BinSpacePlans)
-                 and backend is partition_regress)
+    bin_space = isinstance(priors, BinSpacePlans)
     pre = band_carriers(priors if bin_space else plans, n, kind)
     gain = 1.0 if n == 0 else 2.0
     ops = priors.operators(n, kind, pre, gain) if bin_space else None
 
     scaled, pow2 = scale_into_range(residual)
     *_, total, modes, r = run_pass(scaled.values, plans, bins, pre, pre, gain,
-                                   scheme, eps2, max_iters, backend, ops)
+                                   scheme, eps2, max_iters, ops)
     stored = (-gain if n < 0 and kind == "sin" else gain) * total
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
@@ -360,8 +357,7 @@ class AndersonStep:
 
 
 def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
-                  cfg: MmdConfig,
-                  backend: RegressionBackend = partition_regress) -> MmdResult:
+                  cfg: MmdConfig, backend=partition_regress) -> MmdResult:
     """Run the full multiresolution loop.
 
     Each outer iteration runs every band pass once (a Gauss-Seidel step
@@ -376,9 +372,11 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     its products, formed once after the loop: the mode increments each
     :func:`modified_rdbr` pass returns are let go as soon as it returns,
     before the next pass runs. Components in the result follow the
-    caller's prior order.
+    caller's prior order. ``backend`` is checked by
+    :func:`~modedecomp.gmd.check_backend`.
     """
     cfg.validate()
+    check_backend(backend)
     if len(priors) == 0:
         raise DecompositionError("at least one phase prior is required")
 
@@ -388,8 +386,7 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     sorted_priors, order = sort_components(resolved)
     plans = as_plans(sorted_priors, len(signal), cfg.bins)
     passes = 2 * cfg.m0 + 1
-    if backend is partition_regress and bin_space_fits(
-            len(signal), cfg.bins, len(plans), passes):
+    if bin_space_fits(len(signal), cfg.bins, len(plans), passes):
         plans = BinSpacePlans(
             plans, memory_bound(len(signal), len(plans))
             - operator_bytes(cfg.bins, len(plans), passes))
@@ -411,8 +408,7 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         incs = []
         for slot, (b, kind) in enumerate(slots):
             shapes, modes, r = modified_rdbr(
-                r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins,
-                cfg.scheme, backend)
+                r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins, cfg.scheme)
             del modes  # formed from the band state after the loop
             state[slot] += [shape.bins for shape in shapes]
             incs += [shape.l2norm / denom for shape in shapes]

@@ -233,11 +233,17 @@ def make_prior(phase: Sequence[float], amplitude: Sequence[float] | None = None,
     return PhasePrior(_readonly(p), _readonly(q), fundamental)
 
 
+#: Samples of the phase derivative :func:`round_fundamental` takes at once.
+GRADIENT_BLOCK = 2 ** 16
+
+
 def round_fundamental(prior: PhasePrior, grid: Sequence[float]) -> int:
     """Nearest integer to the grid-average of the discrete phase derivative.
 
     The derivative is taken by central finite differences on the grid, with
-    one-sided differences at the endpoints.
+    one-sided differences at the endpoints, by ``np.gradient`` in blocks of
+    :data:`GRADIENT_BLOCK` samples overlapping by one, so that its
+    temporaries stay block-sized.
     """
     t = np.asarray(grid, dtype=float)
     p = prior.phase
@@ -245,7 +251,10 @@ def round_fundamental(prior: PhasePrior, grid: Sequence[float]) -> int:
         raise GridMismatch("grid length does not match the prior")
     if t.size < 2:
         raise LengthMismatch("grid needs at least 2 points")
-    deriv = np.gradient(p, t)
+    deriv = np.empty(t.size)
+    for lo in range(0, t.size, GRADIENT_BLOCK):
+        hi, a = lo + GRADIENT_BLOCK, max(lo - 1, 0)
+        deriv[lo:hi] = np.gradient(p[a:hi + 1], t[a:hi + 1])[lo - a:hi - a]
     if np.any(deriv <= 0.0):
         raise NonMonotonePhase("discrete phase derivative must be positive")
     n = int(round(float(np.mean(deriv))))

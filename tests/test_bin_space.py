@@ -22,7 +22,7 @@ from modedecomp.fold_regress import (BinPass, _banded, band_operators,
                                      bin_means, carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
                             BinSpacePlans, bin_space_fits, operator_bytes)
-from modedecomp.signal_model import sort_components, unit_position
+from modedecomp.signal_model import unit_position
 
 TOL = 1e-12
 
@@ -511,10 +511,8 @@ class TestHalfBinSums:
 
 
 class TestPlansHoldWhatTheirPathReads:
-    """Only a custom regression backend is handed folded samples. The
-    partitioning estimate regresses on the plans' bin sums, on the bin and
-    on the sample path alike; a custom backend is given positions built for
-    each regression, bit for bit those :func:`plan_phase` binned."""
+    """No solver folds samples: the partitioning estimate regresses on the
+    plans' bin sums, on the bin and on the sample path alike."""
 
     @staticmethod
     @contextmanager
@@ -550,29 +548,6 @@ class TestPlansHoldWhatTheirPathReads:
             else:
                 md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=0))
         assert norms["sample"] and not norms["bin"]
-
-    @pytest.mark.parametrize("run", ["gmd", "mmd"])
-    def test_custom_backend_gets_positions(self, run):
-        ex = md.gen_example_4_1(2 ** 12, 0.0, 21, "iid_uniform")
-        priors = sort_components(list(ex.priors))[0]
-        seen = []
-
-        def backend(samples, bins):
-            seen.append(samples.xs)
-            return md.partition_regress(samples, bins)
-
-        with recording_sweeps() as norms:
-            if run == "gmd":
-                md.gmd_decompose(ex.signal, ex.priors, backend=backend)
-            else:
-                md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=1),
-                                 backend)
-        assert norms["sample"] and not norms["bin"]
-        # one regression per component and sweep, in the sorted order
-        assert len(seen) == len(priors) * len(norms["sample"])
-        for i, xs in enumerate(seen):
-            assert np.array_equal(
-                xs, unit_position(priors[i % len(priors)].phase))
 
 
 class TestRebase:
@@ -699,17 +674,6 @@ class TestPathRule:
         other = "sample" if path == "bin" else "bin"
         assert norms[path] and not norms[other]
 
-    def test_custom_backend_keeps_sample_space(self):
-        ex = md.gen_example_4_1(2 ** 12, 0.0, 3)
-        cfg = md.MmdConfig(m0=1, j1=2, bins=32)
-
-        def backend(samples, bins):
-            return md.partition_regress(samples, bins)
-
-        with recording_sweeps() as norms:
-            md.mmd_decompose(ex.signal, list(ex.priors), cfg, backend)
-        assert norms["sample"] and not norms["bin"]
-
 
 class TestGmdPathRule:
     def test_crossover(self):
@@ -736,24 +700,17 @@ class TestGmdPathRule:
         assert not norms["sample"]
         assert len(norms["bin"]) == result.report.iterations
 
-    @pytest.mark.parametrize("length, components, custom", [
-        # a custom backend
-        (2 ** 16, 2, True),
+    @pytest.mark.parametrize("length, components", [
         # one component
-        (2 ** 16, 1, False),
+        (2 ** 16, 1),
         # operators above 8 bytes a sample
-        (2 ** 15, 2, False),
+        (2 ** 15, 2),
     ])
-    def test_sample_space(self, length, components, custom):
+    def test_sample_space(self, length, components):
         ex = md.gen_example_4_1(length, 0.0, 3, "iid_uniform")
-
-        def backend(samples, bins):
-            return md.partition_regress(samples, bins)
-
-        kwargs = {"backend": backend} if custom else {}
         with recording_sweeps() as norms:
             result = md.gmd_decompose(ex.signal,
-                                      list(ex.priors)[:components], **kwargs)
+                                      list(ex.priors)[:components])
         assert not norms["bin"]
         assert len(norms["sample"]) == result.report.iterations
 

@@ -9,6 +9,7 @@ from modedecomp.errors import (
     EmptyInput,
     GridMismatch,
     LengthMismatch,
+    OutOfDomain,
     SinZeroBand,
 )
 from modedecomp.fold_regress import (
@@ -191,6 +192,15 @@ class TestPartitionRegress:
         with pytest.raises(EmptyInput):
             md.partition_regress(FoldedSamples(np.empty(0), np.empty(0)), 8)
 
+    @pytest.mark.parametrize("bins", [2.9, 64.0, np.float64(8), True])
+    def test_bin_count_must_be_an_integer(self, bins):
+        samples = FoldedSamples(np.array([0.1, 0.6]), np.array([1.0, 2.0]))
+        with pytest.raises(OutOfDomain):
+            md.partition_regress(samples, bins)
+        with pytest.raises(LengthMismatch):
+            md.partition_regress(samples, 1)
+        assert md.partition_regress(samples, np.int64(2)).size == 2
+
     def test_step_function_fixed_point(self):
         # responses sampled from a table that is piecewise constant on the
         # same bins come back exactly (one sample per bin suffices)
@@ -298,8 +308,8 @@ class TestSweepMatchesReference:
             pre = post = [None] * components
         else:
             pre = post = [carrier(p, n, kind) for p in priors]
-        incs, r = sweep(sig.values, plans, bins, scheme, md.partition_regress,
-                        pre, post, gain, divide=n is None)
+        incs, r = sweep(sig.values, plans, bins, scheme, pre, post, gain,
+                        divide=n is None)
         want_incs, want_subs, want_r = _reference_pass(
             sig, priors, bins, scheme, n, kind)
         assert incs.shape == (components, bins)
@@ -340,21 +350,6 @@ class TestSweepMatchesReference:
         # 64 samples over 200 bins leave most bins empty and interpolated
         self._check(5, 64, "iid_uniform", 2, 200, scheme, band)
 
-    def test_custom_backend_sees_folded_samples(self):
-        sig, priors = _random_problem(1, 128, "iid_uniform", 2)
-        seen = []
-
-        def backend(samples, bins):
-            seen.append((samples.xs, samples.ys))
-            return md.partition_regress(FoldedSamples(samples.xs, samples.ys),
-                                        bins)
-
-        md.rdbr_sweep(sig, priors, 16, "jacobi", backend)
-        for (xs, ys), prior in zip(seen, priors):
-            want = md.fold(*md.unwarp_samples(sig, prior))
-            assert np.array_equal(xs, want.xs)
-            assert np.array_equal(ys, want.ys)
-
     def test_plan_for_other_bin_count_rejected(self):
         # a plan serves the one bin count it was made for
         sig, priors = _random_problem(2, 300, "uniform", 2)
@@ -363,22 +358,6 @@ class TestSweepMatchesReference:
             md.rdbr_sweep(sig, plans, 40)
         with pytest.raises(LengthMismatch):
             md.modified_rdbr(sig, BinSpacePlans(plans), 1, "cos", bins=40)
-
-    @pytest.mark.parametrize("run", ["gmd", "mmd", "rdbr_sweep"])
-    def test_backend_of_other_bin_count_rejected(self, run):
-        sig, priors = _random_problem(4, 256, "uniform", 2)
-
-        def backend(samples, bins):
-            return md.partition_regress(samples, bins + 1)
-
-        with pytest.raises(LengthMismatch):
-            if run == "gmd":
-                md.gmd_decompose(sig, priors, bins=16, backend=backend)
-            elif run == "mmd":
-                md.mmd_decompose(sig, priors, md.MmdConfig(m0=1, bins=16),
-                                 backend)
-            else:
-                md.rdbr_sweep(sig, priors, 16, backend=backend)
 
     def test_plan_checks_grid(self):
         _, priors = _random_problem(3, 64, "uniform", 1)

@@ -134,22 +134,6 @@ class TestDecompose:
         assert all(np.array_equal(x.bins, y.bins)
                    for x, y in zip(a.shapes, b.shapes))
 
-    def test_pluggable_regression_backend(self):
-        # a trimmed backend (bin means of clipped responses) slots in without
-        # touching any caller; the default stays the partitioning estimate
-        def clipped_backend(samples, bins):
-            clipped = md.FoldedSamples(samples.xs, np.clip(samples.ys, -1, 1))
-            return md.partition_regress(clipped, bins)
-
-        t, shape, sig, prior = single_mode_fixture()
-        default = md.gmd_decompose(sig, [prior], eps=1e-4, max_iters=5,
-                                   bins=100)
-        custom = md.gmd_decompose(sig, [prior], eps=1e-4, max_iters=5,
-                                  bins=100, backend=clipped_backend)
-        assert custom.report.iterations >= 1
-        # the waveform peaks above 1, so clipping must change the fit
-        assert not np.array_equal(custom.shapes[0].bins, default.shapes[0].bins)
-
     def test_gauss_seidel_trace_decreasing_with_ratio_below_one(self):
         ex = md.gen_example_4_1(2 ** 13, 0.0, 0)
         res = md.gmd_decompose(ex.signal, list(ex.priors), eps=1e-6,

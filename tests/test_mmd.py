@@ -413,13 +413,10 @@ class TestAcceleration:
                    for a, b in zip(arrays(wild), arrays(plain)))
 
     def test_safeguard_with_nonlinear_backend(self):
-        # bin means of clipped responses make the outer map nonlinear;
-        # the kept state never has a larger residual than the plain step
-        def clipped_backend(samples, bins):
-            clipped = md.FoldedSamples(samples.xs,
-                                       np.clip(samples.ys, -0.5, 0.5))
-            return md.partition_regress(clipped, bins)
-
+        # every other weight is far too large: the mix it makes raises the
+        # residual and is rejected, while a mix of the true weight in
+        # between is kept; a kept state never has a larger residual than
+        # the plain step
         steps, weights = [], []
         step, weight = mmd.AndersonStep.__call__, mmd.anderson_weight
 
@@ -429,15 +426,15 @@ class TestAcceleration:
             return out
 
         def recording_weight(f, f_prev):
-            weights.append(weight(f, f_prev))
+            gamma = weight(f, f_prev)
+            weights.append(gamma if len(weights) % 2 == 0 else 1e3)
             return weights[-1]
 
         ex = md.gen_example_4_1(2 ** 12, 0.0, 2)
         with mock.patch.object(mmd.AndersonStep, "__call__", recording_step), \
                 mock.patch.object(mmd, "anderson_weight", recording_weight):
             res = md.mmd_decompose(ex.signal, list(ex.priors),
-                                   md.MmdConfig(m0=1, bins=32, j1=30),
-                                   backend=clipped_backend)
+                                   md.MmdConfig(m0=1, bins=32, j1=30))
         assert [kept for _, _, kept in steps] == list(res.report.accelerated)
         assert [rel for _, rel, _ in steps] == list(res.report.residual_norms)
         for (plain_rel, rel, kept), gamma in zip(steps, weights):

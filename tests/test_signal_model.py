@@ -12,7 +12,8 @@ from modedecomp.errors import (
     NonMonotonePhase,
     OutOfDomain,
 )
-from modedecomp.signal_model import interpolation, unit_position
+from modedecomp.signal_model import (GRADIENT_BLOCK, interpolation,
+                                     unit_position)
 
 from bitwise import same_bits
 
@@ -117,6 +118,66 @@ class TestRoundFundamental:
         prior = md.make_prior(t)
         with pytest.raises(GridMismatch):
             md.round_fundamental(prior, t[:32])
+
+
+class TestRoundFundamentalBlocks:
+    """:func:`round_fundamental` takes ``np.gradient`` in blocks, where a
+    block of uniform spacing rounds by another formula: its integer and its
+    :class:`NonMonotonePhase` decision are those of the unblocked
+    derivative, across block edges."""
+
+    @staticmethod
+    def unblocked(phase, t):
+        deriv = np.gradient(phase, t)
+        if np.any(deriv <= 0.0):
+            return None
+        return int(round(float(np.mean(deriv))))
+
+    @staticmethod
+    def grid(kind, length):
+        if kind in ("uniform", "iid_uniform"):
+            return md.sample_grid(length, kind, 5)
+        # spacing exactly 2^-18, then, for "dyadic_then_iid", jittered
+        # from the second block on
+        t = np.arange(length) / 2.0 ** 18
+        if kind == "dyadic_then_iid":
+            rng = np.random.default_rng(5)
+            tail = t[GRADIENT_BLOCK:]
+            tail += rng.random(tail.size) * 2.0 ** -20
+        return t
+
+    def check(self, phase, t):
+        want = self.unblocked(phase, t)
+        prior = md.make_prior(phase)
+        if want is None:
+            with pytest.raises(NonMonotonePhase):
+                md.round_fundamental(prior, t)
+        else:
+            assert md.round_fundamental(prior, t) == want
+
+    @pytest.mark.parametrize("kind", ["uniform", "iid_uniform", "dyadic",
+                                      "dyadic_then_iid"])
+    @pytest.mark.parametrize("length", [
+        2, 3, GRADIENT_BLOCK - 1, GRADIENT_BLOCK, GRADIENT_BLOCK + 1,
+        GRADIENT_BLOCK + 2, 2 * GRADIENT_BLOCK + 1, 3 * GRADIENT_BLOCK - 7,
+        200_003])
+    def test_matches_unblocked(self, kind, length):
+        t = self.grid(kind, length)
+        span = t[-1] - t[0]
+        self.check(150.0 / span * (t + 0.006 * span * np.sin(2 * np.pi * t)),
+                   t)
+
+    @pytest.mark.parametrize("at", [GRADIENT_BLOCK - 2, GRADIENT_BLOCK - 1,
+                                    GRADIENT_BLOCK, 2 * GRADIENT_BLOCK - 1])
+    @pytest.mark.parametrize("kind", ["uniform", "iid_uniform", "dyadic"])
+    def test_grid_step_back_at_block_edge(self, kind, at):
+        # an increasing phase over a grid that steps back once, near an
+        # edge, has a negative derivative there
+        t = self.grid(kind, 2 * GRADIENT_BLOCK + 3)
+        phase = 150.0 * t
+        t[[at, at + 1]] = t[[at + 1, at]]
+        assert self.unblocked(phase, t) is None
+        self.check(phase, t)
 
 
 class TestSortComponents:

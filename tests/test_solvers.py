@@ -1,6 +1,7 @@
 """Properties shared by both decompositions."""
 
 import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -196,6 +197,12 @@ class TestRunParameters:
         with pytest.raises(OutOfDomain):
             md.modified_rdbr(self.EX.signal, plans, 1, "cos", **kwargs)
 
+    @pytest.mark.parametrize("bins", [64.0, np.float64(64), 1, True],
+                             ids=["float", "float64", "one", "bool"])
+    def test_rdbr_sweep(self, bins):
+        with pytest.raises(OutOfDomain):
+            md.rdbr_sweep(self.EX.signal, list(self.EX.priors), bins)
+
     @pytest.mark.parametrize("params", [
         {"bins": np.int64(64), "max_iters": np.int32(3)},
         {"bins": 2, "max_iters": 1}])
@@ -203,6 +210,71 @@ class TestRunParameters:
         result = md.gmd_decompose(self.EX.signal, list(self.EX.priors),
                                   **params)
         assert result.report.iterations <= params["max_iters"]
+
+
+class TestBackend:
+    """Both decompositions keep a ``backend`` parameter, which
+    ``bench/tracer.py`` hands its traced ``partition_regress``: the one
+    estimator runs as the default does, and any other value is
+    :class:`OutOfDomain`."""
+
+    EX = md.gen_example_4_1(2 ** 12, 0.0, 7)
+    RUNS = {
+        "gmd": lambda ex, **kwargs: md.gmd_decompose(
+            ex.signal, list(ex.priors), **kwargs),
+        "mmd": lambda ex, **kwargs: md.mmd_decompose(
+            ex.signal, list(ex.priors), md.MmdConfig(m0=1), **kwargs)}
+
+    @pytest.mark.parametrize("run", ["gmd", "mmd"])
+    def test_partition_regress_runs_as_default(self, run):
+        got = self.RUNS[run](self.EX, backend=md.partition_regress)
+        want = self.RUNS[run](self.EX)
+        assert got.report == want.report
+        assert all(np.array_equal(a, b) for a, b in zip(
+            outputs(got), outputs(want), strict=True))
+
+    @pytest.mark.parametrize("backend", [
+        None, "partition_regress",
+        lambda samples, bins: md.partition_regress(samples, bins)])
+    @pytest.mark.parametrize("run", ["gmd", "mmd"])
+    def test_foreign_backend_rejected(self, run, backend):
+        with pytest.raises(OutOfDomain):
+            self.RUNS[run](self.EX, backend=backend)
+
+
+def load_tracer():
+    """``bench/tracer.py``, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_runs_match_untraced():
+    # the tracer hands its traced partition_regress in as the backend; the
+    # runs take their default paths (gmd at 2^12 on the samples, mmd in
+    # bin space) and regress without calling it
+    ex = md.gen_example_4_1(2 ** 12, 0.0, 7)
+    runs = {
+        "gmd": lambda: md.gmd_decompose(ex.signal, list(ex.priors)),
+        "mmd": lambda: md.mmd_decompose(ex.signal, list(ex.priors),
+                                        md.MmdConfig(m0=1))}
+    want = {name: run() for name, run in runs.items()}
+    tracer = load_tracer().Tracer()
+    with tracer.installed(), counting_sweeps() as counts:
+        got = {name: run() for name, run in runs.items()}
+    assert counts["sample"] and counts["bin"]
+    for name in runs:
+        assert got[name].report == want[name].report
+        assert all(np.array_equal(a, b) for a, b in zip(
+            outputs(got[name]), outputs(want[name]), strict=True))
+    names = [span[2] for span in tracer.spans]
+    # bands 0, 1 and -1, a cosine and a sine pass for each but band 0
+    passes = 5 * want["mmd"].report.iterations
+    assert names.count("mmd.modified_rdbr") == passes == tracer.passes[1]
+    assert names.count("gmd.gmd_decompose") == 1
+    assert "fold_regress.partition_regress" not in names
 
 
 class TestModesAddUp:
@@ -408,23 +480,20 @@ class TestSignalNorm:
         ex = md.gen_example_4_1(2 ** 11, 0.0, 7)
         priors = list(ex.priors)
 
-        def regressions(values):
-            calls = []
+        def sweeps(values):
+            with counting_sweeps() as counts:
+                md.modified_rdbr(md.make_signal(ex.signal.times, values),
+                                 priors, 0, "cos", bins=64)
+            assert not counts["bin"]
+            return counts["sample"]
 
-            def counting(samples, bins):
-                calls.append(bins)
-                return md.partition_regress(samples, bins)
-            md.modified_rdbr(md.make_signal(ex.signal.times, values), priors,
-                             0, "cos", bins=64, backend=counting)
-            return len(calls)
-
-        assert regressions(ex.signal.values * factor) == regressions(
-            ex.signal.values)
+        assert sweeps(ex.signal.values * factor) == sweeps(ex.signal.values)
 
 
-#: Prints a digest of every output array and norm of three runs whose dot
+#: Prints a digest of every output array and norm of five runs whose dot
 #: products exceed 10,000 entries, the size above which OpenBLAS splits a
-#: dot product among its threads.
+#: dot product among its threads. The last two take bin space with
+#: ``500 x 500`` operator blocks.
 THREADED_RUNS = """
 import hashlib
 import numpy as np
@@ -444,6 +513,11 @@ for length, m0 in ((2 ** 14, 7), (2 ** 12, 10)):
     ex = md.gen_example_4_1(length, 0.0, 3, "iid_uniform")
     runs.append(md.mmd_decompose(ex.signal, list(ex.priors),
                                  md.MmdConfig(m0=m0)))
+ex = md.gen_example_4_1(2 ** 19, 0.0, 3, "iid_uniform")
+runs.append(md.gmd_decompose(ex.signal, list(ex.priors), bins=500))
+ex = md.gen_example_4_1(2 ** 15, 0.0, 3, "iid_uniform")
+runs.append(md.mmd_decompose(ex.signal, list(ex.priors),
+                             md.MmdConfig(m0=2, bins=500)))
 for result in runs:
     digest = hashlib.sha256()
     for a in arrays(result):
@@ -468,5 +542,5 @@ def test_outputs_do_not_depend_on_blas_threads():
     (one, err1), (two, err2) = (proc.communicate(timeout=300)
                                 for proc in procs)
     assert [proc.returncode for proc in procs] == [0, 0], err1 + err2
-    assert len(one.splitlines()) == 3
+    assert len(one.splitlines()) == 5
     assert one == two
