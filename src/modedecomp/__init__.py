@@ -27,6 +27,7 @@ from .signal_model import (
     SampledSignal,
     ShapeTable,
     add_shapes,
+    band_order,
     eval_shape,
     make_estimate,
     make_prior,
@@ -60,7 +61,6 @@ from .gmd import (
 from .mmd import (
     MmdConfig,
     MmdResult,
-    band_order,
     band_residual,
     ell_band_approx,
     mmd_decompose,

@@ -83,12 +83,11 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     marginals = np.stack([layout.counts for layout in layouts])
     pairs: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k_total):
-        for j in range(k_total):
-            if i == j:
-                continue
+        for j in range(i + 1, k_total):
             flat = np.bincount(idx[i] * cells + idx[j], minlength=cells * cells)
             pairs[(i, j)] = flat.reshape(cells, cells)
-    return PartitionCounts(step, cells, marginals, pairs)
+            pairs[(j, i)] = pairs[(i, j)].T  # the same samples, transposed
+    return PartitionCounts(step, cells, marginals, dict(sorted(pairs.items())))
 
 
 def well_diff_stats(counts: PartitionCounts, m_bound: float) -> WellDiffStats:

@@ -33,18 +33,18 @@ import numpy as np
 
 from .errors import (
     AmplitudeTooSmall,
-    DecompositionError,
     EmptyInput,
     GridMismatch,
     LengthMismatch,
     NonFinite,
     OutOfDomain,
-    SinZeroBand,
 )
 from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
+    band_term,
+    carrier,
     interpolation,
     make_shape,
     row_norms,
@@ -134,14 +134,8 @@ class PhasePlan:
         return int(self.j0.size)
 
     def interpolate(self, b: np.ndarray) -> np.ndarray:
-        """A ``layout.size``-bin table evaluated at the phase samples."""
-        out = b[self.j0]
-        out *= self.w1
-        # b[(j0 + 1) % B] is b moved one bin back, read at j0
-        tail = b[_neighbours(b.size)[2]][self.j0]
-        tail *= self.w
-        out += tail
-        return out
+        """A ``layout.size``-bin table at the phase samples (``band_term``)."""
+        return band_term(b, self.j0, self.w, self.w1)
 
     @cached_property
     def half_slots(self) -> np.ndarray:
@@ -160,9 +154,7 @@ def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
         raise GridMismatch("prior and residual are on different grids")
     if not np.all(np.isfinite(prior.phase)):
         raise NonFinite("folded samples must be finite")
-    nb = int(bins)
-    if nb < 2:
-        raise LengthMismatch("bin count must be at least 2")
+    nb = check_bins(bins)
     xs = unit_position(prior.phase)
     j0, w = interpolation(xs, nb)
     return PhasePlan(prior, bin_layout(xs, nb), j0, w, 1.0 - w)
@@ -203,18 +195,6 @@ def unwarp_samples(residual: SampledSignal, prior: PhasePrior):
     return prior.phase.copy(), residual.values / prior.amplitude
 
 
-def carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray:
-    """Demodulation carrier ``cos/sin(2*pi*n*p/N)`` sampled on the grid."""
-    if kind not in ("cos", "sin"):
-        raise DecompositionError(f"unknown carrier kind {kind!r}")
-    if kind == "sin" and n == 0:
-        raise SinZeroBand("sine carrier vanishes identically at band 0")
-    if prior.fundamental is None:
-        raise DecompositionError("prior fundamental required for demodulation")
-    angle = 2.0 * np.pi * n * prior.phase / prior.fundamental
-    return np.cos(angle) if kind == "cos" else np.sin(angle)
-
-
 def demodulate(residual: SampledSignal, prior: PhasePrior, n: int, kind: str):
     """Multiply the residual by the band-``n`` carrier, re-indexed by phase.
 
@@ -223,8 +203,7 @@ def demodulate(residual: SampledSignal, prior: PhasePrior, n: int, kind: str):
     """
     if len(prior) != len(residual):
         raise GridMismatch("prior and residual are on different grids")
-    g = carrier(prior, n, kind)
-    return prior.phase.copy(), g * residual.values
+    return prior.phase.copy(), carrier(prior, n, kind) * residual.values
 
 
 def fold(vs: Sequence[float], ys: Sequence[float]) -> FoldedSamples:
@@ -238,6 +217,15 @@ def fold(vs: Sequence[float], ys: Sequence[float]) -> FoldedSamples:
     return FoldedSamples(unit_position(v), y.copy())
 
 
+def check_bins(bins) -> int:
+    """``bins`` as an ``int``: an integer (not ``bool``) of at least 2."""
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
+        raise OutOfDomain(f"bin count must be an integer, got {bins!r}")
+    if bins < 2:
+        raise LengthMismatch("bin count must be at least 2")
+    return int(bins)
+
+
 def partition_regress(samples: FoldedSamples, bins: int) -> ShapeTable:
     """Partitioning estimate: per-bin mean of the responses.
 
@@ -246,11 +234,7 @@ def partition_regress(samples: FoldedSamples, bins: int) -> ShapeTable:
     the returned table is total. Bin means are reproducible to 1e-12 under
     reordering of the samples (summation-order effects stay below that).
     """
-    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
-        raise OutOfDomain(f"bin count must be an integer, got {bins!r}")
-    nb = int(bins)
-    if nb < 2:
-        raise LengthMismatch("bin count must be at least 2")
+    nb = check_bins(bins)
     if len(samples) == 0:
         raise EmptyInput("cannot regress zero samples")
     layout = bin_layout(samples.xs, nb)
@@ -310,7 +294,7 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
         # center_shape's arithmetic, as in BinPass.sweep
         np.subtract(means, np.add.reduce(means) / bins, out=inc)
         # a gain of 1 or 2 commutes with E_k and the product, bit for bit
-        sub = _times(b, plan.interpolate(gain * inc))
+        sub = band_term(gain * inc, plan.j0, plan.w, plan.w1, b)
         if scheme == "gauss_seidel":
             cur = cur - sub
         else:
@@ -324,13 +308,8 @@ def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],
                gain: float, total: np.ndarray) -> list[np.ndarray]:
     """Each component's mode ``post_k * E_k(gain * U_k)`` for the summed
     increments ``total`` of a pass; a ``None`` factor is 1."""
-    modes = []
-    for plan, b, u in zip(plans, post, total):
-        mode = plan.interpolate(gain * u)
-        if b is not None:
-            mode *= b
-        modes.append(mode)
-    return modes
+    return [band_term(gain * u, plan.j0, plan.w, plan.w1, b)
+            for plan, b, u in zip(plans, post, total)]
 
 
 @dataclass(frozen=True)

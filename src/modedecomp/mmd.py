@@ -50,14 +50,12 @@ from .errors import (
     BandOutOfRange,
     DecompositionError,
     GridMismatch,
-    SinZeroBand,
 )
 from .fold_regress import (
     BandOperators,
     PhasePlan,
     as_plans,
     band_operators,
-    carrier,
     operator_bytes,
     partition_regress,
     pass_modes,
@@ -74,6 +72,10 @@ from .signal_model import (
     MimfEstimate,
     PhasePrior,
     SampledSignal,
+    band_carrier,
+    band_sign,
+    band_slots,
+    carrier,
     ldexp_shape,
     ldexp_signal,
     make_estimate,
@@ -88,7 +90,6 @@ from .signal_model import (
 __all__ = [
     "MmdConfig",
     "MmdResult",
-    "band_order",
     "modified_rdbr",
     "mmd_decompose",
     "ell_band_approx",
@@ -125,14 +126,6 @@ class MmdResult:
     residual: SampledSignal
     report: DecompositionReport
     fundamentals: list[int]
-
-
-def band_order(m0: int) -> list[int]:
-    """Interleaved band visit order 0, +1, -1, ..., +m0, -m0."""
-    order = [0]
-    for n in range(1, m0 + 1):
-        order.extend((n, -n))
-    return order
 
 
 class BinSpacePlans(tuple):
@@ -233,20 +226,11 @@ def bin_space_fits(length: int, bins: int, components: int,
 
 def band_carriers(plans: Sequence[PhasePlan], n: int,
                   kind: str) -> list[np.ndarray | None]:
-    """Band ``n``'s ``kind`` carriers, one per plan: ``None``, a factor of
-    1, at band 0; band ``|n|``'s as :class:`BinSpacePlans` holds or lends
-    them; else as :func:`~modedecomp.fold_regress.carrier` gives them."""
-    if n == 0:
-        # the band-0 carrier is exactly 1: a pass regresses the residual
-        if kind != "cos":
-            raise DecompositionError(f"unknown carrier kind {kind!r}")
-        if any(plan.prior.fundamental is None for plan in plans):
-            raise DecompositionError(
-                "prior fundamental required for demodulation")
-        return [None] * len(plans)
-    if isinstance(plans, BinSpacePlans):
+    """Band ``n``'s ``kind`` carriers, one per plan: held or lent by
+    :class:`BinSpacePlans` away from band 0, else by ``band_carrier``."""
+    if n and isinstance(plans, BinSpacePlans):
         return plans.carriers(n, kind)
-    return [carrier(plan.prior, abs(n), kind) for plan in plans]
+    return [band_carrier(plan.prior, n, kind) for plan in plans]
 
 
 def modified_rdbr(residual: SampledSignal,
@@ -263,19 +247,15 @@ def modified_rdbr(residual: SampledSignal,
     given them as :class:`BinSpacePlans`, the pass is solved in bin space,
     to within rounding of the sample-space sweeps.
 
-    Band ``-n``'s angle is the exact negation of band ``n``'s, and ``cos``
-    and ``sin`` are even and odd bit for bit. So the pass runs on band
-    ``|n|``'s carriers: a sine carrier's sign flips the increments and
-    leaves the modes and the residual as they are, bit for bit, and band
-    ``-n``'s sine tables are the negated ones.
+    The pass runs on band ``|n|``'s carriers: a sine carrier's sign flips
+    the increments, not the modes or the residual, so band ``-n``'s sine
+    tables are stored negated (:func:`~modedecomp.signal_model.band_sign`).
 
     Returns ``(shape_increments, mode_increments, residual)`` where the shape
     increments are per-component tables accumulated over the inner sweeps and
     the mode increments are :class:`SampledSignal` values.
     """
     check_run(scheme, eps2=eps2, max_iters=max_iters, bins=bins)
-    if kind == "sin" and n == 0:
-        raise SinZeroBand("sine demodulation is undefined at band 0")
     plans = as_plans(priors, len(residual), bins)
     bin_space = isinstance(priors, BinSpacePlans)
     pre = band_carriers(priors if bin_space else plans, n, kind)
@@ -285,7 +265,7 @@ def modified_rdbr(residual: SampledSignal,
     scaled, pow2 = scale_into_range(residual)
     *_, total, modes, r = run_pass(scaled.values, plans, bins, pre, pre, gain,
                                    scheme, eps2, max_iters, ops)
-    stored = (-gain if n < 0 and kind == "sin" else gain) * total
+    stored = band_sign(n, kind) * gain * total
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
             [ldexp_signal(SampledSignal(t, m), pow2) for m in modes],
@@ -396,8 +376,7 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
     # the band state: one table per pass of an outer iteration, (band,
     # kind) in visit order, and component
-    slots = [(b, kind) for b in band_order(cfg.m0)
-             for kind in (("cos", "sin") if b != 0 else ("cos",))]
+    slots = band_slots(cfg.m0)
     state = np.zeros((len(slots), len(plans), cfg.bins))
     extrapolate = AndersonStep()
     accelerated: list[bool] = []
@@ -422,14 +401,12 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                                  len(norms_r), tuple(accelerated))
 
     del extrapolate  # free its held residual before the modes are formed
-    # each mode is its band sum, one component at a time; a stored band -n
-    # sine table is negated
+    # each mode, one at a time, is its band sum as reconstruct_mimf forms it
     modes = [np.zeros(len(signal)) for _ in plans]
     for slot, (b, kind) in enumerate(slots):
-        sign = -1.0 if b < 0 and kind == "sin" else 1.0
         post = band_carriers(plans, b, kind)
         for mode, plan, c, u in zip(modes, plans, post, state[slot]):
-            mode += pass_modes([plan], [c], sign, [u])[0]
+            mode += pass_modes([plan], [c], band_sign(b, kind), [u])[0]
 
     estimates = []
     for k, mode in enumerate(modes):
@@ -449,15 +426,11 @@ def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,
     """Reconstruct using only the bands with |n| <= ell."""
     if not 0 <= ell <= est.bandwidth:
         raise BandOutOfRange(f"ell must lie in [0, {est.bandwidth}]")
-    truncated = make_estimate(
-        est.bandwidth,
-        cos_shapes={b: s for b, s in est.cos_shapes.items() if abs(b) <= ell},
-        sin_shapes={b: s for b, s in est.sin_shapes.items() if abs(b) <= ell},
-        cos_coeffs={b: c for b, c in est.cos_coeffs.items() if abs(b) <= ell},
-        sin_coeffs={b: c for b, c in est.sin_coeffs.items() if abs(b) <= ell},
-        normalized=est.normalized,
-    )
-    return reconstruct_mimf(truncated, prior, grid)
+    kept = [{b: v for b, v in bands.items() if abs(b) <= ell}
+            for bands in (est.cos_shapes, est.sin_shapes, est.cos_coeffs,
+                          est.sin_coeffs)]
+    return reconstruct_mimf(make_estimate(ell, *kept, normalized=est.normalized),
+                            prior, grid)
 
 
 def band_residual(signal: SampledSignal, est: MimfEstimate, prior: PhasePrior,

@@ -346,9 +346,7 @@ def eval_shape(shape: ShapeTable, v):
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise NonFinite("positions must be finite")
-    bins = shape.bins
-    j0, w = interpolation(unit_position(v), bins.size)
-    out = (1.0 - w) * bins[j0] + w * np.roll(bins, -1)[j0]
+    out = band_term(shape.bins, *interpolation(unit_position(v), shape.size))
     return float(out) if out.ndim == 0 else out
 
 
@@ -368,11 +366,8 @@ def unit_position(v) -> np.ndarray:
 
 
 def interpolation(x, nb: int):
-    """Bin-center interpolation data for positions ``x`` in ``[0, 1)``.
-
-    Returns ``(j0, w)``: a ``nb``-bin table evaluates at ``x`` as
-    ``(1 - w) * table[j0] + w * table[(j0 + 1) % nb]``, wrapping
-    periodically.
+    """Bin-center interpolation data ``(j0, w)`` of a ``nb``-bin table at
+    positions ``x`` in ``[0, 1)``, as :func:`band_term` reads them.
     """
     x = np.asarray(x, dtype=float)
     u = np.multiply(x, nb, out=np.empty_like(x))
@@ -382,6 +377,64 @@ def interpolation(x, nb: int):
     # u lies in [-0.5, nb - 0.5), so only j0 = -1 wraps
     np.add(j0, nb, out=j0, where=j0 < 0)
     return j0, w
+
+
+def band_term(table: np.ndarray, j0, w, w1=None,
+              g: np.ndarray | None = None) -> np.ndarray:
+    """``g`` times ``table`` at :func:`interpolation`'s ``(j0, w)``,
+    ``w1 table[j0] + w table[(j0 + 1) % B]`` in place, with ``w1 = 1 - w``
+    unless given and ``g = None`` being 1: the one table-at-samples formula."""
+    out = table[j0]
+    # a w1 formed here is let go before the tail is gathered
+    out *= 1.0 - w if w1 is None else w1
+    # table[(j0 + 1) % B] is the table moved one bin back, read at j0
+    tail = np.concatenate((table[1:], table[:1]))[j0]
+    tail *= w
+    out += tail
+    if g is not None:
+        out *= g
+    return out
+
+
+def band_order(m0: int) -> list[int]:
+    """Interleaved band visit order 0, +1, -1, ..., +m0, -m0."""
+    return [0] + [b for n in range(1, m0 + 1) for b in (n, -n)]
+
+
+def band_slots(m0: int) -> list[tuple[int, str]]:
+    """The ``(band, kind)`` terms in the solver's visit order, cos first."""
+    return [(n, kind) for n in band_order(m0)
+            for kind in (("cos", "sin") if n else ("cos",))]
+
+
+def band_sign(n: int, kind: str) -> float:
+    """-1 for a negative band's sine term, else 1: ``sin`` is odd bit for
+    bit, so that term is band ``|n|``'s carrier times the negated table."""
+    return -1.0 if n < 0 and kind == "sin" else 1.0
+
+
+def check_band(prior: PhasePrior, n: int, kind: str) -> None:
+    """Refuse a band term without a carrier: bad kind, band-0 sine, no N."""
+    if kind not in ("cos", "sin"):
+        raise DecompositionError(f"unknown carrier kind {kind!r}")
+    if kind == "sin" and n == 0:
+        raise SinZeroBand("sine carrier vanishes identically at band 0")
+    if prior.fundamental is None:
+        raise DecompositionError("prior fundamental required for demodulation")
+
+
+def carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray:
+    """Demodulation carrier ``cos/sin(2*pi*n*p/N)`` sampled on the grid."""
+    check_band(prior, n, kind)
+    angle = 2.0 * np.pi * n * prior.phase / prior.fundamental
+    return np.cos(angle) if kind == "cos" else np.sin(angle)
+
+
+def band_carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray | None:
+    """The carrier of band ``n``'s ``kind`` term: ``None`` (a factor of 1)
+    at band 0, else band ``|n|``'s, the sign left to :func:`band_sign`."""
+    check_band(prior, n, kind)
+    return carrier(prior, abs(n), kind) if n else None
 
 
 @dataclass(frozen=True)
@@ -418,14 +471,12 @@ def make_estimate(bandwidth: int,
     m0 = int(bandwidth)
     if m0 < 0:
         raise BandOutOfRange("bandwidth must be nonnegative")
-    for n in cos_shapes:
-        if abs(n) > m0:
-            raise BandOutOfRange(f"cos band {n} outside [-{m0}, {m0}]")
-    for n in sin_shapes:
-        if n == 0:
-            raise SinZeroBand("sine shapes have no band-0 entry")
-        if abs(n) > m0:
-            raise BandOutOfRange(f"sin band {n} outside [-{m0}, {m0}]")
+    for kind, shapes in (("cos", cos_shapes), ("sin", sin_shapes)):
+        for n in shapes:
+            if kind == "sin" and n == 0:
+                raise SinZeroBand("sine shapes have no band-0 entry")
+            if abs(n) > m0:
+                raise BandOutOfRange(f"{kind} band {n} outside [-{m0}, {m0}]")
     if cos_coeffs is None:
         cos_coeffs = {n: s.l2norm for n, s in cos_shapes.items()}
     if sin_coeffs is None:
@@ -458,41 +509,38 @@ def normalize_estimate(est: MimfEstimate) -> MimfEstimate:
                         est.mode, normalized=True)
 
 
-def _band_product(est: MimfEstimate, n: int, kind: str) -> ShapeTable:
-    table = (est.cos_shapes if kind == "cos" else est.sin_shapes)[n]
-    if est.normalized:
-        coeffs = est.cos_coeffs if kind == "cos" else est.sin_coeffs
-        table = scale_shape(table, coeffs.get(n, 0.0))
-    return table
-
-
 def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
                      grid: Sequence[float]) -> SampledSignal:
     """Evaluate the band sum at the prior's phase samples.
 
-    Each band ``n`` contributes ``carrier(n*p/N) * shape(p)`` where the
-    carrier is a cosine or sine of ``2*pi*n*p/N`` cycles and the shape is
-    evaluated at the phase position ``p`` (cycles).
+    Band ``n`` adds ``cos(2*pi*n*p/N) a_n(p)`` and ``sin(2*pi*n*p/N)
+    b_n(p)``, tables evaluated at the phase ``p`` (cycles). It sums them as
+    an mmd run forms its modes: in the solver's visit order
+    (:func:`band_slots`), on band ``|n|``'s carriers, by :func:`band_term`,
+    so that it reproduces an mmd mode exactly from its unnormalized
+    estimate. Interpolation data is formed once per table size, and band
+    ``|n|``'s carriers once for bands ``n`` and ``-n``.
     """
     t = np.asarray(grid, dtype=float)
     if t.size != len(prior):
         raise GridMismatch("grid length does not match the prior")
-    p = prior.phase
-    needs_carrier = any(n != 0 for n in est.cos_shapes) or bool(est.sin_shapes)
-    if needs_carrier and prior.fundamental is None:
-        raise DecompositionError("prior fundamental required for banded "
-                                 "reconstruction; call with_fundamental")
-    total = np.zeros_like(p)
-    for n in sorted(est.cos_shapes):
-        table = _band_product(est, n, "cos")
-        if table.l2norm == 0.0:
+    x = unit_position(prior.phase)
+    at, held = {}, {}
+    total = np.zeros_like(x)
+    for n, kind in band_slots(est.bandwidth):
+        shapes, coeffs = ((est.cos_shapes, est.cos_coeffs) if kind == "cos"
+                          else (est.sin_shapes, est.sin_coeffs))
+        if n not in shapes:
             continue
-        carrier = 1.0 if n == 0 else np.cos(2.0 * np.pi * n * p / prior.fundamental)
-        total = total + carrier * eval_shape(table, p)
-    for n in sorted(est.sin_shapes):
-        table = _band_product(est, n, "sin")
-        if table.l2norm == 0.0:
-            continue
-        carrier = np.sin(2.0 * np.pi * n * p / prior.fundamental)
-        total = total + carrier * eval_shape(table, p)
+        table = shapes[n]
+        if est.normalized:
+            table = scale_shape(table, coeffs.get(n, 0.0))
+        nb = table.size
+        if nb not in at:
+            at[nb] = interpolation(x, nb)
+        # band -n's term takes band n's carrier, given up to it
+        g = held.pop((-n, kind), None)
+        if g is None:
+            g = held[n, kind] = band_carrier(prior, n, kind)
+        total += band_term(band_sign(n, kind) * table.bins, *at[nb], g=g)
     return SampledSignal(_readonly(t), _readonly(total))

@@ -305,6 +305,65 @@ class TestDiagnoseCommand:
         assert not out.exists()
 
 
+class TestReaderRefusals:
+    """A malformed input file is refused by its reader with a message that
+    names the file; read by a command, that is exit 1 before any output
+    directory."""
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--residual", "time,value\n0,1\n0.5,2\n",
+         "expected header 't,value'"),
+        ("--residual", "", "empty file"),
+        ("--residual", "\n \n", "empty file"),
+        ("--phases", "x,p1\n0,1\n0.5,2\n", "first column must be 't'"),
+        ("--phases", "t,q1\n0,1\n0.5,2\n",
+         "no phase columns (p1, p2, ...)"),
+        ("--phases", "t,p1,p2,q1\n0,1,2,1\n0.5,2,3,1\n",
+         "amplitude columns must match phase columns"),
+        ("--phases", "t,p1\n0,1\n", "need at least 2 rows"),
+    ])
+    def test_diagnose_exits_one(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "diag"
+        assert main(["diagnose", flag, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_decompose_signal_header(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+        path = tmp_path / "signal.csv"
+        path.write_text("t,v\n0,1\n0.5,2\n")
+        out = tmp_path / "fit"
+        assert main(["gmd", "--signal", str(path), "--phases",
+                     str(data / "phases.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected header 't,value'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("read, header, message", [
+        (read_shape_csv, "x,y", "expected header 'x,value'"),
+        (read_shape_csv, "x,value,extra", "expected header 'x,value'"),
+        (read_coefficients_csv, "k,n,a,b", "expected header 'k,n,a_n,b_n'"),
+        (read_coefficients_csv, "k,n,a_n", "expected header 'k,n,a_n,b_n'"),
+    ])
+    def test_table_headers(self, tmp_path, read, header, message):
+        path = tmp_path / "table.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["0.25"] * width) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_report_invalid_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"iterations": 3')
+        with pytest.raises(ParseError) as exc:
+            read_report(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+
 class TestShapeCsv:
     def test_roundtrip(self, tmp_path):
         from modedecomp.cli import read_shape_csv, write_shape_csv
@@ -812,6 +871,17 @@ class TestSpecFileErrors:
          "components[0].fundamental"),
         ({"components": [{"fundamental": 10 ** 400}]},
          "components[0].fundamental"),
+        # the file's structure
+        ({"components": []}, "'components' must be a non-empty list"),
+        ({"components": {"fundamental": 24}},
+         "'components' must be a non-empty list"),
+        ({"components": [{"shape": {"variant": 1}}]},
+         "components[0]: missing 'fundamental'"),
+        ({"components": [{"fundamental": 24, "shape": {"bins": 256}}]},
+         "components[0].shape: needs 'variant' or 'values'"),
+        ({"components": [{"fundamental": 24, "phase_wiggle":
+                          {"kind": "tan", "amp": 0.004}}]},
+         "components[0].phase_wiggle.kind"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"
@@ -823,6 +893,34 @@ class TestSpecFileErrors:
         assert code == 1
         assert err.startswith(f"error: {path}: ") and field in err
         assert not out.exists()
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"components": [{"fundamental": 24,}]}')
+        out = tmp_path / "d"
+        code = main(["synth", "--spec", str(path), "--samples", "512",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
+
+    def test_cos_phase_wiggle(self, tmp_path):
+        # a "cos" wiggle is the phase t + amp cos(2 pi t), in cycles of the
+        # fundamental
+        path = tmp_path / "spec.json"
+        out = {}
+        for kind in ("cos", "sin"):
+            path.write_text(json.dumps({"components": [
+                {"fundamental": 24,
+                 "phase_wiggle": {"kind": kind, "amp": 0.004}}]}))
+            out[kind] = tmp_path / kind
+            assert main(["synth", "--spec", str(path), "--samples", "512",
+                         "--out", str(out[kind])]) == 0
+        times, priors = read_phases_csv(out["cos"] / "phases.csv")
+        want = 24 * (times + 0.004 * np.cos(2.0 * np.pi * times))
+        assert np.array_equal(priors[0].phase, want)
+        _, sin_priors = read_phases_csv(out["sin"] / "phases.csv")
+        assert not np.array_equal(sin_priors[0].phase, want)
 
     def test_large_fundamental_accepted(self, tmp_path):
         # 10^6 cycles leave positions resolved far below one of 1,024 bins

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import modedecomp as md
-from modedecomp.errors import InvalidStep, LagTooLarge, TraceTooShort
+from modedecomp.errors import (
+    InvalidStep,
+    LagTooLarge,
+    OutOfDomain,
+    TraceTooShort,
+)
 
 
 def brute_counts(phase_lists, step):
@@ -69,6 +74,20 @@ class TestPartitionCounts:
         for mat in counts.pairs.values():
             assert mat.sum() == 777
 
+    def test_reversed_pair_is_transpose(self):
+        # each unordered pair is counted once; the reversed pair holds the
+        # same counts, transposed, in the order of the pair keys
+        t = md.sample_grid(900)
+        phases = [7.0 * t, 12.0 * t, 19.0 * (t + 0.003 * np.sin(2 * np.pi * t))]
+        counts = md.partition_counts([md.make_prior(p) for p in phases], t, 0.1)
+        assert list(counts.pairs) == [(i, j) for i in range(3)
+                                      for j in range(3) if i != j]
+        for (i, j), mat in counts.pairs.items():
+            assert np.array_equal(counts.pairs[(j, i)], mat.T)
+        _, pairs_b = brute_counts(phases, 0.1)
+        for key, mat in pairs_b.items():
+            assert np.array_equal(counts.pairs[key], mat)
+
     def test_invalid_step(self):
         t = md.sample_grid(64)
         prior = md.make_prior(4.0 * t)
@@ -76,6 +95,11 @@ class TestPartitionCounts:
             md.partition_counts([prior], t, 0.3)
         with pytest.raises(InvalidStep):
             md.partition_counts([prior], t, 0.0)
+
+    def test_no_prior(self):
+        t = md.sample_grid(64)
+        with pytest.raises(OutOfDomain, match="at least one prior"):
+            md.partition_counts([], t, 0.1)
 
 
 class TestWellDiffStats:
@@ -190,6 +214,16 @@ class TestFitDecayRate:
     def test_too_short(self):
         with pytest.raises(TraceTooShort):
             md.fit_decay_rate([1.0, 0.5])
+
+    def test_not_one_dimensional(self):
+        with pytest.raises(OutOfDomain, match="1-d"):
+            md.fit_decay_rate([[1.0, 0.5], [0.25, 0.125]])
+
+    @pytest.mark.parametrize("norms", [[1.0, 0.5, 0.0, 0.1],
+                                       [1.0, -0.5, 0.25, 0.125]])
+    def test_non_positive_norm(self, norms):
+        with pytest.raises(OutOfDomain, match="positive"):
+            md.fit_decay_rate(norms)
 
     def test_floor_filter(self):
         with pytest.raises(TraceTooShort):

@@ -194,12 +194,20 @@ class TestPartitionRegress:
 
     @pytest.mark.parametrize("bins", [2.9, 64.0, np.float64(8), True])
     def test_bin_count_must_be_an_integer(self, bins):
+        # the regression and the phase plan take their bin count alike: a
+        # float is not truncated, nor a bool read as 1
         samples = FoldedSamples(np.array([0.1, 0.6]), np.array([1.0, 2.0]))
+        prior = md.make_prior([0.1, 0.6])
         with pytest.raises(OutOfDomain):
             md.partition_regress(samples, bins)
+        with pytest.raises(OutOfDomain):
+            plan_phase(prior, 2, bins)
         with pytest.raises(LengthMismatch):
             md.partition_regress(samples, 1)
+        with pytest.raises(LengthMismatch):
+            plan_phase(prior, 2, 1)
         assert md.partition_regress(samples, np.int64(2)).size == 2
+        assert plan_phase(prior, 2, np.int64(2)).layout.size == 2
 
     def test_step_function_fixed_point(self):
         # responses sampled from a table that is piecewise constant on the

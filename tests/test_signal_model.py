@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import modedecomp as md
 from modedecomp.errors import (
+    DecompositionError,
     DuplicateTime,
     GridMismatch,
     LengthMismatch,
@@ -12,7 +13,8 @@ from modedecomp.errors import (
     NonMonotonePhase,
     OutOfDomain,
 )
-from modedecomp.signal_model import (GRADIENT_BLOCK, interpolation,
+from modedecomp.signal_model import (GRADIENT_BLOCK, band_carrier, band_sign,
+                                     band_slots, carrier, interpolation,
                                      unit_position)
 
 from bitwise import same_bits
@@ -427,6 +429,54 @@ class TestReconstruct:
     def test_sin_band_zero_rejected(self):
         with pytest.raises(md.SinZeroBand):
             md.make_estimate(1, {}, {0: md.zero_shape(8)})
+
+
+class TestBandTerm:
+    """One definition of a band term, shared by the solver and the band
+    sum: its carrier, its check, its visit order and its sign."""
+
+    def _prior(self, fundamental=True):
+        t = np.arange(512) / 512
+        prior = md.make_prior(9.0 * t + 0.01 * np.sin(2 * np.pi * t))
+        return t, md.with_fundamental(prior, t) if fundamental else prior
+
+    def test_visit_order(self):
+        assert band_slots(0) == [(0, "cos")]
+        assert band_slots(2) == [(0, "cos"), (1, "cos"), (1, "sin"),
+                                 (-1, "cos"), (-1, "sin"), (2, "cos"),
+                                 (2, "sin"), (-2, "cos"), (-2, "sin")]
+
+    def test_carriers(self):
+        _, prior = self._prior()
+        assert band_carrier(prior, 0, "cos") is None
+        for n in (1, 3):
+            for kind in ("cos", "sin"):
+                g = carrier(prior, n, kind)
+                assert np.array_equal(band_carrier(prior, n, kind), g)
+                assert np.array_equal(band_carrier(prior, -n, kind), g)
+                # band -n's term is band n's carrier times band_sign
+                assert np.array_equal(carrier(prior, -n, kind),
+                                      band_sign(-n, kind) * g)
+                assert band_sign(n, kind) == 1.0
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_one_check(self, n):
+        # band 0's unit carrier is refused as the others are
+        _, prior = self._prior()
+        with pytest.raises(DecompositionError, match="unknown carrier kind"):
+            band_carrier(prior, n, "tan")
+        with pytest.raises(DecompositionError, match="fundamental"):
+            band_carrier(self._prior(False)[1], n, "cos")
+        with pytest.raises(md.SinZeroBand):
+            band_carrier(prior, 0, "sin")
+
+    def test_reconstruct_needs_fundamental(self):
+        # the band sum forms band 0's term as the solver does, through the
+        # one check
+        t, prior = self._prior(False)
+        est = md.make_estimate(0, {0: md.ecg_like_shape(64, 1)}, {})
+        with pytest.raises(DecompositionError, match="fundamental required"):
+            md.reconstruct_mimf(est, prior, t)
 
 
 class TestNormalizeEstimate:
