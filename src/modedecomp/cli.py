@@ -50,12 +50,10 @@ from .signal_model import (
 )
 from .synth import (
     RNG_IDENTITY,
-    BandSpec,
-    ComponentSpec,
     add_noise,
     ecg_like_shape,
+    gen_component,
     gen_example_4_1,
-    gen_mimf,
     sample_grid,
 )
 
@@ -675,68 +673,53 @@ def _shape_from_json(value, where: str) -> ShapeTable:
     raise ParseError(f"{where}: needs 'variant' or 'values'")
 
 
-def _component_from_json(obj, where: str) -> ComponentSpec:
-    """One ``components`` entry; a malformed field is a ``ParseError``
-    naming it, ``where`` being the entry's place in the file."""
+def _component_from_json(obj, where: str) -> tuple:
+    """One ``components`` entry as ``gen_component``'s arguments after the
+    grid; a malformed field is a ``ParseError`` naming it, ``where`` being
+    the entry's place in the file."""
     obj = _spec_object(obj, where)
     fundamental = _spec_field(obj, "fundamental", where, int)
     at = f"{where}.phase_wiggle"
-    wig = _spec_object(obj.get("phase_wiggle") or {}, at)
-    w_kind = wig.get("kind", "none")
-    w_amp = _spec_field(wig, "amp", at, default=0.0)
-    if w_kind == "sin":
-        phase = lambda t: t + w_amp * np.sin(2.0 * np.pi * t)  # noqa: E731
-    elif w_kind == "cos":
-        phase = lambda t: t + w_amp * np.cos(2.0 * np.pi * t)  # noqa: E731
-    elif w_kind == "none":
-        phase = lambda t: np.asarray(t, dtype=float)  # noqa: E731
-    else:
-        raise ParseError(f"{at}.kind: unknown kind {w_kind!r}")
+    wig = _spec_object(obj.get("phase_wiggle", {}), at)
+    kind = wig.get("kind", "none")
+    size = _spec_field(wig, "amp", at, default=0.0)
+    if kind not in ("none", "sin", "cos"):
+        raise ParseError(f"{at}.kind: unknown kind {kind!r}")
     at = f"{where}.amplitude"
-    amp = _spec_object(obj.get("amplitude") or {}, at)
-    const = _spec_field(amp, "const", at, default=1.0)
-    cos1 = _spec_field(amp, "cos1", at, default=0.0)
-    sin1 = _spec_field(amp, "sin1", at, default=0.0)
+    amp = _spec_object(obj.get("amplitude", {}), at)
+    coeffs = (_spec_field(amp, "const", at, default=1.0),
+              _spec_field(amp, "cos1", at, default=0.0),
+              _spec_field(amp, "sin1", at, default=0.0))
     shape = _shape_from_json(obj.get("shape", {"variant": 1}), f"{where}.shape")
     shape = _built(f"{where}.scale", scale_shape, shape,
                    _spec_field(obj, "scale", where, default=1.0))
-
-    def amplitude(t, _c=const, _a=cos1, _b=sin1, _p=phase):
-        u = _p(np.asarray(t, dtype=float))
-        return _c + _a * np.cos(2.0 * np.pi * u) + _b * np.sin(2.0 * np.pi * u)
-
-    bands = {0: BandSpec(const, 0.0, shape, None)}
-    if cos1 != 0.0 or sin1 != 0.0:
-        bands[1] = BandSpec(cos1, sin1, shape, shape)
-    return ComponentSpec(amplitude=amplitude, phase=phase,
-                         fundamental=fundamental, shape=shape, bands=bands)
+    return fundamental, (kind, size), coeffs, shape
 
 
 def _synth_from_spec(path, length: int, grid_mode: str, seed: int):
-    """Clean signal, modes and exact priors of a spec file's components."""
+    """Clean signal, modes and exact priors of a spec file's components,
+    generated as ``gen_example_4_1`` generates its own."""
     comps = _spec_object(read_report(path), str(path)).get("components")
     if not isinstance(comps, list) or not comps:
         raise ParseError(f"{path}: 'components' must be a non-empty list")
     specs = [_component_from_json(c, f"{path}: components[{i}]")
              for i, c in enumerate(comps)]
     t = sample_grid(length, grid_mode, seed)
-    priors = []
+    t.setflags(write=False)
+    modes, priors = [], []
     for i, spec in enumerate(specs):
         at = f"{path}: components[{i}]"
-        unit, top = spec.phase(t), _spec_number(spec.fundamental)
-        # doubles coarser than one bin of the shape lose a sample's place
-        if top is None or not np.spacing(top * float(np.max(np.abs(
-                unit)))) <= 1.0 / spec.shape.size:
-            raise ParseError(f"{at}.fundamental: too large for doubles to "
-                             f"resolve the shape's {spec.shape.size} bins")
-        phase = _built(f"{at}.phase_wiggle", make_prior,
-                       spec.fundamental * unit).phase
-        amplitude = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float),
-                                    t.shape)
-        priors.append(_built(f"{at}.amplitude", make_prior, phase, amplitude))
-    modes = [gen_mimf(spec, t) for spec in specs]
-    total = make_signal(t, np.sum([m.values for m in modes], axis=0))
-    return total, modes, priors
+        mode, pos, amp = _built(f"{at}.fundamental", gen_component, t, *spec)
+        phase = _built(f"{at}.phase_wiggle", make_prior, pos).phase
+        priors.append(_built(f"{at}.amplitude", make_prior, phase, amp))
+        if not np.isfinite(mode.values).all():
+            raise ParseError(f"{at}.amplitude: amplitude times shape overflows")
+        modes.append(mode)
+    with np.errstate(over="ignore"):  # refused below
+        total = sum((mode.values for mode in modes[1:]), modes[0].values)
+    if not np.isfinite(total).all():
+        raise ParseError(f"{path}: the components' sum overflows")
+    return SampledSignal(t, total), modes, priors
 
 
 # ---------------------------------------------------------------------------

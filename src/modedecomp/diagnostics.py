@@ -22,6 +22,7 @@ from .errors import (
     LagTooLarge,
     OutOfDomain,
     TraceTooShort,
+    integer,
 )
 from .fold_regress import bin_layout
 from .signal_model import PhasePrior, SampledSignal, unit_position
@@ -135,8 +136,7 @@ def autocorrelation(signal: SampledSignal, max_lag: int) -> np.ndarray:
     impulse at lag 0 by convention.
     """
     length = len(signal)
-    if max_lag < 0:
-        raise OutOfDomain("max_lag must be nonnegative")
+    integer(max_lag, "max_lag", 0)
     if max_lag >= length:
         raise LagTooLarge("max_lag must be smaller than the sample count")
     x = signal.values - np.mean(signal.values)

@@ -4,6 +4,8 @@ Every contract violation raises a subclass of :class:`DecompositionError`,
 which itself subclasses ``ValueError`` so callers can catch broadly.
 """
 
+import numbers
+
 
 class DecompositionError(ValueError):
     """Base class for all validation and contract errors."""
@@ -75,3 +77,13 @@ class ParseError(DecompositionError):
 
 class IoError(DecompositionError):
     """A file could not be read or written."""
+
+
+def integer(value, name: str, least=None, too_small=OutOfDomain) -> int:
+    """A count as an ``int``, numpy's included: a non-integer or ``bool`` is
+    :class:`OutOfDomain`, one below ``least`` is ``too_small``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfDomain(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise too_small(f"{name} must be at least {least}, got {value!r}")
+    return int(value)

@@ -24,7 +24,6 @@ digits, forms the residual, for its norm alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -37,7 +36,7 @@ from .errors import (
     GridMismatch,
     LengthMismatch,
     NonFinite,
-    OutOfDomain,
+    integer,
 )
 from .signal_model import (
     PhasePrior,
@@ -219,11 +218,7 @@ def fold(vs: Sequence[float], ys: Sequence[float]) -> FoldedSamples:
 
 def check_bins(bins) -> int:
     """``bins`` as an ``int``: an integer (not ``bool``) of at least 2."""
-    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
-        raise OutOfDomain(f"bin count must be an integer, got {bins!r}")
-    if bins < 2:
-        raise LengthMismatch("bin count must be at least 2")
-    return int(bins)
+    return integer(bins, "bin count", 2, LengthMismatch)
 
 
 def partition_regress(samples: FoldedSamples, bins: int) -> ShapeTable:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DecompositionError, InvalidPartition, OutOfDomain
+from .errors import DecompositionError, InvalidPartition, OutOfDomain, integer
 from .fold_regress import (
     BandOperators,
     BinPass,
@@ -122,14 +122,10 @@ def check_run(scheme: str, **params) -> None:
     if scheme not in SCHEMES:
         raise DecompositionError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     for name, value in params.items():
-        if name not in LEAST:
-            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
-                raise OutOfDomain(f"{name} must lie in (0, 1), got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value,
-                                                       numbers.Integral):
-            raise OutOfDomain(f"{name} must be an integer, got {value!r}")
-        elif value < LEAST[name]:
-            raise OutOfDomain(f"{name} must be at least {LEAST[name]}")
+        if name in LEAST:
+            integer(value, name, LEAST[name])
+        elif not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+            raise OutOfDomain(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def check_backend(backend) -> None:
@@ -331,7 +327,7 @@ def group_sum_shapes(result: GmdResult,
     seen: set[int] = set()
     for group in groups:
         for k in group:
-            if not 0 <= k < k_total:
+            if not 0 <= integer(k, "component index") < k_total:
                 raise InvalidPartition(f"component index {k} out of range")
             if k in seen:
                 raise InvalidPartition(f"component index {k} repeated")

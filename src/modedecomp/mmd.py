@@ -50,6 +50,7 @@ from .errors import (
     BandOutOfRange,
     DecompositionError,
     GridMismatch,
+    integer,
 )
 from .fold_regress import (
     BandOperators,
@@ -424,7 +425,7 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,
                     grid: Sequence[float]) -> SampledSignal:
     """Reconstruct using only the bands with |n| <= ell."""
-    if not 0 <= ell <= est.bandwidth:
+    if not 0 <= integer(ell, "ell") <= est.bandwidth:
         raise BandOutOfRange(f"ell must lie in [0, {est.bandwidth}]")
     kept = [{b: v for b, v in bands.items() if abs(b) <= ell}
             for bands in (est.cos_shapes, est.sin_shapes, est.cos_coeffs,

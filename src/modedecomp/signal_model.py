@@ -18,7 +18,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -35,6 +34,7 @@ from .errors import (
     NonMonotonePhase,
     OutOfDomain,
     SinZeroBand,
+    integer,
 )
 
 __all__ = [
@@ -226,10 +226,8 @@ def make_prior(phase: Sequence[float], amplitude: Sequence[float] | None = None,
             raise NonFinite("amplitude must be finite")
         if np.any(q <= 0.0):
             raise AmplitudeTooSmall("amplitude must be strictly positive")
-    if fundamental is not None and (
-            not isinstance(fundamental, numbers.Integral)
-            or isinstance(fundamental, bool) or fundamental < 1):
-        raise OutOfDomain("fundamental must be a positive integer")
+    if fundamental is not None:
+        integer(fundamental, "fundamental", 1)
     return PhasePrior(_readonly(p), _readonly(q), fundamental)
 
 
@@ -311,7 +309,7 @@ def make_shape(bins: Sequence[float]) -> ShapeTable:
 
 
 def zero_shape(bins: int) -> ShapeTable:
-    return make_shape(np.zeros(int(bins)))
+    return make_shape(np.zeros(integer(bins, "bins")))
 
 
 def add_shapes(a: ShapeTable, b: ShapeTable) -> ShapeTable:
@@ -417,7 +415,7 @@ def check_band(prior: PhasePrior, n: int, kind: str) -> None:
     """Refuse a band term without a carrier: bad kind, band-0 sine, no N."""
     if kind not in ("cos", "sin"):
         raise DecompositionError(f"unknown carrier kind {kind!r}")
-    if kind == "sin" and n == 0:
+    if integer(n, "band") == 0 and kind == "sin":
         raise SinZeroBand("sine carrier vanishes identically at band 0")
     if prior.fundamental is None:
         raise DecompositionError("prior fundamental required for demodulation")
@@ -468,14 +466,12 @@ def make_estimate(bandwidth: int,
     When coefficients are omitted they default to the L2 norms of the stored
     tables (the product-table convention).
     """
-    m0 = int(bandwidth)
-    if m0 < 0:
-        raise BandOutOfRange("bandwidth must be nonnegative")
+    m0 = integer(bandwidth, "bandwidth", 0, BandOutOfRange)
     for kind, shapes in (("cos", cos_shapes), ("sin", sin_shapes)):
         for n in shapes:
             if kind == "sin" and n == 0:
                 raise SinZeroBand("sine shapes have no band-0 entry")
-            if abs(n) > m0:
+            if abs(integer(n, f"{kind} band")) > m0:
                 raise BandOutOfRange(f"{kind} band {n} outside [-{m0}, {m0}]")
     if cos_coeffs is None:
         cos_coeffs = {n: s.l2norm for n, s in cos_shapes.items()}

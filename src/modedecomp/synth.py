@@ -10,13 +10,13 @@ at the bin counts the noisy benchmark uses.
 
 from __future__ import annotations
 
-import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, NonPositiveVariance, OutOfDomain
+from .errors import LengthMismatch, NonPositiveVariance, OutOfDomain, integer
 from .signal_model import (
     MimfEstimate,
     PhasePrior,
@@ -62,6 +62,11 @@ _ECG_BUMPS = {
 # under the norm-over-variance convention used by snr().
 _EX41_SCALE = 0.32
 _EX41_SHAPE_BINS = 1024
+# Its components: fundamental, phase wiggle, amplitude (const, cos1, sin1)
+# and waveform variant, as gen_component takes them.
+_EX41 = ((150, ("sin", 0.006), (1.0, 0.2, 0.1), 1),
+         (220, ("cos", 0.006), (1.0, 0.1, 0.2), 2))
+_WIGGLES = {"sin": np.sin, "cos": np.cos}
 
 
 @dataclass(frozen=True)
@@ -142,9 +147,8 @@ def ecg_like_shape(bins: int, variant: int) -> ShapeTable:
     The bumps are evaluated with wrapped distance, so the tabulated period is
     continuous across the seam.
     """
-    if bins < 64:
-        raise LengthMismatch("waveform tables need at least 64 bins")
-    if variant not in _ECG_BUMPS:
+    integer(bins, "bins", 64, LengthMismatch)
+    if integer(variant, "variant") not in _ECG_BUMPS:
         raise OutOfDomain(f"variant must be 1 or 2, got {variant}")
     x = (np.arange(bins) + 0.5) / bins
     s = np.zeros(bins)
@@ -161,8 +165,7 @@ def _check_seed(seed) -> None:
     """Raise :class:`OutOfDomain` unless ``seed`` is a non-negative integer,
     as ``default_rng`` needs; checked where nothing is drawn too, so that a
     recorded seed always reproduces the run."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or seed < 0):
+    if integer(seed, "seed") < 0:
         raise OutOfDomain(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -201,8 +204,7 @@ def sample_grid(length: int, mode: str = "uniform", seed: int = 0) -> np.ndarray
     double-counts a time instant. The seed must be a non-negative integer
     in either mode.
     """
-    if length < 2:
-        raise LengthMismatch("grids need at least 2 points")
+    integer(length, "length", 2, LengthMismatch)
     _check_seed(seed)
     if mode == "uniform":
         return np.arange(length) / length
@@ -232,18 +234,33 @@ class Example41:
     seed: int
 
 
-def _ex41_phase(variant: int) -> Callable[[np.ndarray], np.ndarray]:
-    if variant == 1:
-        return lambda t: t + 0.006 * np.sin(2.0 * np.pi * t)
-    return lambda t: t + 0.006 * np.cos(2.0 * np.pi * t)
+def gen_component(t: np.ndarray, fundamental: int, wiggle: tuple[str, float],
+                  amplitude: tuple[float, float, float], shape: ShapeTable):
+    """One component ``a(phi) s(N phi)`` on the read-only grid ``t``, as
+    Example 4.1 and ``synth --spec`` describe it, with its prior's positions
+    ``N phi`` and amplitude ``a``, unchecked.
 
-
-def _ex41_amp(variant: int) -> Callable[[np.ndarray], np.ndarray]:
-    if variant == 1:
-        c, s = 0.2, 0.1
-    else:
-        c, s = 0.1, 0.2
-    return lambda u: 1.0 + c * np.cos(2.0 * np.pi * u) + s * np.sin(2.0 * np.pi * u)
+    ``wiggle = (kind, amp)``: ``phi = t + amp sin/cos(2 pi t)`` for kind
+    "sin"/"cos", ``phi = t`` for "none". ``amplitude = (const, cos1, sin1)``:
+    ``a = const + cos1 cos(2 pi phi) + sin1 sin(2 pi phi)``. Positions whose
+    doubles are coarser than one bin of the shape are :class:`OutOfDomain`;
+    an amplitude or mode that overflows is left to the caller to refuse.
+    """
+    kind, size = wiggle
+    phi = t if kind == "none" else t + size * _WIGGLES[kind](2.0 * np.pi * t)
+    reach = max(float(phi.max()), -float(phi.min()))
+    if not (fundamental <= sys.float_info.max
+            and np.spacing(fundamental * reach) <= 1.0 / shape.size):
+        raise OutOfDomain(f"too large for doubles to resolve the shape's "
+                          f"{shape.size} bins")
+    const, cos1, sin1 = amplitude
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = (const + cos1 * np.cos(2.0 * np.pi * phi)
+               + sin1 * np.sin(2.0 * np.pi * phi))
+        pos = fundamental * phi
+        values = eval_shape(shape, pos)
+        values *= amp
+    return SampledSignal(t, values), pos, amp
 
 
 def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
@@ -262,30 +279,26 @@ def gen_example_4_1(length: int, noise_var: float = 0.0, seed: int = 0,
     # one read-only grid for every signal: sample_grid's times are sorted,
     # unique and finite, so the raw constructor needs no checks or copies
     t.setflags(write=False)
-    fundamentals = (150, 220)
-    amp_coeffs = ((0.2, 0.1), (0.1, 0.2))
     components = []
     priors = []
     truths = []
-    for k in (0, 1):
-        n_k = fundamentals[k]
-        phi = _ex41_phase(k + 1)(t)
-        amp = _ex41_amp(k + 1)(phi)
-        pos = n_k * phi
-        unit = ecg_like_shape(_EX41_SHAPE_BINS, k + 1)
-        shape = scale_shape(unit, _EX41_SCALE)
-        comp = SampledSignal(t, amp * eval_shape(shape, pos))
-        prior = with_fundamental(make_prior(pos, amplitude=amp), t)
+    for n_k, wiggle, amplitude, variant in _EX41:
+        shape = scale_shape(ecg_like_shape(_EX41_SHAPE_BINS, variant),
+                            _EX41_SCALE)
+        # positions and amplitude are not kept past make_prior, which copies
+        # them, so that the next component's heap peak is lower
+        comp, *prior = gen_component(t, n_k, wiggle, amplitude, shape)
+        prior = with_fundamental(make_prior(*prior), t)
         zeros = zero_shape(_EX41_SHAPE_BINS)
         truth = make_estimate(
             2,
             cos_shapes={
                 0: shape,
-                1: scale_shape(shape, amp_coeffs[k][0]),
+                1: scale_shape(shape, amplitude[1]),
                 -1: zeros, 2: zeros, -2: zeros,
             },
             sin_shapes={
-                1: scale_shape(shape, amp_coeffs[k][1]),
+                1: scale_shape(shape, amplitude[2]),
                 -1: zeros, 2: zeros, -2: zeros,
             },
             mode=comp,

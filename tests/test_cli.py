@@ -3,9 +3,11 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from modedecomp.errors import (
     NonMonotonePhase,
     ParseError,
 )
+
+from bitwise import same_bits
 
 
 def run_synth(out, samples=2048, noise="0", seed="7", extra=()):
@@ -882,6 +886,21 @@ class TestSpecFileErrors:
         ({"components": [{"fundamental": 24, "phase_wiggle":
                           {"kind": "tan", "amp": 0.004}}]},
          "components[0].phase_wiggle.kind"),
+        # a present field that is not an object is not read as absent
+        *(({"components": [{"fundamental": 24, key: value}]},
+           f"components[0].{key}: must be a JSON object")
+          for key in ("phase_wiggle", "amplitude")
+          for value in ([], 0, False, "", None)),
+        # an amplitude, mode or sum that overflows, without a numpy warning
+        ({"components": [{"fundamental": 24, "amplitude":
+                          {"const": 1e308, "cos1": 1e308}}]},
+         "components[0].amplitude"),
+        ({"components": [{"fundamental": 24, "amplitude": {"const": 10},
+                          "shape": {"values": [1e308, -1e308]}}]},
+         "components[0].amplitude: amplitude times shape overflows"),
+        ({"components": [{"fundamental": 24,
+                          "shape": {"values": [1e308, -1e308]}}] * 2},
+         "the components' sum overflows"),
     ])
     def test_exit_one_naming_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "spec.json"
@@ -946,6 +965,101 @@ class TestSpecFileErrors:
         assert capsys.readouterr().err == (
             f"error: {path}: components[0].scale: shape bins must be finite\n")
         assert not out.exists()
+
+
+# Example 4.1's two components as a spec file
+EX41_SPEC = {"components": [
+    {"fundamental": 150, "shape": {"variant": 1, "bins": 1024}, "scale": 0.32,
+     "phase_wiggle": {"kind": "sin", "amp": 0.006},
+     "amplitude": {"const": 1.0, "cos1": 0.2, "sin1": 0.1}},
+    {"fundamental": 220, "shape": {"variant": 2, "bins": 1024}, "scale": 0.32,
+     "phase_wiggle": {"kind": "cos", "amp": 0.006},
+     "amplitude": {"const": 1.0, "cos1": 0.1, "sin1": 0.2}},
+]}
+
+
+@st.composite
+def spec_components(draw):
+    """A spec file entry whose phase increases and amplitude is positive."""
+    shape = draw(st.one_of(
+        st.builds(lambda v, b: {"variant": v, "bins": b},
+                  st.sampled_from([1, 2]), st.integers(64, 2048)),
+        st.builds(lambda v: {"values": v},
+                  st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=40))))
+    entry = {"fundamental": draw(st.integers(1, 500)), "shape": shape,
+             "scale": draw(st.floats(0.01, 10.0)),
+             "amplitude": {"const": draw(st.floats(1.0, 3.0)),
+                           "cos1": draw(st.floats(-0.45, 0.45)),
+                           "sin1": draw(st.floats(-0.45, 0.45))}}
+    kind = draw(st.sampled_from(["none", "sin", "cos"]))
+    if kind != "none":
+        entry["phase_wiggle"] = {"kind": kind, "amp": draw(st.floats(-0.1, 0.1))}
+    return entry
+
+
+def reference_component(entry, t):
+    """``entry``'s mode and prior by gen_gimf on a ComponentSpec, with the
+    phase and amplitude written out here."""
+    wiggle = entry.get("phase_wiggle", {"kind": "none"})
+    trig = {"sin": np.sin, "cos": np.cos}.get(wiggle["kind"])
+    phase = ((lambda tt: tt) if trig is None
+             else (lambda tt: tt + wiggle["amp"] * trig(2.0 * np.pi * tt)))
+    a = entry["amplitude"]
+
+    def amplitude(tt):
+        u = phase(tt)
+        return (a["const"] + a["cos1"] * np.cos(2.0 * np.pi * u)
+                + a["sin1"] * np.sin(2.0 * np.pi * u))
+
+    shape = entry["shape"]
+    unit = (md.ecg_like_shape(shape["bins"], shape["variant"])
+            if "variant" in shape else md.make_shape(shape["values"]))
+    spec = md.ComponentSpec(amplitude, phase, entry["fundamental"],
+                            md.scale_shape(unit, entry["scale"]))
+    return (md.gen_gimf(spec, t), entry["fundamental"] * phase(t),
+            amplitude(t))
+
+
+class TestSpecComponents:
+    """A spec file's components are generated as Example 4.1's are."""
+
+    @pytest.mark.parametrize("noise", ["0", "0.25"])
+    @pytest.mark.parametrize("grid", ["uniform", "iid"])
+    def test_example_spec_writes_example_bytes(self, tmp_path, grid, noise):
+        path = tmp_path / "ex41.json"
+        path.write_text(json.dumps(EX41_SPEC))
+        common = ["--samples", "3000", "--grid", grid, "--noise-var", noise,
+                  "--seed", "4"]
+        spec, example = tmp_path / "spec", tmp_path / "example"
+        assert main(["synth", "--spec", str(path), *common,
+                     "--out", str(spec)]) == 0
+        assert main(["synth", "--example", "ex4_1", *common,
+                     "--out", str(example)]) == 0
+        for name in ("signal.csv", "phases.csv", "truth/clean.csv",
+                     "truth/mode_1.csv", "truth/mode_2.csv"):
+            assert (spec / name).read_bytes() == (example / name).read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(spec_components(), min_size=1, max_size=2),
+           length=st.integers(2, 1500),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_modes_match_reference(self, entries, length, grid, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps({"components": entries}))
+            clean, modes, priors = cli._synth_from_spec(path, length, grid,
+                                                        seed)
+        t = md.sample_grid(length, grid, seed)
+        wants = []
+        for entry, mode, prior in zip(entries, modes, priors, strict=True):
+            want, phase, amplitude = reference_component(entry, t)
+            assert same_bits(mode.times, t)
+            assert same_bits(mode.values, want.values)
+            assert same_bits(prior.phase, phase)
+            assert same_bits(prior.amplitude, amplitude)
+            wants.append(want.values)
+        assert same_bits(clean.values, sum(wants[1:], wants[0]))
 
 
 # ---------------------------------------------------------------------------

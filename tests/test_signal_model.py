@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,61 @@ class TestMakePriorFundamental:
         t = np.arange(16) / 16
         prior = md.make_prior(3 * t, fundamental=fundamental)
         assert prior.fundamental == fundamental
+
+
+def non_integer_count_calls():
+    """One call per count or index of the library, each given a non-integer
+    or ``bool`` where an integer belongs."""
+    t = np.arange(64) / 64
+    prior = md.with_fundamental(md.make_prior(4.0 * t), t)
+    shape = md.ecg_like_shape(64, 1)
+    est = md.make_estimate(2, {0: shape, 1: shape}, {1: shape})
+    sig = md.make_signal(t, np.sin(8.0 * np.pi * t))
+    # the one field of a gmd result that group_sum_shapes reads
+    two = SimpleNamespace(shapes=[shape, shape])
+    return {
+        "make_estimate bandwidth": lambda: md.make_estimate(2.9, {0: shape}, {}),
+        "make_estimate bool bandwidth": lambda: md.make_estimate(True, {}, {}),
+        "make_estimate band key": lambda: md.make_estimate(2, {0.5: shape}, {}),
+        "ell_band_approx ell": lambda: md.ell_band_approx(est, prior, 1.5, t),
+        "ell_band_approx bool ell": lambda: md.ell_band_approx(est, prior,
+                                                               True, t),
+        "zero_shape bins": lambda: md.zero_shape(3.7),
+        "zero_shape bool bins": lambda: md.zero_shape(True),
+        "sample_grid length": lambda: md.sample_grid(2.5),
+        "gen_example_4_1 length": lambda: md.gen_example_4_1(300.5),
+        "ecg_like_shape bins": lambda: md.ecg_like_shape(100.5, 1),
+        "ecg_like_shape variant": lambda: md.ecg_like_shape(64, 2.0),
+        "ecg_like_shape bool variant": lambda: md.ecg_like_shape(64, True),
+        "autocorrelation max_lag": lambda: md.autocorrelation(sig, 2.5),
+        "group_sum_shapes index": lambda: md.group_sum_shapes(two, [[0.0, 1]]),
+        "carrier band": lambda: carrier(prior, 1.5, "cos"),
+        "band_carrier band": lambda: band_carrier(prior, np.float64(1), "sin"),
+        "modified_rdbr band": lambda: md.modified_rdbr(sig, [prior], 1.5,
+                                                       "cos"),
+    }
+
+
+class TestIntegerCounts:
+    """Every count and index goes through one check: a non-integer or a
+    ``bool`` is :class:`OutOfDomain`, neither truncated nor a TypeError."""
+
+    @pytest.mark.parametrize("case", sorted(non_integer_count_calls()))
+    def test_non_integer_refused(self, case):
+        with pytest.raises(OutOfDomain, match="must be an integer"):
+            non_integer_count_calls()[case]()
+
+    def test_numpy_integers_accepted(self):
+        t = np.arange(64) / 64
+        prior = md.with_fundamental(md.make_prior(4.0 * t), t)
+        shape = md.ecg_like_shape(np.int64(64), np.int64(1))
+        est = md.make_estimate(np.int64(1), {np.int64(0): shape}, {})
+        assert est.bandwidth == 1
+        assert md.zero_shape(np.int32(8)).size == 8
+        assert md.sample_grid(np.int64(8)).size == 8
+        assert md.ell_band_approx(est, prior, np.int64(1), t).values.size == 64
+        assert np.array_equal(carrier(prior, np.int64(2), "cos"),
+                              carrier(prior, 2, "cos"))
 
 
 class TestEvalShape:

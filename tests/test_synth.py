@@ -5,14 +5,22 @@ from hypothesis import strategies as st
 
 import modedecomp as md
 from modedecomp.errors import NonPositiveVariance, OutOfDomain
-from modedecomp.synth import (
-    _EX41_SCALE,
-    _EX41_SHAPE_BINS,
-    _ex41_amp,
-    _ex41_phase,
-)
+from modedecomp.synth import _EX41_SCALE, _EX41_SHAPE_BINS
 
 from bitwise import same_bits
+
+
+def ex41_phase(k):
+    """Example 4.1's unit phase of component k: t + 0.006 sin/cos(2 pi t)."""
+    trig = np.sin if k == 0 else np.cos
+    return lambda t: t + 0.006 * trig(2.0 * np.pi * t)
+
+
+def ex41_amp(k):
+    """Example 4.1's amplitude of component k at the unit phase u."""
+    c, s = ((0.2, 0.1), (0.1, 0.2))[k]
+    return lambda u: (1.0 + c * np.cos(2.0 * np.pi * u)
+                      + s * np.sin(2.0 * np.pi * u))
 
 
 def example_oracle(length, noise_var, seed, grid):
@@ -21,7 +29,7 @@ def example_oracle(length, noise_var, seed, grid):
     t = md.sample_grid(length, grid, seed)
     components, priors = [], []
     for k, n_k in enumerate((150, 220)):
-        phase_fn, amp_fn = _ex41_phase(k + 1), _ex41_amp(k + 1)
+        phase_fn, amp_fn = ex41_phase(k), ex41_amp(k)
         shape = md.scale_shape(md.ecg_like_shape(_EX41_SHAPE_BINS, k + 1),
                                _EX41_SCALE)
         spec = md.ComponentSpec(
@@ -67,10 +75,11 @@ class TestGenGimf:
 
 class TestExample41:
     def test_amplitude_formulas_at_zero(self):
-        # alpha_1(0) = 1 + 0.2, phi_2(0) = 0.006
-        from modedecomp.synth import _ex41_amp, _ex41_phase
-        assert _ex41_amp(1)(np.array([0.0]))[0] == pytest.approx(1.2)
-        assert _ex41_phase(2)(np.array([0.0]))[0] == pytest.approx(0.006)
+        # alpha_1(0) = 1 + 0.2, phi_2(0) = 0.006, read off the priors at
+        # the uniform grid's t = 0
+        ex = md.gen_example_4_1(1024, 0.0, 9)
+        assert ex.priors[0].amplitude[0] == pytest.approx(1.2)
+        assert ex.priors[1].phase[0] == pytest.approx(220 * 0.006)
 
     def test_zero_noise_is_exact_sum(self):
         ex = md.gen_example_4_1(1024, 0.0, 9)
