@@ -38,12 +38,14 @@ from .fold_regress import (
     BandOperators,
     BinPass,
     PhasePlan,
+    Workers,
     as_plans,
     band_operators,
     check_amplitude,
     operator_bytes,
     partition_regress,
     pass_modes,
+    run_workers,
     sweep,
 )
 from .signal_model import (
@@ -196,7 +198,7 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
              pre: Sequence[np.ndarray | None],
              post: Sequence[np.ndarray | None], gain: float, scheme: str,
              eps: float, max_iters: int, ops: BandOperators | None = None,
-             divide: bool = False):
+             divide: bool = False, workers: Workers | None = None):
     """Sweep ``residual`` until :func:`iterate_sweeps` stops: one pass of
     the recursive scheme, as gmd runs it once and mmd once per band.
 
@@ -206,14 +208,16 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
     run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
     on the samples through :func:`~modedecomp.fold_regress.sweep`, where
     ``divide`` regresses ``r / pre_k`` instead. Both take the same
-    factors and the same regression step.
+    factors and the same regression step. A pass on bin sums runs its
+    per-component sample work on ``workers``, inline if not given.
 
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
     ``post_k * E_k(gain * U_k)`` and the residual.
     """
     if ops is not None:
-        solver = BinPass(residual, plans, ops, pre, post, gain, scheme)
+        solver = BinPass(residual, plans, ops, pre, post, gain, scheme,
+                         workers)
         # relative to the norm the pass read on entry
         denom = math.sqrt(solver.base_sq / residual.size) or 1.0
         return iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
@@ -276,7 +280,12 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     One :func:`run_pass` from the first sweep to the last, stopped by
     :func:`iterate_sweeps`: component ``k`` regresses ``r / q_k`` and
     subtracts ``q_k E_k u``, on bin sums when :func:`bin_space_fits`
-    holds. ``backend`` is checked by :func:`check_backend`.
+    holds. A run on bin sums builds its operators, enters its pass and
+    forms its modes one component (or pair) a task, on the
+    :func:`~modedecomp.fold_regress.run_workers` pool it owns until it
+    returns: threads from
+    :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, with the same
+    outputs as inline. ``backend`` is checked by :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
     check_backend(backend)
@@ -295,12 +304,13 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     amplitudes = [plan.prior.amplitude for plan in plans]
 
     pre, ops = amplitudes, None
-    if bin_space_fits(len(signal), bins, len(plans)):
-        pre = [1.0 / q for q in amplitudes]
-        ops = band_operators(plans, pre, amplitudes, 1.0)
-    norms_r, norms_s, reason, total, modes, r = run_pass(
-        scaled.values, plans, bins, pre, amplitudes, 1.0, scheme, eps,
-        max_iters, ops, divide=ops is None)
+    with run_workers(len(signal), len(plans)) as workers:
+        if bin_space_fits(len(signal), bins, len(plans)):
+            pre = [1.0 / q for q in amplitudes]
+            ops = band_operators(plans, pre, amplitudes, 1.0, workers)
+        norms_r, norms_s, reason, total, modes, r = run_pass(
+            scaled.values, plans, bins, pre, amplitudes, 1.0, scheme, eps,
+            max_iters, ops, divide=ops is None, workers=workers)
 
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,

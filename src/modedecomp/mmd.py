@@ -20,7 +20,11 @@ operators (:class:`~modedecomp.fold_regress.BandOperators`) and its carriers
 do not change across outer iterations, and band ``-n``'s passes run on band
 ``n``'s (:func:`modified_rdbr`). So :class:`BinSpacePlans` builds the
 operators once per run for each ``(|n|, kind)`` and holds the carriers in
-the memory they leave. :func:`bin_space_fits` chooses the path.
+the memory they leave. :func:`bin_space_fits` chooses the path. On that
+path the operator builds, each pass's entry sums and its modes run one
+component a task on the run's
+:func:`~modedecomp.fold_regress.run_workers` pool, with the same outputs
+as inline.
 
 The outer loop is a fixed-point iteration on the run's band state, one
 ``(passes, K, B)`` array of band tables, stopped as a band pass is, by
@@ -55,11 +59,13 @@ from .errors import (
 from .fold_regress import (
     BandOperators,
     PhasePlan,
+    Workers,
     as_plans,
     band_operators,
     operator_bytes,
     partition_regress,
     pass_modes,
+    run_workers,
 )
 from .gmd import (
     DecompositionReport,
@@ -143,10 +149,15 @@ class BinSpacePlans(tuple):
     fit in ``carrier_bytes``, ``8 K L`` bytes each, are held for the run;
     the others only while the passes of bands ``n`` and ``-n`` run, which
     the outer loop visits one after the other.
+
+    The operators are built and the passes run on ``workers``
+    (:class:`~modedecomp.fold_regress.Workers`), inline if not given.
     """
 
-    def __new__(cls, plans: Sequence[PhasePlan], carrier_bytes: int = 0):
+    def __new__(cls, plans: Sequence[PhasePlan], carrier_bytes: int = 0,
+                workers: Workers | None = None):
         self = super().__new__(cls, plans)
+        self.workers = workers or Workers(len(plans[0]))
         self.cache = {}
         self.held, self.loose = {}, {}
         self.holds = carrier_bytes // (8 * len(plans) * len(plans[0]))
@@ -157,7 +168,7 @@ class BinSpacePlans(tuple):
         key = (abs(n), kind)
         if key not in self.cache:
             self.cache[key] = band_operators(self, carriers, carriers,
-                                             gain)
+                                             gain, self.workers)
         return self.cache[key]
 
     def carriers(self, n: int, kind: str) -> list[np.ndarray]:
@@ -261,11 +272,13 @@ def modified_rdbr(residual: SampledSignal,
     bin_space = isinstance(priors, BinSpacePlans)
     pre = band_carriers(priors if bin_space else plans, n, kind)
     gain = 1.0 if n == 0 else 2.0
-    ops = priors.operators(n, kind, pre, gain) if bin_space else None
+    ops, workers = ((priors.operators(n, kind, pre, gain), priors.workers)
+                    if bin_space else (None, None))
 
     scaled, pow2 = scale_into_range(residual)
     *_, total, modes, r = run_pass(scaled.values, plans, bins, pre, pre, gain,
-                                   scheme, eps2, max_iters, ops)
+                                   scheme, eps2, max_iters, ops,
+                                   workers=workers)
     stored = band_sign(n, kind) * gain * total
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
@@ -355,6 +368,11 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     before the next pass runs. Components in the result follow the
     caller's prior order. ``backend`` is checked by
     :func:`~modedecomp.gmd.check_backend`.
+
+    A run on bin sums owns a :func:`~modedecomp.fold_regress.run_workers`
+    pool for its outer loop, threads from
+    :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, and stops it
+    before the modes are formed.
     """
     cfg.validate()
     check_backend(backend)
@@ -367,10 +385,12 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     sorted_priors, order = sort_components(resolved)
     plans = as_plans(sorted_priors, len(signal), cfg.bins)
     passes = 2 * cfg.m0 + 1
+    # it starts its threads and allocates its workspaces on first use
+    workers = run_workers(len(signal), len(plans))
     if bin_space_fits(len(signal), cfg.bins, len(plans), passes):
         plans = BinSpacePlans(
             plans, memory_bound(len(signal), len(plans))
-            - operator_bytes(cfg.bins, len(plans), passes))
+            - operator_bytes(cfg.bins, len(plans), passes), workers)
 
     r, pow2 = scale_into_range(signal)
     denom = r.l2norm or 1.0
@@ -397,7 +417,9 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         accelerated.append(mixed)
         return rel, incs
 
-    norms_r, norms_s, reason = iterate_sweeps(step, 1.0, cfg.eps1, cfg.j1)
+    with workers:
+        norms_r, norms_s, reason = iterate_sweeps(step, 1.0, cfg.eps1,
+                                                  cfg.j1)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,
                                  len(norms_r), tuple(accelerated))
 

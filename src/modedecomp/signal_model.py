@@ -378,15 +378,20 @@ def interpolation(x, nb: int):
 
 
 def band_term(table: np.ndarray, j0, w, w1=None,
-              g: np.ndarray | None = None) -> np.ndarray:
+              g: np.ndarray | None = None, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """``g`` times ``table`` at :func:`interpolation`'s ``(j0, w)``,
     ``w1 table[j0] + w table[(j0 + 1) % B]`` in place, with ``w1 = 1 - w``
-    unless given and ``g = None`` being 1: the one table-at-samples formula."""
-    out = table[j0]
+    unless given and ``g = None`` being 1: the one table-at-samples formula.
+    Formed in ``out`` with its tail in ``scratch``, where given, else in
+    new arrays."""
+    # j0 lies in [0, B); "wrap" writes into out unbuffered, as "raise" does not
+    out = np.take(table, j0, out=out, mode="wrap")
     # a w1 formed here is let go before the tail is gathered
     out *= 1.0 - w if w1 is None else w1
     # table[(j0 + 1) % B] is the table moved one bin back, read at j0
-    tail = np.concatenate((table[1:], table[:1]))[j0]
+    tail = np.take(np.concatenate((table[1:], table[:1])), j0, out=scratch,
+                   mode="wrap")
     tail *= w
     out += tail
     if g is not None:

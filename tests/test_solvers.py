@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
-from modedecomp import gmd, mmd
+from modedecomp import fold_regress, gmd, mmd
 from modedecomp.errors import OutOfDomain
 from modedecomp.fold_regress import BinPass
 from modedecomp.signal_model import row_norms
@@ -253,13 +253,16 @@ def load_tracer():
 
 def test_traced_runs_match_untraced():
     # the tracer hands its traced partition_regress in as the backend; the
-    # runs take their default paths (gmd at 2^12 on the samples, mmd in
-    # bin space) and regress without calling it
+    # runs take their default paths (gmd at 2^12 on the samples, mmd and
+    # gmd at the pool's floor in bin space) and regress without calling it
     ex = md.gen_example_4_1(2 ** 12, 0.0, 7)
+    long = md.gen_example_4_1(fold_regress.POOL_FLOOR, 0.0, 7)
     runs = {
         "gmd": lambda: md.gmd_decompose(ex.signal, list(ex.priors)),
         "mmd": lambda: md.mmd_decompose(ex.signal, list(ex.priors),
-                                        md.MmdConfig(m0=1))}
+                                        md.MmdConfig(m0=1)),
+        "gmd_pooled": lambda: md.gmd_decompose(long.signal,
+                                               list(long.priors))}
     want = {name: run() for name, run in runs.items()}
     tracer = load_tracer().Tracer()
     with tracer.installed(), counting_sweeps() as counts:
@@ -269,11 +272,18 @@ def test_traced_runs_match_untraced():
         assert got[name].report == want[name].report
         assert all(np.array_equal(a, b) for a, b in zip(
             outputs(got[name]), outputs(want[name]), strict=True))
+    # the pool's tasks open no spans: the same ones as inline
+    inline = load_tracer().Tracer()
+    with inline.installed(), \
+            mock.patch.object(fold_regress, "POOL_FLOOR", 2 ** 62):
+        runs["gmd_pooled"]()
+    pooled = [span[2] for span in tracer.spans[-len(inline.spans):]]
+    assert pooled == [span[2] for span in inline.spans]
     names = [span[2] for span in tracer.spans]
     # bands 0, 1 and -1, a cosine and a sine pass for each but band 0
     passes = 5 * want["mmd"].report.iterations
     assert names.count("mmd.modified_rdbr") == passes == tracer.passes[1]
-    assert names.count("gmd.gmd_decompose") == 1
+    assert names.count("gmd.gmd_decompose") == 2
     assert "fold_regress.partition_regress" not in names
 
 
