@@ -10,9 +10,9 @@ bin it and derive its interpolation weights once, for one bin count, in a
 through :func:`sweep`, which reproduces the reference functions
 :func:`unwarp_samples` to :func:`center_shape` bit for bit, or on bin sums
 through :class:`BinPass` and the :class:`BandOperators` that
-:func:`band_operators` builds, to rounding. Both regress by
-:func:`bin_means` of the plans' bin sums.
-:func:`modedecomp.gmd.run_pass` runs a pass either way.
+:func:`band_operators` builds, to rounding. Both take the same factors
+and regress by :func:`bin_means` of the plans' bin sums of ``pre_k * r``.
+:func:`modedecomp.gmd.run_pass` runs every pass, either way.
 
 A pass on bin sums reads the samples twice: on entry, for its bin sums and
 its norm (an mmd band pass takes them from two sums over
@@ -186,23 +186,23 @@ def as_plans(priors: Sequence[PhasePrior | PhasePlan], length: int,
     return plans
 
 
-def check_amplitude(prior: PhasePrior) -> None:
-    """Reject amplitudes too small to divide by."""
+def check_amplitude(prior: PhasePrior) -> np.ndarray:
+    """The prior's amplitude; reject one too small to divide by."""
     if np.any(np.abs(prior.amplitude) < AMPLITUDE_FLOOR):
         raise AmplitudeTooSmall(
             f"amplitude magnitude below {AMPLITUDE_FLOOR:g}")
+    return prior.amplitude
 
 
 def unwarp_samples(residual: SampledSignal, prior: PhasePrior):
-    """Re-index residual samples by phase and divide out the amplitude.
+    """Re-index residual samples by phase and take out the amplitude.
 
-    Returns ``(vs, ys)`` with ``vs = p(t_l)`` and ``ys = r(t_l) / q(t_l)``.
+    Returns ``(vs, ys)`` with ``vs = p(t_l)`` and ``ys = (1/q(t_l)) r(t_l)``.
     No explicit phase inverse is computed; the samples are simply re-indexed.
     """
     if len(prior) != len(residual):
         raise GridMismatch("prior and residual are on different grids")
-    check_amplitude(prior)
-    return prior.phase.copy(), residual.values / prior.amplitude
+    return prior.phase.copy(), (1.0 / check_amplitude(prior)) * residual.values
 
 
 def demodulate(residual: SampledSignal, prior: PhasePrior, n: int, kind: str):
@@ -387,26 +387,24 @@ def run_workers(length: int, components: int) -> Workers:
                    if length >= POOL_FLOOR else 1)
 
 
-def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
-          scheme: str, pre: Sequence[np.ndarray | None],
-          post: Sequence[np.ndarray | None], gain: float,
-          divide: bool = False):
+def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], scheme: str,
+          pre: Sequence[np.ndarray | None],
+          post: Sequence[np.ndarray | None], gain: float):
     """One Gauss-Seidel or Jacobi pass of regressions over all components.
 
-    Component ``k`` regresses ``ys = r / pre[k]`` (with ``divide``) or
-    ``ys = pre[k] * r`` on its plan's bins, as :class:`BinPass` does,
-    centres the estimate ``u`` and subtracts ``post[k] * E_k(gain * u)``;
-    a ``None`` factor is 1. Gauss-Seidel chains the residual through the
-    components, Jacobi regresses every component against ``residual``.
+    Component ``k`` regresses ``ys = pre[k] * r`` on its plan's bins, as
+    :class:`BinPass` does, centres the estimate ``u`` and subtracts
+    ``post[k] * E_k(gain * u)``; a ``None`` factor is 1. Gauss-Seidel
+    chains the residual through the components, Jacobi regresses every
+    component against ``residual``.
 
     Returns the centred increments ``(K, B)`` and the new residual array.
     """
-    cur = residual
+    cur, bins = residual, plans[0].layout.size
     incs = np.empty((len(plans), bins))
     subtracted: list[np.ndarray] = []
     for plan, a, b, inc in zip(plans, pre, post, incs):
-        source = cur if scheme == "gauss_seidel" else residual
-        ys = source / a if divide and a is not None else _times(a, source)
+        ys = _times(a, cur if scheme == "gauss_seidel" else residual)
         if not np.all(np.isfinite(ys)):
             raise NonFinite("folded samples must be finite")
         means = bin_means(np.bincount(plan.layout.index, ys, bins),

@@ -14,7 +14,8 @@ recommended choice.
 :func:`run_pass` drives every pass, sweeping until :func:`iterate_sweeps`,
 the one stopping rule (mmd's outer loop stops by it too), ends it:
 :func:`gmd_decompose` runs one pass from its first sweep to its last,
-:func:`modedecomp.mmd.modified_rdbr` one per band.
+:func:`rdbr_sweep` one of one sweep, :func:`modedecomp.mmd.modified_rdbr`
+one per band.
 A pass of partitioning estimates is linear in the residual, so given the
 pass's operators it runs on bin sums
 (:class:`~modedecomp.fold_regress.BinPass`), and otherwise on the samples
@@ -139,32 +140,31 @@ def check_backend(backend) -> None:
 
 def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
     """Undo :func:`sort_components`: ``items[i]`` belongs to input ``order[i]``."""
-    out = [None] * len(items)
-    for pos, src in enumerate(order):
-        out[src] = items[pos]
-    return out
+    return [items[order.index(k)] for k in range(len(items))]
+
+
+def gmd_factors(plans: Sequence[PhasePlan]):
+    """gmd's factors ``pre_k = 1 / q_k`` and ``post_k = q_k``, checked."""
+    post = [check_amplitude(plan.prior) for plan in plans]
+    return [1.0 / q for q in post], post
 
 
 def rdbr_sweep(residual: SampledSignal,
                priors: Sequence[PhasePrior | PhasePlan],
                bins: int, scheme: str = "gauss_seidel"):
-    """One regression sweep over all components (priors already sorted).
+    """One regression sweep over all components (priors already sorted),
+    as a :func:`run_pass` stopped after one sweep.
 
     Returns the centered shape increments and the residual after all
     subtractions. With identical phases the first component absorbs the
     common structure; the result is order-dependent by design. ``priors``
-    may hold the :class:`PhasePlan` objects :func:`gmd_decompose` prepares
-    once per run, whose amplitudes it has already checked.
+    may hold :class:`PhasePlan` objects; every amplitude is checked.
     """
     check_run(scheme, bins=bins)
     plans = as_plans(priors, len(residual), bins)
-    for p in priors:
-        if not isinstance(p, PhasePlan):
-            check_amplitude(p)
-    amplitudes = [plan.prior.amplitude for plan in plans]
-    increments, r = sweep(residual.values, plans, bins, scheme, amplitudes,
-                          amplitudes, 1.0, divide=True)
-    return [make_shape(u) for u in increments], SampledSignal(residual.times, r)
+    *_, total, _, r = run_pass(residual.values, plans, *gmd_factors(plans),
+                               1.0, scheme, 0.5, 1)
+    return [make_shape(u) for u in total], SampledSignal(residual.times, r)
 
 
 def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
@@ -194,22 +194,23 @@ def iterate_sweeps(step, denom: float, eps: float, max_iters: int):
     return norms_r, norms_s, reason
 
 
-def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
+def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
              pre: Sequence[np.ndarray | None],
              post: Sequence[np.ndarray | None], gain: float, scheme: str,
              eps: float, max_iters: int, ops: BandOperators | None = None,
-             divide: bool = False, workers: Workers | None = None):
+             workers: Workers | None = None):
     """Sweep ``residual`` until :func:`iterate_sweeps` stops: one pass of
     the recursive scheme, as gmd runs it once and mmd once per band.
 
-    Component ``k`` regresses ``pre_k * r`` and subtracts
-    ``gain * post_k * E_k u``; a ``None`` factor is 1. Given the pass's
+    Component ``k`` regresses ``pre_k * r`` on its plan's bins and
+    subtracts ``gain * post_k * E_k u``; a ``None`` factor is 1, and the
+    plans fix the bin count ``B``. Given the pass's
     :class:`~modedecomp.fold_regress.BandOperators` as ``ops``, the sweeps
     run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
-    on the samples through :func:`~modedecomp.fold_regress.sweep`, where
-    ``divide`` regresses ``r / pre_k`` instead. Both take the same
-    factors and the same regression step. A pass on bin sums runs its
-    per-component sample work on ``workers``, inline if not given.
+    on the samples through :func:`~modedecomp.fold_regress.sweep`. Both
+    take the same factors and the same regression step. A pass on bin
+    sums runs its per-component sample work on ``workers``, inline if not
+    given.
 
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
@@ -224,12 +225,12 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan], bins: int,
                               max_iters) + solver.finish()
 
     denom = signal_norm(residual) or 1.0
-    total = np.zeros((len(plans), bins))
+    total = np.zeros((len(plans), plans[0].layout.size))
     r = residual
 
     def step():
         nonlocal r
-        incs, r = sweep(r, plans, bins, scheme, pre, post, gain, divide)
+        incs, r = sweep(r, plans, scheme, pre, post, gain)
         np.add(total, incs, out=total)
         # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
         return signal_norm(r), row_norms(incs) * gain
@@ -278,10 +279,11 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     """Iterate regression sweeps until the residual stops falling.
 
     One :func:`run_pass` from the first sweep to the last, stopped by
-    :func:`iterate_sweeps`: component ``k`` regresses ``r / q_k`` and
-    subtracts ``q_k E_k u``, on bin sums when :func:`bin_space_fits`
-    holds. A run on bin sums builds its operators, enters its pass and
-    forms its modes one component (or pair) a task, on the
+    :func:`iterate_sweeps`: component ``k`` regresses ``(1 / q_k) r`` and
+    subtracts ``q_k E_k u``, with the factors formed once
+    (:func:`gmd_factors`), on bin sums when :func:`bin_space_fits` holds.
+    A run on bin sums builds its operators, enters its pass and forms its
+    modes one component (or pair) a task, on the
     :func:`~modedecomp.fold_regress.run_workers` pool it owns until it
     returns: threads from
     :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, with the same
@@ -299,18 +301,13 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
     scaled, pow2 = scale_into_range(signal)
     plans = as_plans(sorted_priors, len(signal), bins)
-    for prior in sorted_priors:
-        check_amplitude(prior)
-    amplitudes = [plan.prior.amplitude for plan in plans]
-
-    pre, ops = amplitudes, None
+    pre, post = gmd_factors(plans)
     with run_workers(len(signal), len(plans)) as workers:
-        if bin_space_fits(len(signal), bins, len(plans)):
-            pre = [1.0 / q for q in amplitudes]
-            ops = band_operators(plans, pre, amplitudes, 1.0, workers)
+        ops = (band_operators(plans, pre, post, 1.0, workers)
+               if bin_space_fits(len(signal), bins, len(plans)) else None)
         norms_r, norms_s, reason, total, modes, r = run_pass(
-            scaled.values, plans, bins, pre, amplitudes, 1.0, scheme, eps,
-            max_iters, ops, divide=ops is None, workers=workers)
+            scaled.values, plans, pre, post, 1.0, scheme, eps, max_iters,
+            ops, workers)
 
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,
@@ -319,10 +316,9 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     modes = [SampledSignal(t, np.ldexp(mode, pow2, out=mode))
              for mode in modes]
     r = ldexp_signal(SampledSignal(t, r), pow2)
-    fundamentals = [int(p.fundamental) for p in sorted_priors]
     return GmdResult(to_caller_order(shapes, order),
                      to_caller_order(modes, order), r, report,
-                     to_caller_order(fundamentals, order))
+                     [int(p.fundamental) for p in resolved])
 
 
 def group_sum_shapes(result: GmdResult,

@@ -276,9 +276,8 @@ def modified_rdbr(residual: SampledSignal,
                     if bin_space else (None, None))
 
     scaled, pow2 = scale_into_range(residual)
-    *_, total, modes, r = run_pass(scaled.values, plans, bins, pre, pre, gain,
-                                   scheme, eps2, max_iters, ops,
-                                   workers=workers)
+    *_, total, modes, r = run_pass(scaled.values, plans, pre, pre, gain,
+                                   scheme, eps2, max_iters, ops, workers)
     stored = band_sign(n, kind) * gain * total
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
@@ -439,9 +438,8 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         estimates.append(make_estimate(
             cfg.m0, tables["cos"], tables["sin"],
             mode=SampledSignal(t, np.ldexp(mode, pow2, out=mode))))
-    fundamentals = [int(p.fundamental) for p in sorted_priors]
     return MmdResult(to_caller_order(estimates, order), ldexp_signal(r, pow2),
-                     report, to_caller_order(fundamentals, order))
+                     report, [int(p.fundamental) for p in resolved])
 
 
 def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,

@@ -466,22 +466,29 @@ def make_estimate(bandwidth: int,
                   sin_coeffs: Mapping[int, float] | None = None,
                   mode: SampledSignal | None = None,
                   normalized: bool = False) -> MimfEstimate:
-    """Validate band indices and assemble an estimate.
+    """Validate band indices and coefficients and assemble an estimate.
 
-    When coefficients are omitted they default to the L2 norms of the stored
-    tables (the product-table convention).
+    Every band is an integer in ``[-m0, m0]``, no sine band is 0, and every
+    coefficient is finite, with a table of its kind; omitted coefficients
+    default to the tables' L2 norms (the product-table convention).
     """
     m0 = integer(bandwidth, "bandwidth", 0, BandOutOfRange)
-    for kind, shapes in (("cos", cos_shapes), ("sin", sin_shapes)):
-        for n in shapes:
-            if kind == "sin" and n == 0:
-                raise SinZeroBand("sine shapes have no band-0 entry")
-            if abs(integer(n, f"{kind} band")) > m0:
-                raise BandOutOfRange(f"{kind} band {n} outside [-{m0}, {m0}]")
     if cos_coeffs is None:
         cos_coeffs = {n: s.l2norm for n, s in cos_shapes.items()}
     if sin_coeffs is None:
         sin_coeffs = {n: s.l2norm for n, s in sin_shapes.items()}
+    for kind, shapes, coeffs in (("cos", cos_shapes, cos_coeffs),
+                                 ("sin", sin_shapes, sin_coeffs)):
+        for n in (*shapes, *coeffs):
+            if kind == "sin" and n == 0:
+                raise SinZeroBand("sine shapes have no band-0 entry")
+            if abs(integer(n, f"{kind} band")) > m0:
+                raise BandOutOfRange(f"{kind} band {n} outside [-{m0}, {m0}]")
+        for n, c in coeffs.items():
+            if n not in shapes:
+                raise OutOfDomain(f"{kind} coefficient {n} has no table")
+            if not math.isfinite(c):
+                raise NonFinite(f"{kind} coefficient {n} is {c!r}")
     return MimfEstimate(m0, dict(cos_shapes), dict(sin_shapes),
                         dict(cos_coeffs), dict(sin_coeffs), mode, normalized)
 

@@ -314,6 +314,74 @@ class TestGmdMatchesSampleSpace:
                                   components, seed)
         assert_gmd_close(gmd_both_paths(sig, priors, scheme=scheme), sig)
 
+    @pytest.mark.parametrize("scheme, same", [("gauss_seidel", 1),
+                                              ("jacobi", 2)])
+    def test_paths_regress_the_same_samples(self, scheme, same):
+        # both paths regress (1 / q_k) r, so a one-sweep run's increments
+        # agree bit for bit while they regress the run's input: Gauss-
+        # Seidel's first component, and every component of a Jacobi sweep
+        sig, priors = gmd_problem(2 ** 14, "iid_uniform", 0.0, 2, 3)
+        (want, _), (got, _) = gmd_both_paths(sig, priors, max_iters=1,
+                                             scheme=scheme)
+        for g, w in zip(got.shapes[:same], want.shapes[:same], strict=True):
+            assert np.array_equal(g.bins, w.bins)
+
+
+@contextmanager
+def sweeps_inside_run_pass():
+    """Record, for each sample-space and bin-space sweep run inside,
+    whether it ran within a :func:`gmd.run_pass` call."""
+    depth, inside = [0], []
+    real_pass = gmd.run_pass
+
+    def driver(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_pass(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(depth[0] > 0)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    sample = recorded(fold_regress.sweep)
+    with mock.patch.object(gmd, "run_pass", driver), \
+            mock.patch.object(mmd, "run_pass", driver), \
+            mock.patch.object(fold_regress, "sweep", sample), \
+            mock.patch.object(gmd, "sweep", sample), \
+            mock.patch.object(BinPass, "sweep", recorded(BinPass.sweep)):
+        yield inside
+
+
+class TestOnePassDriver:
+    """Every sweep of the public decompositions, on the samples or on bin
+    sums, runs in the one pass driver, :func:`gmd.run_pass`."""
+
+    def run(self, case, sig, priors):
+        if case == "rdbr_sweep":
+            return md.rdbr_sweep(sig, priors, 24)
+        if case.startswith("gmd_decompose"):
+            bin_space = case.endswith("bin")
+            with mock.patch.object(gmd, "bin_space_fits",
+                                   lambda *args: bin_space):
+                return md.gmd_decompose(sig, priors, max_iters=3, bins=24)
+        plans = [plan_phase(p, len(sig), 24) for p in priors]
+        return md.modified_rdbr(
+            sig, BinSpacePlans(plans) if case.endswith("bin") else plans,
+            1, "cos", max_iters=3, bins=24)
+
+    @pytest.mark.parametrize("case", [
+        "rdbr_sweep", "gmd_decompose_sample", "gmd_decompose_bin",
+        "modified_rdbr_sample", "modified_rdbr_bin"])
+    def test_every_sweep_in_run_pass(self, case):
+        sig, priors = problem(11, 600, "iid_uniform", 2)
+        with sweeps_inside_run_pass() as inside:
+            self.run(case, sig, priors)
+        assert inside and all(inside)
+
 
 def factors(priors, n, kind):
     """Regression and subtraction factors and gain of an mmd band pass
@@ -774,8 +842,8 @@ class TestOppositeBands:
                                             "sin", bins=16, scheme=scheme)
 
         def run(g):
-            return gmd.run_pass(sig.values, plans, 16, g, g, 2.0, scheme,
-                                1e-6, 10, ops=band_operators(plans, g, g, 2.0))
+            return gmd.run_pass(sig.values, plans, g, g, 2.0, scheme, 1e-6,
+                                10, ops=band_operators(plans, g, g, 2.0))
 
         g = [carrier(p, n, "sin") for p in priors]
         *own, total, want_modes, want_r = run([np.negative(a) for a in g])

@@ -311,13 +311,13 @@ class TestSweepMatchesReference:
         plans = [plan_phase(p, length, bins) for p in priors]
         gain = 1.0 if n is None or n == 0 else 2.0
         if n is None:
-            pre = post = [p.amplitude for p in priors]
+            post = [p.amplitude for p in priors]
+            pre = [1.0 / q for q in post]
         elif n == 0:
             pre = post = [None] * components
         else:
             pre = post = [carrier(p, n, kind) for p in priors]
-        incs, r = sweep(sig.values, plans, bins, scheme, pre, post, gain,
-                        divide=n is None)
+        incs, r = sweep(sig.values, plans, scheme, pre, post, gain)
         want_incs, want_subs, want_r = _reference_pass(
             sig, priors, bins, scheme, n, kind)
         assert incs.shape == (components, bins)
@@ -326,8 +326,8 @@ class TestSweepMatchesReference:
         assert np.array_equal(r, want_r.values)
 
         # a one-sweep pass subtracts its modes
-        *_, modes, r = run_pass(sig.values, plans, bins, pre, post, gain,
-                                scheme, 0.5, 1, divide=n is None)
+        *_, modes, r = run_pass(sig.values, plans, pre, post, gain, scheme,
+                                0.5, 1)
         for got, want in zip(modes, want_subs):
             assert np.array_equal(got, want)
         assert np.array_equal(r, want_r.values)

@@ -488,6 +488,48 @@ class TestReconstruct:
             md.make_estimate(1, {}, {0: md.zero_shape(8)})
 
 
+class TestEstimateCoefficients:
+    """A coefficient map is checked as a table map is, and each of its
+    bands needs a table of its kind and a finite value."""
+
+    TABLE = md.ecg_like_shape(64, 1)
+
+    def estimate(self, **coeffs):
+        return md.make_estimate(1, {0: self.TABLE, 1: self.TABLE},
+                                {1: self.TABLE}, **coeffs)
+
+    def test_matching_maps_kept(self):
+        est = self.estimate(cos_coeffs={0: 2.0, 1: 0.5}, sin_coeffs={1: 0.0})
+        assert est.cos_coeffs == {0: 2.0, 1: 0.5}
+        assert est.sin_coeffs == {1: 0.0}
+
+    def test_band_not_an_integer(self):
+        with pytest.raises(OutOfDomain):
+            self.estimate(cos_coeffs={0.5: 1.0})
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("band", [2, -2, 5])
+    def test_band_out_of_range(self, kind, band):
+        with pytest.raises(md.BandOutOfRange):
+            self.estimate(**{f"{kind}_coeffs": {band: 2.0}})
+
+    def test_sin_band_zero(self):
+        with pytest.raises(md.SinZeroBand):
+            self.estimate(sin_coeffs={0: 1.0})
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    def test_band_without_table(self, kind):
+        # band -1 is in range, but neither map has a table for it
+        with pytest.raises(OutOfDomain):
+            self.estimate(**{f"{kind}_coeffs": {-1: 1.0}})
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, kind, value):
+        with pytest.raises(NonFinite):
+            self.estimate(**{f"{kind}_coeffs": {1: value}})
+
+
 class TestBandTerm:
     """One definition of a band term, shared by the solver and the band
     sum: its carrier, its check, its visit order and its sign."""
