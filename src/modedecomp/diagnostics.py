@@ -23,6 +23,7 @@ from .errors import (
     OutOfDomain,
     TraceTooShort,
     integer,
+    real,
 )
 from .fold_regress import bin_layout
 from .signal_model import PhasePrior, SampledSignal, unit_position
@@ -66,7 +67,7 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     ``step`` must divide the unit interval into an integer number of cells,
     at least 2.
     """
-    if not 0.0 < step < np.inf:
+    if not 0.0 < real(step, "step") < np.inf:
         raise InvalidStep("step must be positive and finite")
     cells_f = 1.0 / step
     cells = int(round(cells_f))
@@ -101,7 +102,7 @@ def well_diff_stats(counts: PartitionCounts, m_bound: float) -> WellDiffStats:
     ``m_bound^2 * (K - 1) * beta``; the collection is flagged
     well-differentiated when ``gamma > 0`` and the bound is below 1.
     """
-    if not 0.0 < m_bound < np.inf:
+    if not 0.0 < real(m_bound, "m_bound") < np.inf:
         raise OutOfDomain("m_bound must be positive and finite")
     k_count = counts.marginals.shape[0]
     if counts.pairs:
@@ -165,7 +166,7 @@ def fit_decay_rate(residual_norms: Sequence[float], floor: float = 0.0):
         raise OutOfDomain("residual_norms must be 1-d")
     if np.any(norms <= 0.0):
         raise OutOfDomain("residual norms must be positive to fit a rate")
-    if np.count_nonzero(norms > floor) < 3:
+    if np.count_nonzero(norms > real(floor, "floor")) < 3:
         raise TraceTooShort("need at least 3 trace points above the floor")
     final = norms[-1]
     plateau = norms <= 2.0 * final

@@ -87,3 +87,11 @@ def integer(value, name: str, least=None, too_small=OutOfDomain) -> int:
     if least is not None and value < least:
         raise too_small(f"{name} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def real(value, name: str):
+    """``value``, a real number, numpy's included: any other or a ``bool``
+    is :class:`OutOfDomain`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfDomain(f"{name} must be a real number, got {value!r}")
+    return value

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     AmplitudeTooSmall,
+    DecompositionError,
     EmptyInput,
     GridMismatch,
     LengthMismatch,
@@ -172,8 +173,10 @@ def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
 
 def as_plans(priors: Sequence[PhasePrior | PhasePlan], length: int,
              bins: int) -> list[PhasePlan]:
-    """Plans for ``priors``, keeping entries that already are plans for
-    ``bins`` bins."""
+    """Plans for ``priors``, at least one, keeping entries that already
+    are plans for ``bins`` bins."""
+    if len(priors) == 0:
+        raise DecompositionError("at least one phase prior is required")
     plans = []
     for p in priors:
         if not isinstance(p, PhasePlan):

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DecompositionError, InvalidPartition, OutOfDomain, integer
+from .errors import (DecompositionError, InvalidPartition, OutOfDomain,
+                     integer, real)
 from .fold_regress import (
     BandOperators,
     BinPass,
@@ -127,7 +127,7 @@ def check_run(scheme: str, **params) -> None:
     for name, value in params.items():
         if name in LEAST:
             integer(value, name, LEAST[name])
-        elif not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        elif not 0.0 < real(value, name) < 1.0:
             raise OutOfDomain(f"{name} must lie in (0, 1), got {value!r}")
 
 
@@ -136,6 +136,21 @@ def check_backend(backend) -> None:
     ``bench/tracer.py`` binds to this module's name and hands in traced."""
     if backend is not partition_regress:
         raise OutOfDomain(f"backend must be partition_regress, got {backend!r}")
+
+
+def prepare_run(signal: SampledSignal, priors: Sequence[PhasePrior], backend,
+                bins: int):
+    """The prologue of both decompositions: check ``backend``
+    (:func:`check_backend`), resolve each missing fundamental on the
+    signal's grid and plan the priors in :func:`sort_components` order.
+    Returns the plans, the order and the fundamentals in the caller's
+    order."""
+    check_backend(backend)
+    resolved = [p if p.fundamental is not None
+                else with_fundamental(p, signal.times) for p in priors]
+    sorted_priors, order = sort_components(resolved)
+    return (as_plans(sorted_priors, len(signal), bins), order,
+            [int(p.fundamental) for p in resolved])
 
 
 def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
@@ -251,14 +266,12 @@ def bin_space_fits(length: int, bins: int, components: int) -> bool:
     :data:`OPERATOR_PER_SAMPLE` bytes per component and sample (so never
     more than its phase plans).
 
-    An mmd run of band 0 alone is the opposite case:
-    :func:`modedecomp.mmd.bin_space_fits` keeps it on the samples for more
-    than one component, because it builds a new pass in every outer
-    iteration and forms that pass's modes and residual on the samples. A gmd
-    run is one pass from its first sweep to its last: it builds its
-    operators once and forms its modes and residual once. With one
-    component that fixed work still costs as much as the cheap sweeps it
-    replaces: a lone mode converges in four to six of them.
+    A gmd run is one pass from its first sweep to its last, so it builds
+    its operators and forms its modes and residual once
+    (:func:`modedecomp.mmd.bin_space_fits` sets out why a run of mmd's band
+    0 alone differs). With one component that fixed work still costs as
+    much as the cheap sweeps it replaces: a lone mode converges in four to
+    six of them.
 
     Measured on ex4_1-shaped runs with the path forced (2-vCPU Xeon VM,
     ``K = 1 ... 3``, ``B = 200 ... 1000``, ``L = 2^10 ... 2^20``, both
@@ -290,17 +303,8 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     outputs as inline. ``backend`` is checked by :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
-    check_backend(backend)
-    if len(priors) == 0:
-        raise DecompositionError("at least one phase prior is required")
-
-    t = signal.times
-    resolved = [p if p.fundamental is not None else with_fundamental(p, t)
-                for p in priors]
-    sorted_priors, order = sort_components(resolved)
-
+    plans, order, fundamentals = prepare_run(signal, priors, backend, bins)
     scaled, pow2 = scale_into_range(signal)
-    plans = as_plans(sorted_priors, len(signal), bins)
     pre, post = gmd_factors(plans)
     with run_workers(len(signal), len(plans)) as workers:
         ops = (band_operators(plans, pre, post, 1.0, workers)
@@ -312,13 +316,13 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,
                                  (False,) * j)
+    t = signal.times
     shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
     modes = [SampledSignal(t, np.ldexp(mode, pow2, out=mode))
              for mode in modes]
     r = ldexp_signal(SampledSignal(t, r), pow2)
     return GmdResult(to_caller_order(shapes, order),
-                     to_caller_order(modes, order), r, report,
-                     [int(p.fundamental) for p in resolved])
+                     to_caller_order(modes, order), r, report, fundamentals)
 
 
 def group_sum_shapes(result: GmdResult,

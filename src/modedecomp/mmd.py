@@ -10,19 +10,19 @@ Results keep the products, with their L2 norms as coefficients;
 
 Relative to a plain generalized-mode run, the multiresolution loop costs a
 factor of order ``J2 * M0`` more regressions; each one reuses its prior's
-:class:`~modedecomp.fold_regress.PhasePlan`, built once per run, and each
-band pass evaluates its carriers once.
+:class:`~modedecomp.fold_regress.PhasePlan`, built once per run.
 
 Every step of a band pass is linear in the residual, so
 :func:`~modedecomp.gmd.run_pass` may solve it on bin sums: the inner sweeps
-then cost ``O(K^2 B^2)`` rather than ``O(K L)``. The pass's ``B x B``
-operators (:class:`~modedecomp.fold_regress.BandOperators`) and its carriers
-do not change across outer iterations, and band ``-n``'s passes run on band
-``n``'s (:func:`modified_rdbr`). So :class:`BinSpacePlans` builds the
-operators once per run for each ``(|n|, kind)`` and holds the carriers in
-the memory they leave. :func:`bin_space_fits` chooses the path. On that
-path the operator builds, each pass's entry sums and its modes run one
-component a task on the run's
+then cost ``O(K^2 B^2)`` rather than ``O(K L)``. :func:`bin_space_fits`
+chooses the path. A pass's carriers and its ``B x B`` operators
+(:class:`~modedecomp.fold_regress.BandOperators`) do not change across
+outer iterations, and band ``-n``'s passes run on band ``n``'s
+(:func:`modified_rdbr`). So a run's :class:`BandPlans` builds the operators
+once for each ``(|n|, kind)`` and, on either path, holds the carriers, for
+its passes and its modes, in what they leave under :func:`memory_bound`.
+On bin sums the operator builds, each pass's entry sums and its modes run
+one component a task on the run's
 :func:`~modedecomp.fold_regress.run_workers` pool, with the same outputs
 as inline.
 
@@ -50,12 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BandOutOfRange,
-    DecompositionError,
-    GridMismatch,
-    integer,
-)
+from .errors import BandOutOfRange, GridMismatch, integer
 from .fold_regress import (
     BandOperators,
     PhasePlan,
@@ -64,25 +59,24 @@ from .fold_regress import (
     band_operators,
     operator_bytes,
     partition_regress,
-    pass_modes,
     run_workers,
 )
 from .gmd import (
     DecompositionReport,
-    check_backend,
     check_run,
     iterate_sweeps,
+    prepare_run,
     run_pass,
     to_caller_order,
 )
 from .signal_model import (
+    BandCarriers,
     MimfEstimate,
     PhasePrior,
     SampledSignal,
-    band_carrier,
     band_sign,
     band_slots,
-    carrier,
+    band_term,
     ldexp_shape,
     ldexp_signal,
     make_estimate,
@@ -90,8 +84,6 @@ from .signal_model import (
     reconstruct_mimf,
     scale_into_range,
     signal_norm,
-    sort_components,
-    with_fundamental,
 )
 
 __all__ = [
@@ -135,55 +127,33 @@ class MmdResult:
     fundamentals: list[int]
 
 
-class BinSpacePlans(tuple):
-    """A run's phase plans, marked for the bin-space band pass.
-
-    :func:`modified_rdbr` solves a band pass over these plans on bin sums
-    (:class:`~modedecomp.fold_regress.BinPass`) and keeps the pass's
-    :class:`~modedecomp.fold_regress.BandOperators` here for the rest of
-    the run, keyed by ``(|n|, kind)``: band ``-n``'s passes run on band
-    ``n``'s carriers.
-
-    The carriers are kept here too, keyed the same way. Those of the first
-    ``(|n|, kind)`` in the order ``(1, cos), (1, sin), (2, cos), ...`` that
-    fit in ``carrier_bytes``, ``8 K L`` bytes each, are held for the run;
-    the others only while the passes of bands ``n`` and ``-n`` run, which
-    the outer loop visits one after the other.
-
-    The operators are built and the passes run on ``workers``
-    (:class:`~modedecomp.fold_regress.Workers`), inline if not given.
+class BandPlans(tuple):
+    """A run's phase plans and what its band passes share: ``carriers``, a
+    :class:`~modedecomp.signal_model.BandCarriers` store of ``budget``
+    bytes, the ``workers`` (inline if not given) and, with ``bin_space``,
+    each pass's :class:`~modedecomp.fold_regress.BandOperators`, built by
+    :meth:`operators` on first use and kept for the run by ``(|n|, kind)``.
+    Without ``bin_space``, :meth:`operators` gives ``None`` and
+    :func:`modified_rdbr` sweeps on the samples.
     """
 
-    def __new__(cls, plans: Sequence[PhasePlan], carrier_bytes: int = 0,
-                workers: Workers | None = None):
+    def __new__(cls, plans: Sequence[PhasePlan], bin_space: bool = False,
+                budget: int = 0, workers: Workers | None = None):
         self = super().__new__(cls, plans)
+        self.carriers = BandCarriers([plan.prior for plan in plans], budget)
         self.workers = workers or Workers(len(plans[0]))
-        self.cache = {}
-        self.held, self.loose = {}, {}
-        self.holds = carrier_bytes // (8 * len(plans) * len(plans[0]))
+        self.cache = {} if bin_space else None
         return self
 
     def operators(self, n: int, kind: str, carriers,
-                  gain: float) -> BandOperators:
+                  gain: float) -> BandOperators | None:
+        if self.cache is None:
+            return None
         key = (abs(n), kind)
         if key not in self.cache:
             self.cache[key] = band_operators(self, carriers, carriers,
                                              gain, self.workers)
         return self.cache[key]
-
-    def carriers(self, n: int, kind: str) -> list[np.ndarray]:
-        """Band ``|n|``'s ``kind`` carriers, one per plan, as
-        :func:`~modedecomp.fold_regress.carrier` gives them: held ones as
-        they are, the others evaluated for band ``n``'s pass and given up
-        to band ``-n``'s."""
-        key = (abs(n), kind)
-        got = (self.held.get(key) or self.loose.pop(key, None)
-               or [carrier(plan.prior, abs(n), kind) for plan in self])
-        if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
-            self.held[key] = got
-        elif n > 0:
-            self.loose[key] = got
-        return got
 
 
 #: Bytes of cached operators and carriers any run may hold, whatever its
@@ -197,7 +167,7 @@ OPERATOR_PER_SAMPLE = 128
 
 
 def memory_bound(length: int, components: int) -> int:
-    """Bytes a bin-space run may hold in cached operators and carriers:
+    """Bytes a run may hold in cached operators and carriers:
     ``48 K L``, six arrays of ``length`` numbers per component, or
     :data:`OPERATOR_FLOOR` if that is more."""
     return max(48 * components * length, OPERATOR_FLOOR)
@@ -212,8 +182,8 @@ def bin_space_fits(length: int, bins: int, components: int,
     sweep stays below the per-sample work it replaces, and a run of band 0
     alone has one component. Memory: all the cached operators take at most
     :func:`memory_bound`. The carriers do not count here: a run holds them
-    in what the operators leave under the bound (:class:`BinSpacePlans`),
-    and evaluates those that do not fit once per outer iteration, so that
+    in what the operators leave under the bound (:class:`BandPlans`), and
+    evaluates those that do not fit once per outer iteration, so that
     holding them never sends a run to the slower sample-space sweeps.
 
     A run of band 0 alone is a gmd run cut into passes: it builds a new
@@ -236,15 +206,6 @@ def bin_space_fits(length: int, bins: int, components: int,
             and passes * per_pass <= memory_bound(length, components))
 
 
-def band_carriers(plans: Sequence[PhasePlan], n: int,
-                  kind: str) -> list[np.ndarray | None]:
-    """Band ``n``'s ``kind`` carriers, one per plan: held or lent by
-    :class:`BinSpacePlans` away from band 0, else by ``band_carrier``."""
-    if n and isinstance(plans, BinSpacePlans):
-        return plans.carriers(n, kind)
-    return [band_carrier(plan.prior, n, kind) for plan in plans]
-
-
 def modified_rdbr(residual: SampledSignal,
                   priors: Sequence[PhasePrior | PhasePlan],
                   n: int, kind: str, eps2: float = 1e-6, max_iters: int = 10,
@@ -254,10 +215,11 @@ def modified_rdbr(residual: SampledSignal,
     For band 0 the regressed increment itself is the mode increment; for
     |n| > 0 the mode increment is ``2 * carrier * increment`` and the stored
     shape increment is doubled, so a band table summed from them holds the
-    full product of coefficient and shape. ``priors`` may hold the
-    :class:`PhasePlan` objects :func:`mmd_decompose` prepares once per run;
-    given them as :class:`BinSpacePlans`, the pass is solved in bin space,
-    to within rounding of the sample-space sweeps.
+    full product of coefficient and shape. ``priors`` may be the
+    :class:`BandPlans` :func:`mmd_decompose` prepares once per run, and
+    then the pass takes its carriers, operators and workers from them: on
+    bin sums if they give operators, to within rounding of the
+    sample-space sweeps. Other priors sweep on the samples.
 
     The pass runs on band ``|n|``'s carriers: a sine carrier's sign flips
     the increments, not the modes or the residual, so band ``-n``'s sine
@@ -269,15 +231,15 @@ def modified_rdbr(residual: SampledSignal,
     """
     check_run(scheme, eps2=eps2, max_iters=max_iters, bins=bins)
     plans = as_plans(priors, len(residual), bins)
-    bin_space = isinstance(priors, BinSpacePlans)
-    pre = band_carriers(priors if bin_space else plans, n, kind)
+    shared = priors if isinstance(priors, BandPlans) else BandPlans(plans)
+    pre = shared.carriers(n, kind)
     gain = 1.0 if n == 0 else 2.0
-    ops, workers = ((priors.operators(n, kind, pre, gain), priors.workers)
-                    if bin_space else (None, None))
+    ops = shared.operators(n, kind, pre, gain)
 
     scaled, pow2 = scale_into_range(residual)
     *_, total, modes, r = run_pass(scaled.values, plans, pre, pre, gain,
-                                   scheme, eps2, max_iters, ops, workers)
+                                   scheme, eps2, max_iters, ops,
+                                   shared.workers)
     stored = band_sign(n, kind) * gain * total
     t = residual.times
     return ([ldexp_shape(make_shape(u), pow2) for u in stored],
@@ -374,22 +336,16 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     before the modes are formed.
     """
     cfg.validate()
-    check_backend(backend)
-    if len(priors) == 0:
-        raise DecompositionError("at least one phase prior is required")
-
-    t = signal.times
-    resolved = [p if p.fundamental is not None else with_fundamental(p, t)
-                for p in priors]
-    sorted_priors, order = sort_components(resolved)
-    plans = as_plans(sorted_priors, len(signal), cfg.bins)
-    passes = 2 * cfg.m0 + 1
+    plans, order, fundamentals = prepare_run(signal, priors, backend,
+                                             cfg.bins)
+    length, passes = len(signal), 2 * cfg.m0 + 1
+    bin_space = bin_space_fits(length, cfg.bins, len(plans), passes)
+    # the carriers take what the operators leave under the bound
+    budget = memory_bound(length, len(plans)) - (
+        operator_bytes(cfg.bins, len(plans), passes) if bin_space else 0)
     # it starts its threads and allocates its workspaces on first use
-    workers = run_workers(len(signal), len(plans))
-    if bin_space_fits(len(signal), cfg.bins, len(plans), passes):
-        plans = BinSpacePlans(
-            plans, memory_bound(len(signal), len(plans))
-            - operator_bytes(cfg.bins, len(plans), passes), workers)
+    workers = run_workers(length, len(plans))
+    plans = BandPlans(plans, bin_space, budget, workers)
 
     r, pow2 = scale_into_range(signal)
     denom = r.l2norm or 1.0
@@ -423,12 +379,14 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                                  len(norms_r), tuple(accelerated))
 
     del extrapolate  # free its held residual before the modes are formed
-    # each mode, one at a time, is its band sum as reconstruct_mimf forms it
-    modes = [np.zeros(len(signal)) for _ in plans]
+    # each mode is its band sum as reconstruct_mimf forms it, term by term
+    modes = [np.zeros(length) for _ in plans]
+    term, scratch = np.empty(length), np.empty(length)
     for slot, (b, kind) in enumerate(slots):
-        post = band_carriers(plans, b, kind)
+        post, sign = plans.carriers(b, kind), band_sign(b, kind)
         for mode, plan, c, u in zip(modes, plans, post, state[slot]):
-            mode += pass_modes([plan], [c], band_sign(b, kind), [u])[0]
+            mode += band_term(sign * u, plan.j0, plan.w, plan.w1, c, term,
+                              scratch)
 
     estimates = []
     for k, mode in enumerate(modes):
@@ -437,9 +395,9 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
             tables[kind][b] = ldexp_shape(make_shape(state[slot, k]), pow2)
         estimates.append(make_estimate(
             cfg.m0, tables["cos"], tables["sin"],
-            mode=SampledSignal(t, np.ldexp(mode, pow2, out=mode))))
+            mode=SampledSignal(signal.times, np.ldexp(mode, pow2, out=mode))))
     return MmdResult(to_caller_order(estimates, order), ldexp_signal(r, pow2),
-                     report, [int(p.fundamental) for p in resolved])
+                     report, fundamentals)
 
 
 def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,

@@ -35,6 +35,7 @@ from .errors import (
     OutOfDomain,
     SinZeroBand,
     integer,
+    real,
 )
 
 __all__ = [
@@ -322,7 +323,7 @@ def scale_shape(shape: ShapeTable, factor: float) -> ShapeTable:
     """``shape * factor``; a product that overflows is refused as
     :class:`NonFinite` by :func:`make_shape`, without a warning."""
     with np.errstate(over="ignore"):
-        bins = shape.bins * float(factor)
+        bins = shape.bins * float(real(factor, "factor"))
     return make_shape(bins)
 
 
@@ -433,11 +434,34 @@ def carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray:
     return np.cos(angle) if kind == "cos" else np.sin(angle)
 
 
-def band_carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray | None:
-    """The carrier of band ``n``'s ``kind`` term: ``None`` (a factor of 1)
-    at band 0, else band ``|n|``'s, the sign left to :func:`band_sign`."""
-    check_band(prior, n, kind)
-    return carrier(prior, abs(n), kind) if n else None
+class BandCarriers:
+    """The carriers of band terms on ``priors``: ``carriers(n, kind)``
+    refuses what :func:`check_band` refuses and gives, per prior, ``None``
+    (a factor of 1) at band 0, else band ``|n|``'s :func:`carrier`, the
+    sign left to :func:`band_sign`. The first ``(|n|, kind)`` in the order
+    ``(1, cos), (1, sin), (2, cos), ...`` that fit in ``budget`` bytes,
+    ``8 L`` a prior each, are held; the others are evaluated for band ``n``
+    and lent to band ``-n``, which the solver and the band sum visit next.
+    """
+
+    def __init__(self, priors: Sequence[PhasePrior], budget: int = 0):
+        self.priors = list(priors)
+        self.holds = budget // (8 * sum(map(len, self.priors)))
+        self.held, self.lent = {}, {}
+
+    def __call__(self, n: int, kind: str) -> list[np.ndarray | None]:
+        for prior in self.priors:
+            check_band(prior, n, kind)
+        if n == 0:
+            return [None] * len(self.priors)
+        key = (abs(n), kind)
+        got = (self.held.get(key) or self.lent.pop(key, None)
+               or [carrier(prior, abs(n), kind) for prior in self.priors])
+        if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
+            self.held[key] = got
+        elif n > 0:
+            self.lent[key] = got
+        return got
 
 
 @dataclass(frozen=True)
@@ -487,7 +511,7 @@ def make_estimate(bandwidth: int,
         for n, c in coeffs.items():
             if n not in shapes:
                 raise OutOfDomain(f"{kind} coefficient {n} has no table")
-            if not math.isfinite(c):
+            if not math.isfinite(real(c, f"{kind} coefficient {n}")):
                 raise NonFinite(f"{kind} coefficient {n} is {c!r}")
     return MimfEstimate(m0, dict(cos_shapes), dict(sin_shapes),
                         dict(cos_coeffs), dict(sin_coeffs), mode, normalized)
@@ -524,16 +548,17 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     Band ``n`` adds ``cos(2*pi*n*p/N) a_n(p)`` and ``sin(2*pi*n*p/N)
     b_n(p)``, tables evaluated at the phase ``p`` (cycles). It sums them as
     an mmd run forms its modes: in the solver's visit order
-    (:func:`band_slots`), on band ``|n|``'s carriers, by :func:`band_term`,
-    so that it reproduces an mmd mode exactly from its unnormalized
-    estimate. Interpolation data is formed once per table size, and band
-    ``|n|``'s carriers once for bands ``n`` and ``-n``.
+    (:func:`band_slots`), on band ``|n|``'s carriers from a
+    :class:`BandCarriers` store, which lends them from band ``n`` to
+    ``-n``, by :func:`band_term`, so that it reproduces an mmd mode exactly
+    from its unnormalized estimate. Interpolation data is formed once per
+    table size.
     """
     t = np.asarray(grid, dtype=float)
     if t.size != len(prior):
         raise GridMismatch("grid length does not match the prior")
     x = unit_position(prior.phase)
-    at, held = {}, {}
+    at, carriers = {}, BandCarriers([prior])
     total = np.zeros_like(x)
     for n, kind in band_slots(est.bandwidth):
         shapes, coeffs = ((est.cos_shapes, est.cos_coeffs) if kind == "cos"
@@ -546,9 +571,6 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
         nb = table.size
         if nb not in at:
             at[nb] = interpolation(x, nb)
-        # band -n's term takes band n's carrier, given up to it
-        g = held.pop((-n, kind), None)
-        if g is None:
-            g = held[n, kind] = band_carrier(prior, n, kind)
-        total += band_term(band_sign(n, kind) * table.bins, *at[nb], g=g)
+        total += band_term(band_sign(n, kind) * table.bins, *at[nb],
+                           g=carriers(n, kind)[0])
     return SampledSignal(_readonly(t), _readonly(total))

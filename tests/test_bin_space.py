@@ -1,8 +1,8 @@
 """The bin-space passes against the sample-space sweeps they replace.
 
 :func:`modedecomp.modified_rdbr` solves a pass on bin sums when handed
-:class:`~modedecomp.mmd.BinSpacePlans`, and with sample-space sweeps
-otherwise; :func:`modedecomp.gmd_decompose` runs its sweeps on bin sums
+:class:`~modedecomp.mmd.BandPlans` that give operators, and with
+sample-space sweeps otherwise; :func:`modedecomp.gmd_decompose` runs its sweeps on bin sums
 when :func:`modedecomp.gmd.bin_space_fits` holds. The two differ only in
 rounding, so every comparison allows a relative 1e-12 and requires the same
 number of sweeps.
@@ -17,12 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
-from modedecomp import fold_regress, gmd, mmd
+from modedecomp import fold_regress, gmd, mmd, signal_model
 from modedecomp.fold_regress import (BinPass, _banded, band_operators,
                                      bin_means, carrier, plan_phase)
-from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE,
-                            BinSpacePlans, bin_space_fits, operator_bytes)
-from modedecomp.signal_model import unit_position
+from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE, BandPlans,
+                            bin_space_fits, operator_bytes)
+from modedecomp.signal_model import BandCarriers, unit_position
 
 TOL = 1e-12
 
@@ -77,7 +77,7 @@ def both_passes(signal, priors, n, kind, bins, scheme, eps2=1e-6,
         want = md.modified_rdbr(signal, plans, n, kind, eps2, max_iters,
                                 bins, scheme)
     with recording_sweeps() as got_norms:
-        got = md.modified_rdbr(signal, BinSpacePlans(plans), n, kind, eps2,
+        got = md.modified_rdbr(signal, BandPlans(plans, True), n, kind, eps2,
                                max_iters, bins, scheme)
     assert not want_norms["bin"] and not got_norms["sample"]
     return want, want_norms["sample"], got, got_norms["bin"]
@@ -221,7 +221,7 @@ class TestPassMatchesSampleSpace:
 
     def test_operators_shared_by_opposite_bands(self):
         sig, priors = problem(9, 300, "iid_uniform", 2)
-        plans = BinSpacePlans([plan_phase(p, 300, 16) for p in priors])
+        plans = BandPlans([plan_phase(p, 300, 16) for p in priors], True)
         for n in (2, -2):
             md.modified_rdbr(sig, plans, n, "sin", bins=16)
         assert list(plans.cache) == [(2, "sin")]
@@ -370,7 +370,7 @@ class TestOnePassDriver:
                 return md.gmd_decompose(sig, priors, max_iters=3, bins=24)
         plans = [plan_phase(p, len(sig), 24) for p in priors]
         return md.modified_rdbr(
-            sig, BinSpacePlans(plans) if case.endswith("bin") else plans,
+            sig, BandPlans(plans, True) if case.endswith("bin") else plans,
             1, "cos", max_iters=3, bins=24)
 
     @pytest.mark.parametrize("case", [
@@ -714,7 +714,7 @@ class TestPathRule:
     @pytest.mark.parametrize("components", [1, 2, 3])
     def test_bytes_as_cached(self, components):
         sig, priors = problem(4, 300, "iid_uniform", components)
-        plans = BinSpacePlans([plan_phase(p, 300, 16) for p in priors])
+        plans = BandPlans([plan_phase(p, 300, 16) for p in priors], True)
         for n in md.band_order(2):
             for kind in ("cos", "sin") if n else ("cos",):
                 md.modified_rdbr(sig, plans, n, kind, bins=16)
@@ -783,11 +783,27 @@ class TestGmdPathRule:
         assert len(norms["sample"]) == result.report.iterations
 
 
+@contextmanager
+def counting_carriers():
+    """Record the ``(n, kind)`` of every carrier evaluated inside, one
+    entry per prior."""
+    evaluated = []
+    evaluate = signal_model.carrier
+
+    def counted(prior, n, kind):
+        evaluated.append((n, kind))
+        return evaluate(prior, n, kind)
+
+    with mock.patch.object(signal_model, "carrier", counted):
+        yield evaluated
+
+
 class TestCarrierWindow:
-    """Without room to hold them, :meth:`BinSpacePlans.carriers` evaluates
-    band ``|n|``'s carriers once for the passes of ``n`` and ``-n``; its
-    outputs are band ``|n|``'s from
-    :func:`~modedecomp.fold_regress.carrier`, bit for bit."""
+    """Without room to hold them, a
+    :class:`~modedecomp.signal_model.BandCarriers` store evaluates band
+    ``|n|``'s carriers once for the terms of ``n`` and ``-n``; its outputs
+    are band ``|n|``'s from :func:`~modedecomp.fold_regress.carrier`, bit
+    for bit."""
 
     PASSES = [(2, "cos"), (2, "sin"), (-2, "cos"), (-2, "sin")]
 
@@ -803,28 +819,48 @@ class TestCarrierWindow:
 
     def test_window_gives_carrier(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
-        plans = BinSpacePlans([plan_phase(p, 2 ** 12, 32) for p in ex.priors])
+        carriers = BandCarriers(ex.priors)
+        assert carriers(0, "cos") == [None, None]
         for n, kind in self.PASSES + [(1, "sin"), (-3, "sin")]:
-            for plan, g in zip(plans, plans.carriers(n, kind)):
-                assert np.array_equal(g, carrier(plan.prior, abs(n), kind))
+            for prior, g in zip(ex.priors, carriers(n, kind), strict=True):
+                assert np.array_equal(g, carrier(prior, abs(n), kind))
+        assert not carriers.held
+
+    def test_reconstruct_once(self):
+        # reconstruct_mimf lends band n's carriers to band -n's terms
+        t = md.sample_grid(512)
+        prior = md.with_fundamental(md.make_prior(9.0 * t), t)
+        shape = md.ecg_like_shape(64, 1)
+        est = md.make_estimate(3, {n: shape for n in range(-3, 4)},
+                               {n: shape for n in range(-3, 4) if n})
+        with counting_carriers() as evaluated:
+            got = md.reconstruct_mimf(est, prior, t)
+        assert evaluated == [(n, kind) for n in (1, 2, 3)
+                             for kind in ("cos", "sin")]
+        want = sum(g * md.eval_shape(shape, prior.phase)
+                   for n in range(-3, 4) for kind in ("cos", "sin")
+                   if n or kind == "cos"
+                   for g in [carrier(prior, n, kind)])
+        assert rel(got.values, want) <= TOL
 
     @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
     def test_shared_window_matches_fresh(self, scheme):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
         plans = [plan_phase(p, 2 ** 12, 32) for p in ex.priors]
-        shared = BinSpacePlans(plans)
-        r_shared = r_fresh = ex.signal
-        for n, kind in self.PASSES:
-            got = md.modified_rdbr(r_shared, shared, n, kind, bins=32,
-                                   scheme=scheme)
-            want = md.modified_rdbr(r_fresh, BinSpacePlans(plans), n, kind,
-                                    bins=32, scheme=scheme)
-            for g, w in zip(got[0], want[0]):
-                assert np.array_equal(g.bins, w.bins)
-            for g, w in zip(got[1], want[1]):
-                assert np.array_equal(g.values, w.values)
-            assert np.array_equal(got[2].values, want[2].values)
-            r_shared, r_fresh = got[2], want[2]
+        for bin_space in (False, True):
+            shared = BandPlans(plans, bin_space)
+            r_shared = r_fresh = ex.signal
+            for n, kind in self.PASSES:
+                got = md.modified_rdbr(r_shared, shared, n, kind, bins=32,
+                                       scheme=scheme)
+                want = md.modified_rdbr(r_fresh, BandPlans(plans, bin_space),
+                                        n, kind, bins=32, scheme=scheme)
+                for g, w in zip(got[0], want[0]):
+                    assert np.array_equal(g.bins, w.bins)
+                for g, w in zip(got[1], want[1]):
+                    assert np.array_equal(g.values, w.values)
+                assert np.array_equal(got[2].values, want[2].values)
+                r_shared, r_fresh = got[2], want[2]
 
 
 class TestOppositeBands:
@@ -838,7 +874,7 @@ class TestOppositeBands:
     def test_sine_pass(self, n, scheme):
         sig, priors = problem(13, 400, "iid_uniform", 2)
         plans = [plan_phase(p, 400, 16) for p in priors]
-        shapes, modes, r = md.modified_rdbr(sig, BinSpacePlans(plans), -n,
+        shapes, modes, r = md.modified_rdbr(sig, BandPlans(plans, True), -n,
                                             "sin", bins=16, scheme=scheme)
 
         def run(g):
@@ -858,75 +894,52 @@ class TestOppositeBands:
 
 
 class TestCarrierCache:
-    """A bin-space run holds its carriers for the run, lowest band first,
-    in the bytes its operators leave under :func:`mmd.memory_bound`; the
-    carriers that do not fit are evaluated once per outer iteration for
-    the passes of bands ``n`` and ``-n``. The outputs are the same either
-    way, bit for bit."""
+    """Every run, on bin sums or on the samples, holds its carriers for the
+    run, lowest band first, in the bytes its operators leave under
+    :func:`mmd.memory_bound`; the carriers that do not fit are evaluated
+    once per outer iteration for the passes of bands ``n`` and ``-n``. The
+    outputs are the same either way, bit for bit."""
 
     CFG = md.MmdConfig(m0=3, bins=32)
     PER_BAND = 8 * 2 * 2 ** 12  # (|n|, kind)'s carriers, K = 2, L = 2^12
+    KEYS = [(n, kind) for n in range(1, 4) for kind in ("cos", "sin")]
 
-    def run(self, floor=None):
-        """An ex4_1 run with ``CFG``, the carriers it evaluated and its
-        :class:`BinSpacePlans`."""
+    def run(self, budget=None, bin_space=True):
+        """An ex4_1 run with ``CFG`` on the path ``bin_space`` names, with
+        ``budget`` bytes for its carriers (the bound's room if ``None``):
+        the result, the carriers it evaluated and its :class:`BandPlans`."""
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
-        evaluated, made = [], []
-        evaluate = mmd.carrier
+        made = []
+        ops = operator_bytes(32, 2, 2 * self.CFG.m0 + 1) if bin_space else 0
 
-        def counted(prior, n, kind):
-            evaluated.append((n, kind))
-            return evaluate(prior, n, kind)
-
-        class Recorded(BinSpacePlans):
+        class Recorded(BandPlans):
             def __new__(cls, *args):
                 made.append(super().__new__(cls, *args))
                 return made[-1]
 
-        with mock.patch.object(mmd, "carrier", counted), \
-                mock.patch.object(mmd, "BinSpacePlans", Recorded), \
-                mock.patch.object(mmd, "OPERATOR_FLOOR",
-                                  OPERATOR_FLOOR if floor is None else floor):
+        bound = (mmd.memory_bound if budget is None
+                 else lambda *args: ops + budget)
+        with counting_carriers() as evaluated, recording_sweeps() as norms, \
+                mock.patch.object(mmd, "BandPlans", Recorded), \
+                mock.patch.object(mmd, "memory_bound", bound), \
+                mock.patch.object(mmd, "bin_space_fits",
+                                  lambda *args: bin_space):
             result = md.mmd_decompose(ex.signal, list(ex.priors), self.CFG)
         assert len(made) == 1
-        return result, evaluated, made[0]
+        assert norms["bin" if bin_space else "sample"]
+        assert not norms["sample" if bin_space else "bin"]
+        return result, evaluated, made[0].carriers
 
     @staticmethod
-    def check_held(plans):
+    def check_held(carriers):
         # held carriers are never negated in place
-        for (n, kind), held in plans.held.items():
-            assert len(held) == len(plans)
-            for plan, g in zip(plans, held):
-                assert np.array_equal(g, carrier(plan.prior, n, kind))
+        for (n, kind), held in carriers.held.items():
+            assert len(held) == len(carriers.priors)
+            for prior, g in zip(carriers.priors, held):
+                assert np.array_equal(g, carrier(prior, n, kind))
 
-    def test_once_per_run(self):
-        result, evaluated, plans = self.run()
-        assert result.report.iterations > 1
-        assert evaluated == [(n, kind) for n in range(1, self.CFG.m0 + 1)
-                             for kind in ("cos", "sin") for _ in range(2)]
-        assert sorted(plans.held) == sorted(set(evaluated))
-        assert not plans.loose
-        self.check_held(plans)
-
-    def test_split_budget(self):
-        # room for three (|n|, kind) beside the operators: (1, cos),
-        # (1, sin) and (2, cos) are held, the rest evaluated per iteration
-        ops = operator_bytes(32, 2, 2 * self.CFG.m0 + 1)
-        floor = ops + 3 * self.PER_BAND + self.PER_BAND // 2
-        assert floor > 48 * 2 * 2 ** 12
-        assert bin_space_fits(2 ** 12, 32, 2, 2 * self.CFG.m0 + 1)
-        got, evaluated, plans = self.run(floor)
-        held = [(1, "cos"), (1, "sin"), (2, "cos")]
-        loose = [(2, "sin"), (3, "cos"), (3, "sin")]
-        assert sorted(plans.held) == sorted(held)
-        assert not plans.loose
-        # the loose ones once more, for the modes formed after the loop
-        per_iteration = [key for key in loose for _ in range(2)]
-        assert evaluated == ([key for key in held for _ in range(2)]
-                             + (got.report.iterations + 1) * per_iteration)
-        self.check_held(plans)
-        # and the outputs are those of the run that holds every carrier
-        want, _, _ = self.run()
+    @staticmethod
+    def assert_same(got, want):
         assert got.report == want.report
         assert np.array_equal(got.residual.values, want.residual.values)
         for g, w in zip(got.estimates, want.estimates, strict=True):
@@ -937,17 +950,59 @@ class TestCarrierCache:
                 for n in gs:
                     assert np.array_equal(gs[n].bins, ws[n].bins)
 
+    def test_once_per_run(self):
+        result, evaluated, carriers = self.run()
+        assert result.report.iterations > 1
+        assert evaluated == [key for key in self.KEYS for _ in range(2)]
+        assert sorted(carriers.held) == sorted(self.KEYS)
+        assert not carriers.lent
+        self.check_held(carriers)
+
+    def test_sample_path_once_per_run(self):
+        # the samples' room is the whole bound: these carriers all fit
+        result, evaluated, carriers = self.run(bin_space=False)
+        assert result.report.iterations > 1
+        assert evaluated == [key for key in self.KEYS for _ in range(2)]
+        assert sorted(carriers.held) == sorted(self.KEYS)
+        self.check_held(carriers)
+
+    def test_split_budget(self):
+        # room for three (|n|, kind) beside the operators: (1, cos),
+        # (1, sin) and (2, cos) are held, the rest evaluated per iteration
+        held, loose = self.KEYS[:3], self.KEYS[3:]
+        for bin_space in (False, True):
+            got, evaluated, carriers = self.run(
+                3 * self.PER_BAND + self.PER_BAND // 2, bin_space)
+            assert sorted(carriers.held) == sorted(held)
+            assert not carriers.lent
+            # the loose ones once more, for the modes formed after the loop
+            per_iteration = [key for key in loose for _ in range(2)]
+            assert evaluated == ([key for key in held for _ in range(2)]
+                                 + (got.report.iterations + 1)
+                                 * per_iteration)
+            self.check_held(carriers)
+
+    @pytest.mark.parametrize("bin_space", [False, True])
+    def test_same_bytes_at_any_budget(self, bin_space):
+        # no room, room for three of the six (|n|, kind) and for all six
+        want, evaluated, _ = self.run(6 * self.PER_BAND, bin_space)
+        assert evaluated == [key for key in self.KEYS for _ in range(2)]
+        for budget in (3 * self.PER_BAND, 0):
+            got, evaluated, carriers = self.run(budget, bin_space)
+            self.assert_same(got, want)
+        assert not carriers.held
+        assert evaluated == ((want.report.iterations + 1)
+                             * [key for key in self.KEYS for _ in range(2)])
+
     def test_held_give_carrier(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
-        plans = BinSpacePlans([plan_phase(p, 2 ** 12, 32) for p in ex.priors],
-                              6 * self.PER_BAND)
+        carriers = BandCarriers(ex.priors, 6 * self.PER_BAND)
         for n in (1, -1, 2, -2, -3, 3, -3):
             for kind in ("cos", "sin"):
-                for plan, g in zip(plans, plans.carriers(n, kind)):
-                    assert np.array_equal(g, carrier(plan.prior, abs(n),
-                                                     kind))
-        assert len(plans.held) == 6 and not plans.loose
-        self.check_held(plans)
+                for prior, g in zip(ex.priors, carriers(n, kind)):
+                    assert np.array_equal(g, carrier(prior, abs(n), kind))
+        assert len(carriers.held) == 6 and not carriers.lent
+        self.check_held(carriers)
 
     @pytest.mark.parametrize("length, m0", [(2 ** 17, 2), (2 ** 14, 4),
                                             (2 ** 14, 10)])

@@ -19,7 +19,7 @@ from modedecomp.fold_regress import (
     sweep,
 )
 from modedecomp.gmd import run_pass
-from modedecomp.mmd import BinSpacePlans
+from modedecomp.mmd import BandPlans
 
 
 def brute_force_bin_means(xs, ys, bins):
@@ -365,7 +365,7 @@ class TestSweepMatchesReference:
         with pytest.raises(LengthMismatch):
             md.rdbr_sweep(sig, plans, 40)
         with pytest.raises(LengthMismatch):
-            md.modified_rdbr(sig, BinSpacePlans(plans), 1, "cos", bins=40)
+            md.modified_rdbr(sig, BandPlans(plans, True), 1, "cos", bins=40)
 
     def test_plan_checks_grid(self):
         _, priors = _random_problem(3, 64, "uniform", 1)

@@ -154,6 +154,20 @@ class TestDecompose:
         with pytest.raises(md.DecompositionError):
             md.gmd_decompose(sig, [prior], scheme="sor")
 
+    @pytest.mark.parametrize("call", ["gmd_decompose", "mmd_decompose",
+                                      "rdbr_sweep", "modified_rdbr"])
+    def test_no_priors(self, call):
+        # every solver refuses a run without components, before any sweep
+        t = md.sample_grid(64)
+        sig = md.make_signal(t, np.ones(64))
+        with pytest.raises(md.DecompositionError, match="at least one"):
+            {"gmd_decompose": lambda: md.gmd_decompose(sig, []),
+             "mmd_decompose": lambda: md.mmd_decompose(sig, [],
+                                                       md.MmdConfig()),
+             "rdbr_sweep": lambda: md.rdbr_sweep(sig, [], 16),
+             "modified_rdbr": lambda: md.modified_rdbr(sig, [], 1, "cos"),
+             }[call]()
+
 
 class TestGroupSums:
     def _result(self):

@@ -15,7 +15,7 @@ from modedecomp.errors import (
     NonMonotonePhase,
     OutOfDomain,
 )
-from modedecomp.signal_model import (GRADIENT_BLOCK, band_carrier, band_sign,
+from modedecomp.signal_model import (GRADIENT_BLOCK, BandCarriers, band_sign,
                                      band_slots, carrier, interpolation,
                                      unit_position)
 
@@ -264,7 +264,8 @@ def non_integer_count_calls():
         "autocorrelation max_lag": lambda: md.autocorrelation(sig, 2.5),
         "group_sum_shapes index": lambda: md.group_sum_shapes(two, [[0.0, 1]]),
         "carrier band": lambda: carrier(prior, 1.5, "cos"),
-        "band_carrier band": lambda: band_carrier(prior, np.float64(1), "sin"),
+        "BandCarriers band": lambda: BandCarriers([prior])(np.float64(1),
+                                                           "sin"),
         "modified_rdbr band": lambda: md.modified_rdbr(sig, [prior], 1.5,
                                                        "cos"),
     }
@@ -290,6 +291,51 @@ class TestIntegerCounts:
         assert md.ell_band_approx(est, prior, np.int64(1), t).values.size == 64
         assert np.array_equal(carrier(prior, np.int64(2), "cos"),
                               carrier(prior, 2, "cos"))
+
+
+def non_real_calls(value):
+    """One call per real parameter of the library, each given ``value``
+    where a real number belongs."""
+    t = np.arange(64) / 64
+    prior = md.with_fundamental(md.make_prior(4.0 * t), t)
+    shape = md.ecg_like_shape(64, 1)
+    sig = md.make_signal(t, np.sin(8.0 * np.pi * t))
+    counts = md.partition_counts([prior], t, 0.25)
+    return {
+        "make_estimate coefficient": lambda: md.make_estimate(
+            1, {0: shape}, {1: shape}, sin_coeffs={1: value}),
+        "partition_counts step": lambda: md.partition_counts([prior], t,
+                                                             value),
+        "well_diff_stats m_bound": lambda: md.well_diff_stats(counts, value),
+        "add_noise noise_var": lambda: md.add_noise(sig, value, 0),
+        "snr noise_var": lambda: md.snr(sig, value),
+        "fit_decay_rate floor": lambda: md.fit_decay_rate([1.0, 0.5, 0.25],
+                                                          value),
+        "scale_shape factor": lambda: md.scale_shape(shape, value),
+        "gmd_decompose eps": lambda: md.gmd_decompose(sig, [prior],
+                                                      eps=value),
+    }
+
+
+class TestRealParameters:
+    """Every real parameter goes through one check: a value that is not a
+    real number, or a ``bool``, is :class:`OutOfDomain`, neither converted
+    nor a TypeError."""
+
+    @pytest.mark.parametrize("value", ["1.0", None, 1j, True],
+                             ids=["str", "None", "complex", "bool"])
+    @pytest.mark.parametrize("case", sorted(non_real_calls(None)))
+    def test_non_real_refused(self, case, value):
+        with pytest.raises(OutOfDomain, match="must be a real number"):
+            non_real_calls(value)[case]()
+
+    def test_numpy_reals_accepted(self):
+        shape = md.ecg_like_shape(64, 1)
+        assert np.array_equal(md.scale_shape(shape, np.float32(2.0)).bins,
+                              2.0 * shape.bins)
+        est = md.make_estimate(1, {0: shape}, {1: shape},
+                               sin_coeffs={1: np.int64(2)})
+        assert est.sin_coeffs[1] == 2
 
 
 class TestEvalShape:
@@ -547,12 +593,15 @@ class TestBandTerm:
 
     def test_carriers(self):
         _, prior = self._prior()
-        assert band_carrier(prior, 0, "cos") is None
+        assert BandCarriers([prior])(0, "cos") == [None]
         for n in (1, 3):
             for kind in ("cos", "sin"):
                 g = carrier(prior, n, kind)
-                assert np.array_equal(band_carrier(prior, n, kind), g)
-                assert np.array_equal(band_carrier(prior, -n, kind), g)
+                # a store of no room and one that holds every carrier
+                for carriers in (BandCarriers([prior]),
+                                 BandCarriers([prior], 2 ** 20)):
+                    assert np.array_equal(carriers(n, kind)[0], g)
+                    assert np.array_equal(carriers(-n, kind)[0], g)
                 # band -n's term is band n's carrier times band_sign
                 assert np.array_equal(carrier(prior, -n, kind),
                                       band_sign(-n, kind) * g)
@@ -562,12 +611,15 @@ class TestBandTerm:
     def test_one_check(self, n):
         # band 0's unit carrier is refused as the others are
         _, prior = self._prior()
+        # held or not, a carrier is given only for a band term that has one
+        carriers = BandCarriers([prior], 2 ** 20)
+        carriers(n, "cos")
         with pytest.raises(DecompositionError, match="unknown carrier kind"):
-            band_carrier(prior, n, "tan")
+            carriers(n, "tan")
         with pytest.raises(DecompositionError, match="fundamental"):
-            band_carrier(self._prior(False)[1], n, "cos")
+            BandCarriers([self._prior(False)[1]])(n, "cos")
         with pytest.raises(md.SinZeroBand):
-            band_carrier(prior, 0, "sin")
+            carriers(0, "sin")
 
     def test_reconstruct_needs_fundamental(self):
         # the band sum forms band 0's term as the solver does, through the

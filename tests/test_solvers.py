@@ -192,7 +192,7 @@ class TestRunParameters:
         plans = [md.fold_regress.plan_phase(p, 256, 64)
                  for p in self.EX.priors]
         if bin_space:
-            plans = mmd.BinSpacePlans(plans)
+            plans = mmd.BandPlans(plans, True)
         kwargs = {"bins": 64, **params}
         with pytest.raises(OutOfDomain):
             md.modified_rdbr(self.EX.signal, plans, 1, "cos", **kwargs)
