@@ -109,6 +109,9 @@ _FIRST_LINE = re.compile(rb"[^\r\n]*")
 _TIE = 2.0 ** -30
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _X_MIN, _X_MAX = -281, 281        # decimal exponents met while scaling
+# the reader's powers of ten: D * 10**E, 1 <= D < 10**17, lies inside
+# [_FAST_MIN, _FAST_MAX] for _K_MIN <= E <= _K_SURE
+_K_MIN, _K_SURE = -280, 263
 _E16, _E17 = 10 ** 16, 10 ** 17
 _U = np.uint64
 _TEXT_WORD = np.dtype("<u8")
@@ -116,9 +119,9 @@ _TEXT_WORD = np.dtype("<u8")
 
 def _powers_of_ten() -> np.ndarray:
     """Rows hi, hi's Dekker halves and lo, with hi + lo = 10**k to 2**-106
-    relative, for k = 16 - _X_MAX ... 16 - _X_MIN (columns)."""
+    relative, for k = _K_MIN ... 16 - _X_MIN (columns)."""
     hi, lo = [], []
-    for k in range(16 - _X_MAX, 17 - _X_MIN):
+    for k in range(_K_MIN, 17 - _X_MIN):
         if k >= 0:
             h = float(10 ** k)
             lo.append(float(10 ** k - int(h)))
@@ -189,7 +192,7 @@ _LAYOUT = _layout_table()
 def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer part and fraction of a * 10**(16 - x). The integer part is
     exact from 2**53 up; below, it is only known to lie below 10**16."""
-    hi, hi_hi, hi_lo, lo = _POW10.take(_X_MAX - x, axis=1)
+    hi, hi_hi, hi_lo, lo = _POW10.take(16 - _K_MIN - x, axis=1)
     c = 134217729.0 * a
     a_hi = c - (c - a)
     a_lo = a - a_hi
@@ -305,6 +308,229 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# float64 values of CSV text blocks
+#
+# A table of ASCII rows is read a block of whole rows at a time, its fields
+# split on "," and "\n". Every field must match _FIELD; the first one off it
+# (whitespace, "+1", "nan", a CR, a blank or ragged line) sends the whole file
+# to the other readers. Each field is parsed in numpy:
+#
+# - The 24 bytes that end at the field's end are gathered as three uint64
+#   words from the aligned words of a padded copy of the block, and a
+#   SWAR test marks the bytes that are not digits. The lowest marks above a
+#   leading "-" give the dot and the "e", whose bytes are checked, and the
+#   marks left over must be the exponent's sign alone.
+# - The exponent's digits, at most four, are read from the last word. The
+#   words are shifted so that the mantissa ends the window, and the dot is
+#   taken out by moving the bytes before it up one place. The bytes before
+#   the mantissa become zero digits, so a leading zero is no digit of D.
+# - Digits 18-24 from the right must be zeros. D is the 17th digit and two
+#   8-digit words, each assembled by three multiplications.
+# - D * 10**E is the double-double dh * (hi + lo) + dl * hi, with dh + dl = D
+#   exactly, summed to p + s within 2**-102 of it, relative, and rounded
+#   once. Near a rounding boundary |s| is at least a quarter ulp, 2**-55
+#   relative, so when p + s * (1 - _TIE) and p + s * (1 + _TIE) round to the
+#   same double, no boundary lies within 2**-85 of p + s and that double,
+#   the rounding of p + s, is the one nearest D * 10**E.
+# Those near-ties, magnitudes outside [_FAST_MIN, _FAST_MAX], more than 17
+# significant digits, longer exponents and fields over 24 bytes are read by
+# ``float``. When more than one field in _FLOAT_SHARE needs it, the whole file
+# goes to the other readers, which parse those faster.
+
+_FIELD = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+_READ_BYTES = 1 << 18   # text per block of rows
+_PAD = 24               # bytes before a block's text, and after it
+_FLOAT_SHARE = 8
+_DIGITS = _U(0x3030303030303030)
+
+
+def _mantissa_masks() -> np.ndarray:
+    """Columns indexed by 25 * f + i, for f digits after the dot and i
+    before it: rows 0-2 the bytes [24 - f, 24) of a 24-byte window, rows
+    3-5 the bytes [23 - f - i, 23 - f) (the digits before the dot)."""
+    f, i = np.divmod(np.arange(25 * 25), 25)
+    rows = []
+    for first, end in ((24 - f, 24 + 0 * f), (23 - f - i, 23 - f)):
+        for word in range(3):
+            lo, hi = (np.clip(b - 8 * word, 0, 8).astype(_U) * _U(8) for b in (first, end))
+            rows.append(((_U(1) << hi) - _U(1)) & ~((_U(1) << lo) - _U(1)))
+    return np.array(rows)
+
+
+_MANTISSA = _mantissa_masks()
+
+
+def _lowest_bit(k: np.ndarray) -> np.ndarray:
+    """The place of the lowest set bit of each 0 < k < 2**53, from the
+    exponent of that bit as a double."""
+    return ((k & -k).astype(np.float64).view(np.int64) >> 52) - 1023
+
+
+def _windows(buf: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The bytes buf[end : end + 24] of each end as three little-endian
+    words, each XORed with ASCII zeros: digits become bytes 0-9."""
+    aligned = buf.view(_U).take((end >> 3) + np.arange(4)[:, None])
+    r = ((end & 7) << 3).astype(_U)
+    t = aligned[:3] >> r
+    t |= aligned[1:] << (_U(64) - r)
+    t ^= _DIGITS
+    return t
+
+
+def _product(d: np.ndarray, e: np.ndarray, neg: np.ndarray):
+    """The double nearest each D * 10**E, signed, and where it is certain."""
+    col = e - _K_MIN
+    hi, hi_hi, hi_lo, lo = _POW10.take(col, axis=1, mode="clip")
+    dh = d.astype(np.float64)
+    dl = (d.view(np.int64) - dh.astype(np.int64)).astype(np.float64)
+    c = 134217729.0 * dh  # 2**27 + 1
+    a_hi = c - (c - dh)
+    a_lo = dh - a_hi
+    p = dh * hi
+    s = ((((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo)
+         + dh * lo + dl * hi)
+    sure = p + s * (1.0 - _TIE) == p + s * (1.0 + _TIE)
+    sure &= col.view(_U) <= _U(_K_SURE - _K_MIN)
+    sure |= d == _U(0)
+    v = (p + s).view(_U) | (neg.astype(_U) << _U(63))
+    return v.view(np.float64), sure
+
+
+def _block_values(buf: np.ndarray, n: int, width: int):
+    """Values of the n bytes of whole rows at buf[_PAD:], the places of
+    those that ``float`` must read, and each field's start and end; None
+    when a field is off _FIELD or a row is not ``width`` fields."""
+    text = buf[_PAD:_PAD + n]
+    end = np.flatnonzero(text <= 44)  # "," and "\n"; "+" and bytes off _FIELD
+    byte = text.take(end)
+    plus = byte == 43
+    if plus.any():
+        end, byte = end[~plus], byte[~plus]
+    newline = byte == 10
+    if (end.size % width or not newline[width - 1::width].all()
+            or np.count_nonzero(newline) * width != end.size
+            or not ((byte == 44) | newline).all()):
+        return None
+    start = np.empty_like(end)
+    start[0] = 0
+    np.add(end[:-1], 1, out=start[1:])
+    # places are counted in the window of 24 bytes that ends the field,
+    # which starts at buf[end]
+    lead = 24 - (end - start)
+    long = lead < 0
+    np.maximum(lead, 0, out=lead)
+    t = _windows(buf, end)
+    nd = ((t & _U(0x7F7F7F7F7F7F7F7F)) + _U(0x7676767676767676)) | t
+    nd &= _U(0x8080808080808080)  # the top bit of each byte not a digit
+    nd >>= _U(7)
+    nd *= _U(0x0102040810204080)  # gathers the top bits into the top byte
+    nd >>= _U(56)
+    marks = (nd[0] | (nd[1] << _U(8)) | (nd[2] << _U(16))).view(np.int64)
+    del nd
+    neg = buf.take(end + lead) == 45
+    lead += neg
+    marks >>= lead
+    marks <<= lead
+    marks |= 1 << 24
+    dot_at = _lowest_bit(marks)
+    dot = buf.take(end + dot_at) == 46
+    marks &= marks - dot
+    cut = _lowest_bit(marks)  # the mantissa's end
+    has_e = (buf.take(end + cut) | 32) == 101
+    valid = (dot_at > lead) & ((cut - dot_at >= 2) | ~dot)
+    if has_e.any():
+        after_e = buf.take(end + cut + 1)
+        exp_neg = (after_e == 45) & has_e
+        sign = (after_e == 43) & has_e | exp_neg
+        marks ^= (1 << cut) | (sign.astype(np.int64) << (cut + 1))
+        exp_digits = 23 - cut - sign
+        valid &= ((exp_digits >= 1) == has_e) & (marks == has_e.astype(np.int64) << 24)
+        short = exp_digits <= 4
+        unused = _U(32) - (np.clip(exp_digits, 0, 4).astype(_U) << _U(3))
+        x = (t[2] >> _U(32)) & (_U(0xFFFFFFFF) << unused)  # the last 4 bytes
+        x = ((x * _U(2561)) >> _U(8)) & _U(0x00FF00FF)
+        x = (((x * _U(6553601)) >> _U(16)) & _U(0xFFFF)).view(np.int64)
+        e = np.where(exp_neg, -x, x)
+        shift = ((24 - cut) << 3).astype(_U)
+        m = t << shift
+        m[1:] |= t[:-1] >> (_U(64) - shift)
+    else:
+        valid &= cut == 24
+        short, e, m = True, 0, t
+    if not (valid | long).all():
+        return None
+    del t
+    after = cut - np.where(dot, dot_at + 1, lead)
+    masks = _MANTISSA.take(25 * after + (dot_at - lead) * dot, axis=1, mode="clip")
+    before = m & masks[3:]
+    m &= masks[:3]
+    m |= before << _U(8)
+    m[1:] |= before[:-1] >> _U(56)
+    del before, masks
+    sure = valid & ~long & short & ((m[0] << _U(8)) == _U(0))
+    d = m[0] >> _U(56)
+    m = m[1:]
+    m *= _U(2561)  # pairs of digits
+    m >>= _U(8)
+    m &= _U(0x00FF00FF00FF00FF)
+    m *= _U(6553601)  # fours
+    m >>= _U(16)
+    m &= _U(0x0000FFFF0000FFFF)
+    m *= _U(42949672960001)  # eights
+    m >>= _U(32)
+    d *= _U(10 ** 8)
+    d += m[0]
+    d *= _U(10 ** 8)
+    d += m[1]
+    del m
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, certain = _product(d, e - after * dot, neg)
+    return values, np.flatnonzero(~(sure & certain)), start, end
+
+
+def _parse_blocks(raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The block parser on a header line and rows of _FIELD fields; None
+    when the text is anything else."""
+    first = _FIRST_LINE.match(raw).group()
+    lo = len(first) + 1
+    if (raw[lo - 1:lo] not in (b"\n", b"") or not first.isascii()
+            or any(c in first for c in _NUMPY_WHITESPACE) or first.strip() == b""):
+        return None
+    header = [h.strip() for h in first.decode("ascii").split(",")]
+    view = np.frombuffer(raw, np.uint8)
+    rows = sum(np.count_nonzero(view[at:at + _READ_BYTES] == 10)
+               for at in range(lo, len(raw), _READ_BYTES))
+    rows += lo < len(raw) and raw[-1] != 10
+    flat = np.empty(rows * len(header))
+    buf = np.zeros(0, _U)
+    done = 0
+    while lo < len(raw):
+        hi = (raw.rfind(b"\n", lo, lo + _READ_BYTES) + 1
+              or raw.find(b"\n", lo + _READ_BYTES) + 1 or len(raw))
+        size = hi - lo
+        if buf.size * 8 < size + 2 * _PAD + 8:
+            buf = np.zeros((size + 2 * _PAD) // 8 + 2, _U)
+        text = buf.view(np.uint8)
+        text[_PAD:_PAD + size] = view[lo:hi]
+        text[_PAD + size] = 10  # ends a last row that has no "\n"
+        block = _block_values(text, size + (raw[hi - 1] != 10), len(header))
+        if block is None:
+            return None
+        values, slow, start, end = block
+        if slow.size * _FLOAT_SHARE > values.size:
+            return None
+        for j in slow.tolist():
+            field = raw[lo + start[j]:lo + end[j]]
+            if not _FIELD.fullmatch(field):
+                return None
+            values[j] = float(field)
+        flat[done:done + values.size] = values
+        done += values.size
+        lo = hi
+    return header, flat.reshape(rows, len(header))
+
+
+# ---------------------------------------------------------------------------
 # CSV / JSON primitives
 
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -361,10 +587,12 @@ def _parse_lines(path: Path, text: str) -> tuple[list[str], np.ndarray]:
 
 
 def _loadtxt_table(path: Path, raw: bytes) -> tuple[list[str], np.ndarray] | None:
-    """numpy's C parser on an ASCII table; None when the line parser must judge.
+    """numpy's ``loadtxt`` on an ASCII table, the second tier of
+    :func:`_read_table`; None when the line parser must judge.
 
     numpy splits lines and strips fields as the line parser does only in
-    ASCII text without the controls in ``_NUMPY_WHITESPACE``.
+    ASCII text without the controls in ``_NUMPY_WHITESPACE``, and reads
+    each field as ``float`` does.
     """
     if not raw.isascii() or any(c in raw for c in _NUMPY_WHITESPACE):
         return None
@@ -385,17 +613,21 @@ def _loadtxt_table(path: Path, raw: bytes) -> tuple[list[str], np.ndarray] | Non
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     """Header names and float rows of a CSV table.
 
-    numpy's parser reads the table when it can; whatever it rejects is
-    re-read by :func:`_parse_lines`. So the accepted files, the values and
-    the errors are the line parser's, which also reads what ``float``
-    accepts and numpy does not (``1_0``, non-ASCII digits, whitespace-only
-    lines).
+    Three readers are tried in turn, each passing on the whole file when it
+    cannot read it as the next one would: :func:`_parse_blocks` on the
+    writer's grammar, :func:`_loadtxt_table` on other ASCII tables, and
+    :func:`_parse_lines`. Every value is bit for bit what ``float`` reads
+    from its field, and the accepted files and the errors are the line
+    parser's, which also reads what ``float`` accepts and numpy does not
+    (``1_0``, non-ASCII digits, whitespace-only lines).
     """
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    table = _loadtxt_table(path, raw)
+    table = _parse_blocks(raw)
+    if table is None:
+        table = _loadtxt_table(path, raw)
     if table is not None:
         return table
     try:

@@ -67,7 +67,8 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     ``step`` must divide the unit interval into an integer number of cells,
     at least 2.
     """
-    if not 0.0 < real(step, "step") < np.inf:
+    step = real(step, "step")
+    if not 0.0 < step < np.inf:
         raise InvalidStep("step must be positive and finite")
     cells_f = 1.0 / step
     cells = int(round(cells_f))
@@ -102,7 +103,8 @@ def well_diff_stats(counts: PartitionCounts, m_bound: float) -> WellDiffStats:
     ``m_bound^2 * (K - 1) * beta``; the collection is flagged
     well-differentiated when ``gamma > 0`` and the bound is below 1.
     """
-    if not 0.0 < real(m_bound, "m_bound") < np.inf:
+    m_bound = real(m_bound, "m_bound")
+    if not 0.0 < m_bound < np.inf:
         raise OutOfDomain("m_bound must be positive and finite")
     k_count = counts.marginals.shape[0]
     if counts.pairs:

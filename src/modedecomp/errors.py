@@ -89,9 +89,12 @@ def integer(value, name: str, least=None, too_small=OutOfDomain) -> int:
     return int(value)
 
 
-def real(value, name: str):
-    """``value``, a real number, numpy's included: any other or a ``bool``
-    is :class:`OutOfDomain`."""
+def real(value, name: str) -> float:
+    """``value``, a real number, numpy's included, as a ``float``: any other,
+    a ``bool`` or one beyond the float range is :class:`OutOfDomain`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise OutOfDomain(f"{name} must be a real number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise OutOfDomain(f"{name} lies beyond the float range") from exc

@@ -323,7 +323,7 @@ def scale_shape(shape: ShapeTable, factor: float) -> ShapeTable:
     """``shape * factor``; a product that overflows is refused as
     :class:`NonFinite` by :func:`make_shape`, without a warning."""
     with np.errstate(over="ignore"):
-        bins = shape.bins * float(real(factor, "factor"))
+        bins = shape.bins * real(factor, "factor")
     return make_shape(bins)
 
 
@@ -501,6 +501,7 @@ def make_estimate(bandwidth: int,
         cos_coeffs = {n: s.l2norm for n, s in cos_shapes.items()}
     if sin_coeffs is None:
         sin_coeffs = {n: s.l2norm for n, s in sin_shapes.items()}
+    checked = []
     for kind, shapes, coeffs in (("cos", cos_shapes, cos_coeffs),
                                  ("sin", sin_shapes, sin_coeffs)):
         for n in (*shapes, *coeffs):
@@ -508,13 +509,16 @@ def make_estimate(bandwidth: int,
                 raise SinZeroBand("sine shapes have no band-0 entry")
             if abs(integer(n, f"{kind} band")) > m0:
                 raise BandOutOfRange(f"{kind} band {n} outside [-{m0}, {m0}]")
+        values = {}
         for n, c in coeffs.items():
             if n not in shapes:
                 raise OutOfDomain(f"{kind} coefficient {n} has no table")
-            if not math.isfinite(real(c, f"{kind} coefficient {n}")):
+            values[n] = real(c, f"{kind} coefficient {n}")
+            if not math.isfinite(values[n]):
                 raise NonFinite(f"{kind} coefficient {n} is {c!r}")
-    return MimfEstimate(m0, dict(cos_shapes), dict(sin_shapes),
-                        dict(cos_coeffs), dict(sin_coeffs), mode, normalized)
+        checked.append(values)
+    return MimfEstimate(m0, dict(cos_shapes), dict(sin_shapes), *checked,
+                        mode, normalized)
 
 
 def normalize_estimate(est: MimfEstimate) -> MimfEstimate:

@@ -177,7 +177,8 @@ def add_noise(signal: SampledSignal, noise_var: float, seed: int) -> SampledSign
     for a fixed seed, which must be a non-negative integer either way.
     """
     _check_seed(seed)
-    if not 0.0 <= real(noise_var, "noise_var") < np.inf:
+    noise_var = real(noise_var, "noise_var")
+    if not 0.0 <= noise_var < np.inf:
         raise OutOfDomain("noise variance must be finite and nonnegative")
     if noise_var == 0.0:
         return signal
@@ -193,7 +194,8 @@ def snr(signal: SampledSignal, noise_var: float) -> float:
     power, so this is not the textbook power ratio; it is kept this way to
     match the convention the benchmark values were reported under.
     """
-    if not real(noise_var, "noise_var") > 0.0:
+    noise_var = real(noise_var, "noise_var")
+    if not noise_var > 0.0:
         raise NonPositiveVariance("snr needs a strictly positive variance")
     return float(10.0 * np.log10(signal.l2norm / noise_var))
 

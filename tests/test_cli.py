@@ -1230,8 +1230,15 @@ def reference_read_table(path):
     return header, np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-GOOD_FIELDS = st.sampled_from(
-    ["1", " 1.5 ", "-0", "nan", "-inf", "1e400", "4.9e-324", "+2E-3", "\t7"])
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+GOOD_FIELDS = st.one_of(
+    st.sampled_from(["1", " 1.5 ", "-0", "nan", "-inf", "1e400", "4.9e-324",
+                     "+2E-3", "\t7"]),
+    # the block parser's grammar, -?digits[.digits][(e|E)[+|-]digits]
+    DOUBLES.map("{:.17g}".format), DOUBLES.map(repr),
+    st.sampled_from(["1e5", "-0", "0.000012345678901234567", "7E+05", "00.50",
+                     "123456789012345678", "-1234567890123456789e-300",
+                     "12345678901234567.891e2", "1e0005"]))
 ODD_FIELDS = st.sampled_from(
     ["1_0", "\u0663", "\xa02", "nope", "", "0x1p3", "1\x0b", "\x1f7", "\x00",
      "1\u2028", "2\x1c"])
@@ -1285,6 +1292,142 @@ class TestReadTable:
 
         monkeypatch.setattr(cli, "_parse_lines", refuse)
         assert np.array_equal(read_signal_csv(path).values, ex.signal.values)
+
+    @staticmethod
+    def refuse_loadtxt(monkeypatch):
+        def refuse(path, raw):
+            raise AssertionError(f"{path} reached numpy's loadtxt")
+
+        monkeypatch.setattr(cli, "_loadtxt_table", refuse)
+
+    @staticmethod
+    def assert_reads_as_float(path, fields, width=1):
+        """``fields``, written ``width`` to a row, read as ``float`` reads
+        each of them."""
+        rows = [",".join(fields[i:i + width]) + "\n"
+                for i in range(0, len(fields), width)]
+        path.write_text(",".join(f"c{i}" for i in range(width)) + "\n"
+                        + "".join(rows))
+        want = np.array([float(f) for f in fields]).reshape(-1, width)
+        header, data = cli._read_table(path)
+        bad = [(f, got) for f, got, ref in zip(fields, data.ravel(), want.ravel())
+               if not same_bits(got, ref)]
+        assert data.shape == want.shape and not bad, bad[:5]
+        return data
+
+    def test_reads_exact_ties(self, tmp_path, monkeypatch):
+        """Decimals of at most 17 digits halfway between two doubles, which
+        round to even, in both signs and with the point in several places;
+        each among eight ordinary values, which keeps it in the block
+        parser."""
+        rng = np.random.default_rng(14)
+        ties = ["9007199254740993", "9007199254740995"]
+        for bits in range(52, 57):  # the doubles 2**bits <= x < 2**(bits + 1)
+            half = Fraction(2 ** bits, 2 ** 53)  # half their spacing
+            top = min(2 ** (bits + 1), 10 ** 17)
+            for k in rng.integers(2 ** 52, (top / half - 1) // 2, 40):
+                tie = (2 * int(k) + 1) * half
+                assert abs(tie - Fraction(float(tie))) == half
+                ties.append(str(tie.numerator) if tie.denominator == 1
+                            else f"{tie.numerator // 2}.5")
+        forms = []
+        for tie in ties:
+            digits, point = tie.replace(".", ""), len(tie.split(".")[0])
+            forms += [tie, f"{digits}e{point - len(digits)}",
+                      f"{digits[0]}.{digits[1:]}e+{point - 1}",
+                      f"0.00{digits}e{point + 2}",
+                      f"{digits[:point - 1]}.{digits[point - 1:]}E1"]
+        forms += ["-" + f for f in forms]
+        fields = self.among_ordinary(forms, 14)
+        self.refuse_loadtxt(monkeypatch)
+        data = self.assert_reads_as_float(tmp_path / "ties.csv", fields, 3)
+        read = dict(zip(fields, data.ravel().tolist()))
+        assert read["9007199254740993"] == 9007199254740992.0
+        assert read["-9007199254740995"] == -9007199254740996.0
+
+    @staticmethod
+    def among_ordinary(fields, seed):
+        """Each field followed by eight "%.17g" values of ordinary size."""
+        rng = np.random.default_rng(seed)
+        ordinary = ["%.17g" % x for x in rng.uniform(-1e3, 1e3, 8 * len(fields))]
+        return [f for i, field in enumerate(fields)
+                for f in (field, *ordinary[8 * i:8 * i + 8])]
+
+    def test_reads_near_ties(self, tmp_path, monkeypatch):
+        """17-digit decimals D / 10**n within 2**-96 of a midpoint between
+        two doubles, a few of them on it. The midpoints of the binade
+        [2**b, 2**(b + 1)) are the odd multiples of 2**(b - 53), so D / 10**n
+        is one where D * 2**(52 - b - n) is an odd multiple of 5**n halved;
+        D is taken within a unit of that, modulo 5**n."""
+        near = []
+        for n in range(20, 31):
+            five = 5 ** n
+            for b in range(-50, -10):
+                lo = max(10 ** 16, -(-10 ** n // 2 ** -b))
+                hi = min(10 ** 17, 10 ** n // 2 ** (-b - 1))
+                if lo >= hi:
+                    continue
+                inverse = pow(2 ** (52 - b - n), -1, five)
+                for delta in (-1, 0, 1):
+                    r = ((five + 1) // 2 + delta) * inverse % five
+                    near += [(d, n) for d in range(r + -(-(lo - r) // five) * five, hi, five)]
+        fields = []
+        for d, n in near:
+            value = Fraction(d, 10 ** n)
+            spacing = Fraction(math.ulp(float(value)))
+            offset = (value - Fraction(float(value))) / spacing  # within 1/2
+            assert 0.5 - abs(offset) < 2.0 ** -44
+            fields += [f"{d}e-{n}", f"-{str(d)[0]}.{str(d)[1:]}E-{n - 16}"]
+        assert len(fields) > 400
+        self.refuse_loadtxt(monkeypatch)
+        self.assert_reads_as_float(tmp_path / "near.csv", self.among_ordinary(fields, 15))
+
+    def test_reads_long_mantissas(self, tmp_path, monkeypatch):
+        """Mantissas of 18 to 20 significant digits, and of 17 after leading
+        zeros, in fields of up to 24 bytes and longer."""
+        rng = np.random.default_rng(16)
+        fields = []
+        for digits in (17, 18, 19, 20):
+            for head in rng.integers(10 ** 16, 10 ** 17, 30).tolist():
+                mantissa = str(head) + "".join(rng.choice(list("0123456789"), digits - 17))
+                for form in (mantissa, f"{mantissa[:3]}.{mantissa[3:]}e-7",
+                             f"0.0000{mantissa}", f"-{mantissa[0]}.{mantissa[1:]}e+301"):
+                    fields.append(form)
+        self.refuse_loadtxt(monkeypatch)
+        self.assert_reads_as_float(tmp_path / "long.csv", self.among_ordinary(fields, 17), 4)
+
+    @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_random_bit_patterns(self, tmp_path, rows):
+        """Finite doubles of any bits, written by ``_write_table``, read
+        back bit for bit."""
+        rng = np.random.default_rng(rows + 1)
+        bits = rng.integers(0, 2 ** 64, (rows, 3), dtype=np.uint64, endpoint=False)
+        table = bits.view(np.float64)
+        table[~np.isfinite(table)] = 1.0
+        path = tmp_path / "r.csv"
+        cli._write_table(path, ["a", "b", "c"], list(table.T))
+        header, data = cli._read_table(path)
+        assert header == ["a", "b", "c"]
+        assert data.tobytes() == table.tobytes()
+
+    def test_cli_files_skip_loadtxt(self, tmp_path, monkeypatch):
+        """Every table a synth, gmd, mmd and diagnose run writes is read by
+        the block parser, values bit for bit as ``float`` reads them."""
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert run_synth(data, samples=1024, noise="0.01") == 0
+        inputs = ["--signal", str(data / "signal.csv"), "--phases", str(data / "phases.csv")]
+        assert main(["gmd", *inputs, "--out", str(run / "gmd")]) == 0
+        assert main(["mmd", *inputs, "--m0", "1", "--out", str(run / "mmd")]) == 0
+        assert main(["diagnose", "--residual", str(run / "gmd" / "residual.csv"),
+                     "--out", str(run / "acf")]) == 0
+        tables = sorted(tmp_path.rglob("*.csv"))
+        assert len(tables) > 10
+        want = {path: reference_read_table(path) for path in tables}
+        self.refuse_loadtxt(monkeypatch)
+        for path in tables:
+            header, values = cli._read_table(path)
+            assert header == want[path][0]
+            assert values.tobytes() == want[path][1].tobytes(), path
 
     def test_header_only_file(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"

@@ -329,6 +329,13 @@ class TestRealParameters:
         with pytest.raises(OutOfDomain, match="must be a real number"):
             non_real_calls(value)[case]()
 
+    @pytest.mark.parametrize("case", sorted(non_real_calls(None)))
+    def test_beyond_float_range_refused(self, case):
+        """An ``int`` too large for a float is refused as well, neither an
+        ``OverflowError`` nor a ``TypeError`` from numpy."""
+        with pytest.raises(OutOfDomain):
+            non_real_calls(10 ** 400)[case]()
+
     def test_numpy_reals_accepted(self):
         shape = md.ecg_like_shape(64, 1)
         assert np.array_equal(md.scale_shape(shape, np.float32(2.0)).bins,
