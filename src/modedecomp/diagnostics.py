@@ -26,7 +26,7 @@ from .errors import (
     real,
 )
 from .fold_regress import bin_layout
-from .signal_model import PhasePrior, SampledSignal, unit_position
+from .signal_model import PhasePrior, SampledSignal, scale_into_range, unit_position
 
 __all__ = [
     "PartitionCounts",
@@ -136,13 +136,16 @@ def autocorrelation(signal: SampledSignal, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation of the mean-removed values.
 
     Normalized so the zero-lag value is 1; a constant signal returns an
-    impulse at lag 0 by convention.
+    impulse at lag 0 by convention. The values are first scaled by a power
+    of two, as :func:`scale_into_range` scales them, so that their products
+    neither overflow nor underflow.
     """
     length = len(signal)
     integer(max_lag, "max_lag", 0)
     if max_lag >= length:
         raise LagTooLarge("max_lag must be smaller than the sample count")
-    x = signal.values - np.mean(signal.values)
+    values = scale_into_range(signal)[0].values
+    x = values - np.mean(values)
     # einsum, not np.dot: threaded BLAS can stall for most of a second on
     # its first dot products in a process.
     denom = float(np.einsum("i,i->", x, x))

@@ -523,7 +523,9 @@ def make_estimate(bandwidth: int,
 
 def normalize_estimate(est: MimfEstimate) -> MimfEstimate:
     """Split each accumulated product into a nonnegative coefficient and a
-    unit-norm shape; zero accumulators yield coefficient 0 and a zero shape."""
+    unit-norm shape; zero accumulators yield coefficient 0 and a zero shape.
+    A table whose norm has no finite inverse is first scaled up by a power
+    of two, exactly, and its norm recomputed."""
     if est.normalized:
         return est
 
@@ -532,7 +534,9 @@ def normalize_estimate(est: MimfEstimate) -> MimfEstimate:
         for n, s in shapes.items():
             norm = s.l2norm
             if norm > 0.0:
-                out_s[n] = scale_shape(s, 1.0 / norm)
+                if math.isinf(1.0 / norm):
+                    s = make_shape(np.ldexp(s.bins, -math.frexp(norm)[1]))
+                out_s[n] = scale_shape(s, 1.0 / s.l2norm)
                 out_c[n] = norm
             else:
                 out_s[n] = zero_shape(s.size)

@@ -763,7 +763,29 @@ class TestMmdFilesRebuildModes:
                      "--phases", str(data / "phases.csv"),
                      "--m0", "2", "--j1", "5", "--bins", "64",
                      "--out", str(out)]) == 0
-        times, priors = read_phases_csv(data / "phases.csv")
+        self.assert_rebuilds(data / "phases.csv", out)
+
+    def test_tables_of_subnormal_norm(self, tmp_path):
+        """A signal scaled by 1e-306 leaves band tables whose norm has no
+        finite inverse; they are written as unit shapes all the same."""
+        data = tmp_path / "data"
+        run_synth(data, seed="3")
+        signal = read_signal_csv(data / "signal.csv")
+        write_signal_csv(data / "tiny.csv",
+                         md.make_signal(signal.times, signal.values * 1e-306))
+        out = tmp_path / "fit"
+        assert main(["mmd", "--signal", str(data / "tiny.csv"),
+                     "--phases", str(data / "phases.csv"),
+                     "--m0", "2", "--out", str(out)]) == 0
+        coeffs = read_coefficients_csv(out / "coefficients.csv")
+        assert any(0.0 < c < 2.0 ** -1024 for pair in coeffs.values() for c in pair)
+        self.assert_rebuilds(data / "phases.csv", out)
+
+    @staticmethod
+    def assert_rebuilds(phases, out):
+        """The coefficients times the unit shapes of an ``mmd --m0 2`` run
+        give its modes."""
+        times, priors = read_phases_csv(phases)
         coeffs = read_coefficients_csv(out / "coefficients.csv")
         for k, prior in enumerate(priors, 1):
             cos_s, sin_s, cos_c, sin_c = {}, {}, {}, {}
@@ -1286,19 +1308,15 @@ class TestReadTable:
         ex = md.gen_example_4_1(256, 1.0, 3)
         path = tmp_path / "sig.csv"
         write_signal_csv(path, ex.signal)
-
-        def refuse(path, text):
-            raise AssertionError("a plain file reached the line parser")
-
-        monkeypatch.setattr(cli, "_parse_lines", refuse)
+        self.refuse_line_parser(monkeypatch)
         assert np.array_equal(read_signal_csv(path).values, ex.signal.values)
 
     @staticmethod
-    def refuse_loadtxt(monkeypatch):
-        def refuse(path, raw):
-            raise AssertionError(f"{path} reached numpy's loadtxt")
+    def refuse_line_parser(monkeypatch):
+        def refuse(path, text):
+            raise AssertionError(f"{path} reached the line parser")
 
-        monkeypatch.setattr(cli, "_loadtxt_table", refuse)
+        monkeypatch.setattr(cli, "_parse_lines", refuse)
 
     @staticmethod
     def assert_reads_as_float(path, fields, width=1):
@@ -1339,7 +1357,7 @@ class TestReadTable:
                       f"{digits[:point - 1]}.{digits[point - 1:]}E1"]
         forms += ["-" + f for f in forms]
         fields = self.among_ordinary(forms, 14)
-        self.refuse_loadtxt(monkeypatch)
+        self.refuse_line_parser(monkeypatch)
         data = self.assert_reads_as_float(tmp_path / "ties.csv", fields, 3)
         read = dict(zip(fields, data.ravel().tolist()))
         assert read["9007199254740993"] == 9007199254740992.0
@@ -1379,7 +1397,7 @@ class TestReadTable:
             assert 0.5 - abs(offset) < 2.0 ** -44
             fields += [f"{d}e-{n}", f"-{str(d)[0]}.{str(d)[1:]}E-{n - 16}"]
         assert len(fields) > 400
-        self.refuse_loadtxt(monkeypatch)
+        self.refuse_line_parser(monkeypatch)
         self.assert_reads_as_float(tmp_path / "near.csv", self.among_ordinary(fields, 15))
 
     def test_reads_long_mantissas(self, tmp_path, monkeypatch):
@@ -1393,7 +1411,7 @@ class TestReadTable:
                 for form in (mantissa, f"{mantissa[:3]}.{mantissa[3:]}e-7",
                              f"0.0000{mantissa}", f"-{mantissa[0]}.{mantissa[1:]}e+301"):
                     fields.append(form)
-        self.refuse_loadtxt(monkeypatch)
+        self.refuse_line_parser(monkeypatch)
         self.assert_reads_as_float(tmp_path / "long.csv", self.among_ordinary(fields, 17), 4)
 
     @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
@@ -1410,7 +1428,7 @@ class TestReadTable:
         assert header == ["a", "b", "c"]
         assert data.tobytes() == table.tobytes()
 
-    def test_cli_files_skip_loadtxt(self, tmp_path, monkeypatch):
+    def test_cli_files_read_by_block_parser(self, tmp_path, monkeypatch):
         """Every table a synth, gmd, mmd and diagnose run writes is read by
         the block parser, values bit for bit as ``float`` reads them."""
         data, run = tmp_path / "data", tmp_path / "run"
@@ -1423,11 +1441,27 @@ class TestReadTable:
         tables = sorted(tmp_path.rglob("*.csv"))
         assert len(tables) > 10
         want = {path: reference_read_table(path) for path in tables}
-        self.refuse_loadtxt(monkeypatch)
+        self.refuse_line_parser(monkeypatch)
         for path in tables:
             header, values = cli._read_table(path)
             assert header == want[path][0]
             assert values.tobytes() == want[path][1].tobytes(), path
+
+    def test_declined_file_read_once(self, tmp_path):
+        """A file the block parser declines is opened once: the line parser
+        reads the bytes already read. Opens are seen by the "open" audit
+        event, which also sees those of callers that hold their own
+        reference to ``open``."""
+        path = tmp_path / "residual.csv"
+        path.write_bytes(b"x,value\r\n" + b"".join(b" %d,+%dE-1\r\n" % (i, i)
+                                                   for i in range(6)))
+        name, opened = str(path), []
+        sys.addaudithook(lambda event, args: event == "open"
+                         and str(args[0]) == name and opened.append(name))
+        header, data = cli._read_table(path)
+        assert header == ["x", "value"]
+        assert data.tolist() == [[i, float(f"{i}E-1")] for i in range(6)]
+        assert len(opened) == 1
 
     def test_header_only_file(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,21 @@ class TestAutocorrelation:
                 for lag in range(41)]
         assert rho[0] == 1.0
         assert np.max(np.abs(rho - want)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300, 2.0 ** 900, 2.0 ** -900])
+    def test_extreme_scales(self, scale):
+        """Values whose squares overflow or underflow give, without a
+        RuntimeWarning (an error under the project's pytest settings), the
+        rho of the same values at an ordinary scale: scale's mantissa times
+        the signal, which differs from them by a power of two only. The
+        rounding of ``scale * values`` itself moves rho by up to a few
+        1e-15, as a factor of 3 does."""
+        sig = md.gen_example_4_1(2048, seed=3).signal
+        mantissa = math.frexp(scale)[0]
+        want = md.autocorrelation(md.make_signal(sig.times, sig.values * mantissa), 40)
+        rho = md.autocorrelation(md.make_signal(sig.times, sig.values * scale), 40)
+        assert rho.tobytes() == want.tobytes()
+        assert np.max(np.abs(rho - md.autocorrelation(sig, 40))) <= 1e-14
 
     def test_lag_too_large(self):
         t = md.sample_grid(32)

@@ -652,6 +652,24 @@ class TestNormalizeEstimate:
         assert normed.cos_shapes[1].l2norm == 0.0
         assert all(c >= 0.0 for c in normed.cos_coeffs.values())
 
+    def test_norm_without_finite_inverse(self):
+        """Tables of norm 1e-310, below 2**-1024, where ``1 / norm``
+        overflows."""
+        rng = np.random.default_rng(12)
+        flat = md.make_shape(1e-310 * np.array([1.0, -1.0] * 16))
+        rough = md.make_shape(np.ldexp(rng.normal(size=32), -1040))
+        est = md.make_estimate(1, {0: flat, 1: rough}, {1: md.zero_shape(32)})
+        normed = md.normalize_estimate(est)
+        assert normed.cos_coeffs[0] == 1e-310
+        assert normed.cos_coeffs[1] == rough.l2norm < 2.0 ** -1024
+        for n, table in ((0, flat), (1, rough)):
+            unit = normed.cos_shapes[n]
+            assert unit.l2norm == pytest.approx(1.0, abs=1e-15)
+            scaled = np.ldexp(table.bins, 1100)
+            assert np.allclose(unit.bins, scaled / md.signal_norm(scaled),
+                               rtol=0, atol=1e-15)
+        assert normed.sin_coeffs[1] == 0.0
+
     def test_reconstruction_invariant_under_normalization(self):
         t = np.arange(1024) / 1024
         prior = md.with_fundamental(md.make_prior(20.0 * t), t)
