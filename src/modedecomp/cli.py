@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import re
 import sys
 from dataclasses import asdict, fields
 from functools import partial
@@ -304,9 +303,7 @@ def _format_rows(block: np.ndarray) -> bytes:
 # float64 values of CSV text blocks
 #
 # A table of ASCII rows is read a block of whole rows at a time, its fields
-# split on "," and "\n", under a header line of printable ASCII. Every field
-# must match _FIELD; the first one off it (whitespace, "+1", "nan", a CR, a
-# blank or ragged line) sends the whole file to the line parser. Each field
+# split on "," and "\n", under a header line of printable ASCII. Each field
 # is parsed in numpy:
 #
 # - The 24 bytes that end at the field's end are gathered as three uint64
@@ -326,18 +323,15 @@ def _format_rows(block: np.ndarray) -> bytes:
 #   relative, so when p + s * (1 - _TIE) and p + s * (1 + _TIE) round to the
 #   same double, no boundary lies within 2**-85 of p + s and that double,
 #   the rounding of p + s, is the one nearest D * 10**E.
-# Those near-ties, magnitudes outside [_FAST_MIN, _FAST_MAX], more than 17
-# significant digits, longer exponents and fields over 24 bytes are read by
-# ``float``. When more than one field in _FLOAT_SHARE needs it, the whole file
-# goes to the line parser, which reads such files faster: 2**17 two-column
-# rows of fields that all need ``float`` take it about 136 ms and this parser
-# about 198 ms (best of 5 on a 2-vCPU Intel Xeon VM).
+# The first field this parser does not round exactly sends the whole file to
+# the line parser: one off -?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)? (whitespace,
+# "+1", "nan", a CR, a blank or ragged line), over 24 bytes, of more than 17
+# significant digits or 4 exponent digits, of E outside _K_MIN ... _K_SURE,
+# or a near-tie. The writer's digits lie 0.05 ulp or more from a boundary, so
+# its fields are all rounded here from about 1e-264 to 1e277.
 
-_FIELD = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
-_FIRST_LINE = re.compile(rb"[^\r\n]*")
 _READ_BYTES = 1 << 18   # text per block of rows
 _PAD = 24               # bytes before a block's text, and after it
-_FLOAT_SHARE = 8
 _DIGITS = _U(0x3030303030303030)
 
 
@@ -393,12 +387,12 @@ def _product(d: np.ndarray, e: np.ndarray, neg: np.ndarray):
     return v.view(np.float64), sure
 
 
-def _block_values(buf: np.ndarray, n: int, width: int):
-    """Values of the n bytes of whole rows at buf[_PAD:], the places of
-    those that ``float`` must read, and each field's start and end; None
-    when a field is off _FIELD or a row is not ``width`` fields."""
+def _block_values(buf: np.ndarray, n: int, width: int) -> np.ndarray | None:
+    """Values of the n bytes of whole rows at buf[_PAD:], each the double
+    nearest its field; None when a row is not ``width`` fields or a field is
+    not one this parser rounds exactly."""
     text = buf[_PAD:_PAD + n]
-    end = np.flatnonzero(text <= 44)  # "," and "\n"; "+" and bytes off _FIELD
+    end = np.flatnonzero(text <= 44)  # "," and "\n"; "+" and bytes off the grammar
     byte = text.take(end)
     plus = byte == 43
     if plus.any():
@@ -408,14 +402,11 @@ def _block_values(buf: np.ndarray, n: int, width: int):
             or np.count_nonzero(newline) * width != end.size
             or not ((byte == 44) | newline).all()):
         return None
-    start = np.empty_like(end)
-    start[0] = 0
-    np.add(end[:-1], 1, out=start[1:])
     # places are counted in the window of 24 bytes that ends the field,
-    # which starts at buf[end]
-    lead = 24 - (end - start)
-    long = lead < 0
-    np.maximum(lead, 0, out=lead)
+    # which starts at buf[end]: 24 less the field's length before it
+    lead = 25 - np.diff(end, prepend=-1)
+    if (lead < 0).any():  # a field over 24 bytes
+        return None
     t = _windows(buf, end)
     nd = ((t & _U(0x7F7F7F7F7F7F7F7F)) + _U(0x7676767676767676)) | t
     nd &= _U(0x8080808080808080)  # the top bit of each byte not a digit
@@ -442,7 +433,7 @@ def _block_values(buf: np.ndarray, n: int, width: int):
         marks ^= (1 << cut) | (sign.astype(np.int64) << (cut + 1))
         exp_digits = 23 - cut - sign
         valid &= ((exp_digits >= 1) == has_e) & (marks == has_e.astype(np.int64) << 24)
-        short = exp_digits <= 4
+        valid &= exp_digits <= 4
         unused = _U(32) - (np.clip(exp_digits, 0, 4).astype(_U) << _U(3))
         x = (t[2] >> _U(32)) & (_U(0xFFFFFFFF) << unused)  # the last 4 bytes
         x = ((x * _U(2561)) >> _U(8)) & _U(0x00FF00FF)
@@ -453,8 +444,8 @@ def _block_values(buf: np.ndarray, n: int, width: int):
         m[1:] |= t[:-1] >> (_U(64) - shift)
     else:
         valid &= cut == 24
-        short, e, m = True, 0, t
-    if not (valid | long).all():
+        e, m = 0, t
+    if not valid.all():
         return None
     del t
     after = cut - np.where(dot, dot_at + 1, lead)
@@ -464,7 +455,8 @@ def _block_values(buf: np.ndarray, n: int, width: int):
     m |= before << _U(8)
     m[1:] |= before[:-1] >> _U(56)
     del before, masks
-    sure = valid & ~long & short & ((m[0] << _U(8)) == _U(0))
+    if (m[0] << _U(8)).any():  # digits 18-24 from the right
+        return None
     d = m[0] >> _U(56)
     m = m[1:]
     m *= _U(2561)  # pairs of digits
@@ -482,16 +474,16 @@ def _block_values(buf: np.ndarray, n: int, width: int):
     del m
     with np.errstate(over="ignore", invalid="ignore"):
         values, certain = _product(d, e - after * dot, neg)
-    return values, np.flatnonzero(~(sure & certain)), start, end
+    return values if certain.all() else None
 
 
 def _parse_blocks(raw: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The block parser on a header line and rows of _FIELD fields; None
-    when the text is anything else."""
-    first = _FIRST_LINE.match(raw).group()
-    lo = len(first) + 1
-    if (raw[lo - 1:lo] not in (b"\n", b"") or not first.isascii()
-            or not first.decode("ascii").isprintable() or first.strip() == b""):
+    """The block parser on a header line and rows of fields it rounds
+    exactly; None when the text is anything else."""
+    lo = raw.find(b"\n") + 1 or len(raw) + 1  # not partition: it copies the rows
+    first = raw[:lo - 1]
+    if (not first.isascii() or not first.decode("ascii").isprintable()
+            or first.strip() == b""):
         return None
     header = [h.strip() for h in first.decode("ascii").split(",")]
     view = np.frombuffer(raw, np.uint8)
@@ -510,17 +502,9 @@ def _parse_blocks(raw: bytes) -> tuple[list[str], np.ndarray] | None:
         text = buf.view(np.uint8)
         text[_PAD:_PAD + size] = view[lo:hi]
         text[_PAD + size] = 10  # ends a last row that has no "\n"
-        block = _block_values(text, size + (raw[hi - 1] != 10), len(header))
-        if block is None:
+        values = _block_values(text, size + (raw[hi - 1] != 10), len(header))
+        if values is None:
             return None
-        values, slow, start, end = block
-        if slow.size * _FLOAT_SHARE > values.size:
-            return None
-        for j in slow.tolist():
-            field = raw[lo + start[j]:lo + end[j]]
-            if not _FIELD.fullmatch(field):
-                return None
-            values[j] = float(field)
         flat[done:done + values.size] = values
         done += values.size
         lo = hi
@@ -587,9 +571,9 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     """Header names and float rows of a CSV table.
 
     The file is read once. :func:`_parse_blocks` reads tables of the
-    writer's grammar and :func:`_parse_lines` every file it declines. Every
-    value is bit for bit what ``float`` reads from its field, and the
-    accepted files and the errors are the line parser's.
+    writer's grammar that it rounds exactly, :func:`_parse_lines` every file
+    it declines. Every value is bit for bit what ``float`` reads from its
+    field, and the accepted files and the errors are the line parser's.
     """
     try:
         raw = path.read_bytes()
@@ -646,13 +630,16 @@ def read_phases_csv(path) -> tuple[np.ndarray, list[PhasePrior]]:
     """Parse a phase-prior file: column t, then p1..pK, optionally q1..qK.
 
     Columns are matched by name, so ``qK`` is the amplitude of ``pK``
-    wherever either column sits.
+    wherever either column sits; any other column is a ``ParseError``.
     """
     header, data = _read_table(Path(path))
     if not header or header[0] != "t":
         raise ParseError(f"{path}: first column must be 't'")
     p_cols = _numbered_columns(path, header, "p")
     q_cols = _numbered_columns(path, header, "q")
+    unknown = [h for col, h in enumerate(header) if col not in {0, *p_cols, *q_cols}]
+    if unknown:
+        raise ParseError(f"{path}: unknown column {unknown[0]!r}")
     if not p_cols:
         raise ParseError(f"{path}: no phase columns (p1, p2, ...)")
     if q_cols and len(q_cols) != len(p_cols):

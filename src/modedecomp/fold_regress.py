@@ -144,10 +144,6 @@ class PhasePlan:
     def __len__(self) -> int:
         return int(self.j0.size)
 
-    def interpolate(self, b: np.ndarray) -> np.ndarray:
-        """A ``layout.size``-bin table at the phase samples (``band_term``)."""
-        return band_term(b, self.j0, self.w, self.w1)
-
     @cached_property
     def half_slots(self) -> np.ndarray:
         """Each sample's half-bin slot ``2 j0 + (i != j0)`` for its bin
@@ -453,8 +449,8 @@ class BandOperators:
     takes its carrier for both factors, a gmd sweep ``a_k = 1 / q_k`` and
     ``b_k = q_k`` with gain 1. ``S_k`` sums samples into component ``k``'s
     bins and ``E_k`` evaluates a table at its phase samples
-    (:meth:`PhasePlan.interpolate`). Each step is linear in the residual,
-    so a pass can run on bin sums:
+    (:func:`band_term` at the plan's ``j0, w, w1``). Each step is linear in
+    the residual, so a pass can run on bin sums:
 
     - ``cross[k, m] = S_k diag(a_k h_m) E_m`` (``k != m``): subtracting
       component ``m``'s ``h_m E_m u`` lowers component ``k``'s bin sums by

@@ -22,7 +22,7 @@ from modedecomp.fold_regress import (BinPass, _banded, band_operators,
                                      bin_means, carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE, BandPlans,
                             bin_space_fits, operator_bytes)
-from modedecomp.signal_model import BandCarriers, unit_position
+from modedecomp.signal_model import BandCarriers, band_term, unit_position
 
 TOL = 1e-12
 
@@ -634,8 +634,8 @@ class TestRebase:
         plans = [plan_phase(p, 500, 24) for p in priors]
         pre, post, gain = factors(priors, n, kind)
         rng = np.random.default_rng(14)
-        r = sum(p.interpolate(rng.normal(size=24)) * (1.0 if b is None else b)
-                for p, b in zip(plans, post))
+        r = sum(band_term(rng.normal(size=24), p.j0, p.w, p.w1)
+                * (1.0 if b is None else b) for p, b in zip(plans, post))
         rebase, rebased = BinPass._rebase, []
 
         def counted(self):
