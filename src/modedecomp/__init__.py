@@ -26,7 +26,6 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
-    add_shapes,
     band_order,
     eval_shape,
     make_estimate,
@@ -67,14 +66,10 @@ from .mmd import (
     modified_rdbr,
 )
 from .synth import (
-    BandSpec,
-    ComponentSpec,
     Example41,
     add_noise,
     ecg_like_shape,
     gen_example_4_1,
-    gen_gimf,
-    gen_mimf,
     sample_grid,
     snr,
 )

@@ -401,7 +401,7 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], scheme: str,
     """
     cur, bins = residual, plans[0].layout.size
     incs = np.empty((len(plans), bins))
-    subtracted: list[np.ndarray] = []
+    subtracted = None
     for plan, a, b, inc in zip(plans, pre, post, incs):
         ys = _times(a, cur if scheme == "gauss_seidel" else residual)
         if not np.all(np.isfinite(ys)):
@@ -414,11 +414,11 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], scheme: str,
         sub = band_term(gain * inc, plan.j0, plan.w, plan.w1, b)
         if scheme == "gauss_seidel":
             cur = cur - sub
+        elif subtracted is None:
+            subtracted = sub
         else:
-            subtracted.append(sub)
-    if scheme != "gauss_seidel":
-        cur = residual - np.sum(subtracted, axis=0)
-    return incs, cur
+            subtracted += sub
+    return incs, cur if subtracted is None else residual - subtracted
 
 
 def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],

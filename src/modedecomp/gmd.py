@@ -53,7 +53,6 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
-    add_shapes,
     ldexp_shape,
     ldexp_signal,
     make_shape,
@@ -62,7 +61,6 @@ from .signal_model import (
     signal_norm,
     sort_components,
     with_fundamental,
-    zero_shape,
 )
 
 __all__ = [
@@ -344,11 +342,6 @@ def group_sum_shapes(result: GmdResult,
             seen.add(k)
     if seen != set(range(k_total)):
         raise InvalidPartition("groups must cover every component exactly once")
-    nb = result.shapes[0].size
-    out = []
-    for group in groups:
-        total = zero_shape(nb)
-        for k in group:
-            total = add_shapes(total, result.shapes[k])
-        out.append(total)
-    return out
+    zeros = np.zeros(result.shapes[0].size)
+    return [make_shape(sum((result.shapes[k].bins for k in group), zeros))
+            for group in groups]

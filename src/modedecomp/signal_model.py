@@ -47,7 +47,6 @@ __all__ = [
     "make_prior",
     "make_shape",
     "zero_shape",
-    "add_shapes",
     "scale_shape",
     "signal_norm",
     "row_norms",
@@ -313,12 +312,6 @@ def zero_shape(bins: int) -> ShapeTable:
     return make_shape(np.zeros(integer(bins, "bins")))
 
 
-def add_shapes(a: ShapeTable, b: ShapeTable) -> ShapeTable:
-    if a.size != b.size:
-        raise LengthMismatch("shape tables have different bin counts")
-    return make_shape(a.bins + b.bins)
-
-
 def scale_shape(shape: ShapeTable, factor: float) -> ShapeTable:
     """``shape * factor``; a product that overflows is refused as
     :class:`NonFinite` by :func:`make_shape`, without a warning."""
@@ -560,11 +553,14 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     :class:`BandCarriers` store, which lends them from band ``n`` to
     ``-n``, by :func:`band_term`, so that it reproduces an mmd mode exactly
     from its unnormalized estimate. Interpolation data is formed once per
-    table size.
+    table size. The grid, the prior's sample times in order, is refused if
+    decreasing, else as :func:`make_signal` refuses times.
     """
     t = np.asarray(grid, dtype=float)
-    if t.size != len(prior):
+    if t.shape != prior.phase.shape:
         raise GridMismatch("grid length does not match the prior")
+    if np.any(t[1:] < t[:-1]):
+        raise OutOfDomain("grid times must be increasing")
     x = unit_position(prior.phase)
     at, carriers = {}, BandCarriers([prior])
     total = np.zeros_like(x)
@@ -581,4 +577,4 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
             at[nb] = interpolation(x, nb)
         total += band_term(band_sign(n, kind) * table.bins, *at[nb],
                            g=carriers(n, kind)[0])
-    return SampledSignal(_readonly(t), _readonly(total))
+    return make_signal(t, total)

@@ -1,5 +1,6 @@
-"""Ground-truth generators: single modes, band-structured modes, the
-two-component benchmark signal, noise injection, and sampling grids.
+"""Ground-truth generators: one component ``a(phi) s(N phi)``, the
+two-component benchmark signal, noise injection, and sampling grids; a
+band-structured mode is ``reconstruct_mimf`` of its ``make_estimate``.
 
 The benchmark waveforms are ECG-flavored surrogates built from three
 periodic Gaussian bumps (P, QRS and T analogs); the bump parameters are
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .signal_model import (
     make_estimate,
     make_prior,
     make_shape,
-    make_signal,
     scale_shape,
     signal_norm,
     with_fundamental,
@@ -35,12 +34,8 @@ from .signal_model import (
 )
 
 __all__ = [
-    "BandSpec",
-    "ComponentSpec",
     "Example41",
     "RNG_IDENTITY",
-    "gen_gimf",
-    "gen_mimf",
     "gen_example_4_1",
     "ecg_like_shape",
     "add_noise",
@@ -68,77 +63,6 @@ _EX41_SHAPE_BINS = 1024
 _EX41 = ((150, ("sin", 0.006), (1.0, 0.2, 0.1), 1),
          (220, ("cos", 0.006), (1.0, 0.1, 0.2), 2))
 _WIGGLES = {"sin": np.sin, "cos": np.cos}
-
-
-@dataclass(frozen=True)
-class BandSpec:
-    """Coefficients and unit shapes of one band of a band-structured mode."""
-
-    cos_coeff: float = 0.0
-    sin_coeff: float = 0.0
-    cos_shape: ShapeTable | None = None
-    sin_shape: ShapeTable | None = None
-
-
-@dataclass(frozen=True)
-class ComponentSpec:
-    """Closed-form description of one oscillatory component.
-
-    ``amplitude`` and ``phase`` map a time array to samples; ``shape`` is a
-    tabulated period. For band-structured modes, ``bands`` maps the band
-    index to its coefficients and shapes.
-    """
-
-    amplitude: Callable[[np.ndarray], np.ndarray]
-    phase: Callable[[np.ndarray], np.ndarray]
-    fundamental: int
-    shape: ShapeTable
-    bands: Mapping[int, BandSpec] | None = None
-
-
-def gen_gimf(spec: ComponentSpec, grid: Sequence[float]) -> SampledSignal:
-    """Sample ``amplitude(t) * shape(N * phase(t))`` on the grid."""
-    t = np.asarray(grid, dtype=float)
-    amp = np.broadcast_to(np.asarray(spec.amplitude(t), dtype=float), t.shape)
-    pos = spec.fundamental * np.asarray(spec.phase(t), dtype=float)
-    values = amp * eval_shape(spec.shape, pos)
-    return make_signal(t, values)
-
-
-def gen_mimf(spec: ComponentSpec, grid: Sequence[float]) -> SampledSignal:
-    """Sample the band sum of a band-structured mode on the grid.
-
-    Evaluates the trigonometric carriers directly, so it is an independent
-    counterpart to reconstructing from an estimate that stores the same
-    products. Each band's angle and each distinct table's values are
-    formed once.
-    """
-    if spec.bands is None:
-        return gen_gimf(spec, grid)
-    t = np.asarray(grid, dtype=float)
-    phi = np.asarray(spec.phase(t), dtype=float)
-    pos = spec.fundamental * phi
-    values = {}
-
-    def shape_at(table: ShapeTable) -> np.ndarray:
-        if id(table) not in values:
-            values[id(table)] = eval_shape(table, pos)
-        return values[id(table)]
-
-    total = np.zeros_like(t)
-    for n, band in spec.bands.items():
-        use_cos = band.cos_shape is not None and band.cos_coeff != 0.0
-        use_sin = band.sin_shape is not None and band.sin_coeff != 0.0
-        if use_cos or use_sin:
-            angle = 2.0 * np.pi * n * phi
-        if use_cos:
-            # band 0's carrier is 1, and cos_coeff * 1.0 is cos_coeff
-            carrier = (band.cos_coeff if n == 0
-                       else band.cos_coeff * np.cos(angle))
-            total += carrier * shape_at(band.cos_shape)
-        if use_sin:
-            total += band.sin_coeff * np.sin(angle) * shape_at(band.sin_shape)
-    return make_signal(t, total)
 
 
 def ecg_like_shape(bins: int, variant: int) -> ShapeTable:

@@ -1023,8 +1023,8 @@ def spec_components(draw):
 
 
 def reference_component(entry, t):
-    """``entry``'s mode and prior by gen_gimf on a ComponentSpec, with the
-    phase and amplitude written out here."""
+    """``entry``'s mode ``a(t) s(N phase(t))`` and prior, with the phase and
+    amplitude written out here."""
     wiggle = entry.get("phase_wiggle", {"kind": "none"})
     trig = {"sin": np.sin, "cos": np.cos}.get(wiggle["kind"])
     phase = ((lambda tt: tt) if trig is None
@@ -1039,9 +1039,9 @@ def reference_component(entry, t):
     shape = entry["shape"]
     unit = (md.ecg_like_shape(shape["bins"], shape["variant"])
             if "variant" in shape else md.make_shape(shape["values"]))
-    spec = md.ComponentSpec(amplitude, phase, entry["fundamental"],
-                            md.scale_shape(unit, entry["scale"]))
-    return (md.gen_gimf(spec, t), entry["fundamental"] * phase(t),
+    mode = amplitude(t) * md.eval_shape(md.scale_shape(unit, entry["scale"]),
+                                        entry["fundamental"] * phase(t))
+    return (md.make_signal(t, mode), entry["fundamental"] * phase(t),
             amplitude(t))
 
 

@@ -10,6 +10,8 @@ import modedecomp as md
 from modedecomp import mmd
 from modedecomp.errors import BandOutOfRange, SinZeroBand
 
+from oracles import mimf_oracle
+
 
 def table_gap(recovered_values, truth_values):
     num = md.signal_norm(recovered_values - truth_values)
@@ -197,12 +199,8 @@ class TestMmdDecompose:
             np.cos(2 * np.pi * centers) + 0.4 * np.sin(4 * np.pi * centers)))
         s_c = md.scale_shape(third, 1.0 / third.l2norm)
         phase_fn = lambda tt: tt + 0.005 * np.sin(2 * np.pi * tt)  # noqa: E731
-        spec = md.ComponentSpec(
-            amplitude=lambda tt: np.ones_like(tt), phase=phase_fn,
-            fundamental=n_fund, shape=s_a,
-            bands={0: md.BandSpec(1.0, 0.0, s_a, None),
-                   1: md.BandSpec(0.3, 0.2, s_b, s_c)})
-        sig = md.gen_mimf(spec, t)
+        sig = mimf_oracle(phase_fn, n_fund, {0: (1.0, 0.0, s_a, None),
+                                             1: (0.3, 0.2, s_b, s_c)}, t)
         prior = md.with_fundamental(md.make_prior(n_fund * phase_fn(t)), t)
         res = md.mmd_decompose(sig, [prior],
                                md.MmdConfig(m0=1, j1=100, j2=10, bins=200))

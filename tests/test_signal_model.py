@@ -20,6 +20,7 @@ from modedecomp.signal_model import (GRADIENT_BLOCK, BandCarriers, band_sign,
                                      unit_position)
 
 from bitwise import same_bits
+from oracles import mimf_oracle
 
 
 class TestMakeSignal:
@@ -346,6 +347,13 @@ class TestRealParameters:
 
 
 class TestEvalShape:
+    def test_cosine_table_matches_cosine(self):
+        t = md.sample_grid(2048)
+        centers = (np.arange(1024) + 0.5) / 1024
+        cos_table = md.make_shape(np.cos(2 * np.pi * centers))
+        out = md.eval_shape(cos_table, 10 * t)
+        assert np.max(np.abs(out - np.cos(20 * np.pi * t))) <= 1e-4
+
     def test_zero_table(self):
         z = md.zero_shape(16)
         assert md.eval_shape(z, 0.37) == 0.0
@@ -469,6 +477,25 @@ class TestCenteredTables:
         assert table.l2norm == pytest.approx(expect, rel=1e-12)
 
 
+MIMF_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+MIMF_TABLE = st.lists(st.one_of(st.just(-0.0), st.floats(-2.0, 2.0)),
+                      min_size=2, max_size=12).map(md.make_shape)
+
+
+@st.composite
+def mimf_specs(draw):
+    """``(phase, N, bands)`` for :func:`mimf_oracle`: bands of any index on
+    a few tables, some shared between terms."""
+    tables = draw(st.lists(MIMF_TABLE, min_size=1, max_size=3))
+    table = st.one_of(st.none(), st.sampled_from(tables))
+    bands = {n: (draw(MIMF_COEFF), draw(MIMF_COEFF), draw(table), draw(table))
+             for n in draw(st.lists(st.integers(-3, 3), min_size=1,
+                                    max_size=4, unique=True))}
+    wiggle = draw(st.floats(0.0, 0.1))
+    return (lambda t: t + wiggle * np.sin(2.0 * np.pi * t),
+            draw(st.integers(1, 300)), bands)
+
+
 class TestReconstruct:
     def _setup(self):
         t = np.arange(2048) / 2048
@@ -492,18 +519,14 @@ class TestReconstruct:
         assert np.allclose(out.values, expect, atol=0, rtol=0)
 
     def test_matches_generator(self):
-        # generator as oracle: trig-carrier evaluation vs band-sum reconstruction
+        # per-term formula as oracle: trig-carrier evaluation vs band-sum
+        # reconstruction
         t = np.arange(4096) / 4096
         shape = md.ecg_like_shape(512, 2)
-        spec = md.ComponentSpec(
-            amplitude=lambda tt: np.ones_like(tt),
-            phase=lambda tt: tt + 0.003 * np.sin(2 * np.pi * tt),
-            fundamental=37,
-            shape=shape,
-            bands={0: md.BandSpec(1.0, 0.0, shape, None),
-                   1: md.BandSpec(0.25, 0.1, shape, shape)})
-        generated = md.gen_mimf(spec, t)
-        prior = md.with_fundamental(md.make_prior(37.0 * spec.phase(t)), t)
+        phase = lambda tt: tt + 0.003 * np.sin(2 * np.pi * tt)  # noqa: E731
+        generated = mimf_oracle(phase, 37, {0: (1.0, 0.0, shape, None),
+                                            1: (0.25, 0.1, shape, shape)}, t)
+        prior = md.with_fundamental(md.make_prior(37.0 * phase(t)), t)
         est = md.make_estimate(
             1,
             {0: shape, 1: md.scale_shape(shape, 0.25)},
@@ -529,6 +552,53 @@ class TestReconstruct:
                + beta * md.reconstruct_mimf(build(b), prior, t).values)
         denom = max(1.0, md.signal_norm(lhs))
         assert md.signal_norm(lhs - rhs) / denom <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=mimf_specs(), length=st.integers(2, 4096),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_per_term_formula(self, spec, length, grid, seed):
+        # the carriers' angles round differently, 2 pi n p / N against
+        # 2 pi n phi, so the sums agree to rounding, not bit for bit
+        phase, n_fund, bands = spec
+        t = md.sample_grid(length, grid, seed)
+        want = mimf_oracle(phase, n_fund, bands, t)
+        prior = md.make_prior(n_fund * phase(t), fundamental=n_fund)
+        tables, coeffs = {"cos": {}, "sin": {}}, {"cos": {}, "sin": {}}
+        bound = 0.0
+        for n, (c, s, cos_table, sin_table) in bands.items():
+            for kind, coeff, table in (("cos", c, cos_table),
+                                       ("sin", s, sin_table)):
+                if table is not None and (kind, n) != ("sin", 0):
+                    tables[kind][n], coeffs[kind][n] = table, coeff
+                    bound += 1e-12 * abs(coeff) * np.max(np.abs(table.bins))
+        products = [{n: md.scale_shape(table, coeffs[kind][n])
+                     for n, table in tables[kind].items()}
+                    for kind in ("cos", "sin")]
+        product = md.make_estimate(3, *products)
+        unit = md.make_estimate(3, tables["cos"], tables["sin"],
+                                coeffs["cos"], coeffs["sin"], normalized=True)
+        for est in (product, unit):
+            got = md.reconstruct_mimf(est, prior, t)
+            assert same_bits(got.times, want.times)
+            assert np.all(np.abs(got.values - want.values) <= bound)
+
+    @pytest.mark.parametrize("grid, error", [
+        (lambda t: np.full_like(t, np.nan), NonFinite),
+        (lambda t: t[::-1], OutOfDomain),
+        (lambda t: 3 * t, OutOfDomain),
+        (lambda t: np.full_like(t, 0.5), DuplicateTime),
+    ], ids=["nan", "reversed", "times_3", "constant"])
+    def test_refuses_grid_a_signal_cannot_have(self, grid, error):
+        # the grid holds the prior's sample times, in its order
+        t = np.arange(64) / 64
+        prior = md.with_fundamental(md.make_prior(8.0 * t), t)
+        est = md.make_estimate(1, {0: md.ecg_like_shape(64, 1)},
+                               {1: md.ecg_like_shape(64, 2)})
+        with pytest.raises(error):
+            md.reconstruct_mimf(est, prior, grid(t))
+        with pytest.raises(error):
+            md.ell_band_approx(est, prior, 1, grid(t))
 
     def test_grid_mismatch(self):
         t, prior = self._setup()

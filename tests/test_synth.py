@@ -24,42 +24,24 @@ def ex41_amp(k):
 
 
 def example_oracle(length, noise_var, seed, grid):
-    """gen_example_4_1's signals and priors from the general generators:
-    gen_gimf on a ComponentSpec, make_signal and a prior per component."""
+    """gen_example_4_1's signals and priors from the formulas:
+    ``a(t) s(N phi(t))`` by eval_shape, make_signal and a prior per
+    component."""
     t = md.sample_grid(length, grid, seed)
     components, priors = [], []
     for k, n_k in enumerate((150, 220)):
         phase_fn, amp_fn = ex41_phase(k), ex41_amp(k)
         shape = md.scale_shape(md.ecg_like_shape(_EX41_SHAPE_BINS, k + 1),
                                _EX41_SCALE)
-        spec = md.ComponentSpec(
-            amplitude=lambda tt, a=amp_fn, p=phase_fn: a(p(tt)),
-            phase=phase_fn, fundamental=n_k, shape=shape)
-        components.append(md.gen_gimf(spec, t))
+        components.append(md.make_signal(
+            t, amp_fn(phase_fn(t)) * md.eval_shape(shape, n_k * phase_fn(t))))
         priors.append(md.with_fundamental(
             md.make_prior(n_k * phase_fn(t), amp_fn(phase_fn(t))), t))
     clean = md.make_signal(t, components[0].values + components[1].values)
     return md.add_noise(clean, noise_var, seed), clean, components, priors
 
 
-class TestGenGimf:
-    def test_cosine_table_matches_cosine(self):
-        t = md.sample_grid(2048)
-        centers = (np.arange(1024) + 0.5) / 1024
-        cos_table = md.make_shape(np.cos(2 * np.pi * centers))
-        spec = md.ComponentSpec(amplitude=lambda tt: np.ones_like(tt),
-                                phase=lambda tt: tt, fundamental=10,
-                                shape=cos_table)
-        out = md.gen_gimf(spec, t)
-        assert np.max(np.abs(out.values - np.cos(20 * np.pi * t))) <= 1e-4
-
-    def test_zero_amplitude(self):
-        t = md.sample_grid(128)
-        spec = md.ComponentSpec(amplitude=lambda tt: np.zeros_like(tt),
-                                phase=lambda tt: tt, fundamental=5,
-                                shape=md.ecg_like_shape(128, 1))
-        assert np.all(md.gen_gimf(spec, t).values == 0.0)
-
+class TestExample41:
     def test_benchmark_component_matches_direct_formula(self):
         # independent direct evaluation of the first benchmark component
         ex = md.gen_example_4_1(4096, 0.0, 0)
@@ -72,8 +54,6 @@ class TestGenGimf:
         rel = md.signal_norm(direct - ex.components[0].values) / ex.components[0].l2norm
         assert rel <= 1e-12
 
-
-class TestExample41:
     def test_amplitude_formulas_at_zero(self):
         # alpha_1(0) = 1 + 0.2, phi_2(0) = 0.006, read off the priors at
         # the uniform grid's t = 0
@@ -126,7 +106,8 @@ class TestExample41:
 
 class TestExample41OnePass:
     """Each component's phase, amplitude and shape are evaluated once, on
-    one grid; the arrays are those of the general generators, bit for bit."""
+    one grid; the arrays are those of the per-component formulas, bit for
+    bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(length=st.integers(2, 4096),
@@ -160,71 +141,6 @@ class TestExample41OnePass:
             assert times.base is base and not times.flags.writeable
         with pytest.raises(ValueError):
             base[0] = 0.5
-
-
-def mimf_oracle(spec, t):
-    """gen_mimf as first written: each term's carrier and table evaluated
-    on their own, band 0's cos(0) included."""
-    phi = np.asarray(spec.phase(t), dtype=float)
-    pos = spec.fundamental * phi
-    total = np.zeros_like(t)
-    for n, band in spec.bands.items():
-        if band.cos_shape is not None and band.cos_coeff != 0.0:
-            total += (band.cos_coeff * np.cos(2.0 * np.pi * n * phi)
-                      * md.eval_shape(band.cos_shape, pos))
-        if band.sin_shape is not None and band.sin_coeff != 0.0:
-            total += (band.sin_coeff * np.sin(2.0 * np.pi * n * phi)
-                      * md.eval_shape(band.sin_shape, pos))
-    return md.make_signal(t, total)
-
-
-MIMF_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
-MIMF_TABLE = st.lists(st.one_of(st.just(-0.0), st.floats(-2.0, 2.0)),
-                      min_size=2, max_size=12).map(md.make_shape)
-
-
-@st.composite
-def mimf_specs(draw):
-    """Bands of any index on a few tables, some shared between terms."""
-    tables = draw(st.lists(MIMF_TABLE, min_size=1, max_size=3))
-    table = st.one_of(st.none(), st.sampled_from(tables))
-    bands = {n: md.BandSpec(draw(MIMF_COEFF), draw(MIMF_COEFF),
-                            draw(table), draw(table))
-             for n in draw(st.lists(st.integers(-3, 3), min_size=1,
-                                    max_size=4, unique=True))}
-    wiggle = draw(st.floats(0.0, 0.1))
-    return md.ComponentSpec(
-        amplitude=np.ones_like,
-        phase=lambda t: t + wiggle * np.sin(2.0 * np.pi * t),
-        fundamental=draw(st.integers(1, 300)), shape=tables[0], bands=bands)
-
-
-class TestGenMimfOneEvaluation:
-    """Each band's angle and each distinct table are evaluated once and
-    band 0's cos(0) is skipped; the values are the per-term formula's,
-    bit for bit."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(spec=mimf_specs(), length=st.integers(2, 4096),
-           grid=st.sampled_from(["uniform", "iid_uniform"]),
-           seed=st.integers(0, 2 ** 32))
-    def test_matches_per_term_formula(self, spec, length, grid, seed):
-        t = md.sample_grid(length, grid, seed)
-        got, want = md.gen_mimf(spec, t), mimf_oracle(spec, t)
-        assert same_bits(got.times, want.times)
-        assert same_bits(got.values, want.values)
-
-    def test_one_table_evaluation_per_component(self, monkeypatch):
-        calls = []
-        real = md.synth.eval_shape
-        monkeypatch.setattr(md.synth, "eval_shape",
-                            lambda table, x: calls.append(table) or real(table, x))
-        shape = md.ecg_like_shape(64, 1)
-        bands = {0: md.BandSpec(1.0, 0.0, shape, None),
-                 1: md.BandSpec(0.2, 0.1, shape, shape)}
-        spec = md.ComponentSpec(np.ones_like, lambda t: t, 24, shape, bands)
-        md.gen_mimf(spec, md.sample_grid(256))
-        assert len(calls) == 1 and calls[0] is shape
 
 
 class TestSeeds:

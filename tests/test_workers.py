@@ -2,8 +2,12 @@
 number of threads, and no sample-length arrays beyond its workspaces."""
 
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -173,3 +177,19 @@ class TestMemory:
         assert pool["build"] <= inline["build"] + extra * (wide + blocks)
         for kernel in ("enter", "finish"):
             assert pool[kernel] <= inline[kernel] + extra * blocks
+
+
+def test_package_import_leaves_executor_unloaded():
+    """``import modedecomp`` in a fresh interpreter loads neither
+    ``concurrent.futures`` nor the ``logging`` it imports: :class:`Workers`
+    imports its executor on first use, as either adds milliseconds to every
+    import of the package."""
+    src = str(Path(md.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, modedecomp; print(sorted(set(sys.modules) & "
+             "{'concurrent.futures', 'logging'}))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
