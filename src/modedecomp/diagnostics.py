@@ -144,7 +144,7 @@ def autocorrelation(signal: SampledSignal, max_lag: int) -> np.ndarray:
     integer(max_lag, "max_lag", 0)
     if max_lag >= length:
         raise LagTooLarge("max_lag must be smaller than the sample count")
-    values = scale_into_range(signal)[0].values
+    values = scale_into_range(signal.values)[0]
     x = values - np.mean(values)
     # einsum, not np.dot: threaded BLAS can stall for most of a second on
     # its first dot products in a process.

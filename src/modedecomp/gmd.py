@@ -53,8 +53,6 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
-    ldexp_shape,
-    ldexp_signal,
     make_shape,
     row_norms,
     scale_into_range,
@@ -225,31 +223,41 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
     sums runs its per-component sample work on ``workers``, inline if not
     given.
 
+    It sweeps the residual as :func:`~modedecomp.signal_model.scale_into_range`
+    scales it and scales its outputs back in place, so it is scale-free.
+
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
     ``post_k * E_k(gain * U_k)`` and the residual.
     """
+    residual, pow2 = scale_into_range(residual)
     if ops is not None:
         solver = BinPass(residual, plans, ops, pre, post, gain, scheme,
                          workers)
         # relative to the norm the pass read on entry
         denom = math.sqrt(solver.base_sq / residual.size) or 1.0
-        return iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
-                              max_iters) + solver.finish()
+        out = iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
+                             max_iters) + solver.finish()
+    else:
+        denom = signal_norm(residual) or 1.0
+        total = np.zeros((len(plans), plans[0].layout.size))
+        r = residual
 
-    denom = signal_norm(residual) or 1.0
-    total = np.zeros((len(plans), plans[0].layout.size))
-    r = residual
+        def step():
+            nonlocal r
+            incs, r = sweep(r, plans, scheme, pre, post, gain)
+            np.add(total, incs, out=total)
+            # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
+            return signal_norm(r), row_norms(incs) * gain
 
-    def step():
-        nonlocal r
-        incs, r = sweep(r, plans, scheme, pre, post, gain)
-        np.add(total, incs, out=total)
-        # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
-        return signal_norm(r), row_norms(incs) * gain
-
-    return iterate_sweeps(step, denom, eps, max_iters) + (
-        total, pass_modes(plans, post, gain, total), r)
+        out = iterate_sweeps(step, denom, eps, max_iters) + (
+            total, pass_modes(plans, post, gain, total), r)
+    if pow2:
+        *_, total, modes, r = out
+        with np.errstate(over="ignore"):  # make_shape refuses an infinity
+            for a in (total, *modes, r):
+                np.ldexp(a, pow2, out=a)
+    return out
 
 
 #: Bytes of a run's operators per component and sample beyond which its
@@ -302,25 +310,22 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
     plans, order, fundamentals = prepare_run(signal, priors, backend, bins)
-    scaled, pow2 = scale_into_range(signal)
     pre, post = gmd_factors(plans)
     with run_workers(len(signal), len(plans)) as workers:
         ops = (band_operators(plans, pre, post, 1.0, workers)
                if bin_space_fits(len(signal), bins, len(plans)) else None)
         norms_r, norms_s, reason, total, modes, r = run_pass(
-            scaled.values, plans, pre, post, 1.0, scheme, eps, max_iters,
+            signal.values, plans, pre, post, 1.0, scheme, eps, max_iters,
             ops, workers)
 
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,
                                  (False,) * j)
     t = signal.times
-    shapes = [ldexp_shape(make_shape(u), pow2) for u in total]
-    modes = [SampledSignal(t, np.ldexp(mode, pow2, out=mode))
-             for mode in modes]
-    r = ldexp_signal(SampledSignal(t, r), pow2)
-    return GmdResult(to_caller_order(shapes, order),
-                     to_caller_order(modes, order), r, report, fundamentals)
+    modes = [SampledSignal(t, mode) for mode in modes]
+    return GmdResult(to_caller_order([make_shape(u) for u in total], order),
+                     to_caller_order(modes, order), SampledSignal(t, r),
+                     report, fundamentals)
 
 
 def group_sum_shapes(result: GmdResult,

@@ -77,8 +77,6 @@ from .signal_model import (
     band_sign,
     band_slots,
     band_term,
-    ldexp_shape,
-    ldexp_signal,
     make_estimate,
     make_shape,
     reconstruct_mimf,
@@ -236,15 +234,12 @@ def modified_rdbr(residual: SampledSignal,
     gain = 1.0 if n == 0 else 2.0
     ops = shared.operators(n, kind, pre, gain)
 
-    scaled, pow2 = scale_into_range(residual)
-    *_, total, modes, r = run_pass(scaled.values, plans, pre, pre, gain,
+    *_, total, modes, r = run_pass(residual.values, plans, pre, pre, gain,
                                    scheme, eps2, max_iters, ops,
                                    shared.workers)
-    stored = band_sign(n, kind) * gain * total
     t = residual.times
-    return ([ldexp_shape(make_shape(u), pow2) for u in stored],
-            [ldexp_signal(SampledSignal(t, m), pow2) for m in modes],
-            ldexp_signal(SampledSignal(t, r), pow2))
+    return ([make_shape(band_sign(n, kind) * gain * u) for u in total],
+            [SampledSignal(t, m) for m in modes], SampledSignal(t, r))
 
 
 def anderson_weight(f: np.ndarray, f_prev: np.ndarray | None) -> float | None:
@@ -347,7 +342,10 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     workers = run_workers(length, len(plans))
     plans = BandPlans(plans, bin_space, budget, workers)
 
-    r, pow2 = scale_into_range(signal)
+    # scaled as run_pass scales a pass: the Anderson step squares band
+    # increments, and eps1 times the residual must stay a normal float
+    scaled, pow2 = scale_into_range(signal.values)
+    r = SampledSignal(signal.times, scaled)
     denom = r.l2norm or 1.0
 
     # the band state: one table per pass of an outer iteration, (band,
@@ -391,13 +389,16 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     estimates = []
     for k, mode in enumerate(modes):
         tables = {"cos": {}, "sin": {}}
-        for slot, (b, kind) in enumerate(slots):
-            tables[kind][b] = ldexp_shape(make_shape(state[slot, k]), pow2)
-        estimates.append(make_estimate(
-            cfg.m0, tables["cos"], tables["sin"],
-            mode=SampledSignal(signal.times, np.ldexp(mode, pow2, out=mode))))
-    return MmdResult(to_caller_order(estimates, order), ldexp_signal(r, pow2),
-                     report, fundamentals)
+        with np.errstate(over="ignore"):  # make_shape refuses an infinity
+            for slot, (b, kind) in enumerate(slots):
+                tables[kind][b] = make_shape(np.ldexp(state[slot, k], pow2))
+        np.ldexp(mode, pow2, out=mode)
+        estimates.append(make_estimate(cfg.m0, tables["cos"], tables["sin"],
+                                       mode=SampledSignal(signal.times, mode)))
+    if pow2:
+        r = SampledSignal(r.times, np.ldexp(r.values, pow2))
+    return MmdResult(to_caller_order(estimates, order), r, report,
+                     fundamentals)
 
 
 def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,
@@ -407,16 +408,15 @@ def ell_band_approx(est: MimfEstimate, prior: PhasePrior, ell: int,
         raise BandOutOfRange(f"ell must lie in [0, {est.bandwidth}]")
     kept = [{b: v for b, v in bands.items() if abs(b) <= ell}
             for bands in (est.cos_shapes, est.sin_shapes, est.cos_coeffs,
-                          est.sin_coeffs)]
+                          est.sin_coeffs)][:4 if est.normalized else 2]
     return reconstruct_mimf(make_estimate(ell, *kept, normalized=est.normalized),
                             prior, grid)
 
 
 def band_residual(signal: SampledSignal, est: MimfEstimate, prior: PhasePrior,
                   ell: int, grid: Sequence[float]) -> SampledSignal:
-    """Component-attributed signal minus its ell-banded reconstruction."""
-    t = np.asarray(grid, dtype=float)
-    if len(signal) != t.size:
-        raise GridMismatch("signal and grid lengths differ")
+    """A component's signal on ``grid`` minus its ell-banded reconstruction."""
+    if not np.array_equal(signal.times, np.asarray(grid, dtype=float)):
+        raise GridMismatch("signal times and grid differ")
     approx = ell_band_approx(est, prior, ell, grid)
     return SampledSignal(signal.times, signal.values - approx.values)

@@ -51,8 +51,6 @@ __all__ = [
     "signal_norm",
     "row_norms",
     "scale_into_range",
-    "ldexp_signal",
-    "ldexp_shape",
     "round_fundamental",
     "with_fundamental",
     "sort_components",
@@ -136,26 +134,18 @@ class SampledSignal:
         return signal_norm(self.values)
 
 
-def scale_into_range(signal: SampledSignal) -> tuple[SampledSignal, int]:
-    """Split ``signal`` into ``scaled * 2**k`` whose squares neither overflow
-    nor underflow: ``k = 0`` for a zero signal or one whose magnitudes lie
-    within ``2**±256`` (a residual 1e-16 of that size still squares to a
-    normal float), else ``scaled`` peaks in ``[0.5, 1)``. The scaling is
-    exact and a decomposition is linear in the signal, so a run on
-    ``scaled`` with its outputs times ``2**k`` does not depend on the scale.
+def scale_into_range(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Split ``values`` into ``scaled * 2**k`` whose squares neither
+    overflow nor underflow: ``k = 0`` and ``values`` as they are if zero or
+    within ``2**±256`` in magnitude (a residual 1e-16 of that size still
+    squares to a normal float), else ``scaled``, a new array, peaks in
+    ``[0.5, 1)``. The scaling is exact and a pass is linear in its residual,
+    so :func:`~modedecomp.gmd.run_pass` on ``scaled``, with its outputs
+    times ``2**k``, does not depend on the scale.
     """
-    v = signal.values
-    k = math.frexp(max(float(np.max(v)), -float(np.min(v))))[1]
-    if abs(k) <= 256:
-        return signal, 0
-    return ldexp_signal(signal, -k), k
-
-
-def ldexp_signal(signal: SampledSignal, k: int) -> SampledSignal:
-    """``signal * 2**k``, exactly."""
-    if k == 0:
-        return signal
-    return SampledSignal(signal.times, np.ldexp(signal.values, k))
+    k = math.frexp(max(float(np.max(values)), -float(np.min(values))))[1]
+    return ((values, 0) if abs(k) <= 256
+            else (np.ldexp(values, -k), k))
 
 
 def make_signal(times: Sequence[float], values: Sequence[float]) -> SampledSignal:
@@ -320,15 +310,6 @@ def scale_shape(shape: ShapeTable, factor: float) -> ShapeTable:
     return make_shape(bins)
 
 
-def ldexp_shape(shape: ShapeTable, k: int) -> ShapeTable:
-    """``shape * 2**k``, exactly; the norm is scaled alongside rather than
-    recomputed, so it cannot overflow or underflow."""
-    if k == 0:
-        return shape
-    return ShapeTable(np.ldexp(shape.bins, k),
-                      float(np.ldexp(shape.l2norm, k)))
-
-
 def eval_shape(shape: ShapeTable, v):
     """Evaluate the periodic table at fractional position ``mod(v, 1)``.
 
@@ -486,10 +467,12 @@ def make_estimate(bandwidth: int,
     """Validate band indices and coefficients and assemble an estimate.
 
     Every band is an integer in ``[-m0, m0]``, no sine band is 0, and every
-    coefficient is finite, with a table of its kind; omitted coefficients
-    default to the tables' L2 norms (the product-table convention).
+    coefficient is finite, with a table of its kind. Coefficient maps are
+    given only with ``normalized``; an omitted one is the tables' L2 norms.
     """
     m0 = integer(bandwidth, "bandwidth", 0, BandOutOfRange)
+    if not normalized and (cos_coeffs is not None or sin_coeffs is not None):
+        raise OutOfDomain("coefficient maps need normalized=True")
     if cos_coeffs is None:
         cos_coeffs = {n: s.l2norm for n, s in cos_shapes.items()}
     if sin_coeffs is None:

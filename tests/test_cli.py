@@ -461,6 +461,21 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    def test_shape_beyond_float_range(self, tmp_path, capsys):
+        """gmd's shape of ``(1 / q) r`` past the largest double is refused
+        before ``--out`` is made, not written as ``inf``."""
+        rows = [(i / 8, (-1) ** i * 1e306) for i in range(8)]
+        (tmp_path / "signal.csv").write_text(
+            "t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+        (tmp_path / "phases.csv").write_text(
+            "t,p1,q1\n" + "".join(f"{t!r},{4 * t!r},0.001\n" for t, _ in rows))
+        out = tmp_path / "fit"
+        assert main(["gmd", "--signal", str(tmp_path / "signal.csv"),
+                     "--phases", str(tmp_path / "phases.csv"), "--bins", "4",
+                     "--out", str(out)]) == 1
+        assert "shape bins must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "modedecomp", "--help"],
                               capture_output=True, text=True)
@@ -1408,6 +1423,17 @@ class TestReadTable:
                     fields.append(form)
         path = tmp_path / "long.csv"
         self.assert_reads_as_float(path, fields, 4)
+        assert cli._parse_blocks(path.read_bytes()) is None
+
+    @pytest.mark.parametrize("field", [
+        "0.123456789012345678", "123456789012345678", "-1234567890.12345678",
+        "99999999999999999999999", "1.00000000000000000001e-5"])
+    def test_declines_over_17_digits(self, tmp_path, field):
+        """A field of at most 24 bytes with 18 to 24 significant digits
+        sends its file to the line parser, which reads it bit for bit as
+        ``float`` does."""
+        path = tmp_path / "digits.csv"
+        self.assert_reads_as_float(path, ["0.5", field, "-3", field, "0.25"])
         assert cli._parse_blocks(path.read_bytes()) is None
 
     @pytest.mark.parametrize("rows", [6, 2 ** 17])

@@ -9,6 +9,7 @@ from modedecomp.errors import (
     EmptyInput,
     GridMismatch,
     LengthMismatch,
+    NonFinite,
     OutOfDomain,
     SinZeroBand,
 )
@@ -116,8 +117,33 @@ class TestDemodulate:
         err = md.signal_norm(doubled.bins - table.bins) / table.l2norm
         assert err <= 0.02
 
+    @pytest.mark.parametrize("length", [6, 9])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "cos"), (1, "sin")])
+    def test_grid_mismatch(self, length, n, kind):
+        t = np.arange(8) / 8
+        sig = md.make_signal(t, np.ones(8))
+        grid = np.arange(length) / length
+        prior = md.with_fundamental(md.make_prior(4.0 * grid), grid)
+        with pytest.raises(GridMismatch):
+            md.demodulate(sig, prior, n, kind)
+
 
 class TestFold:
+    @pytest.mark.parametrize("vs, ys, error", [
+        ([0.1, 0.2], [1.0], LengthMismatch),
+        ([0.1], [1.0, 2.0], LengthMismatch),
+        ([[0.1, 0.2]], [[1.0, 2.0]], LengthMismatch),
+        (0.1, 1.0, LengthMismatch),
+        ([0.1, np.nan], [1.0, 2.0], NonFinite),
+        ([0.1, np.inf], [1.0, 2.0], NonFinite),
+        ([0.1, 0.2], [-np.inf, 2.0], NonFinite),
+        ([0.1, 0.2], [1.0, np.nan], NonFinite),
+    ], ids=["short_ys", "short_vs", "2d", "scalar", "nan_v", "inf_v",
+            "inf_y", "nan_y"])
+    def test_refused(self, vs, ys, error):
+        with pytest.raises(error):
+            md.fold(vs, ys)
+
     def test_basic_values(self):
         out = md.fold([2.3, -0.25, 5.0], [1.0, 2.0, 3.0])
         assert out.xs[0] == pytest.approx(0.3, abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 import modedecomp as md
 from modedecomp import mmd
-from modedecomp.errors import BandOutOfRange, SinZeroBand
+from modedecomp.errors import BandOutOfRange, GridMismatch, SinZeroBand
 
 from oracles import mimf_oracle
 
@@ -291,6 +291,29 @@ class TestBandOperators:
                                {1: md.zero_shape(16)})
         out = md.band_residual(sig, est, prior, 1, t)
         assert np.array_equal(out.values, sig.values)
+
+    @pytest.mark.parametrize("times", [np.sqrt, lambda t: t[:-1]],
+                             ids=["sqrt", "short"])
+    def test_signal_off_grid_refused(self, times):
+        # a signal on other times than the grid, of its length or not
+        ex = md.gen_example_4_1(2048, 0.0, 3)
+        t = ex.signal.times
+        sig = md.make_signal(times(t), ex.signal.values[:times(t).size])
+        est = md.make_estimate(0, {0: md.ecg_like_shape(64, 1)}, {})
+        with pytest.raises(GridMismatch):
+            md.band_residual(sig, est, ex.priors[0], 0, t)
+
+    def test_normalized_estimate_bands(self):
+        # a normalized estimate's bands keep their coefficients
+        ex, res = self._fitted()
+        t = ex.signal.times
+        normed = md.normalize_estimate(res.estimates[0])
+        assert np.array_equal(
+            md.ell_band_approx(normed, ex.priors[0], 2, t).values,
+            md.reconstruct_mimf(normed, ex.priors[0], t).values)
+        low = md.ell_band_approx(normed, ex.priors[0], 1, t).values
+        want = md.ell_band_approx(res.estimates[0], ex.priors[0], 1, t).values
+        assert md.signal_norm(low - want) <= 1e-12 * md.signal_norm(want)
 
     def test_band_zero_exposes_variance(self):
         ex, res = self._fitted()

@@ -304,7 +304,8 @@ def non_real_calls(value):
     counts = md.partition_counts([prior], t, 0.25)
     return {
         "make_estimate coefficient": lambda: md.make_estimate(
-            1, {0: shape}, {1: shape}, sin_coeffs={1: value}),
+            1, {0: shape}, {1: shape}, sin_coeffs={1: value},
+            normalized=True),
         "partition_counts step": lambda: md.partition_counts([prior], t,
                                                              value),
         "well_diff_stats m_bound": lambda: md.well_diff_stats(counts, value),
@@ -342,7 +343,7 @@ class TestRealParameters:
         assert np.array_equal(md.scale_shape(shape, np.float32(2.0)).bins,
                               2.0 * shape.bins)
         est = md.make_estimate(1, {0: shape}, {1: shape},
-                               sin_coeffs={1: np.int64(2)})
+                               sin_coeffs={1: np.int64(2)}, normalized=True)
         assert est.sin_coeffs[1] == 2
 
 
@@ -619,7 +620,7 @@ class TestEstimateCoefficients:
 
     def estimate(self, **coeffs):
         return md.make_estimate(1, {0: self.TABLE, 1: self.TABLE},
-                                {1: self.TABLE}, **coeffs)
+                                {1: self.TABLE}, **coeffs, normalized=True)
 
     def test_matching_maps_kept(self):
         est = self.estimate(cos_coeffs={0: 2.0, 1: 0.5}, sin_coeffs={1: 0.0})
@@ -651,6 +652,16 @@ class TestEstimateCoefficients:
     def test_non_finite(self, kind, value):
         with pytest.raises(NonFinite):
             self.estimate(**{f"{kind}_coeffs": {1: value}})
+
+    @pytest.mark.parametrize("coeffs", [
+        {"cos_coeffs": {0: 5.0}}, {"sin_coeffs": {1: 0.5}},
+        {"cos_coeffs": {}}, {"cos_coeffs": {0: 1.0}, "sin_coeffs": {1: 1.0}}])
+    def test_product_tables_take_no_coefficients(self, coeffs):
+        # a product table's coefficient is its norm: a map given with it
+        # would be kept and never read
+        with pytest.raises(OutOfDomain, match="normalized"):
+            md.make_estimate(1, {0: self.TABLE, 1: self.TABLE},
+                             {1: self.TABLE}, **coeffs)
 
 
 class TestBandTerm:
@@ -750,3 +761,8 @@ class TestNormalizeEstimate:
         raw = md.reconstruct_mimf(est, prior, t).values
         via_norm = md.reconstruct_mimf(md.normalize_estimate(est), prior, t).values
         assert md.signal_norm(raw - via_norm) / md.signal_norm(raw) <= 1e-12
+
+    def test_normalized_estimate_returned_as_is(self):
+        est = md.normalize_estimate(md.make_estimate(
+            1, {0: md.ecg_like_shape(64, 1)}, {1: md.ecg_like_shape(64, 2)}))
+        assert md.normalize_estimate(est) is est

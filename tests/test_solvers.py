@@ -112,6 +112,33 @@ class TestScaleFree:
         for a, b in zip(outputs(got), outputs(base)):
             assert np.max(np.abs(a / factor - b)) <= 1e-12 * peak
 
+    @pytest.mark.parametrize("exponent", [-300, -160, 160, 300, 307])
+    def test_rdbr_sweep(self, exponent):
+        factor = 10.0 ** exponent
+        ex = md.gen_example_4_1(2 ** 11, 0.0, 7)
+        signal = md.make_signal(ex.signal.times, ex.signal.values * factor)
+
+        def arrays(signal):
+            shapes, residual = md.rdbr_sweep(signal, list(ex.priors), 64)
+            return [shape.bins for shape in shapes] + [residual.values]
+
+        peak = float(np.max(np.abs(ex.signal.values)))
+        for a, b in zip(arrays(signal), arrays(ex.signal)):
+            assert np.max(np.abs(a / factor - b)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("solver", ["gmd", "rdbr_sweep"])
+    def test_table_beyond_float_range_refused(self, solver):
+        """A shape of ``(1 / q) r`` past the largest double is refused,
+        without the RuntimeWarning the suite turns into an error."""
+        t = np.arange(8) / 8
+        signal = md.make_signal(t, 1e306 * (-1.0) ** np.arange(8))
+        prior = md.with_fundamental(md.make_prior(4 * t, np.full(8, 1e-3)), t)
+        with pytest.raises(md.NonFinite):
+            if solver == "gmd":
+                md.gmd_decompose(signal, [prior], bins=4)
+            else:
+                md.rdbr_sweep(signal, [prior], 4)
+
 
 BIN_PATH_SOLVERS = {
     "gmd": md.gmd_decompose,
