@@ -1427,9 +1427,9 @@ class TestReadTable:
 
     @pytest.mark.parametrize("field", [
         "0.123456789012345678", "123456789012345678", "-1234567890.12345678",
-        "99999999999999999999999", "1.00000000000000000001e-5"])
+        "99999999999999999999999", "1.000000000000000001e-5"])
     def test_declines_over_17_digits(self, tmp_path, field):
-        """A field of at most 24 bytes with 18 to 24 significant digits
+        """A field of at most 24 bytes with 18 to 23 significant digits
         sends its file to the line parser, which reads it bit for bit as
         ``float`` does."""
         path = tmp_path / "digits.csv"
