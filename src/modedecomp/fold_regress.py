@@ -20,14 +20,18 @@ its norm (an mmd band pass takes them from two sums over
 residual. In between, only a rebase, once the bin-sum norm has lost six
 digits, forms the residual, for its norm alone.
 
-The sample-length work of a pass on bin sums is independent per component:
-its operator blocks, its entry sums and its modes. A decomposition run maps
-those tasks over the :class:`Workers` it owns, on threads from
-:data:`POOL_FLOOR` samples (numpy lets go of the GIL in ``bincount`` and
-its ufuncs). Each task keeps its serial arithmetic, so the outputs are the
-same bytes on any number of threads, and writes its sample-length products
-and indices into a :class:`Workspace` the pool allocated, so threads add no
-temporaries. Plans, carriers and sweeps stay on the calling thread.
+The sample-length set-up of a run and the sample-length work of a pass on
+bin sums are independent per component: each prior's fundamental, plan and
+gmd factor ``1 / q_k``, a pass's operator blocks, its entry sums and its
+modes. A decomposition run maps those tasks over the :class:`Workers` it
+owns, on threads from :data:`POOL_FLOOR` samples (numpy lets go of the GIL
+in ``bincount`` and its ufuncs). Each task keeps its serial arithmetic, so
+the outputs are the same bytes on any number of threads. The set-up runs
+in stages, every fundamental, then every plan, then gmd's factors, so that
+a run refuses an input with the error it raises inline, and it takes no
+workspace. A pass's tasks write their sample-length products and indices
+into a :class:`Workspace` the pool allocated, so threads add no
+temporaries. Carriers and the sweeps stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ from .signal_model import (
     ShapeTable,
     band_term,
     carrier,
-    interpolation,
     make_shape,
     row_norms,
+    scaled_interpolation,
     unit_position,
 )
 
@@ -96,7 +100,11 @@ class BinLayout:
 
 def bin_layout(xs: np.ndarray, nb: int) -> BinLayout:
     """Bin positions in ``[0, 1)`` into ``nb`` equal bins."""
-    index = np.clip((xs * nb).astype(np.int64), 0, nb - 1)
+    return _layout(np.clip((xs * nb).astype(np.int64), 0, nb - 1), nb)
+
+
+def _layout(index: np.ndarray, nb: int) -> BinLayout:
+    """The :class:`BinLayout` of bin indices ``index`` in ``[0, nb)``."""
     counts = np.bincount(index, minlength=nb)
     occupied = counts > 0
     centers = (np.arange(nb) + 0.5) / nb
@@ -155,39 +163,67 @@ class PhasePlan:
         return out
 
 
-def plan_phase(prior: PhasePrior, length: int, bins: int) -> PhasePlan:
-    """Fold, bin and prepare interpolation for one prior, once per run."""
+def plan_arrays(length: int) -> tuple[np.ndarray, ...]:
+    """The sample-length arrays a :class:`PhasePlan` keeps, unset: ``w``,
+    the bin index, ``j0`` and ``w1``."""
+    return (np.empty(length), np.empty(length, np.int64),
+            np.empty(length, np.int64), np.empty(length))
+
+
+def plan_phase(prior: PhasePrior, length: int, bins: int,
+               out: tuple[np.ndarray, ...] | None = None) -> PhasePlan:
+    """Fold, bin and prepare interpolation for one prior, once per run, in
+    ``out``'s :func:`plan_arrays` if given."""
     if len(prior) != length:
         raise GridMismatch("prior and residual are on different grids")
     if not np.all(np.isfinite(prior.phase)):
         raise NonFinite("folded samples must be finite")
     nb = check_bins(bins)
-    xs = unit_position(prior.phase)
-    j0, w = interpolation(xs, nb)
-    return PhasePlan(prior, bin_layout(xs, nb), j0, w, 1.0 - w)
+    u, index, j0, w1 = out or plan_arrays(length)
+    # bin_layout's index and interpolation's (j0, w) from one product
+    # u = x B, bit for bit: x's array becomes u and then w
+    unit_position(prior.phase, u)
+    u *= nb
+    np.copyto(index, u, casting="unsafe")  # truncates, as astype does
+    np.minimum(index, nb - 1, out=index)  # x < 1, but the guard is cheap
+    j0, w = scaled_interpolation(u, nb, j0)
+    return PhasePlan(prior, _layout(index, nb), j0, w,
+                     np.subtract(1.0, w, out=w1))
 
 
 def as_plans(priors: Sequence[PhasePrior | PhasePlan], length: int,
-             bins: int) -> list[PhasePlan]:
+             bins: int, workers: Workers | None = None) -> list[PhasePlan]:
     """Plans for ``priors``, at least one, keeping entries that already
-    are plans for ``bins`` bins."""
+    are plans for ``bins`` bins; one prior a task of ``workers`` (inline if
+    not given), into arrays the calling thread allocates."""
     if len(priors) == 0:
         raise DecompositionError("at least one phase prior is required")
-    plans = []
-    for p in priors:
+    # a sample-length array a worker thread allocates is served from that
+    # thread's malloc arena, and the process then holds both arenas: plans
+    # made on the threads raised gmd_long's peak RSS by 19-38 MB
+    outs = [None if isinstance(p, PhasePlan) else plan_arrays(length)
+            for p in priors]
+
+    def plan(k):
+        p = priors[k]
         if not isinstance(p, PhasePlan):
-            p = plan_phase(p, length, bins)
-        elif len(p) != length:
+            return plan_phase(p, length, bins, outs[k])
+        if len(p) != length:
             raise GridMismatch("prior and residual are on different grids")
-        elif p.layout.size != bins:
+        if p.layout.size != bins:
             raise LengthMismatch("plan is for another bin count")
-        plans.append(p)
-    return plans
+        return p
+
+    return (workers or Workers(length)).map(plan, range(len(priors)))
 
 
-def check_amplitude(prior: PhasePrior) -> np.ndarray:
-    """The prior's amplitude; reject one too small to divide by."""
-    if np.any(np.abs(prior.amplitude) < AMPLITUDE_FLOOR):
+def check_amplitude(prior: PhasePrior,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """The prior's amplitude; reject one too small to divide by. Its
+    magnitudes go to ``scratch``, if given, and their least that is a
+    number is compared, as any magnitude below the floor would be."""
+    magnitude = np.abs(prior.amplitude, out=scratch)
+    if np.fmin.reduce(magnitude, initial=np.inf) < AMPLITUDE_FLOOR:
         raise AmplitudeTooSmall(
             f"amplitude magnitude below {AMPLITUDE_FLOOR:g}")
     return prior.amplitude
@@ -303,16 +339,21 @@ class Workspace:
 
 
 class Workers:
-    """Runs a pass's per-component tasks on ``threads`` threads, the
-    calling thread among them; with one, inline and in order.
+    """Runs a run's per-component tasks on ``threads`` threads, the calling
+    thread among them; with one, inline and in order.
 
-    Each task is called with a :class:`Workspace` no other running task
-    holds, so it allocates only bin-sized arrays. The calling thread
-    allocates one ``x`` per thread on the first :meth:`run`, and keeps them
-    until :meth:`close`, and the other threads start then too: a pool that
-    never runs a task allocates nothing. An operator build's wider
-    workspaces live for its :meth:`run` alone, so the run's modes are
-    formed beside one sample-length array per thread.
+    A pass's tasks (:meth:`run`) are each called with a :class:`Workspace`
+    no other running task holds, so they allocate only bin-sized arrays.
+    The calling thread allocates one ``x`` per thread on the first
+    :meth:`run`, and keeps them until :meth:`close`. An operator build's
+    wider workspaces live for its :meth:`run` alone, so the run's modes are
+    formed beside one sample-length array per thread. A run's preparation
+    (:meth:`map`) takes no workspace. The other threads start on the first
+    task either hands them: a pool that never runs one allocates nothing.
+
+    Either raises as the tasks would inline: the error of the first task
+    to fail in list order. Once a task fails no new task starts, and the
+    running ones finish before the error is raised.
     """
 
     def __init__(self, length: int, threads: int = 1):
@@ -345,8 +386,18 @@ class Workers:
         if build:
             spaces = [Workspace(s.x, np.empty(n), np.empty(n, np.int64),
                                 np.empty(n, bool)) for s in spaces]
+        return self._spread(tasks, [(s,) for s in spaces])
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """``[fn(item) for item in items]``, with no workspace."""
+        return self._spread([partial(fn, item) for item in items],
+                            [()] * self.threads)
+
+    def _spread(self, tasks: Sequence[Callable], args: Sequence[tuple]):
+        """``[task(*args[i]) for task in tasks]``, ``i`` the thread that
+        runs the task."""
         if self.threads == 1:
-            return [task(spaces[0]) for task in tasks]
+            return [task(*args[0]) for task in tasks]
         if self._executor is None:
             # imported on first use: it imports logging, which would add
             # 4-7 ms to every import of the package
@@ -354,27 +405,34 @@ class Workers:
             self._executor = ThreadPoolExecutor(self.threads - 1)
         results = [None] * len(tasks)
         pending = iter(enumerate(tasks))
+        failed: list[tuple[int, BaseException]] = []
         lock = threading.Lock()
 
-        def drain(space):
-            # each thread takes the next task until none is left
+        def drain(arg):
+            # each thread takes the next task until none is left or one
+            # has failed
             while True:
                 with lock:
-                    item = next(pending, None)
+                    item = None if failed else next(pending, None)
                 if item is None:
                     return
-                results[item[0]] = item[1](space)
+                try:
+                    results[item[0]] = item[1](*arg)
+                except BaseException as exc:
+                    with lock:
+                        failed.append((item[0], exc))
+                    return
 
-        helpers = [self._executor.submit(drain, space)
-                   for space in spaces[1:]]
+        helpers = [self._executor.submit(drain, arg) for arg in args[1:]]
         try:
-            drain(spaces[0])
+            drain(args[0])
         finally:
             # no thread may hold a workspace once the call returns
             for helper in helpers:
                 helper.exception()
-        for helper in helpers:
-            helper.result()
+        if failed:
+            # the tasks before the first failure in list order all started
+            raise min(failed, key=lambda f: f[0])[1]
         return results
 
 
@@ -382,7 +440,7 @@ def run_workers(length: int, components: int) -> Workers:
     """The pool a decomposition run of ``length`` samples owns: one thread
     per component up to :func:`usable_cpus` from :data:`POOL_FLOOR`
     samples, below it the calling thread alone."""
-    return Workers(length, min(components, usable_cpus())
+    return Workers(length, min(max(components, 1), usable_cpus())
                    if length >= POOL_FLOOR else 1)
 
 
@@ -558,14 +616,14 @@ def band_operators(plans: Sequence[PhasePlan],
 
     pairs = [(k, m) for k in k_all for m in k_all if m != k]
     upper = [(k, m) for k, m in pairs if k < m]
+    # longest first, by their sample-length bincounts: 5, 4 and 2 a task
     blocks = workers.run([partial(diagonal, k) for k in k_all]
-                         + [partial(cross_block, k, m) for k, m in pairs]
-                         + [partial(gram_block, k, m) for k, m in upper],
+                         + [partial(gram_block, k, m) for k, m in upper]
+                         + [partial(cross_block, k, m) for k, m in pairs],
                          build=True)
     blocks = blocks[len(plans):]
-    return BandOperators(dict(zip(pairs, blocks)),
-                         dict(zip(upper, blocks[len(pairs):])),
-                         self_t, self_g)
+    return BandOperators(dict(zip(pairs, blocks[len(upper):])),
+                         dict(zip(upper, blocks)), self_t, self_g)
 
 
 def _banded(d: np.ndarray, x: np.ndarray) -> np.ndarray:

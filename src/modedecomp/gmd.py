@@ -135,17 +135,28 @@ def check_backend(backend) -> None:
 
 
 def prepare_run(signal: SampledSignal, priors: Sequence[PhasePrior], backend,
-                bins: int):
+                bins: int, workers: Workers):
     """The prologue of both decompositions: check ``backend``
     (:func:`check_backend`), resolve each missing fundamental on the
-    signal's grid and plan the priors in :func:`sort_components` order.
-    Returns the plans, the order and the fundamentals in the caller's
-    order."""
+    signal's grid and plan the priors in :func:`sort_components` order,
+    one prior a task of the run's ``workers``, every fundamental before any
+    plan. Returns the plans, the order and the fundamentals in the
+    caller's order."""
     check_backend(backend)
-    resolved = [p if p.fundamental is not None
-                else with_fundamental(p, signal.times) for p in priors]
+    # each derivative in an array of the calling thread's, as
+    # fold_regress.as_plans sets out
+    derivs = [None if p.fundamental is not None else np.empty(len(p))
+              for p in priors]
+
+    def resolve(k):
+        p = priors[k]
+        return (p if derivs[k] is None
+                else with_fundamental(p, signal.times, derivs[k]))
+
+    resolved = workers.map(resolve, range(len(priors)))
+    derivs.clear()  # before the plans are made
     sorted_priors, order = sort_components(resolved)
-    return (as_plans(sorted_priors, len(signal), bins), order,
+    return (as_plans(sorted_priors, len(signal), bins, workers), order,
             [int(p.fundamental) for p in resolved])
 
 
@@ -154,10 +165,19 @@ def to_caller_order(items: Sequence, order: Sequence[int]) -> list:
     return [items[order.index(k)] for k in range(len(items))]
 
 
-def gmd_factors(plans: Sequence[PhasePlan]):
-    """gmd's factors ``pre_k = 1 / q_k`` and ``post_k = q_k``, checked."""
-    post = [check_amplitude(plan.prior) for plan in plans]
-    return [1.0 / q for q in post], post
+def gmd_factors(plans: Sequence[PhasePlan], workers: Workers | None = None):
+    """gmd's factors ``pre_k = 1 / q_k`` and ``post_k = q_k``, checked, one
+    plan a task of ``workers`` (inline if not given)."""
+    # allocated by the calling thread, as fold_regress.as_plans sets out
+    inverse = [np.empty(len(plans[0])) for _ in plans]
+
+    def factors(k):
+        q = check_amplitude(plans[k].prior, inverse[k])
+        return np.divide(1.0, q, out=inverse[k]), q
+
+    pre, post = zip(*(workers or Workers(len(plans[0]))).map(
+        factors, range(len(plans))))
+    return list(pre), list(post)
 
 
 def rdbr_sweep(residual: SampledSignal,
@@ -301,17 +321,20 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     :func:`iterate_sweeps`: component ``k`` regresses ``(1 / q_k) r`` and
     subtracts ``q_k E_k u``, with the factors formed once
     (:func:`gmd_factors`), on bin sums when :func:`bin_space_fits` holds.
-    A run on bin sums builds its operators, enters its pass and forms its
-    modes one component (or pair) a task, on the
-    :func:`~modedecomp.fold_regress.run_workers` pool it owns until it
-    returns: threads from
-    :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, with the same
-    outputs as inline. ``backend`` is checked by :func:`check_backend`.
+    The run owns a :func:`~modedecomp.fold_regress.run_workers` pool until
+    it returns, threads from :data:`~modedecomp.fold_regress.POOL_FLOOR`
+    samples, with the same outputs and errors as inline. On it, one prior
+    a task, it resolves every missing fundamental, then plans every prior,
+    then forms every factor (:func:`prepare_run`), with no workspace; a run
+    on bin sums then builds its operators, enters its pass and forms its
+    modes one component (or pair) a task. ``backend`` is checked by
+    :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
-    plans, order, fundamentals = prepare_run(signal, priors, backend, bins)
-    pre, post = gmd_factors(plans)
-    with run_workers(len(signal), len(plans)) as workers:
+    with run_workers(len(signal), len(priors)) as workers:
+        plans, order, fundamentals = prepare_run(signal, priors, backend,
+                                                 bins, workers)
+        pre, post = gmd_factors(plans, workers)
         ops = (band_operators(plans, pre, post, 1.0, workers)
                if bin_space_fits(len(signal), bins, len(plans)) else None)
         norms_r, norms_s, reason, total, modes, r = run_pass(

@@ -21,10 +21,10 @@ outer iterations, and band ``-n``'s passes run on band ``n``'s
 (:func:`modified_rdbr`). So a run's :class:`BandPlans` builds the operators
 once for each ``(|n|, kind)`` and, on either path, holds the carriers, for
 its passes and its modes, in what they leave under :func:`memory_bound`.
-On bin sums the operator builds, each pass's entry sums and its modes run
-one component a task on the run's
-:func:`~modedecomp.fold_regress.run_workers` pool, with the same outputs
-as inline.
+The run's plans are made one prior a task on its
+:func:`~modedecomp.fold_regress.run_workers` pool, and on bin sums the
+operator builds, each pass's entry sums and its modes run one component a
+task on it too, with the same outputs as inline.
 
 The outer loop is a fixed-point iteration on the run's band state, one
 ``(passes, K, B)`` array of band tables, stopped as a band pass is, by
@@ -325,52 +325,55 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     caller's prior order. ``backend`` is checked by
     :func:`~modedecomp.gmd.check_backend`.
 
-    A run on bin sums owns a :func:`~modedecomp.fold_regress.run_workers`
-    pool for its outer loop, threads from
-    :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, and stops it
-    before the modes are formed.
+    A run owns a :func:`~modedecomp.fold_regress.run_workers` pool,
+    threads from :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, and
+    stops it before the modes are formed. On it, one prior a task, it
+    resolves every missing fundamental and then plans every prior
+    (:func:`~modedecomp.gmd.prepare_run`), with no workspace; a run on bin
+    sums then builds its operators, enters each pass and forms its modes
+    one component a task. Outputs and errors are those of a run inline.
     """
     cfg.validate()
-    plans, order, fundamentals = prepare_run(signal, priors, backend,
-                                             cfg.bins)
     length, passes = len(signal), 2 * cfg.m0 + 1
-    bin_space = bin_space_fits(length, cfg.bins, len(plans), passes)
-    # the carriers take what the operators leave under the bound
-    budget = memory_bound(length, len(plans)) - (
-        operator_bytes(cfg.bins, len(plans), passes) if bin_space else 0)
-    # it starts its threads and allocates its workspaces on first use
-    workers = run_workers(length, len(plans))
-    plans = BandPlans(plans, bin_space, budget, workers)
+    # the pool starts its threads on its first task, and allocates its
+    # workspaces on the first that takes one
+    with run_workers(length, len(priors)) as workers:
+        plans, order, fundamentals = prepare_run(signal, priors, backend,
+                                                 cfg.bins, workers)
+        bin_space = bin_space_fits(length, cfg.bins, len(plans), passes)
+        # the carriers take what the operators leave under the bound
+        budget = memory_bound(length, len(plans)) - (
+            operator_bytes(cfg.bins, len(plans), passes) if bin_space else 0)
+        plans = BandPlans(plans, bin_space, budget, workers)
 
-    # scaled as run_pass scales a pass: the Anderson step squares band
-    # increments, and eps1 times the residual must stay a normal float
-    scaled, pow2 = scale_into_range(signal.values)
-    r = SampledSignal(signal.times, scaled)
-    denom = r.l2norm or 1.0
+        # scaled as run_pass scales a pass: the Anderson step squares band
+        # increments, and eps1 times the residual must stay a normal float
+        scaled, pow2 = scale_into_range(signal.values)
+        r = SampledSignal(signal.times, scaled)
+        denom = r.l2norm or 1.0
 
-    # the band state: one table per pass of an outer iteration, (band,
-    # kind) in visit order, and component
-    slots = band_slots(cfg.m0)
-    state = np.zeros((len(slots), len(plans), cfg.bins))
-    extrapolate = AndersonStep()
-    accelerated: list[bool] = []
+        # the band state: one table per pass of an outer iteration, (band,
+        # kind) in visit order, and component
+        slots = band_slots(cfg.m0)
+        state = np.zeros((len(slots), len(plans), cfg.bins))
+        extrapolate = AndersonStep()
+        accelerated: list[bool] = []
 
-    def step():
-        nonlocal r
-        start = state.copy()
-        incs = []
-        for slot, (b, kind) in enumerate(slots):
-            shapes, modes, r = modified_rdbr(
-                r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins, cfg.scheme)
-            del modes  # formed from the band state after the loop
-            state[slot] += [shape.bins for shape in shapes]
-            incs += [shape.l2norm / denom for shape in shapes]
-        r, rel, mixed = extrapolate(start, state, r,
-                                    signal_norm(r.values) / denom, denom)
-        accelerated.append(mixed)
-        return rel, incs
+        def step():
+            nonlocal r
+            start = state.copy()
+            incs = []
+            for slot, (b, kind) in enumerate(slots):
+                shapes, modes, r = modified_rdbr(
+                    r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins, cfg.scheme)
+                del modes  # formed from the band state after the loop
+                state[slot] += [shape.bins for shape in shapes]
+                incs += [shape.l2norm / denom for shape in shapes]
+            r, rel, mixed = extrapolate(start, state, r,
+                                        signal_norm(r.values) / denom, denom)
+            accelerated.append(mixed)
+            return rel, incs
 
-    with workers:
         norms_r, norms_s, reason = iterate_sweeps(step, 1.0, cfg.eps1,
                                                   cfg.j1)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,

@@ -225,13 +225,15 @@ def make_prior(phase: Sequence[float], amplitude: Sequence[float] | None = None,
 GRADIENT_BLOCK = 2 ** 16
 
 
-def round_fundamental(prior: PhasePrior, grid: Sequence[float]) -> int:
+def round_fundamental(prior: PhasePrior, grid: Sequence[float],
+                      out: np.ndarray | None = None) -> int:
     """Nearest integer to the grid-average of the discrete phase derivative.
 
     The derivative is taken by central finite differences on the grid, with
     one-sided differences at the endpoints, by ``np.gradient`` in blocks of
     :data:`GRADIENT_BLOCK` samples overlapping by one, so that its
-    temporaries stay block-sized.
+    temporaries stay block-sized, into ``out``, a float array of the grid's
+    length, if given.
     """
     t = np.asarray(grid, dtype=float)
     p = prior.phase
@@ -239,7 +241,7 @@ def round_fundamental(prior: PhasePrior, grid: Sequence[float]) -> int:
         raise GridMismatch("grid length does not match the prior")
     if t.size < 2:
         raise LengthMismatch("grid needs at least 2 points")
-    deriv = np.empty(t.size)
+    deriv = np.empty(t.size) if out is None else out
     for lo in range(0, t.size, GRADIENT_BLOCK):
         hi, a = lo + GRADIENT_BLOCK, max(lo - 1, 0)
         deriv[lo:hi] = np.gradient(p[a:hi + 1], t[a:hi + 1])[lo - a:hi - a]
@@ -251,9 +253,11 @@ def round_fundamental(prior: PhasePrior, grid: Sequence[float]) -> int:
     return n
 
 
-def with_fundamental(prior: PhasePrior, grid: Sequence[float]) -> PhasePrior:
-    """Return a copy of ``prior`` with its fundamental computed and stored."""
-    return replace(prior, fundamental=round_fundamental(prior, grid))
+def with_fundamental(prior: PhasePrior, grid: Sequence[float],
+                     out: np.ndarray | None = None) -> PhasePrior:
+    """Return a copy of ``prior`` with its fundamental computed and stored,
+    the derivative in ``out`` if given (:func:`round_fundamental`)."""
+    return replace(prior, fundamental=round_fundamental(prior, grid, out))
 
 
 def sort_components(priors: Sequence[PhasePrior]):
@@ -323,15 +327,16 @@ def eval_shape(shape: ShapeTable, v):
     return float(out) if out.ndim == 0 else out
 
 
-def unit_position(v) -> np.ndarray:
-    """Fractional position ``mod(v, 1)`` in ``[0, 1)``.
+def unit_position(v, out: np.ndarray | None = None) -> np.ndarray:
+    """Fractional position ``mod(v, 1)`` in ``[0, 1)``, in ``out`` if
+    given.
 
     ``v - floor(v)`` is ``np.mod(v, 1.0)`` bit for bit: both round the same
     exact difference once, and both give ``+0`` at integers, ``-0``
     included.
     """
     v = np.asarray(v, dtype=float)
-    x = np.floor(v, out=np.empty_like(v))
+    x = np.floor(v, out=np.empty_like(v) if out is None else out)
     np.subtract(v, x, out=x)
     # the difference can round up to exactly 1.0 for tiny negative inputs
     np.subtract(x, 1.0, out=x, where=x >= 1.0)
@@ -343,9 +348,16 @@ def interpolation(x, nb: int):
     positions ``x`` in ``[0, 1)``, as :func:`band_term` reads them.
     """
     x = np.asarray(x, dtype=float)
-    u = np.multiply(x, nb, out=np.empty_like(x))
+    return scaled_interpolation(np.multiply(x, nb, out=np.empty_like(x)), nb)
+
+
+def scaled_interpolation(u: np.ndarray, nb: int,
+                         j0: np.ndarray | None = None):
+    """:func:`interpolation`'s ``(j0, w)`` from the product ``u = x nb``,
+    which becomes ``w``, with ``j0`` in the given int64 array if any."""
     u -= 0.5
-    j0 = np.floor(u, out=np.empty(u.shape, np.int64), casting="unsafe")
+    j0 = np.floor(u, out=np.empty(u.shape, np.int64) if j0 is None else j0,
+                  casting="unsafe")
     w = np.subtract(u, j0, out=u)
     # u lies in [-0.5, nb - 0.5), so only j0 = -1 wraps
     np.add(j0, nb, out=j0, where=j0 < 0)
@@ -468,15 +480,21 @@ def make_estimate(bandwidth: int,
 
     Every band is an integer in ``[-m0, m0]``, no sine band is 0, and every
     coefficient is finite, with a table of its kind. Coefficient maps are
-    given only with ``normalized``; an omitted one is the tables' L2 norms.
+    given only with ``normalized``. An omitted one is the tables' L2 norms
+    for product tables, and 1 for each table with ``normalized``, so that a
+    table given without a coefficient is used as it is.
     """
     m0 = integer(bandwidth, "bandwidth", 0, BandOutOfRange)
     if not normalized and (cos_coeffs is not None or sin_coeffs is not None):
         raise OutOfDomain("coefficient maps need normalized=True")
+
+    def default(shapes):
+        return {n: 1.0 if normalized else s.l2norm for n, s in shapes.items()}
+
     if cos_coeffs is None:
-        cos_coeffs = {n: s.l2norm for n, s in cos_shapes.items()}
+        cos_coeffs = default(cos_shapes)
     if sin_coeffs is None:
-        sin_coeffs = {n: s.l2norm for n, s in sin_shapes.items()}
+        sin_coeffs = default(sin_shapes)
     checked = []
     for kind, shapes, coeffs in (("cos", cos_shapes, cos_coeffs),
                                  ("sin", sin_shapes, sin_coeffs)):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
@@ -15,12 +15,17 @@ from modedecomp.errors import (
 )
 from modedecomp.fold_regress import (
     FoldedSamples,
+    bin_layout,
     carrier,
+    check_amplitude,
     plan_phase,
     sweep,
 )
 from modedecomp.gmd import run_pass
 from modedecomp.mmd import BandPlans
+from modedecomp.signal_model import interpolation, unit_position
+
+from bitwise import same_bits
 
 
 def brute_force_bin_means(xs, ys, bins):
@@ -58,6 +63,22 @@ class TestUnwarp:
         prior = md.PhasePrior(3.0 * t, q, None)
         with pytest.raises(AmplitudeTooSmall):
             md.unwarp_samples(sig, prior)
+
+    @pytest.mark.parametrize("values, small", [
+        ([-1e-9], True), ([np.nan, 1e-9], True), ([1e-9, np.nan], True),
+        ([np.nan, np.nan], False), ([1e-8, -np.inf], False)])
+    def test_amplitude_floor_on_any_magnitude(self, values, small):
+        # the least magnitude that is a number decides, with or without a
+        # scratch array, as a test of every magnitude would
+        q = np.ones(8)
+        q[3:3 + len(values)] = values
+        prior = md.PhasePrior(np.arange(8.0), q, None)
+        for scratch in (None, np.empty(8)):
+            if small:
+                with pytest.raises(AmplitudeTooSmall):
+                    check_amplitude(prior, scratch)
+            else:
+                assert check_amplitude(prior, scratch) is prior.amplitude
 
     def test_warped_phase_roundtrip(self):
         # generator as oracle: a pure warped mode folds back onto its shape
@@ -246,6 +267,43 @@ class TestPartitionRegress:
         ys = target[idx]
         table = md.partition_regress(FoldedSamples(xs, ys), bins)
         assert np.max(np.abs(table.bins - target)) <= 1e-12
+
+
+#: Phases whose folded positions are edge cases: integers, -0.0, positions
+#: just below 1 (the largest, 1 - 2**-53, from a tiny negative phase too),
+#: subnormals of either sign, and any other finite phase.
+PLAN_PHASE = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.just(-0.0),
+    st.integers(1, 64).map(lambda k: 1.0 - k * 2.0 ** -53),
+    st.integers(1, 64).map(lambda k: -k * 2.0 ** -53),
+    st.floats(-2.0 ** -1022, 2.0 ** -1022),
+    st.floats(-1e9, 1e9),
+)
+
+
+class TestPlanPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(phases=st.lists(PLAN_PHASE, min_size=1, max_size=40),
+           bins=st.one_of(st.just(2), st.integers(2, 4096)))
+    @example(phases=[-0.0, 0.0, 1.0, -3.0], bins=2)
+    @example(phases=[1.0 - 2.0 ** -53, -2.0 ** -53, 7.0 - 2.0 ** -50], bins=3)
+    @example(phases=[5e-324, -5e-324, 2.0 ** -1030], bins=2)
+    def test_matches_layout_and_interpolation(self, phases, bins):
+        # the plan takes the bin index and (j0, w) from one product x B;
+        # the reference functions take it twice
+        p = np.array(phases)
+        plan = plan_phase(md.PhasePrior(p, np.ones_like(p)), p.size, bins)
+        x = unit_position(p)
+        want = bin_layout(x, bins)
+        j0, w = interpolation(x, bins)
+        for got, ref in ((plan.layout.index, want.index),
+                         (plan.layout.counts, want.counts),
+                         (plan.layout.occupied, want.occupied),
+                         (plan.layout.empty_x, want.empty_x),
+                         (plan.layout.known_x, want.known_x),
+                         (plan.j0, j0), (plan.w, w), (plan.w1, 1.0 - w)):
+            assert same_bits(got, ref)
 
 
 class TestCenterShape:

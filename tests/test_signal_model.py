@@ -572,7 +572,10 @@ class TestReconstruct:
                                        ("sin", s, sin_table)):
                 if table is not None and (kind, n) != ("sin", 0):
                     tables[kind][n], coeffs[kind][n] = table, coeff
-                    bound += 1e-12 * abs(coeff) * np.max(np.abs(table.bins))
+                    # a subnormal product's error is absolute: a few of
+                    # the smallest steps a term, whatever the relative bound
+                    bound += (1e-12 * abs(coeff) * np.max(np.abs(table.bins))
+                              + 4 * np.finfo(float).smallest_subnormal)
         products = [{n: md.scale_shape(table, coeffs[kind][n])
                      for n, table in tables[kind].items()}
                     for kind in ("cos", "sin")]
@@ -662,6 +665,22 @@ class TestEstimateCoefficients:
         with pytest.raises(OutOfDomain, match="normalized"):
             md.make_estimate(1, {0: self.TABLE, 1: self.TABLE},
                              {1: self.TABLE}, **coeffs)
+
+    def test_omitted_map_is_one_per_table(self):
+        # a normalized estimate without a coefficient map uses its tables
+        # as they are: a norm-2 table reconstructs to norm 2, not 4
+        t = np.arange(256) / 256
+        prior = md.with_fundamental(md.make_prior(8.0 * t), t)
+        table = md.scale_shape(self.TABLE, 2.0 / self.TABLE.l2norm)
+        est = md.make_estimate(0, {0: table}, {}, normalized=True)
+        assert est.cos_coeffs == {0: 1.0} and est.sin_coeffs == {}
+        got = md.reconstruct_mimf(est, prior, t)
+        want = md.reconstruct_mimf(md.make_estimate(0, {0: table}, {}),
+                                   prior, t)
+        assert same_bits(got.values, want.values)
+        assert got.l2norm == pytest.approx(2.0, rel=1e-2)
+        assert self.estimate(sin_coeffs={1: 0.5}).cos_coeffs == {0: 1.0,
+                                                                 1: 1.0}
 
 
 class TestBandTerm:

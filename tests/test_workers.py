@@ -5,6 +5,8 @@ import functools
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,7 +17,9 @@ import pytest
 
 import modedecomp as md
 from modedecomp import fold_regress, gmd, mmd
-from modedecomp.fold_regress import BinPass, Workers
+from modedecomp.errors import (AmplitudeTooSmall, DecompositionError,
+                               GridMismatch)
+from modedecomp.fold_regress import BinPass, Workers, Workspace
 
 from bitwise import same_bits
 
@@ -177,6 +181,118 @@ class TestMemory:
         assert pool["build"] <= inline["build"] + extra * (wide + blocks)
         for kernel in ("enter", "finish"):
             assert pool[kernel] <= inline[kernel] + extra * blocks
+
+    def test_one_component_gmd_keeps_its_peak(self):
+        # a K = 1 run on the samples takes no workspace for its
+        # preparation: its traced peak is that of a preparation run as a
+        # plain loop, and no Workspace exists before its sweeps
+        sig, priors = problem(fold_regress.POOL_FLOOR, 1)
+        made = []
+
+        def spaces(*args, **kwargs):
+            made.append(args)
+            return Workspace(*args, **kwargs)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                md.gmd_decompose(sig, list(priors))
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def plain_loop(self, fn, items):
+            return [fn(item) for item in items]
+
+        with mock.patch.object(fold_regress, "usable_cpus", lambda: 3):
+            with mock.patch.object(Workers, "map", plain_loop):
+                serial = peak()
+            before_pass = []
+            run_pass = gmd.run_pass
+
+            def entered(*args, **kwargs):
+                before_pass.append(len(made))
+                return run_pass(*args, **kwargs)
+
+            with mock.patch.object(fold_regress, "Workspace", spaces), \
+                    mock.patch.object(gmd, "run_pass", entered):
+                md.gmd_decompose(sig, list(priors))
+            assert before_pass == [0] and made
+            pooled_peak = peak()
+        # a few bin-sized arrays of slack, of the run's 200 bins
+        assert pooled_peak <= serial + 4 * 8 * 200
+
+
+class TestErrors:
+    """The pool raises as the tasks would inline: the first failure in list
+    order, after every running task has finished."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["run", "map"])
+    def test_first_failure_in_list_order(self, method, threads):
+        class First(Exception):
+            pass
+
+        class Second(Exception):
+            pass
+
+        second_failed = threading.Event()
+        started, finished = set(), set()
+
+        def task(i):
+            started.add(i)
+            try:
+                if i == 1:
+                    second_failed.set()
+                    raise Second
+                # task 0 fails after task 1 has, on a thread of its own;
+                # the others outlast task 1's failure
+                second_failed.wait(0.2)
+                if i == 0:
+                    raise First
+                time.sleep(0.01)
+                return i
+            finally:
+                finished.add(i)
+
+        workers = Workers(16, threads)
+        with workers, pytest.raises(First):
+            if method == "map":
+                workers.map(task, range(8))
+            else:
+                workers.run([functools.partial(lambda i, space: task(i), i)
+                             for i in range(8)])
+        assert finished == started
+        # each thread took one task before task 1 failed, and none after
+        assert 0 in started and started <= set(range(threads))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("decompose", ["gmd", "mmd"])
+    def test_stage_order_of_a_run(self, decompose, threads):
+        # every fundamental, then every plan, then gmd's amplitudes: a
+        # run raises the error of its earliest stage, not its first prior
+        length = 512
+        sig, (good, *_) = problem(length, 2)
+        t = sig.times
+        faint = md.make_prior(20.0 * t, np.full(length, 1e-9))
+        off_grid = md.make_prior(40.0 * np.arange(length + 1) / length,
+                                 fundamental=40)
+        slow = md.make_prior(0.1 * t)
+        run = {"gmd": lambda p: md.gmd_decompose(sig, p),
+               "mmd": lambda p: md.mmd_decompose(sig, p, md.MmdConfig(m0=1))}
+        cases = [([good, faint, off_grid], GridMismatch),
+                 ([faint, off_grid, slow], DecompositionError),
+                 ([], DecompositionError)]
+        if decompose == "gmd":
+            cases.append(([good, faint], AmplitudeTooSmall))
+        for priors, error in cases:
+            with pooled(None), pytest.raises(DecompositionError) as inline:
+                run[decompose](priors)
+            with pooled(threads), pytest.raises(DecompositionError) as pool:
+                run[decompose](priors)
+            assert type(inline.value) is type(pool.value) is error
+            assert str(pool.value) == str(inline.value)
 
 
 def test_package_import_leaves_executor_unloaded():
