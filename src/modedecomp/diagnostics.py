@@ -20,6 +20,7 @@ from .errors import (
     GridMismatch,
     InvalidStep,
     LagTooLarge,
+    NonFinite,
     OutOfDomain,
     TraceTooShort,
     integer,
@@ -65,7 +66,9 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     """Exact occupancy counts of the folded phase (pairs and marginals).
 
     ``step`` must divide the unit interval into an integer number of cells,
-    at least 2.
+    at least 2, and no more cells than samples; with two or more priors,
+    no more pair cells, ``cells^2``, than samples, as more would leave
+    ``gamma`` 0 by counting alone.
     """
     step = real(step, "step")
     if not 0.0 < step < np.inf:
@@ -81,6 +84,11 @@ def partition_counts(priors: Sequence[PhasePrior], grid: Sequence[float],
     for prior in priors:
         if len(prior) != t.size:
             raise GridMismatch("prior and grid lengths differ")
+    kind, needed = (("pair cells", cells * cells) if k_total > 1
+                    else ("cells", cells))
+    if needed > t.size:
+        raise InvalidStep(f"1/step = {cells_f:g} gives more {kind} than "
+                          f"the {t.size} samples")
     layouts = [bin_layout(unit_position(p.phase), cells) for p in priors]
     idx = [layout.index for layout in layouts]
     marginals = np.stack([layout.counts for layout in layouts])
@@ -169,6 +177,8 @@ def fit_decay_rate(residual_norms: Sequence[float], floor: float = 0.0):
     norms = np.asarray(residual_norms, dtype=float)
     if norms.ndim != 1:
         raise OutOfDomain("residual_norms must be 1-d")
+    if not np.all(np.isfinite(norms)):
+        raise NonFinite("residual norms must be finite to fit a rate")
     if np.any(norms <= 0.0):
         raise OutOfDomain("residual norms must be positive to fit a rate")
     if np.count_nonzero(norms > real(floor, "floor")) < 3:

@@ -29,9 +29,12 @@ in ``bincount`` and its ufuncs). Each task keeps its serial arithmetic, so
 the outputs are the same bytes on any number of threads. The set-up runs
 in stages, every fundamental, then every plan, then gmd's factors, so that
 a run refuses an input with the error it raises inline, and it takes no
-workspace. A pass's tasks write their sample-length products and indices
-into a :class:`Workspace` the pool allocated, so threads add no
-temporaries. Carriers and the sweeps stay on the calling thread.
+workspace: the calling thread allocates the plans and factors it keeps,
+and a fundamental or an amplitude check keeps nothing, reading its prior
+a :data:`~modedecomp.signal_model.GRADIENT_BLOCK` at a time. A pass's
+tasks write their sample-length products and indices into a
+:class:`Workspace` the pool allocated, so threads add no temporaries.
+Carriers and the sweeps stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .errors import (
     integer,
 )
 from .signal_model import (
+    GRADIENT_BLOCK,
     PhasePrior,
     SampledSignal,
     ShapeTable,
@@ -217,16 +221,19 @@ def as_plans(priors: Sequence[PhasePrior | PhasePlan], length: int,
     return (workers or Workers(length)).map(plan, range(len(priors)))
 
 
-def check_amplitude(prior: PhasePrior,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """The prior's amplitude; reject one too small to divide by. Its
-    magnitudes go to ``scratch``, if given, and their least that is a
-    number is compared, as any magnitude below the floor would be."""
-    magnitude = np.abs(prior.amplitude, out=scratch)
-    if np.fmin.reduce(magnitude, initial=np.inf) < AMPLITUDE_FLOOR:
-        raise AmplitudeTooSmall(
-            f"amplitude magnitude below {AMPLITUDE_FLOOR:g}")
-    return prior.amplitude
+def check_amplitude(prior: PhasePrior) -> np.ndarray:
+    """The prior's amplitude; reject one too small to divide by. The
+    least magnitude that is a number in each
+    :data:`~modedecomp.signal_model.GRADIENT_BLOCK` samples is compared
+    with the floor, as any magnitude below it would be, so the check's
+    temporaries are block-sized."""
+    q = prior.amplitude
+    for lo in range(0, q.size, GRADIENT_BLOCK):
+        block = np.abs(q[lo:lo + GRADIENT_BLOCK])
+        if np.fmin.reduce(block, initial=np.inf) < AMPLITUDE_FLOOR:
+            raise AmplitudeTooSmall(
+                f"amplitude magnitude below {AMPLITUDE_FLOOR:g}")
+    return q
 
 
 def unwarp_samples(residual: SampledSignal, prior: PhasePrior):

@@ -140,21 +140,14 @@ def prepare_run(signal: SampledSignal, priors: Sequence[PhasePrior], backend,
     (:func:`check_backend`), resolve each missing fundamental on the
     signal's grid and plan the priors in :func:`sort_components` order,
     one prior a task of the run's ``workers``, every fundamental before any
-    plan. Returns the plans, the order and the fundamentals in the
-    caller's order."""
+    plan. A fundamental keeps no sample-length array
+    (:func:`~modedecomp.signal_model.round_fundamental`); the plans are
+    allocated by the calling thread (:func:`as_plans`). Returns the plans,
+    the order and the fundamentals in the caller's order."""
     check_backend(backend)
-    # each derivative in an array of the calling thread's, as
-    # fold_regress.as_plans sets out
-    derivs = [None if p.fundamental is not None else np.empty(len(p))
-              for p in priors]
-
-    def resolve(k):
-        p = priors[k]
-        return (p if derivs[k] is None
-                else with_fundamental(p, signal.times, derivs[k]))
-
-    resolved = workers.map(resolve, range(len(priors)))
-    derivs.clear()  # before the plans are made
+    resolved = workers.map(
+        lambda p: (p if p.fundamental is not None
+                   else with_fundamental(p, signal.times)), priors)
     sorted_priors, order = sort_components(resolved)
     return (as_plans(sorted_priors, len(signal), bins, workers), order,
             [int(p.fundamental) for p in resolved])
@@ -172,7 +165,7 @@ def gmd_factors(plans: Sequence[PhasePlan], workers: Workers | None = None):
     inverse = [np.empty(len(plans[0])) for _ in plans]
 
     def factors(k):
-        q = check_amplitude(plans[k].prior, inverse[k])
+        q = check_amplitude(plans[k].prior)
         return np.divide(1.0, q, out=inverse[k]), q
 
     pre, post = zip(*(workers or Workers(len(plans[0]))).map(
@@ -324,11 +317,12 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     The run owns a :func:`~modedecomp.fold_regress.run_workers` pool until
     it returns, threads from :data:`~modedecomp.fold_regress.POOL_FLOOR`
     samples, with the same outputs and errors as inline. On it, one prior
-    a task, it resolves every missing fundamental, then plans every prior,
-    then forms every factor (:func:`prepare_run`), with no workspace; a run
-    on bin sums then builds its operators, enters its pass and forms its
-    modes one component (or pair) a task. ``backend`` is checked by
-    :func:`check_backend`.
+    a task, it resolves every missing fundamental, then plans every prior
+    (:func:`prepare_run`), then checks every amplitude and forms every
+    factor, with no workspace and, of sample length, only the plans and
+    factors it keeps; a run on bin sums then builds its operators, enters
+    its pass and forms its modes one component (or pair) a task.
+    ``backend`` is checked by :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
     with run_workers(len(signal), len(priors)) as workers:

@@ -329,9 +329,10 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     threads from :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, and
     stops it before the modes are formed. On it, one prior a task, it
     resolves every missing fundamental and then plans every prior
-    (:func:`~modedecomp.gmd.prepare_run`), with no workspace; a run on bin
-    sums then builds its operators, enters each pass and forms its modes
-    one component a task. Outputs and errors are those of a run inline.
+    (:func:`~modedecomp.gmd.prepare_run`), with no workspace and, of
+    sample length, only the plans it keeps; a run on bin sums then builds
+    its operators, enters each pass and forms its modes one component a
+    task. Outputs and errors are those of a run inline.
     """
     cfg.validate()
     length, passes = len(signal), 2 * cfg.m0 + 1

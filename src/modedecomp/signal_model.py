@@ -221,19 +221,25 @@ def make_prior(phase: Sequence[float], amplitude: Sequence[float] | None = None,
     return PhasePrior(_readonly(p), _readonly(q), fundamental)
 
 
-#: Samples of the phase derivative :func:`round_fundamental` takes at once.
+#: Samples :func:`round_fundamental` and ``fold_regress.check_amplitude``
+#: read at once.
 GRADIENT_BLOCK = 2 ** 16
 
 
-def round_fundamental(prior: PhasePrior, grid: Sequence[float],
-                      out: np.ndarray | None = None) -> int:
+def round_fundamental(prior: PhasePrior, grid: Sequence[float]) -> int:
     """Nearest integer to the grid-average of the discrete phase derivative.
 
     The derivative is taken by central finite differences on the grid, with
     one-sided differences at the endpoints, by ``np.gradient`` in blocks of
-    :data:`GRADIENT_BLOCK` samples overlapping by one, so that its
-    temporaries stay block-sized, into ``out``, a float array of the grid's
-    length, if given.
+    :data:`GRADIENT_BLOCK` samples overlapping by one; each block is
+    sign-checked and summed, and the average is the blocks' sums added in
+    order, so it can round otherwise than ``np.mean`` of the whole
+    derivative only within rounding error of a half-integer.
+
+    The grid is refused as :func:`make_signal` refuses a signal's sorted
+    times (a repeated time where it repeats its neighbour); a derivative
+    not positive somewhere, as on a grid that steps back, is
+    :class:`NonMonotonePhase`, and a non-finite average :class:`NonFinite`.
     """
     t = np.asarray(grid, dtype=float)
     p = prior.phase
@@ -241,23 +247,38 @@ def round_fundamental(prior: PhasePrior, grid: Sequence[float],
         raise GridMismatch("grid length does not match the prior")
     if t.size < 2:
         raise LengthMismatch("grid needs at least 2 points")
-    deriv = np.empty(t.size) if out is None else out
-    for lo in range(0, t.size, GRADIENT_BLOCK):
-        hi, a = lo + GRADIENT_BLOCK, max(lo - 1, 0)
-        deriv[lo:hi] = np.gradient(p[a:hi + 1], t[a:hi + 1])[lo - a:hi - a]
-    if np.any(deriv <= 0.0):
-        raise NonMonotonePhase("discrete phase derivative must be positive")
-    n = int(round(float(np.mean(deriv))))
+    # a NaN is the least and the greatest time, -inf the least, inf the
+    # greatest
+    least, greatest = float(t.min()), float(t.max())
+    if not (math.isfinite(least) and math.isfinite(greatest)):
+        raise NonFinite("times must be finite")
+    if least < 0.0 or greatest > 1.0:
+        raise OutOfDomain("times must lie within [0, 1]")
+    total = 0.0
+    # a step that underflows makes the average non-finite: refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, t.size, GRADIENT_BLOCK):
+            hi, a = lo + GRADIENT_BLOCK, max(lo - 1, 0)
+            ta = t[a:hi + 1]
+            if np.any(ta[1:] == ta[:-1]):
+                raise DuplicateTime("duplicate sample times are not allowed")
+            deriv = np.gradient(p[a:hi + 1], ta)[lo - a:hi - a]
+            if np.any(deriv <= 0.0):
+                raise NonMonotonePhase(
+                    "discrete phase derivative must be positive")
+            total += float(np.add.reduce(deriv))
+    average = total / t.size
+    if not math.isfinite(average):
+        raise NonFinite("average cycle rate is not finite on this grid")
+    n = round(average)
     if n < 1:
         raise DecompositionError("average cycle rate rounds below 1")
     return n
 
 
-def with_fundamental(prior: PhasePrior, grid: Sequence[float],
-                     out: np.ndarray | None = None) -> PhasePrior:
-    """Return a copy of ``prior`` with its fundamental computed and stored,
-    the derivative in ``out`` if given (:func:`round_fundamental`)."""
-    return replace(prior, fundamental=round_fundamental(prior, grid, out))
+def with_fundamental(prior: PhasePrior, grid: Sequence[float]) -> PhasePrior:
+    """Return a copy of ``prior`` with its fundamental computed and stored."""
+    return replace(prior, fundamental=round_fundamental(prior, grid))
 
 
 def sort_components(priors: Sequence[PhasePrior]):

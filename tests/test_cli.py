@@ -308,6 +308,19 @@ class TestDiagnoseCommand:
         assert main(["diagnose", *argv, "--out", str(out)]) == code
         assert not out.exists()
 
+    def test_step_finer_than_samples(self, tmp_path, capsys):
+        # refused with a message, before any cell is counted or --out made
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+        capsys.readouterr()
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--phases", str(data / "phases.csv"),
+                     "--h", "1e-300", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 1/step = 1e+300 gives more pair cells than the 512 "
+            "samples\n")
+        assert not out.exists()
+
 
 class TestReaderRefusals:
     """A malformed input file is refused by its reader with a message that
@@ -674,6 +687,20 @@ class TestPhaseStatsError:
         t = md.sample_grid(256)
         assert cli._phase_stats([md.make_prior(10.0 * t)], t) == (
             None, "m_bound must be positive and finite")
+
+    @pytest.mark.parametrize("length", [399, 400])
+    def test_reason_for_too_few_samples(self, length):
+        # the default 0.05 gives 400 pair cells: two priors on fewer
+        # samples leave one empty by counting
+        t = md.sample_grid(length)
+        priors = [md.make_prior(9.0 * t), md.make_prior(14.0 * t)]
+        stats, error = cli._phase_stats(priors, t)
+        if length < 400:
+            assert stats is None and error == (
+                f"1/step = 20 gives more pair cells than the {length} "
+                "samples")
+        else:
+            assert stats is not None and error is None
 
     @pytest.mark.parametrize("command", ["gmd", "mmd"])
     def test_report_records_reason(self, tmp_path, monkeypatch, command):

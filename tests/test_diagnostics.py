@@ -7,6 +7,7 @@ import modedecomp as md
 from modedecomp.errors import (
     InvalidStep,
     LagTooLarge,
+    NonFinite,
     OutOfDomain,
     TraceTooShort,
 )
@@ -102,6 +103,24 @@ class TestPartitionCounts:
         t = md.sample_grid(64)
         with pytest.raises(OutOfDomain, match="at least one prior"):
             md.partition_counts([], t, 0.1)
+
+    @pytest.mark.parametrize("step, one, two", [
+        (1e-300, False, False), (1e-10, False, False),
+        (1 / 128, False, False), (1 / 64, True, False), (1 / 9, True, False),
+        (0.125, True, True)])
+    def test_cells_outnumber_samples(self, step, one, two):
+        # more cells than samples, or with two priors more pair cells,
+        # leave a cell empty by counting alone; refused before any is
+        # counted, however many
+        t = md.sample_grid(64)
+        priors = [md.make_prior(9.0 * t), md.make_prior(14.0 * t)]
+        for k, accepted in ((1, one), (2, two)):
+            if accepted:
+                counts = md.partition_counts(priors[:k], t, step)
+                assert counts.marginals.sum() == k * 64
+            else:
+                with pytest.raises(InvalidStep, match="than the 64 samples"):
+                    md.partition_counts(priors[:k], t, step)
 
 
 class TestWellDiffStats:
@@ -240,6 +259,12 @@ class TestFitDecayRate:
                                        [1.0, -0.5, 0.25, 0.125]])
     def test_non_positive_norm(self, norms):
         with pytest.raises(OutOfDomain, match="positive"):
+            md.fit_decay_rate(norms)
+
+    @pytest.mark.parametrize("norms", [[1.0, np.nan, 0.5, 0.25, 0.2],
+                                       [np.inf, 1.0, 0.5, 0.25]])
+    def test_non_finite_norm(self, norms):
+        with pytest.raises(NonFinite):
             md.fit_decay_rate(norms)
 
     def test_floor_filter(self):

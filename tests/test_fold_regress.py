@@ -14,6 +14,7 @@ from modedecomp.errors import (
     SinZeroBand,
 )
 from modedecomp.fold_regress import (
+    AMPLITUDE_FLOOR,
     FoldedSamples,
     bin_layout,
     carrier,
@@ -23,7 +24,8 @@ from modedecomp.fold_regress import (
 )
 from modedecomp.gmd import run_pass
 from modedecomp.mmd import BandPlans
-from modedecomp.signal_model import interpolation, unit_position
+from modedecomp.signal_model import (GRADIENT_BLOCK, interpolation,
+                                     unit_position)
 
 from bitwise import same_bits
 
@@ -68,17 +70,37 @@ class TestUnwarp:
         ([-1e-9], True), ([np.nan, 1e-9], True), ([1e-9, np.nan], True),
         ([np.nan, np.nan], False), ([1e-8, -np.inf], False)])
     def test_amplitude_floor_on_any_magnitude(self, values, small):
-        # the least magnitude that is a number decides, with or without a
-        # scratch array, as a test of every magnitude would
+        # the least magnitude that is a number decides, as a test of every
+        # magnitude would
         q = np.ones(8)
         q[3:3 + len(values)] = values
         prior = md.PhasePrior(np.arange(8.0), q, None)
-        for scratch in (None, np.empty(8)):
-            if small:
-                with pytest.raises(AmplitudeTooSmall):
-                    check_amplitude(prior, scratch)
-            else:
-                assert check_amplitude(prior, scratch) is prior.amplitude
+        if small:
+            with pytest.raises(AmplitudeTooSmall):
+                check_amplitude(prior)
+        else:
+            assert check_amplitude(prior) is prior.amplitude
+
+    @pytest.mark.parametrize("values", [
+        [-1e-9], [np.nan, -1e-9], [-1e-9, np.nan], [np.inf, -np.inf],
+        [-np.inf, 1e-9], [np.nan] * (GRADIENT_BLOCK + 1),
+        [np.nan] * GRADIENT_BLOCK + [-1e-9]])
+    @pytest.mark.parametrize("at", [
+        0, GRADIENT_BLOCK - 1, GRADIENT_BLOCK, 2 * GRADIENT_BLOCK - 1,
+        3 * GRADIENT_BLOCK + 1])
+    def test_amplitude_floor_across_blocks(self, values, at):
+        # each block of GRADIENT_BLOCK samples is compared, the last one
+        # short: a magnitude below the floor is found in any of them,
+        # beside NaNs and infinities or straddling a block edge, and a
+        # block of NaNs hides none in the next
+        q = np.ones(3 * GRADIENT_BLOCK + 2)
+        q[at:at + len(values)] = values[:q.size - at]
+        prior = md.PhasePrior(np.arange(q.size, dtype=float), q, None)
+        if np.any(np.abs(q) < AMPLITUDE_FLOOR):
+            with pytest.raises(AmplitudeTooSmall):
+                check_amplitude(prior)
+        else:
+            assert check_amplitude(prior) is prior.amplitude
 
     def test_warped_phase_roundtrip(self):
         # generator as oracle: a pure warped mode folds back onto its shape

@@ -1,8 +1,9 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
@@ -123,6 +124,55 @@ class TestRoundFundamental:
         prior = md.make_prior(t)
         with pytest.raises(GridMismatch):
             md.round_fundamental(prior, t[:32])
+
+    @staticmethod
+    def on_grid(change):
+        """The fundamental of ``8t + 0.01 sin 2 pi t`` on 64 samples of
+        ``linspace(0, 1)``, taken on the grid ``change`` makes of them."""
+        t = np.linspace(0.0, 1.0, 64)
+        prior = md.make_prior(8.0 * t + 0.01 * np.sin(2.0 * np.pi * t))
+        return md.round_fundamental(prior, change(t.copy()))
+
+    def test_nan_time_refused(self):
+        def nan(t):
+            t[10] = np.nan
+            return t
+        with pytest.raises(NonFinite):
+            self.on_grid(nan)
+
+    def test_repeated_time_refused(self):
+        def repeated(t):
+            t[10] = t[9]
+            return t
+        with pytest.raises(DuplicateTime):
+            self.on_grid(repeated)
+
+    def test_underflowing_steps_refused(self):
+        # steps of about 1.6e-302 underflow in np.gradient's weights: the
+        # average is not a number
+        with pytest.raises(NonFinite):
+            self.on_grid(lambda t: t * 1e-300)
+
+    def test_grid_outside_unit_interval_refused(self):
+        with pytest.raises(OutOfDomain):
+            self.on_grid(lambda t: 3.0 * t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks=st.integers(1, 3), offset=st.integers(-3, 3),
+           kind=st.sampled_from(["uniform", "iid_uniform"]),
+           seed=st.integers(0, 2 ** 16), rate=st.floats(1.0, 5000.0),
+           warp=st.floats(-0.1, 0.1))
+    def test_matches_mean_of_whole_derivative(self, blocks, offset, kind,
+                                              seed, rate, warp):
+        # the blocks' sums added in order round as np.mean of the whole
+        # derivative does, away from a half-integer
+        t = md.sample_grid(blocks * GRADIENT_BLOCK + offset, kind, seed)
+        phase = rate * (t + warp * np.sin(2.0 * np.pi * t))
+        deriv = np.gradient(phase, t)
+        mean = float(np.mean(deriv))
+        assume(np.all(deriv > 0.0) and mean >= 1.0)
+        assume(abs(mean - math.floor(mean) - 0.5) > 1e-9 * mean)
+        assert md.round_fundamental(md.make_prior(phase), t) == round(mean)
 
 
 class TestRoundFundamentalBlocks:

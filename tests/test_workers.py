@@ -224,6 +224,29 @@ class TestMemory:
         assert pooled_peak <= serial + 4 * 8 * 200
 
 
+@pytest.mark.parametrize("kind", ["uniform", "iid_uniform"])
+def test_fundamental_peaks_below_one_array(kind):
+    """Resolving a prior's fundamental on a run's pool holds block-sized
+    temporaries only, up to nine on an uneven grid (half an array of
+    ``2^20`` samples), and no whole derivative: its traced peak stays
+    below one sample-length array."""
+    length = 2 ** 20
+    t = md.sample_grid(length, kind, 5)
+    prior = md.make_prior(150.0 * (t + 0.006 * np.sin(2 * np.pi * t)))
+    with Workers(length, 2) as workers:
+        workers.map(abs, [1, 2])  # the helper thread started
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            [resolved] = workers.map(
+                functools.partial(md.with_fundamental, grid=t), [prior])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert resolved.fundamental == 150
+    assert peak < 8 * length
+
+
 class TestErrors:
     """The pool raises as the tasks would inline: the first failure in list
     order, after every running task has finished."""
