@@ -19,6 +19,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import suppress
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -65,7 +66,9 @@ __all__ = [
     "main",
 ]
 
-# Rows per formatting operation: bounds the text held in memory at once.
+# Rows per formatting operation. The writer walks its tables one block of
+# rows at a time: it holds one table's block and the words of the block's
+# first columns, which tables that share them take, never a whole table.
 _BLOCK_ROWS = 8192
 
 
@@ -245,8 +248,10 @@ def _printf_words(values: np.ndarray) -> np.ndarray:
     return _text_words([("%.17g" % t).encode("ascii") for t in values.tolist()], 24)
 
 
-def _value_words(block: np.ndarray) -> np.ndarray:
-    """The four words of each value of a 2-d float block, in row order.
+def _value_words(block: np.ndarray, ends_rows: bool) -> np.ndarray:
+    """The four words of each value of a 2-d float block, in row order,
+    each value ending in "," but, when ``ends_rows``, the last column's
+    in "\\n".
 
     Each block-sized array is deleted once used: that keeps the heap of a
     block near 17 arrays of its size, against 30 when they all live to the
@@ -283,9 +288,8 @@ def _value_words(block: np.ndarray) -> np.ndarray:
         above <<= _U(8)
         np.bitwise_or(w, above, out=words[:, 1 + i])
     del layout, digits, w, above
-    newline = np.zeros(block.shape, np.int64)  # the second half of _SUFFIX
-    newline[:, -1] = _DOT_AT.size
-    x += newline.ravel()
+    if ends_rows:  # the second half of _SUFFIX
+        x.reshape(block.shape)[:, -1] += _DOT_AT.size
     np.bitwise_or(shifted, _SUFFIX[x], out=words[:, 3])
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -293,10 +297,27 @@ def _value_words(block: np.ndarray) -> np.ndarray:
     return words
 
 
-def _format_rows(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-d float block, each value as ``"%.17g"`` prints it."""
-    text = _value_words(block).astype(_TEXT_WORD, copy=False).tobytes()
-    return text.translate(None, b"\0")
+def _format_rows(columns: list[np.ndarray], firsts: list) -> bytes:
+    """The CSV rows of a block of equal-length columns, each value as
+    ``"%.17g"`` prints it.
+
+    ``firsts`` holds ``(bits, ends_rows, words)`` of the first columns
+    already formatted for this block of rows: a first column whose bits and
+    row end match one of them takes its words, any other is formatted and
+    added. Bits, not values, decide, since ``-0.0 == 0.0``.
+    """
+    first, rest = columns[0], columns[1:]
+    bits, ends_rows = first.view(_U), not rest
+    words = next((w for b, e, w in firsts
+                  if e == ends_rows and np.array_equal(b, bits)), None)
+    if words is None:
+        words = _value_words(first[:, None], ends_rows)
+        firsts.append((bits, ends_rows, words))
+    if rest:
+        rest_words = _value_words(np.column_stack(rest), True)
+        words = np.concatenate([words[:, None], rest_words.reshape(first.size, -1, 4)],
+                               axis=1)
+    return words.astype(_TEXT_WORD, copy=False).tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -514,31 +535,56 @@ def _parse_blocks(raw: bytes) -> tuple[list[str], np.ndarray] | None:
 # ---------------------------------------------------------------------------
 # CSV / JSON primitives
 
-def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write a header row, then one row per sample at 17 significant digits.
-
-    The bytes are those of ``"%.17g" % value`` for every value, joined by
-    ``,`` and ``\\n``; :func:`_format_rows` makes them a block of rows at a
-    time in numpy. A header whose width differs from the column count, or
-    columns of unequal length, raise :class:`LengthMismatch` before the file
-    is opened.
-    """
+def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:
+    """``columns`` as float arrays, after :class:`LengthMismatch` checks."""
     cols = [np.asarray(col, dtype=float) for col in columns]
     if len(header) != len(cols):
         raise LengthMismatch(f"cannot write {path}: {len(header)} header "
                              f"names for {len(cols)} columns")
-    if any(col.ndim != 1 or col.size != cols[0].size for col in cols):
+    if not cols or any(col.ndim != 1 or col.size != cols[0].size for col in cols):
         raise LengthMismatch(f"cannot write {path}: columns must be 1-d and "
                              f"of equal length, got shapes "
                              f"{[col.shape for col in cols]}")
-    table = np.column_stack(cols)
+    return cols
+
+
+def _write_tables(tables: list[tuple[Path, list[str], list]]) -> None:
+    """Write each ``(path, header, columns)`` table: a header row, then one
+    row per sample at 17 significant digits.
+
+    The bytes are those of ``"%.17g" % value`` for every value, joined by
+    ``,`` and ``\\n``; :func:`_format_rows` makes them in numpy, one block
+    of ``_BLOCK_ROWS`` rows of every table at a time, so that a first
+    column the tables share (a command's ``t``) is formatted once per block
+    and the writer holds one block, not a whole table. Every table is
+    checked before any file is opened: a header whose width differs from
+    the column count, or columns of unequal length, raise
+    :class:`LengthMismatch`. An ``OSError`` is an :class:`IoError` naming
+    the file, raised once every file is closed.
+    """
+    checked = [(path, header, _checked_columns(path, header, columns))
+               for path, header, columns in tables]
+    files = []
     try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode("utf-8"))
-            for start in range(0, len(table), _BLOCK_ROWS):
-                fh.write(_format_rows(table[start:start + _BLOCK_ROWS]))
+        # ``path`` names the file of the call that raised
+        for path, header, _ in checked:
+            files.append(open(path, "wb"))
+            files[-1].write((",".join(header) + "\n").encode("utf-8"))
+        rows = max((cols[0].size for _, _, cols in checked), default=0)
+        for start in range(0, rows, _BLOCK_ROWS):
+            firsts = []
+            for fh, (path, _, cols) in zip(files, checked):
+                block = [col[start:start + _BLOCK_ROWS] for col in cols]
+                if block[0].size:
+                    fh.write(_format_rows(block, firsts))
+        for fh, (path, _, _) in zip(files, checked):
+            fh.close()
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for fh in files:
+            with suppress(OSError):  # the error raised above says why
+                fh.close()
 
 
 def _parse_lines(path: Path, text: str) -> tuple[list[str], np.ndarray]:
@@ -589,8 +635,12 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     return _parse_lines(path, text)
 
 
+def _signal_table(path, signal: SampledSignal) -> tuple:
+    return Path(path), ["t", "value"], [signal.times, signal.values]
+
+
 def write_signal_csv(path, signal: SampledSignal) -> None:
-    _write_table(Path(path), ["t", "value"], [signal.times, signal.values])
+    _write_tables([_signal_table(path, signal)])
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -600,12 +650,15 @@ def read_signal_csv(path) -> SampledSignal:
     return make_signal(data[:, 0], data[:, 1])
 
 
-def write_phases_csv(path, times: np.ndarray, priors: list[PhasePrior]) -> None:
+def _phases_table(path, times: np.ndarray, priors: list[PhasePrior]) -> tuple:
     numbers = range(1, len(priors) + 1)
     header = ["t"] + [f"p{k}" for k in numbers] + [f"q{k}" for k in numbers]
-    cols = ([np.asarray(times, dtype=float)] + [p.phase for p in priors]
-            + [p.amplitude for p in priors])
-    _write_table(Path(path), header, cols)
+    return (Path(path), header,
+            [times] + [p.phase for p in priors] + [p.amplitude for p in priors])
+
+
+def write_phases_csv(path, times: np.ndarray, priors: list[PhasePrior]) -> None:
+    _write_tables([_phases_table(path, times, priors)])
 
 
 def _numbered_columns(path, header: list[str], prefix: str) -> list[int]:
@@ -658,16 +711,20 @@ def read_phases_csv(path) -> tuple[np.ndarray, list[PhasePrior]]:
     return times, priors
 
 
-def write_shape_csv(path, shape: ShapeTable) -> None:
+def _shape_table(path, shape: ShapeTable) -> tuple:
     centers = (np.arange(shape.size) + 0.5) / shape.size
-    _write_table(Path(path), ["x", "value"], [centers, shape.bins])
+    return Path(path), ["x", "value"], [centers, shape.bins]
 
 
-def _write_band_shapes(directory: Path, k: int, est: MimfEstimate) -> None:
-    """One ``shape_{c|s}{n}_k{k}.csv`` per band table of component ``k``."""
-    for kind, shapes in (("c", est.cos_shapes), ("s", est.sin_shapes)):
-        for n, table in sorted(shapes.items()):
-            write_shape_csv(directory / f"shape_{kind}{n}_k{k}.csv", table)
+def write_shape_csv(path, shape: ShapeTable) -> None:
+    _write_tables([_shape_table(path, shape)])
+
+
+def _band_shape_tables(directory: Path, k: int, est: MimfEstimate) -> list[tuple]:
+    """One ``shape_{c|s}{n}_k{k}.csv`` table per band table of component ``k``."""
+    return [_shape_table(directory / f"shape_{kind}{n}_k{k}.csv", table)
+            for kind, shapes in (("c", est.cos_shapes), ("s", est.sin_shapes))
+            for n, table in sorted(shapes.items())]
 
 
 def read_shape_csv(path) -> ShapeTable:
@@ -767,31 +824,39 @@ def write_decomposition(directory, result, stats: WellDiffStats | None = None,
     result its coefficients.
 
     The mmd shape files hold unit-norm shapes, so ``a_n`` and ``b_n`` from
-    ``coefficients.csv`` times them rebuild each ``mode_k.csv``.
+    ``coefficients.csv`` times them rebuild each ``mode_k.csv``. Every
+    table is made before ``directory`` is created, so that a refusal
+    leaves none; the modes and the residual, which share ``t``, are
+    written in one call.
     """
     out = Path(directory)
+    if isinstance(result, GmdResult):
+        modes = result.modes
+        others = [_shape_table(out / f"shape_{k}.csv", shape)
+                  for k, shape in enumerate(result.shapes, 1)]
+    elif isinstance(result, MmdResult):
+        estimates = list(map(normalize_estimate, result.estimates))
+        modes = [est.mode for est in estimates]
+        others, rows = [], []
+        for k, est in enumerate(estimates, 1):
+            others += _band_shape_tables(out, k, est)
+            rows += [(k, n, est.cos_coeffs.get(n, 0.0), est.sin_coeffs.get(n, 0.0))
+                     for n in range(-est.bandwidth, est.bandwidth + 1)]
+        others.append((out / "coefficients.csv", ["k", "n", "a_n", "b_n"],
+                       list(np.array(rows, dtype=float).T)))
+    else:
+        raise DecompositionError(f"unknown result type {type(result)!r}")
+    series = [_signal_table(out / f"mode_{k}.csv", mode)
+              for k, mode in enumerate(modes, 1)]
+    series.append(_signal_table(out / "residual.csv", result.residual))
+
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out}: {exc}") from exc
-
-    if isinstance(result, GmdResult):
-        for k, (mode, shape) in enumerate(zip(result.modes, result.shapes), 1):
-            write_signal_csv(out / f"mode_{k}.csv", mode)
-            write_shape_csv(out / f"shape_{k}.csv", shape)
-    elif isinstance(result, MmdResult):
-        rows = []
-        for k, est in enumerate(map(normalize_estimate, result.estimates), 1):
-            write_signal_csv(out / f"mode_{k}.csv", est.mode)
-            _write_band_shapes(out, k, est)
-            rows += [(k, n, est.cos_coeffs.get(n, 0.0), est.sin_coeffs.get(n, 0.0))
-                     for n in range(-est.bandwidth, est.bandwidth + 1)]
-        _write_table(out / "coefficients.csv", ["k", "n", "a_n", "b_n"],
-                     list(np.array(rows, dtype=float).T))
-    else:
-        raise DecompositionError(f"unknown result type {type(result)!r}")
-
-    write_signal_csv(out / "residual.csv", result.residual)
+    _write_tables(series)
+    for table in others:  # one at a time: a file handle each
+        _write_tables([table])
     write_report(out, result.report, stats, config, stats_error)
 
 
@@ -1011,13 +1076,14 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     truth_dir = out / "truth"
     truth_dir.mkdir(parents=True, exist_ok=True)
-    write_signal_csv(out / "signal.csv", signal)
-    write_phases_csv(out / "phases.csv", signal.times, list(priors))
-    write_signal_csv(truth_dir / "clean.csv", clean)
-    for k, mode in enumerate(modes, 1):
-        write_signal_csv(truth_dir / f"mode_{k}.csv", mode)
+    _write_tables([_signal_table(out / "signal.csv", signal),
+                   _phases_table(out / "phases.csv", signal.times, list(priors)),
+                   _signal_table(truth_dir / "clean.csv", clean)]
+                  + [_signal_table(truth_dir / f"mode_{k}.csv", mode)
+                     for k, mode in enumerate(modes, 1)])
     for k, est in enumerate(truth, 1):
-        _write_band_shapes(truth_dir, k, est)
+        for table in _band_shape_tables(truth_dir, k, est):
+            _write_tables([table])
     _write_json(out / "meta.json", meta)
     return 0
 
@@ -1061,8 +1127,8 @@ def _cmd_diagnose(args) -> int:
     else:
         residual = read_signal_csv(args.residual)
         rho = autocorrelation(residual, args.max_lag)
-        write = partial(_write_table, out / "autocorrelation.csv",
-                        ["lag", "rho"], [np.arange(rho.size, dtype=float), rho])
+        write = partial(_write_tables, [(out / "autocorrelation.csv", ["lag", "rho"],
+                                         [np.arange(rho.size, dtype=float), rho])])
     out.mkdir(parents=True, exist_ok=True)
     write()
     return 0

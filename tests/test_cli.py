@@ -1,9 +1,11 @@
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
@@ -29,6 +31,7 @@ from modedecomp.cli import (
 )
 from modedecomp.errors import (
     DecompositionError,
+    IoError,
     LengthMismatch,
     NonMonotonePhase,
     ParseError,
@@ -253,6 +256,22 @@ class TestDecomposeCommands:
         assert report["stop_reason"] == "ResidualSmall"
         residual = read_signal_csv(out / "residual.csv")
         assert np.all(residual.values == 0.0)
+
+    def test_refusal_while_preparing_tables_leaves_no_directory(
+            self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        run_synth(data, samples=512)
+
+        def refuse(est):
+            raise md.OutOfDomain("shape bins must be finite")
+
+        monkeypatch.setattr(cli, "normalize_estimate", refuse)
+        out = tmp_path / "fit"
+        code = main(["mmd", "--signal", str(data / "signal.csv"),
+                     "--phases", str(data / "phases.csv"), "--m0", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_grid_mismatch_is_validation_error(self, tmp_path):
         data = tmp_path / "data"
@@ -1156,7 +1175,7 @@ class TestWriteTable:
         table = np.resize(np.array(values), rows * width).reshape(rows, width)
         header = [f"c{i}" for i in range(width)]
         path = tmp_path_factory.mktemp("write") / "t.csv"
-        cli._write_table(path, header, list(table.T))
+        cli._write_tables([(path, header, list(table.T))])
         want = reference_table_text(header, table).encode("utf-8")
         assert path.read_bytes() == want
 
@@ -1167,7 +1186,7 @@ class TestWriteTable:
         values = np.concatenate([values, -values])
         table = np.resize(values, (-(-values.size // width), width))
         header = [f"c{i}" for i in range(width)]
-        cli._write_table(path, header, list(table.T))
+        cli._write_tables([(path, header, list(table.T))])
         lines = path.read_bytes().decode("ascii").split("\n")[1:-1]
         want = reference_table_text(header, table).split("\n")[1:-1]
         bad = [(row, got, ref) for row, got, ref in zip(table, lines, want) if got != ref]
@@ -1262,7 +1281,7 @@ class TestWriteTable:
     def test_header_wider_than_columns(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(LengthMismatch):
-            cli._write_table(path, ["a", "b"], [np.zeros(3)])
+            cli._write_tables([(path, ["a", "b"], [np.zeros(3)])])
         assert not path.exists()
 
     def test_unequal_columns(self, tmp_path):
@@ -1271,6 +1290,83 @@ class TestWriteTable:
         with pytest.raises(LengthMismatch):
             write_phases_csv(path, ex.signal.times[:10], list(ex.priors))
         assert not path.exists()
+
+    def test_bad_last_table_writes_no_file(self, tmp_path):
+        good = (tmp_path / "a.csv", ["t", "value"], [np.zeros(3), np.ones(3)])
+        bad = (tmp_path / "b.csv", ["t", "value"], [np.zeros(3), np.ones(2)])
+        with pytest.raises(LengthMismatch, match="b.csv"):
+            cli._write_tables([good, bad])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_path_is_named_and_every_file_closed(self, tmp_path,
+                                                            monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        column = np.arange(3.0)
+        directory = tmp_path / "dir.csv"
+        directory.mkdir()
+        tables = [(tmp_path / name, ["t"], [column])
+                  for name in ("a.csv", "dir.csv", "c.csv")]
+        with pytest.raises(IoError, match=f"^cannot write {re.escape(str(directory))}: "):
+            cli._write_tables(tables)
+        assert len(opened) == 1 and opened[0].closed
+
+
+class TestWriteTables:
+    """Several tables in one call share the words of equal first columns."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_each_file_matches_its_table_alone(self, tmp_path_factory, data):
+        """1-4 tables: the first column of the first is a shared column,
+        that of the last (of two or more) its copy with the zeros' signs
+        flipped, equal by value but not by bits, and each other one a copy
+        of the shared column or a column of its own."""
+        sizes = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+        base = np.array([0.0] + data.draw(st.lists(st.floats(allow_nan=False),
+                                                    max_size=20)))
+        values = np.array(data.draw(st.lists(FLOATS, min_size=1, max_size=40)))
+        count = data.draw(st.integers(1, 4))
+        kinds = ["shared"] + [data.draw(st.sampled_from(["shared", "own"]))
+                              for _ in range(count - 2)] + ["twin"] * (count > 1)
+        directory = tmp_path_factory.mktemp("tables")
+        tables = []
+        for i, kind in enumerate(kinds):
+            if kind == "twin":  # the rows and width of the first table
+                rows, width = tables[0][2][0].size, len(tables[0][1])
+            else:
+                rows, width = data.draw(sizes), data.draw(st.integers(1, 4))
+            shared = np.resize(base, rows)
+            first = {"shared": shared, "own": np.resize(values[::-1], rows),
+                     "twin": np.where(shared == 0.0, -shared, shared)}[kind]
+            rest = [np.resize(np.roll(values, j), rows) for j in range(1, width)]
+            tables.append((directory / f"t{i}.csv", [f"c{j}" for j in range(width)],
+                           [first] + rest))
+        cli._write_tables(tables)
+        for path, header, columns in tables:
+            want = reference_table_text(header, np.column_stack(columns))
+            assert path.read_bytes() == want.encode("utf-8"), path.name
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        """The writer holds a block of rows, not the table."""
+        rng = np.random.default_rng(5)
+
+        def peak(rows):
+            columns = list(rng.standard_normal((5, rows)))
+            tracemalloc.start()
+            try:
+                cli._write_tables([(tmp_path / "m.csv", list("abcde"), columns)])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(4 * BLOCK)
+        assert peak(32 * BLOCK) <= 1.15 * small
 
 
 def reference_read_table(path):
@@ -1478,7 +1574,7 @@ class TestReadTable:
             field = b"1.2345678901234567e-270"
             table = np.random.default_rng(18).uniform(-1e3, 1e3, (rows, 2))
             table[rows // 2, 1] = float(field)
-            cli._write_table(path, ["t", "value"], list(table.T))
+            cli._write_tables([(path, ["t", "value"], list(table.T))])
         raw = path.read_bytes()
         assert raw.count(field) == 1
         assert cli._parse_blocks(raw) is None
@@ -1489,14 +1585,14 @@ class TestReadTable:
 
     @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_random_bit_patterns(self, tmp_path, rows):
-        """Finite doubles of any bits, written by ``_write_table``, read
+        """Finite doubles of any bits, written by ``_write_tables``, read
         back bit for bit."""
         rng = np.random.default_rng(rows + 1)
         bits = rng.integers(0, 2 ** 64, (rows, 3), dtype=np.uint64, endpoint=False)
         table = bits.view(np.float64)
         table[~np.isfinite(table)] = 1.0
         path = tmp_path / "r.csv"
-        cli._write_table(path, ["a", "b", "c"], list(table.T))
+        cli._write_tables([(path, ["a", "b", "c"], list(table.T))])
         header, data = cli._read_table(path)
         assert header == ["a", "b", "c"]
         assert data.tobytes() == table.tobytes()
