@@ -16,25 +16,31 @@ and regress by :func:`bin_means` of the plans' bin sums of ``pre_k * r``.
 
 A pass on bin sums reads the samples twice: on entry, for its bin sums and
 its norm (an mmd band pass takes them from two sums over
-:attr:`PhasePlan.half_slots`), and at its end, for the modes and the
-residual. In between, only a rebase, once the bin-sum norm has lost six
-digits, forms the residual, for its norm alone.
+:attr:`PhasePlan.half_slots`), and at its end, for the residual it leaves
+and, where its caller keeps them, its modes. In between, only a rebase,
+once the bin-sum norm has lost six digits, forms the residual, for its
+norm alone. A pass's modes are otherwise a :class:`PassModes`, formed on
+first access.
 
-The sample-length set-up of a run and the sample-length work of a pass on
-bin sums are independent per component: each prior's fundamental, plan and
-gmd factor ``1 / q_k``, a pass's operator blocks, its entry sums and its
-modes. A decomposition run maps those tasks over the :class:`Workers` it
-owns, on threads from :data:`POOL_FLOOR` samples (numpy lets go of the GIL
-in ``bincount`` and its ufuncs). Each task keeps its serial arithmetic, so
-the outputs are the same bytes on any number of threads. The set-up runs
-in stages, every fundamental, then every plan, then gmd's factors, so that
-a run refuses an input with the error it raises inline, and it takes no
+A decomposition run maps its sample-length work over the :class:`Workers`
+it owns, on threads from :data:`POOL_FLOOR` samples (numpy lets go of the
+GIL in ``bincount`` and its ufuncs). What is independent per component
+runs one component a task: each prior's fundamental, plan and gmd factor
+``1 / q_k``, a pass's operator blocks and its entry sums, and the modes of
+a pass on the samples that its caller keeps. What chains the
+components, a pass's exit (the residual ``r0 - sum_k h_k E_k U_k``, in
+component order) and mmd's closing band sums, runs one sample range a task
+(:meth:`Workers.split`), each sample with the serial arithmetic. So the
+outputs are the same bytes on any number of threads. The set-up runs in
+stages, every fundamental, then every plan, then gmd's factors, so that a
+run refuses an input with the error it raises inline, and it takes no
 workspace: the calling thread allocates the plans and factors it keeps,
 and a fundamental or an amplitude check keeps nothing, reading its prior
 a :data:`~modedecomp.signal_model.GRADIENT_BLOCK` at a time. A pass's
-tasks write their sample-length products and indices into a
+tasks write their sample-length products, terms and indices into a
 :class:`Workspace` the pool allocated, so threads add no temporaries.
-Carriers and the sweeps stay on the calling thread.
+Carriers and the sweeps, on bin sums or on the samples, stay on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -346,17 +352,18 @@ class Workspace:
 
 
 class Workers:
-    """Runs a run's per-component tasks on ``threads`` threads, the calling
-    thread among them; with one, inline and in order.
+    """Runs a run's tasks on ``threads`` threads, the calling thread among
+    them; with one, inline and in order.
 
-    A pass's tasks (:meth:`run`) are each called with a :class:`Workspace`
-    no other running task holds, so they allocate only bin-sized arrays.
-    The calling thread allocates one ``x`` per thread on the first
-    :meth:`run`, and keeps them until :meth:`close`. An operator build's
-    wider workspaces live for its :meth:`run` alone, so the run's modes are
-    formed beside one sample-length array per thread. A run's preparation
-    (:meth:`map`) takes no workspace. The other threads start on the first
-    task either hands them: a pool that never runs one allocates nothing.
+    A pass's tasks (:meth:`run`, and :meth:`split`'s one sample range a
+    thread) are each called with a :class:`Workspace` no other running
+    task holds, so they allocate only bin-sized arrays. The calling thread
+    allocates one ``x`` per thread on the first :meth:`run`, and keeps them
+    until :meth:`close`. An operator build's wider workspaces live for its
+    :meth:`run` alone, so a pass's exit runs beside one sample-length array
+    per thread. A run's preparation (:meth:`map`) takes no workspace. The
+    other threads start on the first task either hands them: a pool that
+    never runs one allocates nothing.
 
     Either raises as the tasks would inline: the error of the first task
     to fail in list order. Once a task fails no new task starts, and the
@@ -394,6 +401,15 @@ class Workers:
             spaces = [Workspace(s.x, np.empty(n), np.empty(n, np.int64),
                                 np.empty(n, bool)) for s in spaces]
         return self._spread(tasks, [(s,) for s in spaces])
+
+    def split(self, task: Callable[[int, int, Workspace], object]) -> None:
+        """``task(lo, hi, space)`` for one sample range ``[lo, hi)`` a
+        thread, the ranges in order and covering the run's samples. Finer
+        ranges, of ``2^13`` samples, made ``mmd_long`` 1.15-1.23x slower:
+        each task hands the GIL on."""
+        n, t = self.length, self.threads
+        self.run([partial(task, n * i // t, n * (i + 1) // t)
+                  for i in range(t)])
 
     def map(self, fn: Callable, items: Sequence) -> list:
         """``[fn(item) for item in items]``, with no workspace."""
@@ -488,12 +504,15 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], scheme: str,
 
 def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],
                gain: float, total: np.ndarray,
-               workers: Workers | None = None) -> list[np.ndarray]:
+               modes: Sequence[np.ndarray] | None = None,
+               workers: Workers | None = None) -> Sequence[np.ndarray]:
     """Each component's mode ``post_k * E_k(gain * U_k)`` for the summed
-    increments ``total`` of a pass, each one task of ``workers`` (inline if
-    not given); a ``None`` factor is 1."""
+    increments ``total`` of a pass, in ``modes``' arrays if given, else in
+    new ones, each one task of ``workers`` (inline if not given); a
+    ``None`` factor is 1."""
     workers = workers or Workers(len(plans[0]))
-    modes = [np.empty(len(plans[0])) for _ in plans]
+    if modes is None:
+        modes = [np.empty(len(plans[0])) for _ in plans]
 
     def mode(k, space):
         p = plans[k]
@@ -502,6 +521,60 @@ def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],
 
     workers.run([partial(mode, k) for k in range(len(modes))])
     return modes
+
+
+@dataclass(frozen=True, eq=False)
+class PassModes(Sequence):
+    """A pass's modes, ``2**pow2`` times :func:`pass_modes` of its plans,
+    subtraction factors, gain and summed increments ``total``, as a
+    read-only sequence: formed inline on first access, each a
+    :class:`~modedecomp.signal_model.SampledSignal` on ``times`` if given,
+    and kept as long as the sequence is. A caller that never reads them,
+    as mmd's outer loop, allocates none."""
+
+    plans: Sequence[PhasePlan]
+    post: Sequence[np.ndarray | None]
+    gain: float
+    total: np.ndarray
+    pow2: int = 0
+    times: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.plans)
+
+    def __getitem__(self, k):
+        return self._modes[k]
+
+    @cached_property
+    def _modes(self) -> tuple:
+        modes = pass_modes(self.plans, self.post, self.gain, self.total)
+        if self.pow2:
+            with np.errstate(over="ignore"):  # make_shape refuses an infinity
+                for mode in modes:
+                    np.ldexp(mode, self.pow2, out=mode)
+        if self.times is None:
+            return tuple(modes)
+        return tuple(SampledSignal(self.times, mode) for mode in modes)
+
+
+def range_terms(lo: int, hi: int, space: Workspace,
+                plans: Sequence[PhasePlan], tables: Sequence[np.ndarray],
+                post: Sequence[np.ndarray | None],
+                modes: Sequence[np.ndarray] | None = None):
+    """Each component's term ``post_k E_k tables[k]`` on samples ``[lo,
+    hi)``, as :func:`band_term` forms it, in pieces that fit the halves of
+    ``space.x``: yields ``(k, a, b, term)`` for each piece ``[a, b)``, in
+    component order within a piece. A term is formed in ``modes[k][a:b]``
+    if given, else in the first half, and its tail in the second."""
+    half = space.x.size // 2
+    for a in range(lo, hi, half):
+        b = min(a + half, hi)
+        term, tail = space.x[:b - a], space.x[half:half + b - a]
+        for k, (p, table, g) in enumerate(zip(plans, tables, post)):
+            yield k, a, b, band_term(
+                table, p.j0[a:b], p.w[a:b], p.w1[a:b],
+                None if g is None else g[a:b],
+                term if modes is None else modes[k][a:b], tail)
 
 
 @dataclass(frozen=True)
@@ -633,13 +706,6 @@ def band_operators(plans: Sequence[PhasePlan],
                          dict(zip(upper, blocks)), self_t, self_g)
 
 
-def _banded(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T @ x`` for a periodic tridiagonal ``T`` held as in ``self_t``:
-    ``d[0] x[i-1] + d[1] x[i] + d[2] x[i+1]``, summed in that order (a
-    reduction over a short first axis adds its rows one after another)."""
-    return np.add.reduce(d * x[_neighbours(x.size)], axis=0)
-
-
 class BinPass:
     """A pass of :func:`sweep`, solved on bin sums.
 
@@ -653,14 +719,17 @@ class BinPass:
 
     Entering the pass forms ``z``, ``|r0|^2`` and ``q_k = (s - s_w) +
     s_w[i - 1]``, ``s`` and ``s_w`` the sums of ``y = h_k r`` and ``y w``
-    by ``j0``, on the samples. A pass whose regression factor is its
-    subtraction factor, as every mmd band pass, takes ``z`` and ``s`` from
-    one sum over :attr:`PhasePlan.half_slots`; gmd's from two bin counts.
-    Once the squared norm falls below ``2**-20 |r0|^2``, cancellation has
-    cost six digits: the pass then forms the residual on the samples for
-    its squared norm alone and takes it as the new ``r0``, moving ``q`` by
-    the Gram ``G`` in bin space and keeping ``z``. The modes and the
-    residual are formed once, by :meth:`finish`.
+    by ``j0``, on the samples, one component a task of ``workers``. A pass
+    whose regression factor is its subtraction factor, as every mmd band
+    pass, takes ``z`` and ``s`` from one sum over
+    :attr:`PhasePlan.half_slots`; gmd's from two bin counts. Once the
+    squared norm falls below ``2**-20 |r0|^2``, cancellation has cost six
+    digits: the pass then forms the residual on the samples for its squared
+    norm alone and takes it as the new ``r0``, moving ``q`` by the Gram
+    ``G`` in bin space and keeping ``z``. The residual the pass leaves is
+    formed once, by :meth:`finish`, one sample range a task. The residual
+    it enters with must be finite, as :func:`modedecomp.gmd.run_pass`
+    checks.
     """
 
     REBASE = 2.0 ** -20
@@ -669,20 +738,25 @@ class BinPass:
                  ops: BandOperators, pre: Sequence[np.ndarray | None],
                  post: Sequence[np.ndarray | None], gain: float,
                  scheme: str, workers: Workers | None = None):
-        if not np.all(np.isfinite(residual)):
-            raise NonFinite("folded samples must be finite")
         self.residual, self.plans, self.ops = residual, plans, ops
         self.pre, self.post = pre, post
         self.gain, self.scheme = gain, scheme
         self.workers = workers or Workers(residual.size)
+        components = range(len(plans))
         self.total = np.zeros((len(plans), plans[0].layout.size))
         self.z, self.q = np.empty_like(self.total), np.empty_like(self.total)
-        # what a subtraction of component k lowers besides z[k]: the other
-        # rows of z, each with its cross block
-        self.others = [[(self.z[m], ops.cross[m, k])
-                        for m in range(len(plans)) if m != k]
-                       for k in range(len(plans))]
-        self.prev, _, self.next = _neighbours(self.total.shape[1])
+        self.neighbours = _neighbours(self.total.shape[1])
+        self.prev, _, self.next = self.neighbours
+        # a sweep's steps: (k, None) regresses component k, and (k, others)
+        # subtracts its increment, from z[k] by its self block and from the
+        # other rows of z by their cross blocks
+        regress = [(k, None) for k in components]
+        subtract = [(k, [(self.z[m], ops.cross[m, k])
+                         for m in components if m != k])
+                    for k in components]
+        self.steps = ([step for pair in zip(regress, subtract)
+                       for step in pair] if scheme == "gauss_seidel"
+                      else regress + subtract)
         self._enter(residual)
 
     def _enter(self, r: np.ndarray) -> None:
@@ -694,6 +768,12 @@ class BinPass:
         def sums(k, space):
             p, a, b = self.plans[k], self.pre[k], self.post[k]
             y = _times(a, r, space.x)
+            if not y.flags.writeable:
+                # np.bincount copies weights it may not write to, such as
+                # mmd band 0's read-only residual, into a new array: a
+                # copy into the workspace allocates nothing
+                y = space.x
+                y[...] = r
             if b is a:
                 # bin i's samples fill slots 2i and 2i - 1, and those that
                 # interpolate from j0 = j slots 2j and 2j + 1
@@ -722,8 +802,8 @@ class BinPass:
     def _rebase(self) -> None:
         """Take the current residual as ``r0``: its squared norm from the
         samples, ``q`` less ``G @ since``, ``z`` as it is."""
-        r = self.finish()[2]
-        self.base_sq = float(np.add.reduce(r * r))
+        r = self._leave()
+        self.base_sq = float(np.add.reduce(np.multiply(r, r, out=r)))
         u, q, ops = self.since, self.q, self.ops
         for qk, uk, (d, off) in zip(q, u, ops.self_g):
             # G[a, a +- 1] = off[a], off[a - 1]
@@ -733,33 +813,37 @@ class BinPass:
             q[m] -= u[k] @ g
         u[:] = 0.0
 
-    def _subtract(self, k: int, inc: np.ndarray) -> None:
-        self.z[k] -= _banded(self.ops.self_t[k], inc)
-        for z, cross in self.others[k]:
-            z -= cross @ inc
-
     def sweep(self) -> tuple[np.ndarray, float, np.ndarray]:
         """One sweep: the centred increments ``(K, B)``, the residual's
         root-mean-square and the :func:`signal_norm` of each stored
         increment ``gain * U_k``."""
-        incs = np.empty_like(self.z)
+        z, plans, self_t = self.z, self.plans, self.ops.self_t
+        neighbours, after = self.neighbours, self.next
+        incs = np.empty_like(z)
         nb = incs.shape[1]
-        chained = self.scheme == "gauss_seidel"
-        for k, plan in enumerate(self.plans):
-            means = bin_means(self.z[k], plan.layout)
-            # np.mean's arithmetic without its call overhead
-            np.subtract(means, np.add.reduce(means) / nb, out=incs[k])
-            if chained:
-                self._subtract(k, incs[k])
-        if not chained:
-            for k, inc in enumerate(incs):
-                self._subtract(k, inc)
+        for k, others in self.steps:
+            if others is None:
+                layout = plans[k].layout
+                # bin_means' arithmetic, called only for empty bins
+                means = (z[k] / layout.counts if not layout.empty_x.size
+                         else bin_means(z[k], layout))
+                # np.mean's arithmetic without its call overhead
+                np.subtract(means, np.add.reduce(means) / nb, out=incs[k])
+                continue
+            inc = incs[k]
+            # T @ inc for the periodic tridiagonal T = self_t[k]: d[0]
+            # inc[i-1] + d[1] inc[i] + d[2] inc[i+1], summed in that order
+            # (a reduction over a short first axis adds its rows in turn)
+            z[k] -= np.add.reduce(self_t[k] * inc[neighbours], axis=0)
+            for zm, cross in others:
+                zm -= cross @ inc
         self.total += incs
         self.since += incs
         u, ops = self.since, self.ops
-        sq = self.base_sq - 2.0 * float(np.sum(u * self.q))
+        # np.sum's arithmetic without its call overhead
+        sq = self.base_sq - 2.0 * float(np.add.reduce(u * self.q, axis=None))
         for uk, (d, off) in zip(u, ops.self_g):
-            sq += float(d @ (uk * uk) + 2.0 * (off @ (uk * uk[self.next])))
+            sq += float(d @ (uk * uk) + 2.0 * (off @ (uk * uk[after])))
         for (k, m), g in ops.gram.items():
             sq += 2.0 * float(u[k] @ g @ u[m])
         if sq < self.REBASE * self.base_sq:
@@ -769,12 +853,28 @@ class BinPass:
         return (incs, math.sqrt(max(sq, 0.0) / self.residual.size),
                 row_norms(incs) * self.gain)
 
-    def finish(self):
+    def _leave(self, modes: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """The residual ``r0 - h_0 E_0 U_0 - h_1 E_1 U_1 - ...``, subtracted
+        in component order, one sample range a task of the workers; each
+        term formed by :func:`range_terms`, in ``modes`` if given."""
+        r0, r = self.residual, np.empty_like(self.residual)
+        tables = [self.gain * u for u in self.total]
+
+        def leave(lo, hi, space):
+            for k, a, b, term in range_terms(lo, hi, space, self.plans,
+                                             tables, self.post, modes):
+                np.subtract(r[a:b] if k else r0[a:b], term, out=r[a:b])
+
+        self.workers.split(leave)
+        return r
+
+    def finish(self, modes: Sequence[np.ndarray] | None = None):
         """``(U, modes, residual)``: the summed increments ``(K, B)``, each
-        component's ``h_k E_k U_k`` and the residual they leave."""
-        modes = pass_modes(self.plans, self.post, self.gain, self.total,
-                           self.workers)
-        r = self.residual - modes[0]
-        for mode in modes[1:]:
-            r -= mode
+        component's ``h_k E_k U_k`` and the residual they leave, formed one
+        sample range a task. The modes are formed there, in ``modes``'
+        arrays, where given; else they are a :class:`PassModes`, formed on
+        first access."""
+        r = self._leave(modes)
+        if modes is None:
+            modes = PassModes(self.plans, self.post, self.gain, self.total)
         return self.total, modes, r

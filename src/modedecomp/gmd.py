@@ -33,11 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DecompositionError, InvalidPartition, OutOfDomain,
-                     integer, real)
+from .errors import (DecompositionError, InvalidPartition, NonFinite,
+                     OutOfDomain, integer, real)
 from .fold_regress import (
     BandOperators,
     BinPass,
+    PassModes,
     PhasePlan,
     Workers,
     as_plans,
@@ -222,7 +223,8 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
              pre: Sequence[np.ndarray | None],
              post: Sequence[np.ndarray | None], gain: float, scheme: str,
              eps: float, max_iters: int, ops: BandOperators | None = None,
-             workers: Workers | None = None):
+             workers: Workers | None = None,
+             modes: Sequence[np.ndarray] | None = None):
     """Sweep ``residual`` until :func:`iterate_sweeps` stops: one pass of
     the recursive scheme, as gmd runs it once and mmd once per band.
 
@@ -233,24 +235,34 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
     run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
     on the samples through :func:`~modedecomp.fold_regress.sweep`. Both
     take the same factors and the same regression step. A pass on bin
-    sums runs its per-component sample work on ``workers``, inline if not
-    given.
+    sums enters one component a task of ``workers`` (inline if not given)
+    and forms the residual it leaves one sample range a task; a pass on the
+    samples forms the modes it is given one component a task.
 
-    It sweeps the residual as :func:`~modedecomp.signal_model.scale_into_range`
-    scales it and scales its outputs back in place, so it is scale-free.
+    A residual with a NaN or an infinity is refused as
+    :class:`~modedecomp.errors.NonFinite`, read from the max and min by
+    which :func:`~modedecomp.signal_model.scale_into_range` scales it. The
+    pass sweeps the residual scaled and scales its outputs back, so it is
+    scale-free.
 
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
-    ``post_k * E_k(gain * U_k)`` and the residual.
+    ``post_k * E_k(gain * U_k)`` and the residual. The modes are formed in
+    ``modes``' arrays where given (on bin sums, beside the residual), else
+    they are a :class:`~modedecomp.fold_regress.PassModes`, formed on first
+    access.
     """
-    residual, pow2 = scale_into_range(residual)
+    residual, pow2, finite = scale_into_range(residual)
+    if not finite:
+        raise NonFinite("folded samples must be finite")
     if ops is not None:
         solver = BinPass(residual, plans, ops, pre, post, gain, scheme,
                          workers)
         # relative to the norm the pass read on entry
         denom = math.sqrt(solver.base_sq / residual.size) or 1.0
         out = iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
-                             max_iters) + solver.finish()
+                             max_iters)
+        total, _, r = solver.finish(modes)
     else:
         denom = signal_norm(residual) or 1.0
         total = np.zeros((len(plans), plans[0].layout.size))
@@ -263,14 +275,18 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
             # scaling by a gain of 1 or 2 commutes with the norm, bit for bit
             return signal_norm(r), row_norms(incs) * gain
 
-        out = iterate_sweeps(step, denom, eps, max_iters) + (
-            total, pass_modes(plans, post, gain, total), r)
+        out = iterate_sweeps(step, denom, eps, max_iters)
+        if modes is not None:
+            pass_modes(plans, post, gain, total, modes, workers)
+    formed = (PassModes(plans, post, gain, total, pow2) if modes is None
+              else modes)
     if pow2:
-        *_, total, modes, r = out
         with np.errstate(over="ignore"):  # make_shape refuses an infinity
-            for a in (total, *modes, r):
+            # a new array: PassModes forms the modes from the scaled one
+            total = np.ldexp(total, pow2)
+            for a in (*(modes or ()), r):
                 np.ldexp(a, pow2, out=a)
-    return out
+    return out + (total, formed, r)
 
 
 #: Bytes of a run's operators per component and sample beyond which its
@@ -320,8 +336,9 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     a task, it resolves every missing fundamental, then plans every prior
     (:func:`prepare_run`), then checks every amplitude and forms every
     factor, with no workspace and, of sample length, only the plans and
-    factors it keeps; a run on bin sums then builds its operators, enters
-    its pass and forms its modes one component (or pair) a task.
+    factors it keeps; a run on bin sums then builds its operators and
+    enters its pass one component (or pair) a task, and forms its modes
+    and residual one sample range a task.
     ``backend`` is checked by :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)
@@ -331,9 +348,11 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         pre, post = gmd_factors(plans, workers)
         ops = (band_operators(plans, pre, post, 1.0, workers)
                if bin_space_fits(len(signal), bins, len(plans)) else None)
+        # formed by the pass's exit, beside its residual
+        modes = [np.empty(len(signal)) for _ in plans]
         norms_r, norms_s, reason, total, modes, r = run_pass(
             signal.values, plans, pre, post, 1.0, scheme, eps, max_iters,
-            ops, workers)
+            ops, workers, modes)
 
     j = len(norms_r)
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason, j,

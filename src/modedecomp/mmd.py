@@ -23,8 +23,9 @@ once for each ``(|n|, kind)`` and, on either path, holds the carriers, for
 its passes and its modes, in what they leave under :func:`memory_bound`.
 The run's plans are made one prior a task on its
 :func:`~modedecomp.fold_regress.run_workers` pool, and on bin sums the
-operator builds, each pass's entry sums and its modes run one component a
-task on it too, with the same outputs as inline.
+operator builds and each pass's entry sums run one component a task on it
+too, while each pass's exit, the residual it leaves, and the closing band
+sums run one sample range a task, with the same outputs as inline.
 
 The outer loop is a fixed-point iteration on the run's band state, one
 ``(passes, K, B)`` array of band tables, stopped as a band pass is, by
@@ -39,13 +40,15 @@ final residual; ``L = 2^17``, ``m0 = 2`` runs take 5.
 
 The band state and the residual are all the outer loop carries. A mode is a
 function of its band tables, their band sum, so each is formed from them
-once, after the loop, on the carriers its passes ran on.
+once, after the loop, on the carriers its passes ran on; a pass forms no
+mode array (its mode increments are formed only if read).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +62,7 @@ from .fold_regress import (
     band_operators,
     operator_bytes,
     partition_regress,
+    range_terms,
     run_workers,
 )
 from .gmd import (
@@ -76,7 +80,6 @@ from .signal_model import (
     SampledSignal,
     band_sign,
     band_slots,
-    band_term,
     make_estimate,
     make_shape,
     reconstruct_mimf,
@@ -225,7 +228,10 @@ def modified_rdbr(residual: SampledSignal,
 
     Returns ``(shape_increments, mode_increments, residual)`` where the shape
     increments are per-component tables accumulated over the inner sweeps and
-    the mode increments are :class:`SampledSignal` values.
+    the mode increments a read-only sequence of :class:`SampledSignal`
+    values, a :class:`~modedecomp.fold_regress.PassModes` formed on first
+    access from the pass's increments, plans and carriers: a caller that
+    never reads them, as :func:`mmd_decompose`, allocates none.
     """
     check_run(scheme, eps2=eps2, max_iters=max_iters, bins=bins)
     plans = as_plans(priors, len(residual), bins)
@@ -239,7 +245,7 @@ def modified_rdbr(residual: SampledSignal,
                                    shared.workers)
     t = residual.times
     return ([make_shape(band_sign(n, kind) * gain * u) for u in total],
-            [SampledSignal(t, m) for m in modes], SampledSignal(t, r))
+            replace(modes, times=t), SampledSignal(t, r))
 
 
 def anderson_weight(f: np.ndarray, f_prev: np.ndarray | None) -> float | None:
@@ -320,19 +326,21 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     band products (coefficient times unit shape), not normalized; each
     coefficient is its product's L2 norm, and each mode is the band sum of
     its products, formed once after the loop: the mode increments each
-    :func:`modified_rdbr` pass returns are let go as soon as it returns,
-    before the next pass runs. Components in the result follow the
-    caller's prior order. ``backend`` is checked by
-    :func:`~modedecomp.gmd.check_backend`.
+    :func:`modified_rdbr` pass returns are never read, so never formed,
+    and let go as soon as it returns, before the next pass runs.
+    Components in the result follow the caller's prior order. ``backend``
+    is checked by :func:`~modedecomp.gmd.check_backend`.
 
     A run owns a :func:`~modedecomp.fold_regress.run_workers` pool,
-    threads from :data:`~modedecomp.fold_regress.POOL_FLOOR` samples, and
-    stops it before the modes are formed. On it, one prior a task, it
-    resolves every missing fundamental and then plans every prior
+    threads from :data:`~modedecomp.fold_regress.POOL_FLOOR` samples,
+    until its modes are formed. On it, one prior a task, it resolves every
+    missing fundamental and then plans every prior
     (:func:`~modedecomp.gmd.prepare_run`), with no workspace and, of
     sample length, only the plans it keeps; a run on bin sums then builds
-    its operators, enters each pass and forms its modes one component a
-    task. Outputs and errors are those of a run inline.
+    its operators and enters each pass one component a task, and forms
+    each pass's residual one sample range a task. On either path the
+    closing band sums run one sample range a task, band term by band term.
+    Outputs and errors are those of a run inline.
     """
     cfg.validate()
     length, passes = len(signal), 2 * cfg.m0 + 1
@@ -349,7 +357,7 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
         # scaled as run_pass scales a pass: the Anderson step squares band
         # increments, and eps1 times the residual must stay a normal float
-        scaled, pow2 = scale_into_range(signal.values)
+        scaled, pow2, _ = scale_into_range(signal.values)
         r = SampledSignal(signal.times, scaled)
         denom = r.l2norm or 1.0
 
@@ -364,10 +372,12 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
             nonlocal r
             start = state.copy()
             incs = []
-            for slot, (b, kind) in enumerate(slots):
+            for slot, (n, kind) in enumerate(slots):
                 shapes, modes, r = modified_rdbr(
-                    r, plans, b, kind, cfg.eps2, cfg.j2, cfg.bins, cfg.scheme)
-                del modes  # formed from the band state after the loop
+                    r, plans, n, kind, cfg.eps2, cfg.j2, cfg.bins, cfg.scheme)
+                # never read, so never formed: the modes are the band sums
+                # formed after the loop; let go before the next pass
+                del modes
                 state[slot] += [shape.bins for shape in shapes]
                 incs += [shape.l2norm / denom for shape in shapes]
             r, rel, mixed = extrapolate(start, state, r,
@@ -377,18 +387,23 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
 
         norms_r, norms_s, reason = iterate_sweeps(step, 1.0, cfg.eps1,
                                                   cfg.j1)
+        del extrapolate  # free its held residual before the modes are formed
+
+        # each mode is its band sum as reconstruct_mimf forms it, term by
+        # term, one sample range a task
+        modes = [np.zeros(length) for _ in plans]
+
+        def add(tables, post, lo, hi, space):
+            for k, a, b, term in range_terms(lo, hi, space, plans, tables,
+                                             post):
+                modes[k][a:b] += term
+
+        for slot, (n, kind) in enumerate(slots):
+            sign = band_sign(n, kind)
+            workers.split(partial(add, [sign * u for u in state[slot]],
+                                  plans.carriers(n, kind)))
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,
                                  len(norms_r), tuple(accelerated))
-
-    del extrapolate  # free its held residual before the modes are formed
-    # each mode is its band sum as reconstruct_mimf forms it, term by term
-    modes = [np.zeros(length) for _ in plans]
-    term, scratch = np.empty(length), np.empty(length)
-    for slot, (b, kind) in enumerate(slots):
-        post, sign = plans.carriers(b, kind), band_sign(b, kind)
-        for mode, plan, c, u in zip(modes, plans, post, state[slot]):
-            mode += band_term(sign * u, plan.j0, plan.w, plan.w1, c, term,
-                              scratch)
 
     estimates = []
     for k, mode in enumerate(modes):

@@ -134,18 +134,22 @@ class SampledSignal:
         return signal_norm(self.values)
 
 
-def scale_into_range(values: np.ndarray) -> tuple[np.ndarray, int]:
+def scale_into_range(values: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Split ``values`` into ``scaled * 2**k`` whose squares neither
     overflow nor underflow: ``k = 0`` and ``values`` as they are if zero or
     within ``2**±256`` in magnitude (a residual 1e-16 of that size still
     squares to a normal float), else ``scaled``, a new array, peaks in
     ``[0.5, 1)``. The scaling is exact and a pass is linear in its residual,
     so :func:`~modedecomp.gmd.run_pass` on ``scaled``, with its outputs
-    times ``2**k``, does not depend on the scale.
+    times ``2**k``, does not depend on the scale. Returns ``(scaled, k,
+    finite)``, ``finite`` whether every value is a number, read from the
+    same max and min: a NaN or an infinity shows in them (and leaves
+    ``values`` unscaled).
     """
-    k = math.frexp(max(float(np.max(values)), -float(np.min(values))))[1]
+    peak = max(float(np.max(values)), -float(np.min(values)))
+    k = math.frexp(peak)[1]
     return ((values, 0) if abs(k) <= 256
-            else (np.ldexp(values, -k), k))
+            else (np.ldexp(values, -k), k)) + (math.isfinite(peak),)
 
 
 def make_signal(times: Sequence[float], values: Sequence[float]) -> SampledSignal:

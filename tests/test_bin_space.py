@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import modedecomp as md
 from modedecomp import fold_regress, gmd, mmd, signal_model
-from modedecomp.fold_regress import (BinPass, _banded, band_operators,
-                                     bin_means, carrier, plan_phase)
+from modedecomp.fold_regress import (BinPass, band_operators, bin_means,
+                                     carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE, BandPlans,
                             bin_space_fits, operator_bytes)
 from modedecomp.signal_model import BandCarriers, band_term, unit_position
@@ -475,11 +475,19 @@ class TestSweepTrims:
     concatenating; the values are the plain expressions', bit for bit."""
 
     def test_banded(self):
-        rng = np.random.default_rng(4)
-        d, x = rng.normal(size=(3, 37)), rng.normal(size=37)
+        # a lone component's subtraction lowers its bin sums by T @ inc,
+        # T its periodic tridiagonal self block
+        sig, priors = problem(4, 500, "iid_uniform", 1)
+        plans = [plan_phase(priors[0], 500, 37)]
+        g, _, gain = factors(priors, 1, "cos")
+        solver = BinPass(sig.values, plans, band_operators(plans, g, g, gain),
+                         g, g, gain, "jacobi")
+        before = solver.z[0].copy()
+        x = solver.sweep()[0][0]
+        d = solver.ops.self_t[0]
         want = (d[0] * np.concatenate((x[-1:], x[:-1])) + d[1] * x
                 + d[2] * np.concatenate((x[1:], x[:1])))
-        assert np.array_equal(_banded(d, x), want)
+        assert np.array_equal(solver.z[0], before - want)
 
     @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin")])
     def test_increments_and_norms(self, n, kind):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import modedecomp as md
-from modedecomp import mmd
+from modedecomp import fold_regress, mmd
 from modedecomp.errors import BandOutOfRange, GridMismatch, SinZeroBand
 
 from oracles import mimf_oracle
@@ -130,6 +131,40 @@ class TestMmdDecompose:
             run_mmd(ex, md.MmdConfig(m0=1, j1=3, bins=32), bin_space)
         assert len(calls) == 3 * 5 and refs
         assert all(calls)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_band_passes_form_no_mode_arrays(self, threads):
+        # once the first outer iteration has made what the run keeps (its
+        # plans' half-bin slots, carriers, operators and the pool's
+        # workspaces), a bin-space pass's traced heap rises by the residual
+        # it leaves and bin-sized blocks, on one thread or two: no mode
+        # array, no residual read twice, no copy of its entry residual
+        length = 2 ** 14
+        ex = md.gen_example_4_1(length, 0.0, 3)
+        cfg = md.MmdConfig(m0=1, j1=3, bins=32)
+        rises = []
+        run_pass = mmd.modified_rdbr
+
+        def measured(*args, **kwargs):
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run_pass(*args, **kwargs)
+            rises.append(tracemalloc.get_traced_memory()[1] - size)
+            return out
+
+        with mock.patch.object(mmd, "modified_rdbr", measured), \
+                mock.patch.object(fold_regress, "POOL_FLOOR", 0), \
+                mock.patch.object(fold_regress, "usable_cpus",
+                                  lambda: threads):
+            tracemalloc.start()
+            try:
+                run_mmd(ex, cfg, True)
+            finally:
+                tracemalloc.stop()
+        passes = 4 * cfg.m0 + 1  # a cosine and a sine pass for n != 0
+        assert len(rises) == 3 * passes
+        blocks = 64 * 8 * len(ex.priors) * cfg.bins
+        assert max(rises[passes:]) <= 8 * length + blocks
 
     def test_band_nesting(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 1)

@@ -18,7 +18,7 @@ import modedecomp as md
 from modedecomp import fold_regress, gmd, mmd
 from modedecomp.errors import OutOfDomain
 from modedecomp.fold_regress import BinPass
-from modedecomp.signal_model import row_norms
+from modedecomp.signal_model import row_norms, scale_into_range
 
 
 def run_gmd(signal, priors, bins=64, scheme="gauss_seidel"):
@@ -176,6 +176,49 @@ def bin_path_run(solver):
     assert counts["bin"] and not counts["sample"]
     assert counts["rebase"] == (solver == "gmd")
     return ex, base, counts
+
+
+class TestNonFiniteResidual:
+    """A pass reads its residual's finiteness from the max and min by
+    which :func:`~modedecomp.signal_model.scale_into_range` scales it: a
+    NaN or an infinity anywhere is refused on either path, and a finite
+    residual within ``2**±256`` is swept as it is."""
+
+    @pytest.mark.parametrize("bin_space", [True, False])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refused(self, value, bin_space):
+        length, bins = 512, 32
+        t = md.sample_grid(length)
+        prior = md.with_fundamental(md.make_prior(9.0 * t), t)
+        plans = fold_regress.as_plans([prior], length, bins)
+        priors = mmd.BandPlans(plans, True) if bin_space else [prior]
+        for at in (0, length // 2, length - 1):
+            values = np.sin(2 * np.pi * 9.0 * t)
+            values[at] = value
+            residual = md.SampledSignal(t, values)
+            for band in ((0, "cos"), (1, "sin")):
+                with counting_sweeps() as counts, pytest.raises(
+                        md.NonFinite,
+                        match="^folded samples must be finite$"):
+                    md.modified_rdbr(residual, priors, *band, 1e-6, 5, bins)
+                assert not counts["bin"] and not counts["sample"]
+        if bin_space:
+            assert priors.cache  # the passes were set up on bin sums
+
+    @pytest.mark.parametrize("peak", [np.nextafter(2.0 ** 256, 0.0),
+                                      2.0 ** -257, 1.0, 0.0])
+    def test_in_range_unscaled(self, peak):
+        values = peak * np.array([0.25, -1.0, 0.5])
+        scaled, k, finite = scale_into_range(values)
+        assert scaled is values and k == 0 and finite
+
+    @pytest.mark.parametrize("peak, k", [(2.0 ** 256, 257),
+                                         (2.0 ** -258, -257)])
+    def test_out_of_range_scaled(self, peak, k):
+        values = peak * np.array([0.25, -1.0, 0.5])
+        scaled, got, finite = scale_into_range(values)
+        assert got == k and finite
+        assert np.array_equal(scaled, [0.125, -0.5, 0.25])
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))

@@ -25,9 +25,9 @@ from bitwise import same_bits
 
 
 @functools.lru_cache(maxsize=None)
-def problem(length, components):
+def problem(length, components, noise=0.25):
     """Noisy ex4_1 against its two priors, or those and a spurious third."""
-    ex = md.gen_example_4_1(length, 0.25, 5, "iid_uniform")
+    ex = md.gen_example_4_1(length, noise, 5, "iid_uniform")
     t = ex.signal.times
     third = md.make_prior(97.0 * (t + 0.002 * np.sin(2 * np.pi * t)),
                           1.0 + 0.2 * np.cos(2 * np.pi * t))
@@ -38,9 +38,11 @@ def problem(length, components):
 def pooled(threads):
     """Runs whose kernels map over ``threads`` threads at any length, or
     inline with ``threads=None`` (the floor out of reach). Yields the
-    thread counts of the pools that ran tasks and the operators built."""
-    seen = {"threads": set(), "ops": []}
+    thread counts of the pools that ran tasks, the operators built and
+    the number of rebases."""
+    seen = {"threads": set(), "ops": [], "rebases": 0}
     run, build = Workers.run, fold_regress.band_operators
+    rebase = BinPass._rebase
 
     def counted(self, *args, **kwargs):
         seen["threads"].add(self.threads)
@@ -50,11 +52,16 @@ def pooled(threads):
         seen["ops"].append(build(*args, **kwargs))
         return seen["ops"][-1]
 
+    def rebased(self):
+        seen["rebases"] += 1
+        rebase(self)
+
     with mock.patch.object(fold_regress, "POOL_FLOOR",
                            2 ** 62 if threads is None else 0), \
             mock.patch.object(fold_regress, "usable_cpus",
                               lambda: threads or 1), \
             mock.patch.object(Workers, "run", counted), \
+            mock.patch.object(BinPass, "_rebase", rebased), \
             mock.patch.object(gmd, "band_operators", recorded), \
             mock.patch.object(mmd, "band_operators", recorded):
         yield seen
@@ -86,14 +93,25 @@ def same_operators(a, b):
             and np.array_equal(a.self_g, b.self_g))
 
 
+def gmd_run(bins=200):
+    return lambda s, p, scheme: md.gmd_decompose(s, p, bins=bins,
+                                                 scheme=scheme)
+
+
+def mmd_run(s, p, scheme):
+    return md.mmd_decompose(s, p, md.MmdConfig(m0=2, scheme=scheme))
+
+
+#: name: (length, components, noise, decompose)
 RUNS = {
     # K = 3 sweeps on bin sums at 2^16 with 100 bins, not with 200
-    "gmd, K = 2": (2 ** 16, 2, lambda s, p, scheme: md.gmd_decompose(
-        s, p, scheme=scheme)),
-    "gmd, K = 3": (2 ** 16, 3, lambda s, p, scheme: md.gmd_decompose(
-        s, p, bins=100, scheme=scheme)),
-    "mmd, m0 = 2": (2 ** 15, 2, lambda s, p, scheme: md.mmd_decompose(
-        s, p, md.MmdConfig(m0=2, scheme=scheme))),
+    "gmd, K = 2": (2 ** 16, 2, 0.25, gmd_run()),
+    "gmd, K = 3": (2 ** 16, 3, 0.25, gmd_run(100)),
+    # without noise the pass rebases: it forms a residual in the middle
+    "gmd, K = 2, rebases": (2 ** 16, 2, 0.0, gmd_run()),
+    "mmd, m0 = 2": (2 ** 15, 2, 0.25, mmd_run),
+    # the sample ranges are uneven
+    "mmd, m0 = 2, odd length": (2 ** 15 + 7, 2, 0.25, mmd_run),
 }
 
 
@@ -102,15 +120,16 @@ class TestSameBytes:
     @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_pool_matches_inline(self, run, scheme, threads):
-        length, components, decompose = RUNS[run]
-        sig, priors = problem(length, components)
+        length, components, noise, decompose = RUNS[run]
+        sig, priors = problem(length, components, noise)
         with pooled(None) as inline:
             want = decompose(sig, list(priors), scheme)
         with pooled(threads) as pool:
             got = decompose(sig, list(priors), scheme)
         assert inline["threads"] == {1}
-        # mmd forms its modes inline, after its outer loop
         assert max(pool["threads"]) == min(threads, components)
+        assert pool["rebases"] == inline["rebases"]
+        assert bool(inline["rebases"]) == run.endswith("rebases")
         assert got.report == want.report
         assert all(same_bits(a, b) for a, b in zip(
             outputs(got), outputs(want), strict=True))
