@@ -14,24 +14,27 @@ through :class:`BinPass` and the :class:`BandOperators` that
 and regress by :func:`bin_means` of the plans' bin sums of ``pre_k * r``.
 :func:`modedecomp.gmd.run_pass` runs every pass, either way.
 
-A pass on bin sums reads the samples twice: on entry, for its bin sums and
-its norm (an mmd band pass takes them from two sums over
-:attr:`PhasePlan.half_slots`), and at its end, for the residual it leaves
-and, where its caller keeps them, its modes. In between, only a rebase,
-once the bin-sum norm has lost six digits, forms the residual, for its
-norm alone. A pass's modes are otherwise a :class:`PassModes`, formed on
-first access.
+Every pass ends the same way: its band terms ``h_k E_k U_k`` are its
+modes, and the residual it leaves is the one it entered with less each
+term, in component order. One routine, :func:`leave`, forms them, on
+either path, as the pass's modes where its caller keeps them, as the
+residual it leaves where it has not formed one yet, or both; a pass's
+modes are otherwise a :class:`PassModes`, formed by :func:`leave` on first
+access. A pass on bin sums reads the samples twice: on entry, for its bin
+sums and its norm (an mmd band pass takes them from two sums over
+:attr:`PhasePlan.half_slots`), and at its exit. In between, only a rebase,
+once the bin-sum norm has lost six digits, forms the residual, by the
+same exit, for its norm alone.
 
 A decomposition run maps its sample-length work over the :class:`Workers`
 it owns, on threads from :data:`POOL_FLOOR` samples (numpy lets go of the
 GIL in ``bincount`` and its ufuncs). What is independent per component
 runs one component a task: each prior's fundamental, plan and gmd factor
-``1 / q_k``, a pass's operator blocks and its entry sums, and the modes of
-a pass on the samples that its caller keeps. What chains the
-components, a pass's exit (the residual ``r0 - sum_k h_k E_k U_k``, in
-component order) and mmd's closing band sums, runs one sample range a task
-(:meth:`Workers.split`), each sample with the serial arithmetic. So the
-outputs are the same bytes on any number of threads. The set-up runs in
+``1 / q_k``, and a pass's operator blocks and its entry sums. Every band
+term of a pass, and of mmd's closing band sums, is formed one sample range
+a task (:meth:`Workers.split`, :func:`range_terms`), each sample with the
+arithmetic it takes on the whole array. So the outputs are the same bytes
+on any number of threads. The set-up runs in
 stages, every fundamental, then every plan, then gmd's factors, so that a
 run refuses an input with the error it raises inline, and it takes no
 workspace: the calling thread allocates the plans and factors it keeps,
@@ -502,32 +505,12 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], scheme: str,
     return incs, cur if subtracted is None else residual - subtracted
 
 
-def pass_modes(plans: Sequence[PhasePlan], post: Sequence[np.ndarray | None],
-               gain: float, total: np.ndarray,
-               modes: Sequence[np.ndarray] | None = None,
-               workers: Workers | None = None) -> Sequence[np.ndarray]:
-    """Each component's mode ``post_k * E_k(gain * U_k)`` for the summed
-    increments ``total`` of a pass, in ``modes``' arrays if given, else in
-    new ones, each one task of ``workers`` (inline if not given); a
-    ``None`` factor is 1."""
-    workers = workers or Workers(len(plans[0]))
-    if modes is None:
-        modes = [np.empty(len(plans[0])) for _ in plans]
-
-    def mode(k, space):
-        p = plans[k]
-        band_term(gain * total[k], p.j0, p.w, p.w1, post[k], modes[k],
-                  space.x)
-
-    workers.run([partial(mode, k) for k in range(len(modes))])
-    return modes
-
-
 @dataclass(frozen=True, eq=False)
 class PassModes(Sequence):
-    """A pass's modes, ``2**pow2`` times :func:`pass_modes` of its plans,
-    subtraction factors, gain and summed increments ``total``, as a
-    read-only sequence: formed inline on first access, each a
+    """A pass's modes ``post_k * E_k(gain * U_k)``, of its plans,
+    subtraction factors ``post``, gain and summed increments ``total``,
+    times ``2**pow2``, as a read-only sequence: formed inline by
+    :func:`leave` on first access, each a
     :class:`~modedecomp.signal_model.SampledSignal` on ``times`` if given,
     and kept as long as the sequence is. A caller that never reads them,
     as mmd's outer loop, allocates none."""
@@ -547,7 +530,10 @@ class PassModes(Sequence):
 
     @cached_property
     def _modes(self) -> tuple:
-        modes = pass_modes(self.plans, self.post, self.gain, self.total)
+        length = len(self.plans[0])
+        modes = [np.empty(length) for _ in self.plans]
+        leave(Workers(length), self.plans,
+              [self.gain * u for u in self.total], self.post, modes, None)
         if self.pow2:
             with np.errstate(over="ignore"):  # make_shape refuses an infinity
                 for mode in modes:
@@ -562,10 +548,12 @@ def range_terms(lo: int, hi: int, space: Workspace,
                 post: Sequence[np.ndarray | None],
                 modes: Sequence[np.ndarray] | None = None):
     """Each component's term ``post_k E_k tables[k]`` on samples ``[lo,
-    hi)``, as :func:`band_term` forms it, in pieces that fit the halves of
-    ``space.x``: yields ``(k, a, b, term)`` for each piece ``[a, b)``, in
-    component order within a piece. A term is formed in ``modes[k][a:b]``
-    if given, else in the first half, and its tail in the second."""
+    hi)``, as :func:`band_term` forms it on all of them, in pieces that fit
+    the halves of ``space.x``: yields ``(k, a, b, term)`` for each piece
+    ``[a, b)``, in component order within a piece. A term is formed in
+    ``modes[k][a:b]`` if given, else in the first half, and its tail in the
+    second. The band terms of a pass's exit (:func:`leave`) and of mmd's
+    closing band sums are all formed here."""
     half = space.x.size // 2
     for a in range(lo, hi, half):
         b = min(a + half, hi)
@@ -575,6 +563,26 @@ def range_terms(lo: int, hi: int, space: Workspace,
                 table, p.j0[a:b], p.w[a:b], p.w1[a:b],
                 None if g is None else g[a:b],
                 term if modes is None else modes[k][a:b], tail)
+
+
+def leave(workers: Workers, plans: Sequence[PhasePlan],
+          tables: Sequence[np.ndarray], post: Sequence[np.ndarray | None],
+          modes: Sequence[np.ndarray] | None,
+          r0: np.ndarray | None) -> np.ndarray | None:
+    """A pass's exit: each component's band term ``post_k E_k tables[k]``
+    (:func:`range_terms`), one sample range a task of ``workers``, in
+    ``modes``' arrays if given. Given ``r0``, returns the residual ``r0 -
+    term_0 - term_1 - ...``, subtracted in component order."""
+    r = None if r0 is None else np.empty_like(r0)
+
+    def task(lo, hi, space):
+        for k, a, b, term in range_terms(lo, hi, space, plans, tables, post,
+                                         modes):
+            if r is not None:
+                np.subtract(r[a:b] if k else r0[a:b], term, out=r[a:b])
+
+    workers.split(task)
+    return r
 
 
 @dataclass(frozen=True)
@@ -727,7 +735,8 @@ class BinPass:
     digits: the pass then forms the residual on the samples for its squared
     norm alone and takes it as the new ``r0``, moving ``q`` by the Gram
     ``G`` in bin space and keeping ``z``. The residual the pass leaves is
-    formed once, by :meth:`finish`, one sample range a task. The residual
+    formed once, by :meth:`finish`, which a rebase calls too: every band
+    term goes through :func:`leave`, one sample range a task. The residual
     it enters with must be finite, as :func:`modedecomp.gmd.run_pass`
     checks.
     """
@@ -802,7 +811,7 @@ class BinPass:
     def _rebase(self) -> None:
         """Take the current residual as ``r0``: its squared norm from the
         samples, ``q`` less ``G @ since``, ``z`` as it is."""
-        r = self._leave()
+        r = self.finish()
         self.base_sq = float(np.add.reduce(np.multiply(r, r, out=r)))
         u, q, ops = self.since, self.q, self.ops
         for qk, uk, (d, off) in zip(q, u, ops.self_g):
@@ -853,28 +862,9 @@ class BinPass:
         return (incs, math.sqrt(max(sq, 0.0) / self.residual.size),
                 row_norms(incs) * self.gain)
 
-    def _leave(self, modes: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """The residual ``r0 - h_0 E_0 U_0 - h_1 E_1 U_1 - ...``, subtracted
-        in component order, one sample range a task of the workers; each
-        term formed by :func:`range_terms`, in ``modes`` if given."""
-        r0, r = self.residual, np.empty_like(self.residual)
-        tables = [self.gain * u for u in self.total]
-
-        def leave(lo, hi, space):
-            for k, a, b, term in range_terms(lo, hi, space, self.plans,
-                                             tables, self.post, modes):
-                np.subtract(r[a:b] if k else r0[a:b], term, out=r[a:b])
-
-        self.workers.split(leave)
-        return r
-
-    def finish(self, modes: Sequence[np.ndarray] | None = None):
-        """``(U, modes, residual)``: the summed increments ``(K, B)``, each
-        component's ``h_k E_k U_k`` and the residual they leave, formed one
-        sample range a task. The modes are formed there, in ``modes``'
-        arrays, where given; else they are a :class:`PassModes`, formed on
-        first access."""
-        r = self._leave(modes)
-        if modes is None:
-            modes = PassModes(self.plans, self.post, self.gain, self.total)
-        return self.total, modes, r
+    def finish(self, modes: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """The residual ``r0 - h_0 E_0 U_0 - h_1 E_1 U_1 - ...`` the pass
+        leaves, by :func:`leave`, each term formed in ``modes`` if given."""
+        return leave(self.workers, self.plans,
+                     [self.gain * u for u in self.total], self.post, modes,
+                     self.residual)

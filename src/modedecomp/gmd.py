@@ -44,9 +44,9 @@ from .fold_regress import (
     as_plans,
     band_operators,
     check_amplitude,
+    leave,
     operator_bytes,
     partition_regress,
-    pass_modes,
     run_workers,
     sweep,
 )
@@ -235,9 +235,10 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
     run on bin sums (:class:`~modedecomp.fold_regress.BinPass`); without,
     on the samples through :func:`~modedecomp.fold_regress.sweep`. Both
     take the same factors and the same regression step. A pass on bin
-    sums enters one component a task of ``workers`` (inline if not given)
-    and forms the residual it leaves one sample range a task; a pass on the
-    samples forms the modes it is given one component a task.
+    sums enters one component a task of ``workers`` (inline if not given).
+    Either path's exit forms every band term of the pass one sample range a
+    task, by :func:`~modedecomp.fold_regress.leave`: on bin sums the
+    residual the pass leaves, and on either path the modes it is given.
 
     A residual with a NaN or an infinity is refused as
     :class:`~modedecomp.errors.NonFinite`, read from the max and min by
@@ -249,8 +250,8 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
     ``post_k * E_k(gain * U_k)`` and the residual. The modes are formed in
     ``modes``' arrays where given (on bin sums, beside the residual), else
-    they are a :class:`~modedecomp.fold_regress.PassModes`, formed on first
-    access.
+    they are a :class:`~modedecomp.fold_regress.PassModes`, formed by the
+    same routine on first access.
     """
     residual, pow2, finite = scale_into_range(residual)
     if not finite:
@@ -262,7 +263,7 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
         denom = math.sqrt(solver.base_sq / residual.size) or 1.0
         out = iterate_sweeps(lambda: solver.sweep()[1:], denom, eps,
                              max_iters)
-        total, _, r = solver.finish(modes)
+        total, r = solver.total, solver.finish(modes)
     else:
         denom = signal_norm(residual) or 1.0
         total = np.zeros((len(plans), plans[0].layout.size))
@@ -277,7 +278,8 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
 
         out = iterate_sweeps(step, denom, eps, max_iters)
         if modes is not None:
-            pass_modes(plans, post, gain, total, modes, workers)
+            leave(workers or Workers(residual.size), plans,
+                  [gain * u for u in total], post, modes, None)
     formed = (PassModes(plans, post, gain, total, pow2) if modes is None
               else modes)
     if pow2:
@@ -337,8 +339,9 @@ def gmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     (:func:`prepare_run`), then checks every amplitude and forms every
     factor, with no workspace and, of sample length, only the plans and
     factors it keeps; a run on bin sums then builds its operators and
-    enters its pass one component (or pair) a task, and forms its modes
-    and residual one sample range a task.
+    enters its pass one component (or pair) a task. On either path the
+    pass's exit forms every band term, its modes and, on bin sums, its
+    residual, one sample range a task.
     ``backend`` is checked by :func:`check_backend`.
     """
     check_run(scheme, eps=eps, max_iters=max_iters, bins=bins)

@@ -578,9 +578,10 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     (:func:`band_slots`), on band ``|n|``'s carriers from a
     :class:`BandCarriers` store, which lends them from band ``n`` to
     ``-n``, by :func:`band_term`, so that it reproduces an mmd mode exactly
-    from its unnormalized estimate. Interpolation data is formed once per
-    table size. The grid, the prior's sample times in order, is refused if
-    decreasing, else as :func:`make_signal` refuses times.
+    from its unnormalized estimate. It visits only the bands the estimate
+    holds tables for, whatever its bandwidth. Interpolation data is formed
+    once per table size. The grid, the prior's sample times in order, is
+    refused if decreasing, else as :func:`make_signal` refuses times.
     """
     t = np.asarray(grid, dtype=float)
     if t.shape != prior.phase.shape:
@@ -590,11 +591,13 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     x = unit_position(prior.phase)
     at, carriers = {}, BandCarriers([prior])
     total = np.zeros_like(x)
-    for n, kind in band_slots(est.bandwidth):
+    # band_slots' order over the bands present: 0, +1, -1, ..., cos first
+    present = sorted([(n, "cos") for n in est.cos_shapes]
+                     + [(n, "sin") for n in est.sin_shapes],
+                     key=lambda s: (abs(s[0]), s[0] < 0, s[1] == "sin"))
+    for n, kind in present:
         shapes, coeffs = ((est.cos_shapes, est.cos_coeffs) if kind == "cos"
                           else (est.sin_shapes, est.sin_coeffs))
-        if n not in shapes:
-            continue
         table = shapes[n]
         if est.normalized:
             table = scale_shape(table, coeffs.get(n, 0.0))

@@ -394,11 +394,11 @@ def factors(priors, n, kind):
 
 
 class TestTemporariesInPlace:
-    """:func:`~modedecomp.fold_regress.band_operators` and
-    :meth:`BinPass.finish` form their sample-length temporaries in place;
-    their values are those of the plain expressions, bit for bit, for an
-    mmd pass's carriers and for gmd's separate regression and subtraction
-    factors."""
+    """:func:`~modedecomp.fold_regress.band_operators`,
+    :meth:`BinPass.finish` and a pass's modes form their sample-length
+    temporaries in place; their values are those of the plain expressions,
+    bit for bit, for an mmd pass's carriers and for gmd's separate
+    regression and subtraction factors."""
 
     @pytest.mark.parametrize("n, kind", [(0, "cos"), (2, "sin"),
                                          (0, "amplitude")])
@@ -458,15 +458,38 @@ class TestTemporariesInPlace:
                          band_operators(plans, pre, post, gain), pre, post,
                          gain, "gauss_seidel")
         solver.sweep()
-        total, modes, r = solver.finish()
+        modes = [np.empty(500) for _ in plans]
+        r = solver.finish(modes)
         want_r = sig.values
-        for p, b, u, mode in zip(plans, post, total, modes):
+        for p, b, u, mode in zip(plans, post, solver.total, modes):
             j1 = (p.j0 + 1) % 24
             want = p.w1 * (gain * u)[p.j0] + p.w * (gain * u)[j1]
             want = want if b is None else b * want
             assert np.array_equal(mode, want)
             want_r = want_r - want
         assert np.array_equal(r, want_r)
+        # without mode arrays, the same residual
+        assert np.array_equal(solver.finish(), want_r)
+
+    @pytest.mark.parametrize("bin_space", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin"),
+                                         (-2, "sin")])
+    def test_pass_modes(self, n, kind, scale, bin_space):
+        # modified_rdbr's mode increments, formed on first access from the
+        # scaled pass and scaled back, are the plain post_k E_k(gain U_k)
+        # of the increments it stores, gain U_k = band_sign * stored
+        sig, priors = problem(13, 500, "iid_uniform", 3)
+        sig = md.make_signal(sig.times, sig.values * scale)
+        plans = [plan_phase(p, 500, 24) for p in priors]
+        shapes, modes, _ = md.modified_rdbr(sig, BandPlans(plans, bin_space),
+                                            n, kind, bins=24)
+        for p, shape, mode in zip(plans, shapes, modes, strict=True):
+            table = signal_model.band_sign(n, kind) * shape.bins
+            want = p.w1 * table[p.j0] + p.w * table[(p.j0 + 1) % 24]
+            if n:
+                want = carrier(p.prior, abs(n), kind) * want
+            assert np.array_equal(mode.values, want)
 
 
 class TestSweepTrims:
@@ -656,7 +679,7 @@ class TestRebase:
                              pre, post, gain, scheme)
             for _ in range(6):
                 rms = solver.sweep()[1]
-                want = md.signal_norm(solver.finish()[2])
+                want = md.signal_norm(solver.finish())
                 assert abs(rms - want) <= TOL * want
         assert len(rebased) == 6
 

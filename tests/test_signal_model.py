@@ -1,4 +1,5 @@
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -568,6 +569,21 @@ class TestReconstruct:
         out = md.reconstruct_mimf(est, prior, t)
         expect = md.eval_shape(table, prior.phase)
         assert np.allclose(out.values, expect, atol=0, rtol=0)
+
+    def test_visits_only_bands_present(self):
+        # the band sum visits the tables the estimate holds, not every
+        # band slot up to its bandwidth
+        t, prior = self._setup()
+        table = md.ecg_like_shape(256, 1)
+        want = md.reconstruct_mimf(md.make_estimate(0, {0: table}, {}),
+                                   prior, t)
+        wide = md.make_estimate(10 ** 12, {0: table}, {})
+        start = time.perf_counter()
+        got = md.reconstruct_mimf(wide, prior, t)
+        approx = md.ell_band_approx(wide, prior, 10 ** 12, t)
+        assert time.perf_counter() - start < 0.5
+        assert same_bits(got.values, want.values)
+        assert same_bits(approx.values, want.values)
 
     def test_matches_generator(self):
         # per-term formula as oracle: trig-carrier evaluation vs band-sum
