@@ -26,7 +26,6 @@ from .signal_model import (
     PhasePrior,
     SampledSignal,
     ShapeTable,
-    band_order,
     eval_shape,
     make_estimate,
     make_prior,

@@ -1,15 +1,18 @@
 """Multiresolution mode decomposition: band-demodulated recursive regression.
 
-The outer loop visits bands in the interleaved order 0, +1, -1, ..., +M0,
--M0. For each band a demodulated regression pass (cosine carrier always,
-sine carrier only for |n| > 0) estimates the band's shape increment per
-component, adds it to that component's band table, and chains the residual.
+The outer loop visits bands 0, 1, ..., M0. For each band a demodulated
+regression pass (cosine carrier always, sine carrier only for n > 0)
+estimates the band's shape increment per component, adds it to that
+component's band table, and chains the residual. Band ``-n``'s carriers are
+band ``n``'s (cosine even, sine odd, bit for bit), so only the sums
+``s_cn + s_c,-n`` and ``s_sn - s_s,-n`` can be identified: a run fits them
+as band ``n``'s tables, and its estimates hold zero tables for band ``-n``.
 Band tables are the identifiable products: coefficient times unit shape.
 Results keep the products, with their L2 norms as coefficients;
 ``normalize_estimate`` splits them into coefficients and unit-norm shapes.
 
-Relative to a plain generalized-mode run, the multiresolution loop costs a
-factor of order ``J2 * M0`` more regressions; each one reuses its prior's
+Each outer iteration runs ``2 * M0 + 1`` band passes of up to ``J2``
+sweeps; each regression reuses its prior's
 :class:`~modedecomp.fold_regress.PhasePlan`, built once per run.
 
 Every step of a band pass is linear in the residual, so
@@ -17,10 +20,9 @@ Every step of a band pass is linear in the residual, so
 then cost ``O(K^2 B^2)`` rather than ``O(K L)``. :func:`bin_space_fits`
 chooses the path. A pass's carriers and its ``B x B`` operators
 (:class:`~modedecomp.fold_regress.BandOperators`) do not change across
-outer iterations, and band ``-n``'s passes run on band ``n``'s
-(:func:`modified_rdbr`). So a run's :class:`BandPlans` builds the operators
-once for each ``(|n|, kind)`` and, on either path, holds the carriers, for
-its passes and its modes, in what they leave under :func:`memory_bound`.
+outer iterations. So a run's :class:`BandPlans` builds the operators once
+for each ``(n, kind)`` and, on either path, holds the carriers, for its
+passes and its modes, in what they leave under :func:`memory_bound`.
 The run's plans are made one prior a task on its
 :func:`~modedecomp.fold_regress.run_workers` pool, and on bin sums the
 operator builds and each pass's entry sums run one component a task on it
@@ -78,13 +80,13 @@ from .signal_model import (
     MimfEstimate,
     PhasePrior,
     SampledSignal,
-    band_sign,
     band_slots,
     make_estimate,
     make_shape,
     reconstruct_mimf,
     scale_into_range,
     signal_norm,
+    zero_shape,
 )
 
 __all__ = [
@@ -222,9 +224,10 @@ def modified_rdbr(residual: SampledSignal,
     bin sums if they give operators, to within rounding of the
     sample-space sweeps. Other priors sweep on the samples.
 
-    The pass runs on band ``|n|``'s carriers: a sine carrier's sign flips
-    the increments, not the modes or the residual, so band ``-n``'s sine
-    tables are stored negated (:func:`~modedecomp.signal_model.band_sign`).
+    A negative ``n`` runs on band ``|n|``'s carriers and operators: a sine
+    carrier's sign flips the increments, not the modes or the residual, so
+    band ``-n``'s sine tables are stored negated. :func:`mmd_decompose`
+    visits ``n >= 0`` only.
 
     Returns ``(shape_increments, mode_increments, residual)`` where the shape
     increments are per-component tables accumulated over the inner sweeps and
@@ -244,7 +247,9 @@ def modified_rdbr(residual: SampledSignal,
                                    scheme, eps2, max_iters, ops,
                                    shared.workers)
     t = residual.times
-    return ([make_shape(band_sign(n, kind) * gain * u) for u in total],
+    # sin is odd: band -n's sine term is band n's carrier times -table
+    sign = -gain if n < 0 and kind == "sin" else gain
+    return ([make_shape(sign * u) for u in total],
             replace(modes, times=t), SampledSignal(t, r))
 
 
@@ -362,7 +367,7 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
         denom = r.l2norm or 1.0
 
         # the band state: one table per pass of an outer iteration, (band,
-        # kind) in visit order, and component
+        # kind) in visit order, bands 0 ... m0, and component
         slots = band_slots(cfg.m0)
         state = np.zeros((len(slots), len(plans), cfg.bins))
         extrapolate = AndersonStep()
@@ -399,18 +404,19 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
                 modes[k][a:b] += term
 
         for slot, (n, kind) in enumerate(slots):
-            sign = band_sign(n, kind)
-            workers.split(partial(add, [sign * u for u in state[slot]],
-                                  plans.carriers(n, kind)))
+            workers.split(partial(add, state[slot], plans.carriers(n, kind)))
     report = DecompositionReport(tuple(norms_r), tuple(norms_s), reason,
                                  len(norms_r), tuple(accelerated))
 
+    zero = zero_shape(cfg.bins)
     estimates = []
     for k, mode in enumerate(modes):
         tables = {"cos": {}, "sin": {}}
         with np.errstate(over="ignore"):  # make_shape refuses an infinity
             for slot, (b, kind) in enumerate(slots):
                 tables[kind][b] = make_shape(np.ldexp(state[slot, k], pow2))
+                if b:  # band n's table holds the pair's identifiable sum
+                    tables[kind][-b] = zero
         np.ldexp(mode, pow2, out=mode)
         estimates.append(make_estimate(cfg.m0, tables["cos"], tables["sin"],
                                        mode=SampledSignal(signal.times, mode)))

@@ -411,21 +411,12 @@ def band_term(table: np.ndarray, j0, w, w1=None,
     return out
 
 
-def band_order(m0: int) -> list[int]:
-    """Interleaved band visit order 0, +1, -1, ..., +m0, -m0."""
-    return [0] + [b for n in range(1, m0 + 1) for b in (n, -n)]
-
-
 def band_slots(m0: int) -> list[tuple[int, str]]:
-    """The ``(band, kind)`` terms in the solver's visit order, cos first."""
-    return [(n, kind) for n in band_order(m0)
+    """The ``(band, kind)`` terms in the solver's visit order, bands
+    ``0 ... m0``, cos first: band ``-n``'s terms are band ``n``'s
+    (:func:`reconstruct_mimf`), so the solver visits ``n >= 0`` only."""
+    return [(n, kind) for n in range(m0 + 1)
             for kind in (("cos", "sin") if n else ("cos",))]
-
-
-def band_sign(n: int, kind: str) -> float:
-    """-1 for a negative band's sine term, else 1: ``sin`` is odd bit for
-    bit, so that term is band ``|n|``'s carrier times the negated table."""
-    return -1.0 if n < 0 and kind == "sin" else 1.0
 
 
 def check_band(prior: PhasePrior, n: int, kind: str) -> None:
@@ -448,17 +439,16 @@ def carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray:
 class BandCarriers:
     """The carriers of band terms on ``priors``: ``carriers(n, kind)``
     refuses what :func:`check_band` refuses and gives, per prior, ``None``
-    (a factor of 1) at band 0, else band ``|n|``'s :func:`carrier`, the
-    sign left to :func:`band_sign`. The first ``(|n|, kind)`` in the order
-    ``(1, cos), (1, sin), (2, cos), ...`` that fit in ``budget`` bytes,
-    ``8 L`` a prior each, are held; the others are evaluated for band ``n``
-    and lent to band ``-n``, which the solver and the band sum visit next.
+    (a factor of 1) at band 0, else band ``|n|``'s :func:`carrier`. The
+    first ``(|n|, kind)`` in the order ``(1, cos), (1, sin), (2, cos),
+    ...`` that fit in ``budget`` bytes, ``8 L`` a prior each, are held;
+    the others are evaluated at each call.
     """
 
     def __init__(self, priors: Sequence[PhasePrior], budget: int = 0):
         self.priors = list(priors)
         self.holds = budget // (8 * sum(map(len, self.priors)))
-        self.held, self.lent = {}, {}
+        self.held = {}
 
     def __call__(self, n: int, kind: str) -> list[np.ndarray | None]:
         for prior in self.priors:
@@ -466,12 +456,10 @@ class BandCarriers:
         if n == 0:
             return [None] * len(self.priors)
         key = (abs(n), kind)
-        got = (self.held.get(key) or self.lent.pop(key, None)
+        got = (self.held.get(key)
                or [carrier(prior, abs(n), kind) for prior in self.priors])
         if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
             self.held[key] = got
-        elif n > 0:
-            self.lent[key] = got
         return got
 
 
@@ -573,37 +561,41 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     """Evaluate the band sum at the prior's phase samples.
 
     Band ``n`` adds ``cos(2*pi*n*p/N) a_n(p)`` and ``sin(2*pi*n*p/N)
-    b_n(p)``, tables evaluated at the phase ``p`` (cycles). It sums them as
-    an mmd run forms its modes: in the solver's visit order
-    (:func:`band_slots`), on band ``|n|``'s carriers from a
-    :class:`BandCarriers` store, which lends them from band ``n`` to
-    ``-n``, by :func:`band_term`, so that it reproduces an mmd mode exactly
-    from its unnormalized estimate. It visits only the bands the estimate
-    holds tables for, whatever its bandwidth. Interpolation data is formed
-    once per table size. The grid, the prior's sample times in order, is
-    refused if decreasing, else as :func:`make_signal` refuses times.
+    b_n(p)``, tables evaluated at the phase ``p`` (cycles). ``cos`` and
+    ``sin`` are even and odd bit for bit, so it first folds band ``-n``
+    into band ``n``, ``a_n + a_-n`` and ``b_n - b_-n``, a table size at a
+    time. It then sums the folded terms as an mmd run forms its modes: in
+    the solver's visit order (:func:`band_slots`), by :func:`band_term`,
+    with each ``(|n|, kind)``'s :func:`carrier` evaluated once, so that it
+    reproduces an mmd mode exactly from its unnormalized estimate, whose
+    ``-n`` tables are zero. It visits only the bands the estimate holds
+    tables for, whatever its bandwidth. Interpolation data is formed once
+    per table size. The grid, the prior's sample times in order, is refused
+    if decreasing, else as :func:`make_signal` refuses times.
     """
     t = np.asarray(grid, dtype=float)
     if t.shape != prior.phase.shape:
         raise GridMismatch("grid length does not match the prior")
     if np.any(t[1:] < t[:-1]):
         raise OutOfDomain("grid times must be increasing")
+    folded = {}
+    for kind, shapes, coeffs in (("cos", est.cos_shapes, est.cos_coeffs),
+                                 ("sin", est.sin_shapes, est.sin_coeffs)):
+        for n, table in shapes.items():
+            if est.normalized:
+                table = scale_shape(table, coeffs.get(n, 0.0))
+            key = (abs(n), kind, table.size)
+            folded[key] = folded.get(key, 0.0) + (
+                -table.bins if n < 0 and kind == "sin" else table.bins)
     x = unit_position(prior.phase)
     at, carriers = {}, BandCarriers([prior])
     total = np.zeros_like(x)
-    # band_slots' order over the bands present: 0, +1, -1, ..., cos first
-    present = sorted([(n, "cos") for n in est.cos_shapes]
-                     + [(n, "sin") for n in est.sin_shapes],
-                     key=lambda s: (abs(s[0]), s[0] < 0, s[1] == "sin"))
-    for n, kind in present:
-        shapes, coeffs = ((est.cos_shapes, est.cos_coeffs) if kind == "cos"
-                          else (est.sin_shapes, est.sin_coeffs))
-        table = shapes[n]
-        if est.normalized:
-            table = scale_shape(table, coeffs.get(n, 0.0))
-        nb = table.size
+    band = g = None
+    # band_slots' order, cos before sin, then the table size
+    for (n, kind, nb), table in sorted(folded.items()):
+        if (n, kind) != band:  # one carrier held at a time
+            band, g = (n, kind), carriers(n, kind)[0]
         if nb not in at:
             at[nb] = interpolation(x, nb)
-        total += band_term(band_sign(n, kind) * table.bins, *at[nb],
-                           g=carriers(n, kind)[0])
+        total += band_term(table, *at[nb], g=g)
     return make_signal(t, total)

@@ -830,13 +830,13 @@ class TestMmdFilesRebuildModes:
         self.assert_rebuilds(data / "phases.csv", out)
 
     def test_tables_of_subnormal_norm(self, tmp_path):
-        """A signal scaled by 1e-306 leaves band tables whose norm has no
+        """A signal scaled by 1e-307 leaves band tables whose norm has no
         finite inverse; they are written as unit shapes all the same."""
         data = tmp_path / "data"
         run_synth(data, seed="3")
         signal = read_signal_csv(data / "signal.csv")
         write_signal_csv(data / "tiny.csv",
-                         md.make_signal(signal.times, signal.values * 1e-306))
+                         md.make_signal(signal.times, signal.values * 1e-307))
         out = tmp_path / "fit"
         assert main(["mmd", "--signal", str(data / "tiny.csv"),
                      "--phases", str(data / "phases.csv"),

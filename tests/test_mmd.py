@@ -6,10 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modedecomp as md
 from modedecomp import fold_regress, mmd
 from modedecomp.errors import BandOutOfRange, GridMismatch, SinZeroBand
+from modedecomp.signal_model import band_slots
 
 from oracles import mimf_oracle
 
@@ -21,12 +24,6 @@ def table_gap(recovered_values, truth_values):
 
 
 FINE = (np.arange(8192) + 0.5) / 8192
-
-
-class TestBandOrder:
-    def test_interleaved(self):
-        assert md.band_order(0) == [0]
-        assert md.band_order(2) == [0, 1, -1, 2, -2]
 
 
 class TestModifiedRdbr:
@@ -129,7 +126,7 @@ class TestMmdDecompose:
 
         with mock.patch.object(mmd, "modified_rdbr", tracked):
             run_mmd(ex, md.MmdConfig(m0=1, j1=3, bins=32), bin_space)
-        assert len(calls) == 3 * 5 and refs
+        assert len(calls) == 3 * len(band_slots(1)) and refs
         assert all(calls)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -161,7 +158,7 @@ class TestMmdDecompose:
                 run_mmd(ex, cfg, True)
             finally:
                 tracemalloc.stop()
-        passes = 4 * cfg.m0 + 1  # a cosine and a sine pass for n != 0
+        passes = len(band_slots(cfg.m0))
         assert len(rises) == 3 * passes
         blocks = 64 * 8 * len(ex.priors) * cfg.bins
         assert max(rises[passes:]) <= 8 * length + blocks
@@ -358,6 +355,36 @@ class TestBandOperators:
         r0 = md.band_residual(attributed, res.estimates[0], ex.priors[0], 0, t)
         r2 = md.band_residual(attributed, res.estimates[0], ex.priors[0], 2, t)
         assert md.signal_norm(r0.values) >= md.signal_norm(r2.values)
+
+
+class TestOppositeBandsZero:
+    """A run fits each identifiable sum, ``s_cn + s_c,-n`` and
+    ``s_sn - s_s,-n``, in band ``n``'s tables: band ``-n``'s are zero
+    tables with coefficient 0, and the band sum rebuilds each mode."""
+
+    @pytest.mark.parametrize("bin_space", [True, False])
+    @pytest.mark.parametrize("m0", [1, 2, 3, 4])
+    @settings(max_examples=4, deadline=None)
+    @given(scheme=st.sampled_from(["gauss_seidel", "jacobi"]),
+           grid=st.sampled_from(["uniform", "iid_uniform"]),
+           noise_var=st.sampled_from([0.0, 0.25]),
+           seed=st.integers(0, 2 ** 16))
+    def test_property(self, m0, bin_space, scheme, grid, noise_var, seed):
+        ex = md.gen_example_4_1(2 ** 11, noise_var, seed, grid)
+        cfg = md.MmdConfig(m0=m0, j1=4, bins=32, scheme=scheme)
+        res = run_mmd(ex, cfg, bin_space)
+        for est, prior in zip(res.estimates, ex.priors, strict=True):
+            assert sorted(est.cos_shapes) == list(range(-m0, m0 + 1))
+            assert sorted(est.sin_shapes) == [n for n in range(-m0, m0 + 1)
+                                              if n]
+            for e in (est, md.normalize_estimate(est)):
+                for shapes, coeffs in ((e.cos_shapes, e.cos_coeffs),
+                                       (e.sin_shapes, e.sin_coeffs)):
+                    for n in range(1, m0 + 1):
+                        assert not np.any(shapes[-n].bins)
+                        assert coeffs[-n] == 0.0
+            rebuilt = md.reconstruct_mimf(est, prior, ex.signal.times)
+            assert np.array_equal(rebuilt.values, est.mode.values)
 
 
 def plain_weight(f, f_prev):

@@ -1,6 +1,7 @@
 import math
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
+from modedecomp import signal_model
 from modedecomp.errors import (
     DecompositionError,
     DuplicateTime,
@@ -17,9 +19,8 @@ from modedecomp.errors import (
     NonMonotonePhase,
     OutOfDomain,
 )
-from modedecomp.signal_model import (GRADIENT_BLOCK, BandCarriers, band_sign,
-                                     band_slots, carrier, interpolation,
-                                     unit_position)
+from modedecomp.signal_model import (GRADIENT_BLOCK, BandCarriers, band_slots,
+                                     carrier, interpolation, unit_position)
 
 from bitwise import same_bits
 from oracles import mimf_oracle
@@ -653,6 +654,50 @@ class TestReconstruct:
             assert same_bits(got.times, want.times)
             assert np.all(np.abs(got.values - want.values) <= bound)
 
+    @settings(max_examples=40, deadline=None)
+    @given(m0=st.integers(1, 4), bins=st.integers(2, 40),
+           normalized=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_folds_opposite_bands(self, m0, bins, normalized, seed):
+        # independent tables on some of the bands -m0 ... m0 give what
+        # their folded estimate gives, a_n + a_-n on the cosine and
+        # b_n - b_-n on the sine, with each (|n|, kind)'s carrier
+        # evaluated once
+        rng = np.random.default_rng(seed)
+        t = md.sample_grid(1024)
+        prior = md.with_fundamental(
+            md.make_prior(13.0 * t + 0.02 * np.sin(2.0 * np.pi * t)), t)
+        keys = [(n, kind) for n in range(-m0, m0 + 1)
+                for kind in ("cos", "sin") if n or kind == "cos"]
+        present = [key for key in keys if rng.random() < 0.75] or keys[:1]
+        tables, coeffs = {"cos": {}, "sin": {}}, {"cos": {}, "sin": {}}
+        folded = {"cos": {}, "sin": {}}
+        for n, kind in present:
+            tables[kind][n] = md.make_shape(rng.normal(size=bins))
+            coeffs[kind][n] = float(rng.normal()) if normalized else 1.0
+            product = coeffs[kind][n] * tables[kind][n].bins
+            if n < 0 and kind == "sin":
+                product = -product
+            folded[kind][abs(n)] = folded[kind].get(abs(n), 0.0) + product
+        est = md.make_estimate(
+            m0, tables["cos"], tables["sin"],
+            *((coeffs["cos"], coeffs["sin"]) if normalized else ()),
+            normalized=normalized)
+        want = md.reconstruct_mimf(md.make_estimate(m0, *(
+            {n: md.make_shape(b) for n, b in folded[kind].items()}
+            for kind in ("cos", "sin"))), prior, t)
+        evaluated, evaluate = [], signal_model.carrier
+
+        def counted(prior, n, kind):
+            evaluated.append((n, kind))
+            return evaluate(prior, n, kind)
+
+        with mock.patch.object(signal_model, "carrier", counted):
+            got = md.reconstruct_mimf(est, prior, t)
+        assert evaluated == sorted({(abs(n), kind) for n, kind in present
+                                    if n}, key=lambda k: (k[0], k[1]))
+        assert (md.signal_norm(got.values - want.values)
+                <= 1e-13 * md.signal_norm(want.values))
+
     @pytest.mark.parametrize("grid, error", [
         (lambda t: np.full_like(t, np.nan), NonFinite),
         (lambda t: t[::-1], OutOfDomain),
@@ -760,9 +805,9 @@ class TestBandTerm:
 
     def test_visit_order(self):
         assert band_slots(0) == [(0, "cos")]
+        # band -n's terms fold into band n's: bands 0 ... m0 only
         assert band_slots(2) == [(0, "cos"), (1, "cos"), (1, "sin"),
-                                 (-1, "cos"), (-1, "sin"), (2, "cos"),
-                                 (2, "sin"), (-2, "cos"), (-2, "sin")]
+                                 (2, "cos"), (2, "sin")]
 
     def test_carriers(self):
         _, prior = self._prior()
@@ -775,10 +820,9 @@ class TestBandTerm:
                                  BandCarriers([prior], 2 ** 20)):
                     assert np.array_equal(carriers(n, kind)[0], g)
                     assert np.array_equal(carriers(-n, kind)[0], g)
-                # band -n's term is band n's carrier times band_sign
+                # band -n's carrier is band n's, negated for a sine
                 assert np.array_equal(carrier(prior, -n, kind),
-                                      band_sign(-n, kind) * g)
-                assert band_sign(n, kind) == 1.0
+                                      (-g if kind == "sin" else g))
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_one_check(self, n):

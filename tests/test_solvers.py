@@ -18,7 +18,7 @@ import modedecomp as md
 from modedecomp import fold_regress, gmd, mmd
 from modedecomp.errors import OutOfDomain
 from modedecomp.fold_regress import BinPass
-from modedecomp.signal_model import row_norms, scale_into_range
+from modedecomp.signal_model import band_slots, row_norms, scale_into_range
 
 
 def run_gmd(signal, priors, bins=64, scheme="gauss_seidel"):
@@ -350,8 +350,7 @@ def test_traced_runs_match_untraced():
     pooled = [span[2] for span in tracer.spans[-len(inline.spans):]]
     assert pooled == [span[2] for span in inline.spans]
     names = [span[2] for span in tracer.spans]
-    # bands 0, 1 and -1, a cosine and a sine pass for each but band 0
-    passes = 5 * want["mmd"].report.iterations
+    passes = len(band_slots(1)) * want["mmd"].report.iterations
     assert names.count("mmd.modified_rdbr") == passes == tracer.passes[1]
     assert names.count("gmd.gmd_decompose") == 2
     assert "fold_regress.partition_regress" not in names
@@ -442,7 +441,8 @@ class TestOneStoppingRule:
                 cfg = md.MmdConfig(m0=m0, eps1=eps, eps2=eps, j1=30,
                                    bins=bins, scheme=scheme)
                 result = md.mmd_decompose(ex.signal, priors, cfg)
-        passes = 1 if m0 is None else result.report.iterations * (4 * m0 + 1)
+        passes = (1 if m0 is None
+                  else result.report.iterations * len(band_slots(m0)))
         assert len(loops) == passes + (m0 is not None)
         for loop in loops:
             assert_one_rule(*loop)
