@@ -22,9 +22,10 @@ residual it leaves where it has not formed one yet, or both; a pass's
 modes are otherwise a :class:`PassModes`, formed by :func:`leave` on first
 access. A pass on bin sums reads the samples twice: on entry, for its bin
 sums and its norm (an mmd band pass takes them from two sums over
-:attr:`PhasePlan.half_slots`), and at its exit. In between, only a rebase,
-once the bin-sum norm has lost six digits, forms the residual, by the
-same exit, for its norm alone.
+:attr:`PhasePlan.half_slots`, which its run's first operator build
+builds), and at its exit. In between, only a rebase, once the bin-sum
+norm has lost six digits, forms the residual, by the same exit, for its
+norm alone.
 
 A decomposition run maps its sample-length work over the :class:`Workers`
 it owns, on threads from :data:`POOL_FLOOR` samples (numpy lets go of the
@@ -169,8 +170,11 @@ class PhasePlan:
     def half_slots(self) -> np.ndarray:
         """Each sample's half-bin slot ``2 j0 + (i != j0)`` for its bin
         ``i``: slot ``2 j`` holds bin ``j``'s samples that interpolate from
-        ``j``, slot ``2 j + 1`` bin ``j + 1``'s. Built on first use, by the
-        first mmd band pass on bin sums, and kept for the run."""
+        ``j``, slot ``2 j + 1`` bin ``j + 1``'s. Built on first use, by an
+        mmd run's first operator build (:func:`band_operators`) on the
+        calling thread, and kept for the run: every mmd band pass counts
+        its diagonal blocks and its entry sums over them. gmd never builds
+        them; its operator build forms the slots in a workspace."""
         out = self.j0 * 2
         out += self.layout.index != self.j0
         return out
@@ -607,7 +611,14 @@ class BandOperators:
       sample in bin ``i`` interpolates between bins ``i - 1, i`` or
       ``i, i + 1``, so they couple neighbouring bins only and are kept as
       periodic diagonals: ``self_t[k] = (T[i, i-1], T[i, i], T[i, i+1])``
-      and ``self_g[k] = (G[a, a], G[a, a+1])``.
+      and ``self_g[k] = (G[a, a], G[a, a+1])``. With two bins ``i - 1``
+      and ``i + 1`` are one bin, whose entry is the sum of the first and
+      last diagonal.
+
+    :func:`band_operators` builds every block from weight moments, the
+    sums of ``c`` and ``c w`` (and ``c w^2``, ``c w_k w_m``) for a block's
+    factor product ``c``, so the blocks equal the sums over the samples
+    to rounding, not bit for bit.
     """
 
     cross: dict
@@ -621,7 +632,9 @@ def operator_bytes(bins: int, components: int, passes: int) -> int:
     per pass ``K(K-1)`` dense ``T`` and ``K(K-1)/2`` dense Gram blocks of
     ``B x B`` doubles, and ``5K`` periodic diagonals of ``B``. For
     ``K = 2, B = 200`` that is 976,000 bytes a pass; every sweep of the
-    pass reads them once."""
+    pass reads them once. Not counted: the build's workspaces, which live
+    for the build alone, and the :attr:`PhasePlan.half_slots` an mmd run
+    keeps, ``8 L`` bytes a plan, which its passes' entry sums read too."""
     k, b = components, bins
     return passes * 8 * (3 * k * (k - 1) // 2 * b * b + 5 * k * b)
 
@@ -632,79 +645,125 @@ def band_operators(plans: Sequence[PhasePlan],
                    gain: float,
                    workers: Workers | None = None) -> BandOperators:
     """The :class:`BandOperators` of a pass with regression factors ``pre``
-    and subtraction factors ``post``: one ``bincount`` over the samples per
-    pair of interpolation weights and block. Each component's diagonal
-    blocks, each ordered pair's ``cross`` and each pair's ``gram`` are one
-    task of ``workers`` (inline if not given)."""
+    and subtraction factors ``post``, from weight moments: a block with
+    factor product ``c`` counts ``c`` and ``c w`` over the samples (a Gram
+    block ``c w_k`` and ``c w_k w_m`` too), and its weights ``w1 = 1 - w``
+    come from bin-sized arithmetic, ``sum c w1 = sum c - sum c w``.
+
+    Component ``k``'s diagonal blocks count ``c`` and ``c w`` by
+    :attr:`PhasePlan.half_slots` and ``c w^2`` by ``j0``. A pass whose
+    ``pre`` is its ``post``, as every mmd band pass, takes the plans' half
+    slots, built here by the calling thread on the run's first build; any
+    other pass (gmd) forms them in the task's workspace, and counts its
+    Gram's ``c = post_k^2`` by ``j0`` in three sums. At ``K = 2`` an mmd
+    pass makes 14 sample-length ``bincount``s, a gmd pass 18. Each
+    component's diagonal blocks, each ordered pair's ``cross`` and each
+    pair's ``gram`` are one task of ``workers`` (inline if not given)."""
     nb, k_all = plans[0].layout.size, range(len(plans))
     workers = workers or Workers(len(plans[0]))
+    prev = _neighbours(nb)[0]
+    # an mmd pass's half slots, built by the calling thread, as the plans
+    # are: a worker thread's sample-length array raises the peak RSS
+    halves = [p.half_slots if b is a else None
+              for p, a, b in zip(plans, pre, post)]
 
     # Every sample-length product and index goes into the task's
     # workspace: a factor's product in x, a weight's in y, an index in i.
-    def count(index, weights, factor, size, space):
-        return np.bincount(index, _times(factor, weights, space.y), size)
-
-    def product(a, b, factor, space):
-        out = np.multiply(a, b, out=space.y)
-        if factor is not None:
-            out *= factor
-        return out
+    # _times(c, w, space.y) writes into c only when c is space.y.
+    def count(index, c, size):
+        # a count without weights is of integers
+        return np.bincount(index, c, size).astype(float, copy=False)
 
     def flat(i, j, space):
         out = np.multiply(i, nb, out=space.i)
         out += j
         return out
 
-    def shifted(block, rows, cols):
-        # a count over (j0 + 1) % B is the count over j0 with its cells
-        # moved one bin on, summed in the same order
-        return np.roll(block.reshape(nb, nb), (rows, cols), (0, 1))
+    def moved(shift):
+        # (to, from) slices that move an axis shift bins on, 0 or 1
+        if not shift:
+            return [(slice(None), slice(None))]
+        return [(slice(1, None), slice(None, -1)),
+                (slice(0, 1), slice(-1, None))]
+
+    def add_count(out, index, weights, terms):
+        # out + sign m moved (rows, cols) bins on, periodically, for each
+        # (sign, rows, cols) of terms, m the count of weights by index:
+        # one moment a time, summed into the block in place
+        m = count(index, weights, nb * nb).reshape(nb, nb)
+        for sign, rows, cols in terms:
+            op = np.add if sign > 0 else np.subtract
+            for to_r, from_r in moved(rows):
+                for to_c, from_c in moved(cols):
+                    op(out[to_r, to_c], m[from_r, from_c],
+                       out=out[to_r, to_c])
+
+    def by_columns(index, c, w, space):
+        # the sums of c w1 by (row, j0 = j) and of c w by (row, j0 = j - 1):
+        # Y - Y_w + Y_w moved one column on, Y and Y_w the counts of c and
+        # c w by index = row B + j0
+        out = count(index, c, nb * nb).reshape(nb, nb)
+        add_count(out, index, _times(c, w, space.y),
+                  [(-1, 0, 0), (1, 0, 1)])
+        return out
 
     self_t = np.empty((len(plans), 3, nb))
     self_g = np.empty((len(plans), 2, nb))
 
     def diagonal(k, space):
         pk, ak, bk = plans[k], pre[k], post[k]
-        rows = pk.layout.index
+        slots = halves[k]
+        if slots is None:
+            slots = np.multiply(pk.j0, 2, out=space.i)
+            slots += np.not_equal(pk.layout.index, pk.j0, out=space.m)
         c = _times(ak, bk, space.x)
-
-        # slots 0, 1, 2 of row i hold columns i - 1, i, i + 1; a sample's
-        # j0 is its bin i or i - 1, so j0 + 1 takes the slot after j0's,
-        # which wraps to slot 0 when B = 2
-        slots = np.multiply(rows, 3, out=space.i)
-        slots += np.equal(pk.j0, rows, out=space.m)
-        t = (count(slots, pk.w1, c, 3 * nb, space).reshape(nb, 3)
-             + count(slots, pk.w, c, 3 * nb, space).reshape(nb, 3)[
-                 :, [2, 0, 1] if nb > 2 else [1, 0, 2]])
-        self_t[k] = gain * t.T
-        c = c if ak is bk else _times(bk, bk, space.x)
-        self_g[k, 0] = (
-            np.bincount(pk.j0, product(pk.w1, pk.w1, c, space), nb)
-            + np.roll(np.bincount(pk.j0, product(pk.w, pk.w, c, space), nb),
-                      1))
-        self_g[k, 1] = np.bincount(pk.j0, product(pk.w1, pk.w, c, space), nb)
+        cw = _times(c, pk.w, space.y)
+        # lo[j] counts bin j's samples that interpolate from j0 = j, hi[j]
+        # bin j + 1's: T[i, i - 1] takes c w1 of hi[i - 1], T[i, i] c w1
+        # of lo[i] and c w of hi[i - 1], T[i, i + 1] c w of lo[i]
+        (lo, hi), (lo_w, hi_w) = (
+            count(slots, v, 2 * nb).reshape(nb, 2).T for v in (c, cw))
+        self_t[k] = (hi - hi_w)[prev], (lo - lo_w) + hi_w[prev], lo_w
+        self_t[k] *= gain
+        if halves[k] is not None:
+            # the Gram's c = b_k^2 is a_k b_k: its counts by j0 are lo + hi
+            m0, m1 = lo + hi, lo_w + hi_w
+        else:
+            c = _times(bk, bk, space.x)
+            cw = _times(c, pk.w, space.y)
+            m0, m1 = count(pk.j0, c, nb), count(pk.j0, cw, nb)
+        m2 = count(pk.j0, np.multiply(cw, pk.w, out=space.y), nb)
+        # G[a, a] sums c w1^2 by j0 = a and c w^2 by j0 = a - 1, G[a, a + 1]
+        # c w1 w by j0 = a
+        self_g[k] = (m0 - 2.0 * m1 + m2) + m2[prev], m1 - m2
         self_g[k] *= gain * gain
 
     def cross_block(k, m, space):
         pm = plans[m]
-        c = _times(pre[k], post[m], space.x)
-        index = flat(plans[k].layout.index, pm.j0, space)
-        return gain * (count(index, pm.w1, c, nb * nb, space).reshape(nb, nb)
-                       + shifted(count(index, pm.w, c, nb * nb, space), 0, 1))
+        out = by_columns(flat(plans[k].layout.index, pm.j0, space),
+                         _times(pre[k], post[m], space.x), pm.w, space)
+        out *= gain
+        return out
 
     def gram_block(k, m, space):
+        # by (j0_k, j0_m), with R and C the moves one row and one column
+        # on: G = Y + (C - 1) Y_m + (R - 1) Y_k + (R - 1)(C - 1) Y_km,
+        # Y, Y_m, Y_k and Y_km the counts of c, c w_m, c w_k and c w_k w_m
         pk, pm = plans[k], plans[m]
         c = _times(post[k], post[m], space.x)
         index = flat(pk.j0, pm.j0, space)
-        return gain * gain * sum(
-            shifted(np.bincount(index, product(wk, wm, c, space), nb * nb),
-                    dk, dm)
-            for dk, wk in ((0, pk.w1), (1, pk.w))
-            for dm, wm in ((0, pm.w1), (1, pm.w)))
+        out = by_columns(index, c, pm.w, space)
+        ck = _times(c, pk.w, space.y)
+        add_count(out, index, ck, [(-1, 0, 0), (1, 1, 0)])
+        add_count(out, index, _times(ck, pm.w, space.y),
+                  [(1, 0, 0), (-1, 1, 0), (-1, 0, 1), (1, 1, 1)])
+        out *= gain * gain
+        return out
 
     pairs = [(k, m) for k in k_all for m in k_all if m != k]
     upper = [(k, m) for k, m in pairs if k < m]
-    # longest first, by their sample-length bincounts: 5, 4 and 2 a task
+    # longest first, by their sample-length bincounts: 3 (mmd) or 5 (gmd),
+    # 4 and 2 a task
     blocks = workers.run([partial(diagonal, k) for k in k_all]
                          + [partial(gram_block, k, m) for k, m in upper]
                          + [partial(cross_block, k, m) for k, m in pairs],
@@ -770,6 +829,7 @@ class BinPass:
 
     def _enter(self, r: np.ndarray) -> None:
         nb = self.total.shape[1]
+        # an mmd run's first operator build built them; else they are
         # built here, by the calling thread, as the plans are
         halves = [p.half_slots if b is a else None
                   for p, a, b in zip(self.plans, self.pre, self.post)]

@@ -35,10 +35,12 @@ The outer loop is a fixed-point iteration on the run's band state, one
 Gauss-Seidel step over the bands, :class:`AndersonStep` extrapolates the
 state and the residual with a depth-one Anderson step and keeps the result
 only when its residual is below the plain step's. On ex4_1-shaped inputs
-(``K = 2``, ``B = 200``, ``L = 2^14``) that took ``m0 = 4`` runs from 15-16
-outer iterations to 11, and ``m0 = 10`` runs from 163 and 118 to 66 and 79
-(62 once the loop also stopped on its band increments), each with a lower
-final residual; ``L = 2^17``, ``m0 = 2`` runs take 5.
+(``K = 2``, ``B = 200``, ``L = 2^14``, iid grid, seeds 3 and 4) that took
+``m0 = 4`` runs from 15-16 outer iterations to 11, and ``m0 = 10`` runs
+from 163 and 118 to 66 and 79, each with a lower final residual. With one
+pass per identifiable band and the one stopping rule, ``m0 = 4`` runs take
+11 and 12 outer iterations (``Stalled``), ``m0 = 10`` runs 79 and 60
+(``IncrementSmall``); ``L = 2^17``, ``m0 = 2`` runs take 5.
 
 The band state and the residual are all the outer loop carries. A mode is a
 function of its band tables, their band sum, so each is formed from them

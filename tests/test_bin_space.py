@@ -393,6 +393,150 @@ def factors(priors, n, kind):
     return g, g, 1.0 if n == 0 else 2.0
 
 
+def times(a, b):
+    """``a * b``, ``None`` standing for 1."""
+    return b if a is None else a * b
+
+
+def per_weight_operators(plans, pre, post, gain):
+    """Each component's dense self blocks ``T_k`` and ``G_kk`` and each
+    pair's ``cross`` and ``gram``, from one sum over the samples per pair
+    of interpolation weights, ``w1 = 1 - w`` to ``j0`` and ``w`` to ``j0 +
+    1``: the definition the moment form replaces."""
+    nb = plans[0].layout.size
+    spread = [((p.j0, p.w1), ((p.j0 + 1) % nb, p.w)) for p in plans]
+
+    def dense(rows, k, m, c):
+        row_weights = [(rows, None)] if k is None else spread[k]
+        return sum(np.bincount(i * nb + j, times(c, times(wi, wj)), nb * nb)
+                   for i, wi in row_weights for j, wj in spread[m]
+                   ).reshape(nb, nb)
+
+    t, g, cross, gram = [], [], {}, {}
+    for k, pk in enumerate(plans):
+        rows = pk.layout.index
+        t.append(gain * dense(rows, None, k, times(pre[k], post[k])))
+        g.append(gain * gain * dense(None, k, k, times(post[k], post[k])))
+        for m in range(len(plans)):
+            if m != k:
+                cross[k, m] = gain * dense(rows, None, m,
+                                           times(pre[k], post[m]))
+            if m > k:
+                gram[k, m] = gain * gain * dense(None, k, m,
+                                                 times(post[k], post[m]))
+    return t, g, cross, gram
+
+
+def dense_diagonals(self_t, self_g):
+    """The dense ``T_k`` and ``G_kk`` of a component's periodic diagonals:
+    ``T[i, i - 1], T[i, i], T[i, i + 1]`` and ``G[a, a], G[a, a + 1] =
+    G[a + 1, a]``, each added to its cell (with two bins, ``i - 1`` and
+    ``i + 1`` are one cell)."""
+    nb = self_t.shape[1]
+    i = np.arange(nb)
+    t, g = np.zeros((nb, nb)), np.zeros((nb, nb))
+    for d, shift in zip(self_t, (-1, 0, 1)):
+        np.add.at(t, (i, (i + shift) % nb), d)
+    d, off = self_g
+    np.add.at(g, (i, i), d)
+    np.add.at(g, (i, (i + 1) % nb), off)
+    np.add.at(g, ((i + 1) % nb, i), off)
+    return t, g
+
+
+class TestOperatorDefinition:
+    """:func:`~modedecomp.fold_regress.band_operators` forms each block
+    from weight moments, ``sum c w1 = sum c - sum c w`` and so on: its
+    operators are those of one sum per pair of interpolation weights, the
+    form it replaced, to ``1e-13`` of each block's largest entry, for mmd
+    carriers and gmd's ``1/q, q`` at every bin count and component count."""
+
+    @pytest.mark.parametrize("nb", [2, 3, 24])
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "cos"), (2, "sin"),
+                                         (0, "amplitude")])
+    def test_matches_per_weight_sums(self, n, kind, components, nb):
+        sig, priors = problem(21 + components, 700, "iid_uniform",
+                              components)
+        plans = [plan_phase(p, 700, nb) for p in priors]
+        pre, post, gain = factors(priors, n, kind)
+        ops = band_operators(plans, pre, post, gain)
+        t, g, cross, gram = per_weight_operators(plans, pre, post, gain)
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        for k in range(components):
+            got_t, got_g = dense_diagonals(ops.self_t[k], ops.self_g[k])
+            assert close(got_t, t[k]) and close(got_g, g[k])
+        assert list(ops.cross) == list(cross)
+        assert list(ops.gram) == list(gram)
+        assert all(close(ops.cross[key], cross[key]) for key in cross)
+        assert all(close(ops.gram[key], gram[key]) for key in gram)
+
+    @pytest.mark.parametrize("n, kind, most", [(1, "cos", 14),
+                                               (0, "amplitude", 18)])
+    def test_sample_length_counts(self, n, kind, most):
+        # at K = 2: 3 counts a diagonal (5 with gmd's unequal factors), 4 a
+        # Gram block and 2 a cross block
+        sig, priors = problem(5, 700, "iid_uniform", 2)
+        plans = [plan_phase(p, 700, 24) for p in priors]
+        pre, post, gain = factors(priors, n, kind)
+        band_operators(plans, pre, post, gain)  # the half slots, once
+        bincount, made = np.bincount, []
+
+        def counted(index, *args, **kwargs):
+            made.append(len(index))
+            return bincount(index, *args, **kwargs)
+
+        with mock.patch.object(np, "bincount", counted):
+            band_operators(plans, pre, post, gain)
+        assert made.count(700) == most
+
+    def test_gmd_forms_no_half_slots(self):
+        sig, priors = problem(5, 700, "iid_uniform", 2)
+        plans = [plan_phase(p, 700, 24) for p in priors]
+        band_operators(plans, *factors(priors, 0, "amplitude"))
+        assert all("half_slots" not in p.__dict__ for p in plans)
+        band_operators(plans, *factors(priors, 1, "sin"))
+        assert all("half_slots" in p.__dict__ for p in plans)
+
+
+class TestSlotLayout:
+    """With two or three bins a sample's neighbours ``i - 1`` and ``i + 1``
+    share bins, or are one bin. Each step of :meth:`BinPass.sweep`
+    still moves every component's bin sums as the samples would move:
+    after a sweep, ``z[k]`` is ``S_k (a_k r)`` of the residual ``r`` less
+    every ``h_m E_m u_m``, with ``S_k`` and ``E_m`` dense."""
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin"),
+                                         (0, "amplitude")])
+    @pytest.mark.parametrize("nb", [2, 3])
+    def test_bin_sums_follow_the_samples(self, nb, n, kind, components,
+                                         scheme):
+        sig, priors = problem(31, 300, "iid_uniform", components)
+        plans = [plan_phase(p, 300, nb) for p in priors]
+        pre, post, gain = factors(priors, n, kind)
+        solver = BinPass(sig.values, plans,
+                         band_operators(plans, pre, post, gain), pre, post,
+                         gain, scheme)
+        incs = solver.sweep()[0]
+        r = sig.values.copy()
+        for p, b, u in zip(plans, post, incs):
+            e = np.zeros((300, nb))
+            np.add.at(e, (np.arange(300), p.j0), p.w1)
+            np.add.at(e, (np.arange(300), (p.j0 + 1) % nb), p.w)
+            r -= times(b, gain * (e @ u))
+        for p, a, z in zip(plans, pre, solver.z):
+            s = np.zeros((nb, 300))
+            s[p.layout.index, np.arange(300)] = 1.0
+            want = s @ times(a, r)
+            scale = s @ np.abs(times(a, sig.values))
+            assert np.all(np.abs(z - want) <= 1e-12 * scale)
+
+
 class TestTemporariesInPlace:
     """:func:`~modedecomp.fold_regress.band_operators`,
     :meth:`BinPass.finish` and a pass's modes form their sample-length
@@ -410,43 +554,60 @@ class TestTemporariesInPlace:
 
     @staticmethod
     def check_operators(priors, pre, post, gain, nb):
+        # the moment form: counts of c and c w (and c w^2, c w_k w_m), and
+        # the w1 = 1 - w sums from bin-sized arithmetic on them
         plans = [plan_phase(p, 500, nb) for p in priors]
         ops = band_operators(plans, pre, post, gain)
 
-        def times(a, b):
-            return b if a is None else a * b
+        def count(index, c, size):
+            return np.bincount(index, c, size).astype(float)
 
-        # the bin each sample interpolates to
-        j1 = [(p.j0 + 1) % nb for p in plans]
+        def moments(index, c, *weights):
+            # counts of c and of c times each weight in turn, by index
+            out = [count(index, c, nb * nb).reshape(nb, nb)]
+            for w in weights:
+                c = times(c, w)
+                out.append(count(index, c, nb * nb).reshape(nb, nb))
+            return out
+
+        def move(a, rows, cols):
+            return np.roll(a, (rows, cols), (0, 1))
+
+        prev = np.roll(np.arange(nb), 1)
         for k, pk in enumerate(plans):
-            rows = pk.layout.index
+            rows, j0, w = pk.layout.index, pk.j0, pk.w
+            halves = 2 * j0 + (rows != j0)
             c = times(pre[k], post[k])
-            t = sum(np.bincount(3 * rows + (j - rows + 1) % nb, times(c, w),
-                                3 * nb) for j, w in ((pk.j0, pk.w1),
-                                                     (j1[k], pk.w)))
-            assert np.array_equal(ops.self_t[k], gain * t.reshape(nb, 3).T)
-            c = times(post[k], post[k])
-            d = (np.bincount(pk.j0, times(c, pk.w1 * pk.w1), nb)
-                 + np.bincount(j1[k], times(c, pk.w * pk.w), nb))
-            off = np.bincount(pk.j0, times(c, pk.w1 * pk.w), nb)
-            assert np.array_equal(ops.self_g[k],
-                                  np.array([d, off]) * (gain * gain))
+            lo, hi = count(halves, c, 2 * nb).reshape(nb, 2).T
+            lo_w, hi_w = count(halves, times(c, w), 2 * nb).reshape(nb, 2).T
+            t = np.array([(hi - hi_w)[prev], (lo - lo_w) + hi_w[prev], lo_w])
+            assert np.array_equal(ops.self_t[k], gain * t)
+            if pre[k] is post[k]:
+                m0, m1 = lo + hi, lo_w + hi_w
+            else:
+                c = times(post[k], post[k])
+                m0, m1 = count(j0, c, nb), count(j0, times(c, w), nb)
+            m2 = count(j0, times(c, w) * w, nb)
+            g = np.array([(m0 - 2.0 * m1 + m2) + m2[prev], m1 - m2])
+            assert np.array_equal(ops.self_g[k], (gain * gain) * g)
             for m, pm in enumerate(plans):
                 if m == k:
                     continue
-                c = times(pre[k], post[m])
-                cross = sum(np.bincount(rows * nb + j, times(c, w), nb * nb)
-                            for j, w in ((pm.j0, pm.w1), (j1[m], pm.w)))
-                assert np.array_equal(ops.cross[k, m],
-                                      gain * cross.reshape(nb, nb))
+                y, y_w = moments(rows * nb + pm.j0, times(pre[k], post[m]),
+                                 pm.w)
+                cross = (y - y_w) + move(y_w, 0, 1)
+                assert np.array_equal(ops.cross[k, m], gain * cross)
                 if m > k:
-                    c = times(post[k], post[m])
-                    gram = sum(
-                        np.bincount(jk * nb + jm, times(c, wk * wm), nb * nb)
-                        for jk, wk in ((pk.j0, pk.w1), (j1[k], pk.w))
-                        for jm, wm in ((pm.j0, pm.w1), (j1[m], pm.w)))
+                    # by (j0_k, j0_m): Y + (C - 1) Y_m + (R - 1) Y_k +
+                    # (R - 1)(C - 1) Y_km, summed in that order
+                    index, c = j0 * nb + pm.j0, times(post[k], post[m])
+                    y, y_m = moments(index, c, pm.w)
+                    _, y_k, y_km = moments(index, c, w, pm.w)
+                    gram = ((y - y_m) + move(y_m, 0, 1) - y_k + move(y_k, 1, 0)
+                            + y_km - move(y_km, 1, 0) - move(y_km, 0, 1)
+                            + move(y_km, 1, 1))
                     assert np.array_equal(ops.gram[k, m],
-                                          gain * gain * gram.reshape(nb, nb))
+                                          (gain * gain) * gram)
 
     @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin"),
                                          (0, "amplitude")])

@@ -21,6 +21,7 @@ from modedecomp import fold_regress, gmd, mmd
 from modedecomp.errors import (AmplitudeTooSmall, DecompositionError,
                                GridMismatch)
 from modedecomp.fold_regress import BinPass, Workers, Workspace
+from modedecomp.signal_model import carrier
 
 from bitwise import same_bits
 
@@ -205,6 +206,48 @@ class TestMemory:
         assert pool["build"] <= inline["build"] + extra * (wide + blocks)
         for kernel in ("enter", "finish"):
             assert pool[kernel] <= inline[kernel] + extra * blocks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_operator_build_keeps_no_sample_arrays(self, threads):
+        # a gmd pass forms its half slots in its workspaces, never through
+        # the plans: no plan holds them after a bin-space gmd run, and an
+        # operator build's traced heap rises by at most its workspaces and
+        # a few B x B blocks a task, for gmd's factors and for an mmd pass
+        # on plans that hold their half slots
+        length, nb = 2 ** 17, 64
+        sig, priors = problem(length, 2)
+        built, build = [], fold_regress.band_operators
+
+        def recorded(plans, *args, **kwargs):
+            built.append(plans)
+            return build(plans, *args, **kwargs)
+
+        with pooled(threads), \
+                mock.patch.object(gmd, "band_operators", recorded):
+            md.gmd_decompose(sig, list(priors), bins=nb)
+        [plans] = built
+        assert all("half_slots" not in p.__dict__ for p in plans)
+
+        def rise(pre, post, gain):
+            with Workers(length, threads) as workers:
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    build(plans, pre, post, gain, workers)
+                    return tracemalloc.get_traced_memory()[1] - start
+                finally:
+                    tracemalloc.stop()
+
+        # two float arrays, an int64 index and a bool mask a thread; two
+        # diagonal tasks, a Gram block and two cross blocks
+        bound = threads * length * (2 * 8 + 8 + 1) + 5 * 4 * 8 * nb * nb
+        pre, post = gmd.gmd_factors(plans, Workers(length))
+        assert rise(pre, post, 1.0) <= bound
+        assert all("half_slots" not in p.__dict__ for p in plans)
+        g = [carrier(p.prior, 1, "cos") for p in plans]
+        build(plans, g, g, 2.0)
+        assert all("half_slots" in p.__dict__ for p in plans)
+        assert rise(g, g, 2.0) <= bound
 
     def test_one_component_gmd_keeps_its_peak(self):
         # a K = 1 run on the samples takes no workspace for its
