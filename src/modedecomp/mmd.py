@@ -18,11 +18,11 @@ sweeps; each regression reuses its prior's
 Every step of a band pass is linear in the residual, so
 :func:`~modedecomp.gmd.run_pass` may solve it on bin sums: the inner sweeps
 then cost ``O(K^2 B^2)`` rather than ``O(K L)``. :func:`bin_space_fits`
-chooses the path. A pass's carriers and its ``B x B`` operators
-(:class:`~modedecomp.fold_regress.BandOperators`) do not change across
-outer iterations. So a run's :class:`BandPlans` builds the operators once
-for each ``(n, kind)`` and, on either path, holds the carriers, for its
-passes and its modes, in what they leave under :func:`memory_bound`.
+chooses the path. A pass's ``B x B`` operators, its
+:class:`~modedecomp.fold_regress.BandOperators`, do not change across
+outer iterations, so a run's :class:`BandPlans` builds them once for each
+``(n, kind)``; on either path its passes and modes take their carriers
+from one :class:`~modedecomp.signal_model.BandCarriers` store.
 The run's plans are made one prior a task on its
 :func:`~modedecomp.fold_regress.run_workers` pool, and on bin sums the
 operator builds and each pass's entry sums run one component a task on it
@@ -34,13 +34,7 @@ The outer loop is a fixed-point iteration on the run's band state, one
 :func:`~modedecomp.gmd.iterate_sweeps`. After each plain iteration, one
 Gauss-Seidel step over the bands, :class:`AndersonStep` extrapolates the
 state and the residual with a depth-one Anderson step and keeps the result
-only when its residual is below the plain step's. On ex4_1-shaped inputs
-(``K = 2``, ``B = 200``, ``L = 2^14``, iid grid, seeds 3 and 4) that took
-``m0 = 4`` runs from 15-16 outer iterations to 11, and ``m0 = 10`` runs
-from 163 and 118 to 66 and 79, each with a lower final residual. With one
-pass per identifiable band and the one stopping rule, ``m0 = 4`` runs take
-11 and 12 outer iterations (``Stalled``), ``m0 = 10`` runs 79 and 60
-(``IncrementSmall``); ``L = 2^17``, ``m0 = 2`` runs take 5.
+only when its residual is below the plain step's.
 
 The band state and the residual are all the outer loop carries. A mode is a
 function of its band tables, their band sum, so each is formed from them
@@ -134,18 +128,18 @@ class MmdResult:
 
 class BandPlans(tuple):
     """A run's phase plans and what its band passes share: ``carriers``, a
-    :class:`~modedecomp.signal_model.BandCarriers` store of ``budget``
-    bytes, the ``workers`` (inline if not given) and, with ``bin_space``,
-    each pass's :class:`~modedecomp.fold_regress.BandOperators`, built by
+    :class:`~modedecomp.signal_model.BandCarriers` store, the ``workers``
+    (inline if not given) and, with ``bin_space``, each pass's
+    :class:`~modedecomp.fold_regress.BandOperators`, built by
     :meth:`operators` on first use and kept for the run by ``(|n|, kind)``.
     Without ``bin_space``, :meth:`operators` gives ``None`` and
     :func:`modified_rdbr` sweeps on the samples.
     """
 
     def __new__(cls, plans: Sequence[PhasePlan], bin_space: bool = False,
-                budget: int = 0, workers: Workers | None = None):
+                workers: Workers | None = None):
         self = super().__new__(cls, plans)
-        self.carriers = BandCarriers([plan.prior for plan in plans], budget)
+        self.carriers = BandCarriers([plan.prior for plan in plans])
         self.workers = workers or Workers(len(plans[0]))
         self.cache = {} if bin_space else None
         return self
@@ -161,21 +155,13 @@ class BandPlans(tuple):
         return self.cache[key]
 
 
-#: Bytes of cached operators and carriers any run may hold, whatever its
-#: length.
+#: Bytes of cached operators any run may hold, whatever its length.
 OPERATOR_FLOOR = 32 * 2 ** 20
 
 #: Bytes of one pass's operators per component and sample beyond which a
 #: bin-space sweep, which reads them all, was measured slower than a
 #: sample-space sweep.
 OPERATOR_PER_SAMPLE = 128
-
-
-def memory_bound(length: int, components: int) -> int:
-    """Bytes a run may hold in cached operators and carriers:
-    ``48 K L``, six arrays of ``length`` numbers per component, or
-    :data:`OPERATOR_FLOOR` if that is more."""
-    return max(48 * components * length, OPERATOR_FLOOR)
 
 
 def bin_space_fits(length: int, bins: int, components: int,
@@ -186,10 +172,8 @@ def bin_space_fits(length: int, bins: int, components: int,
     bytes per component and sample, so that the dense ``B x B`` work of a
     sweep stays below the per-sample work it replaces, and a run of band 0
     alone has one component. Memory: all the cached operators take at most
-    :func:`memory_bound`. The carriers do not count here: a run holds them
-    in what the operators leave under the bound (:class:`BandPlans`), and
-    evaluates those that do not fit once per outer iteration, so that
-    holding them never sends a run to the slower sample-space sweeps.
+    ``48 K L`` bytes, six arrays of ``length`` numbers per component, or
+    :data:`OPERATOR_FLOOR` if that is more; the carriers do not count.
 
     A run of band 0 alone is a gmd run cut into passes: it builds a new
     pass in every outer iteration and forms the pass's modes and residual
@@ -197,18 +181,13 @@ def bin_space_fits(length: int, bins: int, components: int,
     with more than one component. A gmd run builds one pass for all its
     sweeps, so :func:`modedecomp.gmd.bin_space_fits` takes bin space with
     more than one component, and only then.
-
-    Measured on ex4_1-shaped runs (2-vCPU Xeon VM), bin over sample time:
-    0.38-0.94 where this rule admits a run with ``m0 >= 1`` (``K = 1 ... 4``,
-    ``B = 200 ... 1000``, ``L = 2^9 ... 2^17``), 0.75-2.8 where the speed
-    bound turns one away; band 0 alone 0.78-1.0 with ``K = 1`` and 1.2-6.6
-    with ``K = 2, 3`` at ``L <= 2^16``.
     """
     if passes == 1 and components > 1:
         return False
     per_pass = operator_bytes(bins, components, 1)
     return (per_pass <= OPERATOR_PER_SAMPLE * components * length
-            and passes * per_pass <= memory_bound(length, components))
+            and passes * per_pass <= max(48 * components * length,
+                                         OPERATOR_FLOOR))
 
 
 def modified_rdbr(residual: SampledSignal,
@@ -356,11 +335,8 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     with run_workers(length, len(priors)) as workers:
         plans, order, fundamentals = prepare_run(signal, priors, backend,
                                                  cfg.bins, workers)
-        bin_space = bin_space_fits(length, cfg.bins, len(plans), passes)
-        # the carriers take what the operators leave under the bound
-        budget = memory_bound(length, len(plans)) - (
-            operator_bytes(cfg.bins, len(plans), passes) if bin_space else 0)
-        plans = BandPlans(plans, bin_space, budget, workers)
+        plans = BandPlans(plans, bin_space_fits(length, cfg.bins, len(plans),
+                                                passes), workers)
 
         # scaled as run_pass scales a pass: the Anderson step squares band
         # increments, and eps1 times the residual must stay a normal float

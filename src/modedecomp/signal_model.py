@@ -419,48 +419,74 @@ def band_slots(m0: int) -> list[tuple[int, str]]:
             for kind in (("cos", "sin") if n else ("cos",))]
 
 
-def check_band(prior: PhasePrior, n: int, kind: str) -> None:
-    """Refuse a band term without a carrier: bad kind, band-0 sine, no N."""
-    if kind not in ("cos", "sin"):
-        raise DecompositionError(f"unknown carrier kind {kind!r}")
-    if integer(n, "band") == 0 and kind == "sin":
-        raise SinZeroBand("sine carrier vanishes identically at band 0")
-    if prior.fundamental is None:
-        raise DecompositionError("prior fundamental required for demodulation")
+#: Bands from one seed of :func:`carrier`'s recurrence to the next.
+SEED_SPACING = 16
 
 
 def carrier(prior: PhasePrior, n: int, kind: str) -> np.ndarray:
-    """Demodulation carrier ``cos/sin(2*pi*n*p/N)`` sampled on the grid."""
-    check_band(prior, n, kind)
+    """Demodulation carrier ``cos/sin(2*pi*n*p/N)`` sampled on the grid:
+    ``np.cos``/``np.sin`` at band 1 and at each multiple of
+    :data:`SEED_SPACING`, its seeds, and from the seed at or below ``|n|``
+    up by band 1's angle, ``cos (j+1)x = cos jx cos x - sin jx sin x``,
+    ``sin (j+1)x = sin jx cos x + cos jx sin x``, the sine negated for ``n
+    < 0``. Up to band 20 it lies within 5e-14 of ``np.cos``/``np.sin``."""
+    g = BandCarriers([prior])(n, kind)[0]
+    if g is None:
+        return np.ones(len(prior))
+    return np.negative(g) if n < 0 and kind == "sin" else g
+
+
+def _trig(prior: PhasePrior, n: int) -> tuple[np.ndarray, np.ndarray]:
     angle = 2.0 * np.pi * n * prior.phase / prior.fundamental
-    return np.cos(angle) if kind == "cos" else np.sin(angle)
+    return np.cos(angle), np.sin(angle)
+
+
+def _turn(pair, one) -> tuple[np.ndarray, np.ndarray]:
+    """Band ``j + 1``'s carriers from band ``j``'s and band 1's."""
+    (c, s), (c1, s1) = pair, one
+    tmp = s * s1
+    cn = c * c1
+    cn -= tmp
+    sn = s * c1
+    sn += np.multiply(c, s1, out=tmp)
+    return cn, sn
 
 
 class BandCarriers:
     """The carriers of band terms on ``priors``: ``carriers(n, kind)``
-    refuses what :func:`check_band` refuses and gives, per prior, ``None``
-    (a factor of 1) at band 0, else band ``|n|``'s :func:`carrier`. The
-    first ``(|n|, kind)`` in the order ``(1, cos), (1, sin), (2, cos),
-    ...`` that fit in ``budget`` bytes, ``8 L`` a prior each, are held;
-    the others are evaluated at each call.
-    """
+    refuses a band term without one (a bad kind, band 0's sine, a prior
+    without its fundamental) and gives, per prior, ``None`` (a factor of 1)
+    at band 0, else band ``|n|``'s :func:`carrier`, bit for bit. It holds
+    band 1's and the last band's, four arrays a prior, and turns the last
+    band's up to a higher band from the same seed, one prior at a time, or
+    else starts afresh."""
 
-    def __init__(self, priors: Sequence[PhasePrior], budget: int = 0):
-        self.priors = list(priors)
-        self.holds = budget // (8 * sum(map(len, self.priors)))
-        self.held = {}
+    def __init__(self, priors: Sequence[PhasePrior]):
+        self.priors, self.band, self.one, self.pairs = list(priors), 1, None, None
 
     def __call__(self, n: int, kind: str) -> list[np.ndarray | None]:
-        for prior in self.priors:
-            check_band(prior, n, kind)
+        if kind not in ("cos", "sin"):
+            raise DecompositionError(f"unknown carrier kind {kind!r}")
+        if integer(n, "band") == 0 and kind == "sin":
+            raise SinZeroBand("sine carrier vanishes identically at band 0")
+        if any(prior.fundamental is None for prior in self.priors):
+            raise DecompositionError("prior fundamental required for "
+                                     "demodulation")
         if n == 0:
             return [None] * len(self.priors)
-        key = (abs(n), kind)
-        got = (self.held.get(key)
-               or [carrier(prior, abs(n), kind) for prior in self.priors])
-        if 2 * (abs(n) - 1) + (kind == "sin") < self.holds:
-            self.held[key] = got
-        return got
+        m, seed = abs(n), SEED_SPACING * (abs(n) // SEED_SPACING)
+        if self.one is None:
+            self.one = [_trig(prior, 1) for prior in self.priors]
+            self.pairs = list(self.one)
+        start = self.band if seed <= self.band <= m else max(seed, 1)
+        for k, prior in enumerate(self.priors):
+            if start != self.band:
+                self.pairs[k] = None  # let the last band go first
+                self.pairs[k] = _trig(prior, seed) if seed else self.one[k]
+            for _ in range(start, m):
+                self.pairs[k] = _turn(self.pairs[k], self.one[k])
+        self.band = m
+        return [pair[kind == "sin"] for pair in self.pairs]
 
 
 @dataclass(frozen=True)
@@ -566,7 +592,7 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     into band ``n``, ``a_n + a_-n`` and ``b_n - b_-n``, a table size at a
     time. It then sums the folded terms as an mmd run forms its modes: in
     the solver's visit order (:func:`band_slots`), by :func:`band_term`,
-    with each ``(|n|, kind)``'s :func:`carrier` evaluated once, so that it
+    on the carriers of a :class:`BandCarriers` store, so that it
     reproduces an mmd mode exactly from its unnormalized estimate, whose
     ``-n`` tables are zero. It visits only the bands the estimate holds
     tables for, whatever its bandwidth. Interpolation data is formed once
@@ -590,12 +616,9 @@ def reconstruct_mimf(est: MimfEstimate, prior: PhasePrior,
     x = unit_position(prior.phase)
     at, carriers = {}, BandCarriers([prior])
     total = np.zeros_like(x)
-    band = g = None
     # band_slots' order, cos before sin, then the table size
     for (n, kind, nb), table in sorted(folded.items()):
-        if (n, kind) != band:  # one carrier held at a time
-            band, g = (n, kind), carriers(n, kind)[0]
         if nb not in at:
             at[nb] = interpolation(x, nb)
-        total += band_term(table, *at[nb], g=g)
+        total += band_term(table, *at[nb], g=carriers(n, kind)[0])
     return make_signal(t, total)

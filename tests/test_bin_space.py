@@ -8,6 +8,7 @@ rounding, so every comparison allows a relative 1e-12 and requires the same
 number of sweeps.
 """
 
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -22,7 +23,8 @@ from modedecomp.fold_regress import (BinPass, band_operators, bin_means,
                                      carrier, plan_phase)
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE, BandPlans,
                             bin_space_fits, operator_bytes)
-from modedecomp.signal_model import BandCarriers, band_term, unit_position
+from modedecomp.signal_model import (BandCarriers, band_slots, band_term,
+                                     unit_position)
 
 TOL = 1e-12
 
@@ -977,26 +979,25 @@ class TestGmdPathRule:
 
 
 @contextmanager
-def counting_carriers():
-    """Record the ``(n, kind)`` of every carrier evaluated inside, one
-    entry per prior."""
+def counting_seeds():
+    """Record the band of every carrier pair evaluated by ``np.cos`` and
+    ``np.sin`` inside, one entry per prior."""
     evaluated = []
-    evaluate = signal_model.carrier
+    evaluate = signal_model._trig
 
-    def counted(prior, n, kind):
-        evaluated.append((n, kind))
-        return evaluate(prior, n, kind)
+    def counted(prior, n):
+        evaluated.append(n)
+        return evaluate(prior, n)
 
-    with mock.patch.object(signal_model, "carrier", counted):
+    with mock.patch.object(signal_model, "_trig", counted):
         yield evaluated
 
 
 class TestCarrierWindow:
-    """Without room to hold them, a
-    :class:`~modedecomp.signal_model.BandCarriers` store evaluates band
-    ``|n|``'s carriers at each call, for band ``n`` or ``-n``; its outputs
-    are band ``|n|``'s from :func:`~modedecomp.fold_regress.carrier`, bit
-    for bit."""
+    """A :class:`~modedecomp.signal_model.BandCarriers` store gives band
+    ``|n|``'s carriers for band ``n`` or ``-n``, whatever band it gave
+    last; its outputs are band ``|n|``'s from
+    :func:`~modedecomp.fold_regress.carrier`, bit for bit."""
 
     PASSES = [(2, "cos"), (2, "sin"), (-2, "cos"), (-2, "sin")]
 
@@ -1017,20 +1018,19 @@ class TestCarrierWindow:
         for n, kind in self.PASSES + [(1, "sin"), (-3, "sin")]:
             for prior, g in zip(ex.priors, carriers(n, kind), strict=True):
                 assert np.array_equal(g, carrier(prior, abs(n), kind))
-        assert not carriers.held
 
     def test_reconstruct_once(self):
         # reconstruct_mimf folds band -n's terms into band n's, and
-        # evaluates each (|n|, kind)'s carrier once
+        # evaluates np.cos and np.sin once, at band 1, turning them up to
+        # bands 2 and 3
         t = md.sample_grid(512)
         prior = md.with_fundamental(md.make_prior(9.0 * t), t)
         shape = md.ecg_like_shape(64, 1)
         est = md.make_estimate(3, {n: shape for n in range(-3, 4)},
                                {n: shape for n in range(-3, 4) if n})
-        with counting_carriers() as evaluated:
+        with counting_seeds() as evaluated:
             got = md.reconstruct_mimf(est, prior, t)
-        assert evaluated == [(n, kind) for n in (1, 2, 3)
-                             for kind in ("cos", "sin")]
+        assert evaluated == [1]
         want = sum(g * md.eval_shape(shape, prior.phase)
                    for n in range(-3, 4) for kind in ("cos", "sin")
                    if n or kind == "cos"
@@ -1088,34 +1088,29 @@ class TestOppositeBands:
 
 
 class TestCarrierCache:
-    """Every run, on bin sums or on the samples, holds its carriers for the
-    run, lowest band first, in the bytes its operators leave under
-    :func:`mmd.memory_bound`; the carriers that do not fit are evaluated
-    once per outer iteration for the pass of band ``n``. The
-    outputs are the same either way, bit for bit."""
+    """Every run, on bin sums or on the samples, takes its carriers from one
+    :class:`~modedecomp.signal_model.BandCarriers` store for the run. Its
+    passes visit bands ``1 ... m0`` in ascending order, so below band
+    :data:`~modedecomp.signal_model.SEED_SPACING` it evaluates ``np.cos``
+    and ``np.sin`` once a prior, at band 1, and turns the others from them;
+    it holds band 1's carriers and the last band's, four arrays a prior."""
 
     CFG = md.MmdConfig(m0=3, bins=32)
-    PER_BAND = 8 * 2 * 2 ** 12  # (|n|, kind)'s carriers, K = 2, L = 2^12
-    KEYS = [(n, kind) for n in range(1, 4) for kind in ("cos", "sin")]
 
-    def run(self, budget=None, bin_space=True):
-        """An ex4_1 run with ``CFG`` on the path ``bin_space`` names, with
-        ``budget`` bytes for its carriers (the bound's room if ``None``):
-        the result, the carriers it evaluated and its :class:`BandPlans`."""
+    def run(self, bin_space=True):
+        """An ex4_1 run with ``CFG`` on the path ``bin_space`` names: the
+        result, the bands whose carriers it evaluated by ``np.cos`` and
+        ``np.sin``, and its store."""
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
         made = []
-        ops = operator_bytes(32, 2, 2 * self.CFG.m0 + 1) if bin_space else 0
 
         class Recorded(BandPlans):
             def __new__(cls, *args):
                 made.append(super().__new__(cls, *args))
                 return made[-1]
 
-        bound = (mmd.memory_bound if budget is None
-                 else lambda *args: ops + budget)
-        with counting_carriers() as evaluated, recording_sweeps() as norms, \
+        with counting_seeds() as evaluated, recording_sweeps() as norms, \
                 mock.patch.object(mmd, "BandPlans", Recorded), \
-                mock.patch.object(mmd, "memory_bound", bound), \
                 mock.patch.object(mmd, "bin_space_fits",
                                   lambda *args: bin_space):
             result = md.mmd_decompose(ex.signal, list(ex.priors), self.CFG)
@@ -1125,86 +1120,55 @@ class TestCarrierCache:
         return result, evaluated, made[0].carriers
 
     @staticmethod
-    def check_held(carriers):
-        # held carriers are never negated in place
-        for (n, kind), held in carriers.held.items():
+    def check_held(carriers, band):
+        # the store holds band 1's carriers and band's, never changed in
+        # place
+        for held, n in ((carriers.one, 1), (carriers.pairs, band)):
             assert len(held) == len(carriers.priors)
-            for prior, g in zip(carriers.priors, held):
-                assert np.array_equal(g, carrier(prior, n, kind))
-
-    @staticmethod
-    def assert_same(got, want):
-        assert got.report == want.report
-        assert np.array_equal(got.residual.values, want.residual.values)
-        for g, w in zip(got.estimates, want.estimates, strict=True):
-            assert np.array_equal(g.mode.values, w.mode.values)
-            for shapes in ("cos_shapes", "sin_shapes"):
-                gs, ws = getattr(g, shapes), getattr(w, shapes)
-                assert sorted(gs) == sorted(ws)
-                for n in gs:
-                    assert np.array_equal(gs[n].bins, ws[n].bins)
+            for prior, pair in zip(carriers.priors, held):
+                for g, kind in zip(pair, ("cos", "sin"), strict=True):
+                    assert np.array_equal(g, carrier(prior, n, kind))
 
     def test_once_per_run(self):
         result, evaluated, carriers = self.run()
         assert result.report.iterations > 1
-        assert evaluated == [key for key in self.KEYS for _ in range(2)]
-        assert sorted(carriers.held) == sorted(self.KEYS)
-        self.check_held(carriers)
+        assert evaluated == [1, 1]
+        self.check_held(carriers, 3)
 
     def test_sample_path_once_per_run(self):
-        # the samples' room is the whole bound: these carriers all fit
         result, evaluated, carriers = self.run(bin_space=False)
         assert result.report.iterations > 1
-        assert evaluated == [key for key in self.KEYS for _ in range(2)]
-        assert sorted(carriers.held) == sorted(self.KEYS)
-        self.check_held(carriers)
-
-    def test_split_budget(self):
-        # room for three (|n|, kind) beside the operators: (1, cos),
-        # (1, sin) and (2, cos) are held, the rest evaluated per iteration
-        held, loose = self.KEYS[:3], self.KEYS[3:]
-        for bin_space in (False, True):
-            got, evaluated, carriers = self.run(
-                3 * self.PER_BAND + self.PER_BAND // 2, bin_space)
-            assert sorted(carriers.held) == sorted(held)
-            # the loose ones once more, for the modes formed after the loop
-            per_iteration = [key for key in loose for _ in range(2)]
-            assert evaluated == ([key for key in held for _ in range(2)]
-                                 + (got.report.iterations + 1)
-                                 * per_iteration)
-            self.check_held(carriers)
-
-    @pytest.mark.parametrize("bin_space", [False, True])
-    def test_same_bytes_at_any_budget(self, bin_space):
-        # no room, room for three of the six (|n|, kind) and for all six
-        want, evaluated, _ = self.run(6 * self.PER_BAND, bin_space)
-        assert evaluated == [key for key in self.KEYS for _ in range(2)]
-        for budget in (3 * self.PER_BAND, 0):
-            got, evaluated, carriers = self.run(budget, bin_space)
-            self.assert_same(got, want)
-        assert not carriers.held
-        assert evaluated == ((want.report.iterations + 1)
-                             * [key for key in self.KEYS for _ in range(2)])
+        assert evaluated == [1, 1]
+        self.check_held(carriers, 3)
 
     def test_held_give_carrier(self):
         ex = md.gen_example_4_1(2 ** 12, 0.0, 3, "iid_uniform")
-        carriers = BandCarriers(ex.priors, 6 * self.PER_BAND)
+        carriers = BandCarriers(ex.priors)
         for n in (1, -1, 2, -2, -3, 3, -3):
             for kind in ("cos", "sin"):
                 for prior, g in zip(ex.priors, carriers(n, kind)):
                     assert np.array_equal(g, carrier(prior, abs(n), kind))
-        assert len(carriers.held) == 6
-        self.check_held(carriers)
+        self.check_held(carriers, 3)
 
     @pytest.mark.parametrize("length, m0", [(2 ** 17, 2), (2 ** 14, 4),
-                                            (2 ** 14, 10)])
+                                            (2 ** 14, 10), (2 ** 14, 3)])
     def test_benchmark_sizes_hold_all(self, length, m0):
-        # mmd_long, mmd_wide and the CLI's default hold all 2 m0 of their
-        # (|n|, kind), 8 K L bytes each
-        passes = 2 * m0 + 1
-        room = (mmd.memory_bound(length, 2)
-                - operator_bytes(200, 2, passes))
-        assert room // (8 * 2 * length) >= 2 * m0
+        # mmd_long, mmd_wide, the CLI's default m0 and a small m0: after
+        # bands 1 ... m0 a store holds four arrays a prior, and turning
+        # one prior at a time needs at most three more
+        ex = md.gen_example_4_1(length, 0.0, 3, "iid_uniform")
+        array = 8 * length
+        tracemalloc.start()
+        try:
+            carriers = BandCarriers(ex.priors)
+            for n, kind in band_slots(m0):
+                carriers(n, kind)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 4 * 2 * array <= held < 4 * 2 * array + 4096
+        assert peak < (4 * 2 + 3) * array + 4096
+        self.check_held(carriers, m0)
 
     def test_path_rule_unchanged(self):
         # the carriers do not count in the path rule: its decisions are
@@ -1226,7 +1190,3 @@ class TestCarrierCache:
                             args = (length, bins, components, 2 * m0 + 1)
                             assert (bin_space_fits(*args)
                                     == operators_only(*args)), args
-        # counting them would send m0 = 10 runs from L = 2^16 to the samples
-        assert bin_space_fits(2 ** 16, 200, 2, 21)
-        assert (operator_bytes(200, 2, 21) + 2 * 10 * 8 * 2 * 2 ** 16
-                > mmd.memory_bound(2 ** 16, 2))

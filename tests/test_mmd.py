@@ -95,10 +95,11 @@ class TestMmdDecompose:
     def test_mode_equals_band_sum(self):
         # the mode is the band-sum reconstruction of its estimate, bit for
         # bit, on either path, for either scheme and any bandwidth: both
-        # sum the same terms in the solver's visit order
+        # sum the same terms in the solver's visit order, m0 = 17 across
+        # the carriers' seed at band 16
         ex = md.gen_example_4_1(2 ** 12, 0.0, 1)
         for bin_space, scheme, m0 in itertools.product(
-                (True, False), ("gauss_seidel", "jacobi"), (0, 1, 2, 3)):
+                (True, False), ("gauss_seidel", "jacobi"), (0, 1, 2, 3, 17)):
             cfg = md.MmdConfig(m0=m0, j1=4, bins=100, scheme=scheme)
             res = run_mmd(ex, cfg, bin_space)
             for k in range(2):

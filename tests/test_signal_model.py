@@ -1,7 +1,6 @@
 import math
 import time
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modedecomp as md
-from modedecomp import signal_model
 from modedecomp.errors import (
     DecompositionError,
     DuplicateTime,
@@ -19,8 +17,9 @@ from modedecomp.errors import (
     NonMonotonePhase,
     OutOfDomain,
 )
-from modedecomp.signal_model import (GRADIENT_BLOCK, BandCarriers, band_slots,
-                                     carrier, interpolation, unit_position)
+from modedecomp.signal_model import (GRADIENT_BLOCK, SEED_SPACING,
+                                     BandCarriers, band_slots, carrier,
+                                     interpolation, unit_position)
 
 from bitwise import same_bits
 from oracles import mimf_oracle
@@ -579,12 +578,19 @@ class TestReconstruct:
         want = md.reconstruct_mimf(md.make_estimate(0, {0: table}, {}),
                                    prior, t)
         wide = md.make_estimate(10 ** 12, {0: table}, {})
+        # a seed band's carriers are evaluated there, not turned up from
+        # band 1 a band at a time
+        far = md.make_estimate(10 ** 12, {10 ** 9: table}, {})
         start = time.perf_counter()
         got = md.reconstruct_mimf(wide, prior, t)
         approx = md.ell_band_approx(wide, prior, 10 ** 12, t)
+        got_far = md.reconstruct_mimf(far, prior, t)
         assert time.perf_counter() - start < 0.5
         assert same_bits(got.values, want.values)
         assert same_bits(approx.values, want.values)
+        angle = 2.0 * np.pi * 10 ** 9 * prior.phase / prior.fundamental
+        assert np.array_equal(got_far.values,
+                              np.cos(angle) * md.eval_shape(table, prior.phase))
 
     def test_matches_generator(self):
         # per-term formula as oracle: trig-carrier evaluation vs band-sum
@@ -660,8 +666,7 @@ class TestReconstruct:
     def test_folds_opposite_bands(self, m0, bins, normalized, seed):
         # independent tables on some of the bands -m0 ... m0 give what
         # their folded estimate gives, a_n + a_-n on the cosine and
-        # b_n - b_-n on the sine, with each (|n|, kind)'s carrier
-        # evaluated once
+        # b_n - b_-n on the sine
         rng = np.random.default_rng(seed)
         t = md.sample_grid(1024)
         prior = md.with_fundamental(
@@ -685,16 +690,7 @@ class TestReconstruct:
         want = md.reconstruct_mimf(md.make_estimate(m0, *(
             {n: md.make_shape(b) for n, b in folded[kind].items()}
             for kind in ("cos", "sin"))), prior, t)
-        evaluated, evaluate = [], signal_model.carrier
-
-        def counted(prior, n, kind):
-            evaluated.append((n, kind))
-            return evaluate(prior, n, kind)
-
-        with mock.patch.object(signal_model, "carrier", counted):
-            got = md.reconstruct_mimf(est, prior, t)
-        assert evaluated == sorted({(abs(n), kind) for n, kind in present
-                                    if n}, key=lambda k: (k[0], k[1]))
+        got = md.reconstruct_mimf(est, prior, t)
         assert (md.signal_norm(got.values - want.values)
                 <= 1e-13 * md.signal_norm(want.values))
 
@@ -812,12 +808,12 @@ class TestBandTerm:
     def test_carriers(self):
         _, prior = self._prior()
         assert BandCarriers([prior])(0, "cos") == [None]
+        shared = BandCarriers([prior])
         for n in (1, 3):
             for kind in ("cos", "sin"):
                 g = carrier(prior, n, kind)
-                # a store of no room and one that holds every carrier
-                for carriers in (BandCarriers([prior]),
-                                 BandCarriers([prior], 2 ** 20)):
+                # a fresh store and one shared across calls
+                for carriers in (BandCarriers([prior]), shared):
                     assert np.array_equal(carriers(n, kind)[0], g)
                     assert np.array_equal(carriers(-n, kind)[0], g)
                 # band -n's carrier is band n's, negated for a sine
@@ -828,8 +824,8 @@ class TestBandTerm:
     def test_one_check(self, n):
         # band 0's unit carrier is refused as the others are
         _, prior = self._prior()
-        # held or not, a carrier is given only for a band term that has one
-        carriers = BandCarriers([prior], 2 ** 20)
+        # a carrier is given only for a band term that has one
+        carriers = BandCarriers([prior])
         carriers(n, "cos")
         with pytest.raises(DecompositionError, match="unknown carrier kind"):
             carriers(n, "tan")
@@ -837,6 +833,37 @@ class TestBandTerm:
             BandCarriers([self._prior(False)[1]])(n, "cos")
         with pytest.raises(md.SinZeroBand):
             carriers(0, "sin")
+
+    @pytest.mark.parametrize("grid", ["uniform", "iid_uniform"])
+    def test_near_direct(self, grid):
+        # turned carriers stay within 5e-14 of np.cos and np.sin up to band
+        # 20, and are np.cos and np.sin, bit for bit, at band 1 and the
+        # seeds
+        ex = md.gen_example_4_1(2 ** 12, 0.0, 3, grid)
+        for prior in ex.priors:
+            for n in range(21):
+                angle = 2.0 * np.pi * n * prior.phase / prior.fundamental
+                for kind, direct in (("cos", np.cos), ("sin", np.sin)):
+                    if n or kind == "cos":
+                        g, want = carrier(prior, n, kind), direct(angle)
+                        if n in (0, 1, SEED_SPACING):
+                            assert same_bits(g, want), (n, kind)
+                        assert np.max(np.abs(g - want)) <= 5e-14, (n, kind)
+
+    @pytest.mark.parametrize("order", [
+        [3, 2, 1], [2, 2, 5, 5, 4], [1, -1, 2, -2, -3, 3],
+        [20, 17, 16, 15, 18], [15, 16, 17, 33, 31]])
+    def test_same_bytes_in_any_order(self, order):
+        # descending, repeated and opposite bands, in a fresh or a shared
+        # store, give band |n|'s carrier
+        ex = md.gen_example_4_1(2 ** 10, 0.0, 3, "iid_uniform")
+        shared = BandCarriers(ex.priors)
+        for n in order:
+            for kind in ("cos", "sin"):
+                want = [carrier(prior, abs(n), kind) for prior in ex.priors]
+                for carriers in (shared, BandCarriers(ex.priors)):
+                    for g, w in zip(carriers(n, kind), want, strict=True):
+                        assert same_bits(g, w), (n, kind)
 
     def test_reconstruct_needs_fundamental(self):
         # the band sum forms band 0's term as the solver does, through the
