@@ -181,7 +181,10 @@ def fit_decay_rate(residual_norms: Sequence[float], floor: float = 0.0):
         raise NonFinite("residual norms must be finite to fit a rate")
     if np.any(norms <= 0.0):
         raise OutOfDomain("residual norms must be positive to fit a rate")
-    if np.count_nonzero(norms > real(floor, "floor")) < 3:
+    floor = real(floor, "floor")
+    if np.isnan(floor):  # no norm compares above it
+        raise NonFinite("the floor must be a number, got nan")
+    if np.count_nonzero(norms > floor) < 3:
         raise TraceTooShort("need at least 3 trace points above the floor")
     final = norms[-1]
     plateau = norms <= 2.0 * final

@@ -17,15 +17,14 @@ and regress by :func:`bin_means` of the plans' bin sums of ``pre_k * r``.
 Every pass ends the same way: its band terms ``h_k E_k U_k`` are its
 modes, and the residual it leaves is the one it entered with less each
 term, in component order. One routine, :func:`leave`, forms them, on
-either path, as the pass's modes where its caller keeps them, as the
-residual it leaves where it has not formed one yet, or both; a pass's
-modes are otherwise a :class:`PassModes`, formed by :func:`leave` on first
-access. A pass on bin sums reads the samples twice: on entry, for its bin
-sums and its norm (an mmd band pass takes them from two sums over
-:attr:`PhasePlan.half_slots`, which its run's first operator build
-builds), and at its exit. In between, only a rebase, once the bin-sum
-norm has lost six digits, forms the residual, by the same exit, for its
-norm alone.
+either path: the modes where the caller hands it arrays for them (gmd's
+one pass does, no mmd band pass), the residual where the pass has not
+formed one yet, or both. A pass on bin sums reads the samples twice: on
+entry, for its bin sums and its norm (an mmd band pass takes them from two
+sums over :attr:`PhasePlan.half_slots`, which its run's first operator
+build builds), and at its exit. In between, only a rebase, once the
+bin-sum norm has lost six digits, forms the residual, by the same exit,
+for its norm alone.
 
 A decomposition run maps its sample-length work over the :class:`Workers`
 it owns, on threads from :data:`POOL_FLOOR` samples (numpy lets go of the
@@ -509,44 +508,6 @@ def sweep(residual: np.ndarray, plans: Sequence[PhasePlan], scheme: str,
     return incs, cur if subtracted is None else residual - subtracted
 
 
-@dataclass(frozen=True, eq=False)
-class PassModes(Sequence):
-    """A pass's modes ``post_k * E_k(gain * U_k)``, of its plans,
-    subtraction factors ``post``, gain and summed increments ``total``,
-    times ``2**pow2``, as a read-only sequence: formed inline by
-    :func:`leave` on first access, each a
-    :class:`~modedecomp.signal_model.SampledSignal` on ``times`` if given,
-    and kept as long as the sequence is. A caller that never reads them,
-    as mmd's outer loop, allocates none."""
-
-    plans: Sequence[PhasePlan]
-    post: Sequence[np.ndarray | None]
-    gain: float
-    total: np.ndarray
-    pow2: int = 0
-    times: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.plans)
-
-    def __getitem__(self, k):
-        return self._modes[k]
-
-    @cached_property
-    def _modes(self) -> tuple:
-        length = len(self.plans[0])
-        modes = [np.empty(length) for _ in self.plans]
-        leave(Workers(length), self.plans,
-              [self.gain * u for u in self.total], self.post, modes, None)
-        if self.pow2:
-            with np.errstate(over="ignore"):  # make_shape refuses an infinity
-                for mode in modes:
-                    np.ldexp(mode, self.pow2, out=mode)
-        if self.times is None:
-            return tuple(modes)
-        return tuple(SampledSignal(self.times, mode) for mode in modes)
-
-
 def range_terms(lo: int, hi: int, space: Workspace,
                 plans: Sequence[PhasePlan], tables: Sequence[np.ndarray],
                 post: Sequence[np.ndarray | None],
@@ -575,8 +536,9 @@ def leave(workers: Workers, plans: Sequence[PhasePlan],
           r0: np.ndarray | None) -> np.ndarray | None:
     """A pass's exit: each component's band term ``post_k E_k tables[k]``
     (:func:`range_terms`), one sample range a task of ``workers``, in
-    ``modes``' arrays if given. Given ``r0``, returns the residual ``r0 -
-    term_0 - term_1 - ...``, subtracted in component order."""
+    ``modes``' arrays if given (else in the task's workspace, for the
+    residual alone). Given ``r0``, returns the residual ``r0 - term_0 -
+    term_1 - ...``, subtracted in component order."""
     r = None if r0 is None else np.empty_like(r0)
 
     def task(lo, hi, space):

@@ -38,7 +38,6 @@ from .errors import (DecompositionError, InvalidPartition, NonFinite,
 from .fold_regress import (
     BandOperators,
     BinPass,
-    PassModes,
     PhasePlan,
     Workers,
     as_plans,
@@ -249,9 +248,9 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
     Returns the relative residual and increment norms per sweep, the
     :class:`StopReason`, the summed increments ``U`` ``(K, B)``, the modes
     ``post_k * E_k(gain * U_k)`` and the residual. The modes are formed in
-    ``modes``' arrays where given (on bin sums, beside the residual), else
-    they are a :class:`~modedecomp.fold_regress.PassModes`, formed by the
-    same routine on first access.
+    ``modes``' arrays where given (on bin sums, beside the residual), and
+    are ``None`` otherwise: a pass's modes follow from ``U``, its plans and
+    its factors.
     """
     residual, pow2, finite = scale_into_range(residual)
     if not finite:
@@ -280,15 +279,11 @@ def run_pass(residual: np.ndarray, plans: Sequence[PhasePlan],
         if modes is not None:
             leave(workers or Workers(residual.size), plans,
                   [gain * u for u in total], post, modes, None)
-    formed = (PassModes(plans, post, gain, total, pow2) if modes is None
-              else modes)
     if pow2:
         with np.errstate(over="ignore"):  # make_shape refuses an infinity
-            # a new array: PassModes forms the modes from the scaled one
-            total = np.ldexp(total, pow2)
-            for a in (*(modes or ()), r):
+            for a in (total, *(modes or ()), r):
                 np.ldexp(a, pow2, out=a)
-    return out + (total, formed, r)
+    return out + (total, modes, r)
 
 
 #: Bytes of a run's operators per component and sample beyond which its

@@ -39,13 +39,13 @@ only when its residual is below the plain step's.
 The band state and the residual are all the outer loop carries. A mode is a
 function of its band tables, their band sum, so each is formed from them
 once, after the loop, on the carriers its passes ran on; a pass forms no
-mode array (its mode increments are formed only if read).
+mode array, and returns its shape increments and its residual alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -196,10 +196,10 @@ def modified_rdbr(residual: SampledSignal,
                   bins: int = 200, scheme: str = "gauss_seidel"):
     """Demodulated regression pass for one band.
 
-    For band 0 the regressed increment itself is the mode increment; for
-    |n| > 0 the mode increment is ``2 * carrier * increment`` and the stored
-    shape increment is doubled, so a band table summed from them holds the
-    full product of coefficient and shape. ``priors`` may be the
+    For band 0 the pass subtracts the regressed increment itself; for
+    |n| > 0 it subtracts ``2 * carrier * increment`` and the stored shape
+    increment is doubled, so a band table summed from them holds the full
+    product of coefficient and shape. ``priors`` may be the
     :class:`BandPlans` :func:`mmd_decompose` prepares once per run, and
     then the pass takes its carriers, operators and workers from them: on
     bin sums if they give operators, to within rounding of the
@@ -210,12 +210,12 @@ def modified_rdbr(residual: SampledSignal,
     band ``-n``'s sine tables are stored negated. :func:`mmd_decompose`
     visits ``n >= 0`` only.
 
-    Returns ``(shape_increments, mode_increments, residual)`` where the shape
-    increments are per-component tables accumulated over the inner sweeps and
-    the mode increments a read-only sequence of :class:`SampledSignal`
-    values, a :class:`~modedecomp.fold_regress.PassModes` formed on first
-    access from the pass's increments, plans and carriers: a caller that
-    never reads them, as :func:`mmd_decompose`, allocates none.
+    Returns ``(shape_increments, residual)``, as :func:`rdbr_sweep` does,
+    where the shape increments are per-component tables accumulated over
+    the inner sweeps. The pass forms no mode increment: component ``k``'s
+    is :func:`~modedecomp.signal_model.reconstruct_mimf` of the estimate
+    that holds its table alone, at band ``n`` and of its ``kind``, and the
+    residual is the input less their sum.
     """
     check_run(scheme, eps2=eps2, max_iters=max_iters, bins=bins)
     plans = as_plans(priors, len(residual), bins)
@@ -224,14 +224,12 @@ def modified_rdbr(residual: SampledSignal,
     gain = 1.0 if n == 0 else 2.0
     ops = shared.operators(n, kind, pre, gain)
 
-    *_, total, modes, r = run_pass(residual.values, plans, pre, pre, gain,
-                                   scheme, eps2, max_iters, ops,
-                                   shared.workers)
-    t = residual.times
+    *_, total, _, r = run_pass(residual.values, plans, pre, pre, gain,
+                               scheme, eps2, max_iters, ops, shared.workers)
     # sin is odd: band -n's sine term is band n's carrier times -table
     sign = -gain if n < 0 and kind == "sin" else gain
     return ([make_shape(sign * u) for u in total],
-            replace(modes, times=t), SampledSignal(t, r))
+            SampledSignal(residual.times, r))
 
 
 def anderson_weight(f: np.ndarray, f_prev: np.ndarray | None) -> float | None:
@@ -311,9 +309,8 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
     iteration, whether the extrapolated state was kept. Estimates hold the
     band products (coefficient times unit shape), not normalized; each
     coefficient is its product's L2 norm, and each mode is the band sum of
-    its products, formed once after the loop: the mode increments each
-    :func:`modified_rdbr` pass returns are never read, so never formed,
-    and let go as soon as it returns, before the next pass runs.
+    its products, formed once after the loop: a :func:`modified_rdbr`
+    pass returns its shape increments and its residual, and forms no mode.
     Components in the result follow the caller's prior order. ``backend``
     is checked by :func:`~modedecomp.gmd.check_backend`.
 
@@ -356,11 +353,8 @@ def mmd_decompose(signal: SampledSignal, priors: Sequence[PhasePrior],
             start = state.copy()
             incs = []
             for slot, (n, kind) in enumerate(slots):
-                shapes, modes, r = modified_rdbr(
+                shapes, r = modified_rdbr(
                     r, plans, n, kind, cfg.eps2, cfg.j2, cfg.bins, cfg.scheme)
-                # never read, so never formed: the modes are the band sums
-                # formed after the loop; let go before the next pass
-                del modes
                 state[slot] += [shape.bins for shape in shapes]
                 incs += [shape.l2norm / denom for shape in shapes]
             r, rel, mixed = extrapolate(start, state, r,

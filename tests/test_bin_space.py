@@ -86,14 +86,12 @@ def both_passes(signal, priors, n, kind, bins, scheme, eps2=1e-6,
 
 
 def assert_close(want, got, signal, factor=1.0):
-    """Shapes and modes agree to 1e-12 of their own size, the residual to
-    1e-12 of the pass's input: a pass may remove nearly all of it."""
-    (w_shapes, w_modes, w_r), (g_shapes, g_modes, g_r) = want, got
+    """Shapes agree to 1e-12 of their own size, the residual to 1e-12 of
+    the pass's input: a pass may remove nearly all of it."""
+    (w_shapes, w_r), (g_shapes, g_r) = want, got
     for w, g in zip(w_shapes, g_shapes):
         assert rel(g.bins / factor, w.bins) <= TOL
         assert abs(g.l2norm / factor - w.l2norm) <= TOL * (w.l2norm or 1.0)
-    for w, g in zip(w_modes, g_modes):
-        assert rel(g.values / factor, w.values) <= TOL
     assert rel(g_r.values / factor, w_r.values, signal.l2norm) <= TOL
 
 
@@ -180,7 +178,7 @@ class TestPassMatchesSampleSpace:
         assert len(j_got) == len(j_want) == 1
         for table in got[0]:
             assert table.l2norm == 0.0
-        assert not np.any(got[2].values)
+        assert not np.any(got[1].values)
 
     @pytest.mark.parametrize("exponent", [-160, 160])
     @pytest.mark.parametrize("band", [(0, "cos"), (2, "sin")])
@@ -540,11 +538,12 @@ class TestSlotLayout:
 
 
 class TestTemporariesInPlace:
-    """:func:`~modedecomp.fold_regress.band_operators`,
-    :meth:`BinPass.finish` and a pass's modes form their sample-length
-    temporaries in place; their values are those of the plain expressions,
-    bit for bit, for an mmd pass's carriers and for gmd's separate
-    regression and subtraction factors."""
+    """:func:`~modedecomp.fold_regress.band_operators` and
+    :meth:`BinPass.finish` form their sample-length temporaries in place;
+    their values are those of the plain expressions, bit for bit, for an
+    mmd pass's carriers and for gmd's separate regression and subtraction
+    factors. A band pass forms no mode increments, and they follow from
+    the tables it returns."""
 
     @pytest.mark.parametrize("n, kind", [(0, "cos"), (2, "sin"),
                                          (0, "amplitude")])
@@ -637,23 +636,30 @@ class TestTemporariesInPlace:
     @pytest.mark.parametrize("bin_space", [False, True])
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
     @pytest.mark.parametrize("n, kind", [(0, "cos"), (1, "sin"),
-                                         (-2, "sin")])
+                                         (-2, "sin"), (2, "cos")])
     def test_pass_modes(self, n, kind, scale, bin_space):
-        # modified_rdbr's mode increments, formed on first access from the
-        # scaled pass and scaled back, are the plain post_k E_k(gain U_k)
-        # of the increments it stores, gain U_k = stored, negated for band
-        # -n's sine
-        sig, priors = problem(13, 500, "iid_uniform", 3)
-        sig = md.make_signal(sig.times, sig.values * scale)
-        plans = [plan_phase(p, 500, 24) for p in priors]
-        shapes, modes, _ = md.modified_rdbr(sig, BandPlans(plans, bin_space),
-                                            n, kind, bins=24)
-        for p, shape, mode in zip(plans, shapes, modes, strict=True):
-            table = -shape.bins if n < 0 and kind == "sin" else shape.bins
-            want = p.w1 * table[p.j0] + p.w * table[(p.j0 + 1) % 24]
-            if n:
-                want = carrier(p.prior, abs(n), kind) * want
-            assert np.array_equal(mode.values, want)
+        # a pass's mode increments are its tables, each reconstructed alone
+        # at band n: the input less their sum is the residual it returns,
+        # bit for bit on bin sums, whose exit subtracts the same terms, and
+        # to rounding on the samples, whose sweeps subtract increments
+        for components in (1, 2):
+            sig, priors = problem(13, 500, "iid_uniform", components)
+            sig = md.make_signal(sig.times, sig.values * scale)
+            plans = [plan_phase(p, 500, 24) for p in priors]
+            shapes, r = md.modified_rdbr(sig, BandPlans(plans, bin_space), n,
+                                         kind, bins=24)
+            rebuilt = sig.values
+            for prior, shape in zip(priors, shapes, strict=True):
+                cos = {n: shape} if kind == "cos" else {}
+                sin = {n: shape} if kind == "sin" else {}
+                est = md.make_estimate(abs(n), cos, sin)
+                rebuilt = rebuilt - md.reconstruct_mimf(est, prior,
+                                                        sig.times).values
+            if bin_space:
+                assert np.array_equal(rebuilt, r.values)
+            else:
+                gap = np.max(np.abs(rebuilt - r.values))
+                assert gap <= 1e-15 * np.max(np.abs(sig.values))
 
 
 class TestSweepTrims:
@@ -1051,39 +1057,35 @@ class TestCarrierWindow:
                                         n, kind, bins=32, scheme=scheme)
                 for g, w in zip(got[0], want[0]):
                     assert np.array_equal(g.bins, w.bins)
-                for g, w in zip(got[1], want[1]):
-                    assert np.array_equal(g.values, w.values)
-                assert np.array_equal(got[2].values, want[2].values)
-                r_shared, r_fresh = got[2], want[2]
+                assert np.array_equal(got[1].values, want[1].values)
+                r_shared, r_fresh = got[1], want[1]
 
 
 class TestOppositeBands:
     """Band ``-n``'s sine pass runs on band ``n``'s carriers. On the bin
     path it gives what a pass on band ``-n``'s own, negated carriers gives:
-    the same tables, modes and residual bit for bit, from increments that
-    are exactly the negation of those on band ``n``'s carriers."""
+    the same tables and residual bit for bit, from increments that are
+    exactly the negation of those on band ``n``'s carriers."""
 
     @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sine_pass(self, n, scheme):
         sig, priors = problem(13, 400, "iid_uniform", 2)
         plans = [plan_phase(p, 400, 16) for p in priors]
-        shapes, modes, r = md.modified_rdbr(sig, BandPlans(plans, True), -n,
-                                            "sin", bins=16, scheme=scheme)
+        shapes, r = md.modified_rdbr(sig, BandPlans(plans, True), -n, "sin",
+                                     bins=16, scheme=scheme)
 
         def run(g):
             return gmd.run_pass(sig.values, plans, g, g, 2.0, scheme, 1e-6,
                                 10, ops=band_operators(plans, g, g, 2.0))
 
         g = [carrier(p, n, "sin") for p in priors]
-        *own, total, want_modes, want_r = run([np.negative(a) for a in g])
+        *own, total, _, want_r = run([np.negative(a) for a in g])
         *same, flipped, _, _ = run(g)
         assert own == same and len(own[0]) > 1
         assert np.array_equal(flipped, -total)
         for shape, u in zip(shapes, total, strict=True):
             assert np.array_equal(shape.bins, 2.0 * u)
-        for mode, want in zip(modes, want_modes, strict=True):
-            assert np.array_equal(mode.values, want)
         assert np.array_equal(r.values, want_r)
 
 

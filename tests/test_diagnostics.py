@@ -266,6 +266,10 @@ class TestFitDecayRate:
     def test_non_finite_norm(self, norms):
         with pytest.raises(NonFinite):
             md.fit_decay_rate(norms)
+        # a NaN floor, which no norm compares above, is refused as well,
+        # not reported as a trace too short
+        with pytest.raises(NonFinite):
+            md.fit_decay_rate([1.0, 0.5, 0.25, 0.125], floor=np.nan)
 
     def test_floor_filter(self):
         with pytest.raises(TraceTooShort):
