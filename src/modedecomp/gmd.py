@@ -292,28 +292,18 @@ OPERATOR_PER_SAMPLE = 8
 
 
 def bin_space_fits(length: int, bins: int, components: int) -> bool:
-    """Whether a gmd run sweeps in bin space: it has more than one
-    component, and its operators,
+    """Whether a gmd run sweeps in bin space: its operators,
     :func:`~modedecomp.fold_regress.operator_bytes`, take at most
     :data:`OPERATOR_PER_SAMPLE` bytes per component and sample (so never
-    more than its phase plans).
+    more than its phase plans). With one component that holds from
+    ``L = 5 B``.
 
     A gmd run is one pass from its first sweep to its last, so it builds
     its operators and forms its modes and residual once
     (:func:`modedecomp.mmd.bin_space_fits` sets out why a run of mmd's band
-    0 alone differs). With one component that fixed work still costs as
-    much as the cheap sweeps it replaces: a lone mode converges in four to
-    six of them.
-
-    Measured on ex4_1-shaped runs with the path forced (2-vCPU Xeon VM,
-    ``K = 1 ... 3``, ``B = 200 ... 1000``, ``L = 2^10 ... 2^20``, both
-    schemes), bin over sample time: 0.56-0.84 on the 24 sizes this rule
-    admits; 0.60-7.4 on the 108 with ``K = 2, 3`` it turns away, where the
-    first losses came at 23-46 bytes a sample with ``K = 3``; and with one
-    component 0.63-1.10, with 1.04-1.28 at ``B = 200``,
-    ``L = 2^16 ... 2^20`` in a second series.
+    0 alone differs).
     """
-    return (components > 1 and operator_bytes(bins, components, 1)
+    return (operator_bytes(bins, components, 1)
             <= OPERATOR_PER_SAMPLE * components * length)
 
 

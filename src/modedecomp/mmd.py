@@ -175,12 +175,12 @@ def bin_space_fits(length: int, bins: int, components: int,
     ``48 K L`` bytes, six arrays of ``length`` numbers per component, or
     :data:`OPERATOR_FLOOR` if that is more; the carriers do not count.
 
-    A run of band 0 alone is a gmd run cut into passes: it builds a new
-    pass in every outer iteration and forms the pass's modes and residual
-    on the samples, which the few inner sweeps of a pass do not pay back
-    with more than one component. A gmd run builds one pass for all its
-    sweeps, so :func:`modedecomp.gmd.bin_space_fits` takes bin space with
-    more than one component, and only then.
+    A run of band 0 alone is a gmd run cut into passes: it builds its
+    operators once, but enters a new pass in every outer iteration, and
+    each pass's entry sums and its exit on the samples cost more than its
+    two or three sweeps save with more than one component. A gmd run is
+    one pass from its first sweep to its last, so
+    :func:`modedecomp.gmd.bin_space_fits` tests operator bytes alone.
     """
     if passes == 1 and components > 1:
         return False

@@ -24,7 +24,7 @@ from modedecomp.fold_regress import (BinPass, band_operators, bin_means,
 from modedecomp.mmd import (OPERATOR_FLOOR, OPERATOR_PER_SAMPLE, BandPlans,
                             bin_space_fits, operator_bytes)
 from modedecomp.signal_model import (BandCarriers, band_slots, band_term,
-                                     unit_position)
+                                     scale_into_range, unit_position)
 
 TOL = 1e-12
 
@@ -113,14 +113,16 @@ def assert_gmd_close(runs, signal):
     """Same iterations and stop reason; per-sweep residual norms, shapes,
     modes and residual within 1e-12 of the signal's norm. The bin path
     takes its norms from the Gram form, which keeps its error on the
-    signal's scale rather than on the residual's."""
+    signal's scale rather than on the residual's. The per-sweep norms are
+    of the residual the pass sweeps, the signal scaled into range."""
     (want, want_norms), (got, got_norms) = runs
     assert got.report.iterations == want.report.iterations
     assert got.report.stop_reason == want.report.stop_reason
     assert len(got_norms) == len(want_norms) == want.report.iterations
-    scale = signal.l2norm
     gaps = np.subtract(got_norms, want_norms)
-    assert np.max(np.abs(gaps)) <= TOL * scale
+    swept = md.signal_norm(scale_into_range(signal.values)[0])
+    assert np.max(np.abs(gaps)) <= TOL * swept
+    scale = signal.l2norm
     for name in ("residual_norms", "shape_increment_norms"):
         # already relative to the signal's norm
         gaps = np.subtract(getattr(got.report, name),
@@ -313,6 +315,17 @@ class TestGmdMatchesSampleSpace:
         sig, priors = gmd_problem(2 ** log_length, grid, noise_var,
                                   components, seed)
         assert_gmd_close(gmd_both_paths(sig, priors, scheme=scheme), sig)
+
+    @pytest.mark.parametrize("scheme", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("bins", [2, 3, 200])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
+    def test_one_component(self, scale, bins, scheme):
+        # ex4_1 with noise against its first prior, which the path rule
+        # sends to bin sums from L = 5 B
+        sig, priors = gmd_problem(2 ** 12, "iid_uniform", 0.25, 1, 5)
+        sig = md.make_signal(sig.times, sig.values * scale)
+        assert_gmd_close(gmd_both_paths(sig, priors, bins=bins,
+                                        scheme=scheme), sig)
 
     @pytest.mark.parametrize("scheme, same", [("gauss_seidel", 1),
                                               ("jacobi", 2)])
@@ -808,12 +821,12 @@ class TestPlansHoldWhatTheirPathReads:
 
     @pytest.mark.parametrize("run", ["gmd", "mmd"])
     def test_sample_path_builds_no_positions(self, run):
-        # one-component gmd, and mmd's band 0 alone with two components,
-        # sweep on the samples
+        # gmd with operators of 119 bytes a sample, and mmd's band 0 alone
+        # with two components, sweep on the samples
         ex = md.gen_example_4_1(2 ** 12, 0.0, 21, "iid_uniform")
         with self.no_folded_samples() as norms:
             if run == "gmd":
-                md.gmd_decompose(ex.signal, ex.priors[:1])
+                md.gmd_decompose(ex.signal, ex.priors)
             else:
                 md.mmd_decompose(ex.signal, ex.priors, md.MmdConfig(m0=0))
         assert norms["sample"] and not norms["bin"]
@@ -958,28 +971,32 @@ class TestGmdPathRule:
         # the benchmark's gmd_long and the gmd of its cli_roundtrip
         assert gmd.bin_space_fits(2 ** 20, 200, 2)
         assert gmd.bin_space_fits(262_144, 200, 2)
-        # one component sweeps on the samples at any length
-        assert not gmd.bin_space_fits(2 ** 20, 200, 1)
-        assert not gmd.bin_space_fits(2 ** 20, 2, 1)
+        # K = 1: 40 B bytes of operators need 8 L >= 40 B, so L >= 5 B
+        assert not gmd.bin_space_fits(999, 200, 1)
+        assert gmd.bin_space_fits(1000, 200, 1)
+        assert gmd.bin_space_fits(2 ** 20, 200, 1)
 
     def test_default_takes_bin_space(self):
+        # both components, and the first alone
         ex = md.gen_example_4_1(2 ** 16, 0.0, 3, "iid_uniform")
-        with recording_sweeps() as norms:
-            result = md.gmd_decompose(ex.signal, list(ex.priors))
-        assert not norms["sample"]
-        assert len(norms["bin"]) == result.report.iterations
+        for components in (2, 1):
+            with recording_sweeps() as norms:
+                result = md.gmd_decompose(ex.signal,
+                                          list(ex.priors)[:components])
+            assert not norms["sample"]
+            assert len(norms["bin"]) == result.report.iterations
 
-    @pytest.mark.parametrize("length, components", [
-        # one component
-        (2 ** 16, 1),
-        # operators above 8 bytes a sample
-        (2 ** 15, 2),
+    @pytest.mark.parametrize("length, components, bins", [
+        # operators above 8 bytes a sample: one component from B > L / 5
+        pytest.param(2 ** 16, 1, 13_108, id="65536-1"),
+        pytest.param(2 ** 15, 2, 200, id="32768-2"),
     ])
-    def test_sample_space(self, length, components):
+    def test_sample_space(self, length, components, bins):
         ex = md.gen_example_4_1(length, 0.0, 3, "iid_uniform")
         with recording_sweeps() as norms:
             result = md.gmd_decompose(ex.signal,
-                                      list(ex.priors)[:components])
+                                      list(ex.priors)[:components],
+                                      bins=bins)
         assert not norms["bin"]
         assert len(norms["sample"]) == result.report.iterations
 

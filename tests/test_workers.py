@@ -254,9 +254,9 @@ class TestMemory:
         assert rise(g, g, 2.0) <= bound
 
     def test_one_component_gmd_keeps_its_peak(self):
-        # a K = 1 run on the samples takes no workspace for its
-        # preparation: its traced peak is that of a preparation run as a
-        # plain loop, and no Workspace exists before its sweeps
+        # a K = 1 run takes no workspace for its preparation: its traced
+        # peak is that of a preparation run as a plain loop, and no
+        # Workspace exists before its operator build
         sig, priors = problem(fold_regress.POOL_FLOOR, 1)
         made = []
 
@@ -279,17 +279,17 @@ class TestMemory:
         with mock.patch.object(fold_regress, "usable_cpus", lambda: 3):
             with mock.patch.object(Workers, "map", plain_loop):
                 serial = peak()
-            before_pass = []
-            run_pass = gmd.run_pass
+            before_build = []
+            build = gmd.band_operators
 
             def entered(*args, **kwargs):
-                before_pass.append(len(made))
-                return run_pass(*args, **kwargs)
+                before_build.append(len(made))
+                return build(*args, **kwargs)
 
             with mock.patch.object(fold_regress, "Workspace", spaces), \
-                    mock.patch.object(gmd, "run_pass", entered):
+                    mock.patch.object(gmd, "band_operators", entered):
                 md.gmd_decompose(sig, list(priors))
-            assert before_pass == [0] and made
+            assert before_build == [0] and made
             pooled_peak = peak()
         # a few bin-sized arrays of slack, of the run's 200 bins
         assert pooled_peak <= serial + 4 * 8 * 200
